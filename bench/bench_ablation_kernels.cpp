@@ -1,7 +1,9 @@
 // Ablation (paper Section V-B): the individual kernel optimizations,
 // measured with the real kernels on this host via google-benchmark:
 //   * ISA back-end (scalar vs AVX2 vs AVX-512) — V-B1/V-B3 vectorization
-//   * streaming stores on/off — V-B5
+//   * streaming stores on/off — V-B5, both in isolation and in a
+//     producer→consumer pair (newview writes a parent, evaluate reads it
+//     back), the access pattern of a real search
 //   * software prefetch distance 0/4/8/16 — V-B6
 #include <benchmark/benchmark.h>
 
@@ -26,8 +28,10 @@ struct Fixture {
   std::vector<std::int32_t> left_scale = std::vector<std::int32_t>(kSites, 0);
   std::vector<std::int32_t> right_scale = left_scale;
   std::vector<std::int32_t> out_scale = left_scale;
+  std::vector<std::uint32_t> weights = std::vector<std::uint32_t>(kSites, 1);
   AlignedDoubles ptable1 = AlignedDoubles(core::kPtableSize);
   AlignedDoubles ptable2 = AlignedDoubles(core::kPtableSize);
+  AlignedDoubles diag = AlignedDoubles(core::kDiagSize);
   AlignedDoubles wtable;
 
   Fixture() {
@@ -37,7 +41,21 @@ struct Fixture {
     const model::GtrModel model(model::GtrParams::jc69(0.9));
     core::build_ptable(model, 0.08, ptable1);
     core::build_ptable(model, 0.21, ptable2);
+    core::build_diag(model, 0.13, diag);
     wtable = core::build_wtable(model);
+  }
+
+  [[nodiscard]] core::NewviewCtx newview_ctx(std::int64_t stream, std::int64_t prefetch) {
+    core::NewviewCtx ctx;
+    ctx.parent_cla = out.data();
+    ctx.parent_scale = out_scale.data();
+    ctx.left = {left.data(), left_scale.data(), nullptr, ptable1.data(), nullptr};
+    ctx.right = {right.data(), right_scale.data(), nullptr, ptable2.data(), nullptr};
+    ctx.wtable = wtable.data();
+    ctx.end = kSites;
+    ctx.tuning.streaming_stores = stream != 0;
+    ctx.tuning.prefetch_distance = static_cast<int>(prefetch);
+    return ctx;
   }
 };
 
@@ -62,15 +80,7 @@ void BM_Newview(benchmark::State& state) {
   }
   auto& f = fixture();
   const auto ops = core::get_kernel_ops(isa);
-  core::NewviewCtx ctx;
-  ctx.parent_cla = f.out.data();
-  ctx.parent_scale = f.out_scale.data();
-  ctx.left = {f.left.data(), f.left_scale.data(), nullptr, f.ptable1.data(), nullptr};
-  ctx.right = {f.right.data(), f.right_scale.data(), nullptr, f.ptable2.data(), nullptr};
-  ctx.wtable = f.wtable.data();
-  ctx.end = kSites;
-  ctx.tuning.streaming_stores = state.range(1) != 0;
-  ctx.tuning.prefetch_distance = static_cast<int>(state.range(2));
+  core::NewviewCtx ctx = f.newview_ctx(state.range(1), state.range(2));
   for (auto _ : state) {
     ops.newview(ctx);
     benchmark::DoNotOptimize(f.out.data());
@@ -81,13 +91,43 @@ void BM_Newview(benchmark::State& state) {
 }
 // ISA sweep with default tuning, then tuning ablations on the widest ISA.
 BENCHMARK(BM_Newview)
-    ->Args({0, 1, 8})
-    ->Args({1, 1, 8})
-    ->Args({2, 1, 8})
+    ->Args({0, 0, 8})
+    ->Args({1, 0, 8})
     ->Args({2, 0, 8})
-    ->Args({2, 1, 0})
-    ->Args({2, 1, 4})
-    ->Args({2, 1, 16});
+    ->Args({2, 1, 8})
+    ->Args({2, 0, 0})
+    ->Args({2, 0, 4})
+    ->Args({2, 0, 16});
+
+// Producer→consumer: newview writes the parent CLA, then evaluate reads it
+// straight back against the right child — what a search does with every
+// CLA it computes.  The isolated case above never reads its output, so it
+// cannot see whether the stores left the parent in cache.
+void BM_NewviewThenEvaluate(benchmark::State& state) {
+  const auto isa = isa_from_index(state.range(0));
+  if (!simd::isa_supported(isa)) {
+    state.SkipWithError("ISA not supported on this host");
+    return;
+  }
+  auto& f = fixture();
+  const auto ops = core::get_kernel_ops(isa);
+  core::NewviewCtx ctx = f.newview_ctx(state.range(1), 8);
+  core::EvaluateCtx eval;
+  eval.left_cla = f.out.data();
+  eval.left_scale = f.out_scale.data();
+  eval.right_cla = f.right.data();
+  eval.right_scale = f.right_scale.data();
+  eval.diag = f.diag.data();
+  eval.weights = f.weights.data();
+  eval.end = kSites;
+  for (auto _ : state) {
+    ops.newview(ctx);
+    benchmark::DoNotOptimize(ops.evaluate(eval));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kSites);
+  state.SetLabel(simd::to_string(isa) + (ctx.tuning.streaming_stores ? "/stream" : "/plain"));
+}
+BENCHMARK(BM_NewviewThenEvaluate)->Args({2, 0})->Args({2, 1});
 
 void BM_DerivativeSum(benchmark::State& state) {
   const auto isa = isa_from_index(state.range(0));
@@ -113,11 +153,11 @@ void BM_DerivativeSum(benchmark::State& state) {
                  "/pf" + std::to_string(ctx.tuning.prefetch_distance));
 }
 BENCHMARK(BM_DerivativeSum)
-    ->Args({0, 1, 8})
-    ->Args({1, 1, 8})
-    ->Args({2, 1, 8})
+    ->Args({0, 0, 8})
+    ->Args({1, 0, 8})
     ->Args({2, 0, 8})
-    ->Args({2, 1, 0});
+    ->Args({2, 1, 8})
+    ->Args({2, 0, 0});
 
 }  // namespace
 

@@ -69,7 +69,12 @@ cmake -B "${build}" -S "${root}" \
 # at arbitrary cancellation checks) — the soak's interleavings are the
 # densest TSan workload in the repo, and a leaked grant or a job result
 # published without its lock is invisible to the release run.
-targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test)
+# core_kernels_test rides along: it drives every kernel family in both store
+# modes (the non-temporal path is no longer the default, so only this suite
+# and the engine store-mode tests exercise it) and in odd-width chunks with
+# short tails (including the AVX-512 CAT kernels' one-site paths) —
+# out-of-bounds tail reads and writes are ASan's to find.
+targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test core_kernels_test)
 cmake --build "${build}" -j "$(nproc)" --target "${targets[@]}"
 
 status=0

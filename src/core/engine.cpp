@@ -501,13 +501,6 @@ std::uint64_t LikelihoodEngine::compute_cla_checksum(NodeCla& node, std::int64_t
   return sum.finish();
 }
 
-void LikelihoodEngine::store_cla_checksum(NodeCla& node, std::int64_t blocks) {
-  node.checksum = compute_cla_checksum(node, blocks);
-  node.checked_blocks = blocks;
-  // Freshly computed ⇒ trusted for the rest of this pass.
-  node.verified_pass = sdc_pass_;
-}
-
 void LikelihoodEngine::verify_cla(const tree::Slot* slot) {
   if (!sdc_checks_) return;
   NodeCla& node = node_cla(slot->node_id);
@@ -714,14 +707,15 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
   ensure_buffer(parent);
   ctx.parent_cla = cla_data(parent);
   ctx.parent_scale = scale_data(parent);
-  // Fused SDC path (dense, serial): input verification and the commit
-  // checksum run chunk by chunk inside the kernel loop below instead of as
-  // separate cold sweeps, so defer the make_child_input verification.
-  const bool fused_sdc = sdc_checks_ && !site_repeats_ && !use_openmp_;
+  // Dense serial path: input verification runs chunk by chunk inside the
+  // kernel loop below instead of as a separate cold sweep, so defer the
+  // make_child_input verification.  The repeat path reads its children
+  // through class gathers (not in chunk order) and verifies them up front.
+  const bool chunk_verify = sdc_checks_ && !site_repeats_ && !use_openmp_;
   ctx.left = make_child_input(slot->child1(), ptable_left_, ump_left_, slot->next->length,
-                              /*verify=*/!fused_sdc);
+                              /*verify=*/!chunk_verify);
   ctx.right = make_child_input(slot->child2(), ptable_right_, ump_right_,
-                               slot->next->next->length, /*verify=*/!fused_sdc);
+                               slot->next->next->length, /*verify=*/!chunk_verify);
   ctx.wtable = wtable_.data();
   // On the repeat path newview iterates parent *classes*, not sites: the
   // children are fetched through the per-class gather maps and the parent
@@ -741,38 +735,15 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
   sdc::ClaChecksum parent_ck;
   sdc::ClaChecksum left_ck;
   sdc::ClaChecksum right_ck;
-  bool check_left = false;
-  bool check_right = false;
+  const bool check_left = chunk_verify && wants_deferred_verify(slot->child1());
+  const bool check_right = chunk_verify && wants_deferred_verify(slot->child2());
+  // The buffer is overwritten incrementally: if a deferred verification
+  // unwinds below, the old contents are gone, so the node must not keep
+  // advertising its previous commit as valid.
+  parent.valid = false;
   auto& stat = stats_.kernel(Kernel::kNewview);
   Timer timer;
-  if (fused_sdc) {
-    // Fused SDC chunk loop (DESIGN.md §10): kernel and checksum sweeps
-    // alternate over kSdcChunkSites-block chunks, so the input verification
-    // reads data an instant before the kernel pulls it through the same
-    // cache lines (the sweep doubles as a prefetch) and the commit checksum
-    // reads the parent chunk while the stores are still cache resident —
-    // which is also why streaming stores are turned off here.  The dense
-    // kernels have no cross-site state, so the chunked execution is
-    // bit-identical to one full-range call.
-    ctx.tuning.streaming_stores = false;
-    check_left = wants_deferred_verify(slot->child1());
-    check_right = wants_deferred_verify(slot->child2());
-    // The buffer is overwritten incrementally: if a deferred verification
-    // unwinds below, the old contents are gone, so the node must not keep
-    // advertising its previous commit as valid.
-    parent.valid = false;
-    for (std::int64_t b = 0; b < work; b += kSdcChunkSites) {
-      const std::int64_t e = std::min(work, b + kSdcChunkSites);
-      if (check_left) ops_.cla_checksum(left_ck, ctx.left.cla, ctx.left.scale, b, e);
-      if (check_right) ops_.cla_checksum(right_ck, ctx.right.cla, ctx.right.scale, b, e);
-      ctx.begin = b;
-      ctx.end = e;
-      newview_fn(ctx);
-      ops_.cla_checksum(parent_ck, ctx.parent_cla, ctx.parent_scale, b, e);
-    }
-    ctx.begin = 0;
-    ctx.end = work;
-  } else if (use_openmp_) {
+  if (use_openmp_) {
 #if defined(_OPENMP)
 #pragma omp parallel firstprivate(ctx)
     {
@@ -786,8 +757,25 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
 #else
     newview_fn(ctx);
 #endif
+    if (sdc_checks_) ops_.cla_checksum(parent_ck, ctx.parent_cla, ctx.parent_scale, 0, work);
   } else {
-    newview_fn(ctx);
+    // The one serial execution path (DESIGN.md §10): kSdcChunkSites-block
+    // chunks over sites, or over parent classes on the repeat path.  The
+    // optional prologue folds each not-yet-trusted child chunk an instant
+    // before the kernel pulls the same cache lines (the sweep doubles as a
+    // prefetch); the optional epilogue folds the parent chunk while its
+    // stores are still cache resident.  The kernels have no cross-site
+    // state and the checksum splits exactly, so every chunking is
+    // bit-identical to one full-range call.
+    for (std::int64_t b = 0; b < work; b += kSdcChunkSites) {
+      const std::int64_t e = std::min(work, b + kSdcChunkSites);
+      if (check_left) ops_.cla_checksum(left_ck, ctx.left.cla, ctx.left.scale, b, e);
+      if (check_right) ops_.cla_checksum(right_ck, ctx.right.cla, ctx.right.scale, b, e);
+      ctx.begin = b;
+      ctx.end = e;
+      newview_fn(ctx);
+      if (sdc_checks_) ops_.cla_checksum(parent_ck, ctx.parent_cla, ctx.parent_scale, b, e);
+    }
   }
   const double elapsed = timer.seconds();
   // CLA traffic: one parent block written per computed site/class plus one
@@ -836,20 +824,18 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
                    work, length_);
   }
 
-  // Deferred (fused) input verification: a mismatch must unwind before the
-  // parent is committed, so a heal retry recomputes both nodes.
+  // Deferred input verification: a mismatch must unwind before the parent
+  // is committed, so a heal retry recomputes both nodes.
   if (check_left) finish_deferred_verify(slot->child1(), left_ck);
   if (check_right) finish_deferred_verify(slot->child2(), right_ck);
 
   parent.orientation = slot->slot_index;
   parent.valid = true;
-  if (fused_sdc) {
-    // The commit checksum was accumulated chunk by chunk above.
+  if (sdc_checks_) {
     parent.checksum = parent_ck.finish();
     parent.checked_blocks = work;
+    // Freshly computed ⇒ trusted for the rest of this pass.
     parent.verified_pass = sdc_pass_;
-  } else if (sdc_checks_) {
-    store_cla_checksum(parent, work);
   }
   sum_prepared_ = false;
   // A newview can flip an inner CLA's orientation, silently invalidating it
@@ -1016,13 +1002,13 @@ void LikelihoodEngine::run_prepare_derivatives(tree::Slot* edge) {
   validate_edge(edge);
 
   SumCtx ctx;
-  // Same fused-SDC arrangement as run_newview: when untrusted endpoint CLAs
-  // need verification, the checksum sweeps run chunk-interleaved with the
-  // kernel below instead of as up-front cold sweeps.
-  const bool fused_sdc = sdc_checks_ && !site_repeats_ && !use_openmp_;
+  // Same arrangement as run_newview: on the dense serial path untrusted
+  // endpoint CLAs verify chunk-interleaved with the kernel below instead of
+  // as up-front cold sweeps.
+  const bool chunk_verify = sdc_checks_ && !site_repeats_ && !use_openmp_;
   auto& left = node_cla(p->node_id);
   ensure_resident_cla(left);  // both endpoints are pinned by validate_edge
-  if (!fused_sdc) verify_cla(p);
+  if (!chunk_verify) verify_cla(p);
   ctx.left_cla = cla_data(left);
   const std::int32_t* p_scale = scale_data(left);
   const std::int32_t* q_scale = nullptr;
@@ -1032,7 +1018,7 @@ void LikelihoodEngine::run_prepare_derivatives(tree::Slot* edge) {
   } else {
     auto& right = node_cla(q->node_id);
     ensure_resident_cla(right);
-    if (!fused_sdc) verify_cla(q);
+    if (!chunk_verify) verify_cla(q);
     ctx.right_cla = cla_data(right);
     q_scale = scale_data(right);
   }
@@ -1058,27 +1044,12 @@ void LikelihoodEngine::run_prepare_derivatives(tree::Slot* edge) {
 
   sdc::ClaChecksum p_sum;
   sdc::ClaChecksum q_sum;
-  const bool check_p = fused_sdc && wants_deferred_verify(p);
-  const bool check_q = fused_sdc && !q->is_tip() && wants_deferred_verify(q);
+  const bool check_p = chunk_verify && wants_deferred_verify(p);
+  const bool check_q = chunk_verify && !q->is_tip() && wants_deferred_verify(q);
 
   auto& stat = stats_.kernel(Kernel::kDerivSum);
   Timer timer;
-  if (check_p || check_q) {
-    // Chunk-interleaved verification: each endpoint chunk is checksummed the
-    // instant before the kernel streams it through the cache.  The sum
-    // buffer itself is transient and not checksummed (derivativeCore's
-    // non-finite sentinel covers it), so its streaming stores stay on.
-    for (std::int64_t b = 0; b < length_; b += kSdcChunkSites) {
-      const std::int64_t e = std::min(length_, b + kSdcChunkSites);
-      if (check_p) ops_.cla_checksum(p_sum, ctx.left_cla, p_scale, b, e);
-      if (check_q) ops_.cla_checksum(q_sum, ctx.right_cla, q_scale, b, e);
-      ctx.begin = b;
-      ctx.end = e;
-      sum_fn(ctx);
-    }
-    ctx.begin = 0;
-    ctx.end = length_;
-  } else if (use_openmp_) {
+  if (use_openmp_) {
 #if defined(_OPENMP)
 #pragma omp parallel firstprivate(ctx)
     {
@@ -1093,7 +1064,19 @@ void LikelihoodEngine::run_prepare_derivatives(tree::Slot* edge) {
     sum_fn(ctx);
 #endif
   } else {
-    sum_fn(ctx);
+    // The run_newview chunk loop: each untrusted endpoint chunk is
+    // checksummed the instant before the kernel pulls it through the cache.
+    // The sum buffer itself is transient and not checksummed
+    // (derivativeCore's non-finite sentinel covers it), so it has no
+    // epilogue.
+    for (std::int64_t b = 0; b < length_; b += kSdcChunkSites) {
+      const std::int64_t e = std::min(length_, b + kSdcChunkSites);
+      if (check_p) ops_.cla_checksum(p_sum, ctx.left_cla, p_scale, b, e);
+      if (check_q) ops_.cla_checksum(q_sum, ctx.right_cla, q_scale, b, e);
+      ctx.begin = b;
+      ctx.end = e;
+      sum_fn(ctx);
+    }
   }
   {
     const double elapsed = timer.seconds();
@@ -1111,6 +1094,8 @@ void LikelihoodEngine::run_prepare_derivatives(tree::Slot* edge) {
           length_, length_, cla_bytes, elapsed);
     }
   }
+  if (check_p) finish_deferred_verify(p, p_sum);
+  if (check_q) finish_deferred_verify(q, q_sum);
   unpin(p->node_id);
   unpin(q->node_id);
   sum_left_tip_ = false;

@@ -301,8 +301,8 @@ class LikelihoodEngine final : public Evaluator {
 
   void run_newview(tree::Slot* slot);
   /// `verify` = false defers the input-CLA verification to the caller (the
-  /// fused SDC chunk loop in run_newview verifies interleaved with kernel
-  /// execution instead of paying an up-front cold sweep).
+  /// chunk loop in run_newview verifies interleaved with kernel execution
+  /// instead of paying an up-front cold sweep).
   ChildInput make_child_input(tree::Slot* child, std::span<double> ptable,
                               std::span<double> ump, double branch_length, bool verify);
 
@@ -314,30 +314,28 @@ class LikelihoodEngine final : public Evaluator {
   /// (at most once).  Called at each top-level entry point.
   void begin_sdc_pass() { ++sdc_pass_; }
 
-  /// Site blocks per fused-SDC chunk: the dense kernels have no cross-site
-  /// state, so newview/derivativeSum split bit-identically at any boundary;
-  /// 512 blocks (64 KiB of values) keep each chunk cache resident between
-  /// the kernel touching it and the checksum re-reading it, which is what
-  /// turns the checksum sweeps from DRAM traffic into register work.
+  /// Site blocks per chunk of the serial newview/derivativeSum loop: the
+  /// dense kernels have no cross-site state, so they split bit-identically
+  /// at any boundary; 512 blocks (64 KiB of values) keep each chunk cache
+  /// resident between the kernel touching it and the SDC checksum
+  /// re-reading it, which turns the checksum sweeps from DRAM traffic into
+  /// register work.
   static constexpr std::int64_t kSdcChunkSites = 512;
 
   /// Whole-range lane-structured checksum of a committed CLA region, via
   /// the ISA-matched KernelOps::cla_checksum back-end.
   [[nodiscard]] std::uint64_t compute_cla_checksum(NodeCla& node, std::int64_t blocks);
 
-  /// Checksums the just-committed region of `node` (blocks site blocks).
-  void store_cla_checksum(NodeCla& node, std::int64_t blocks);
-
   /// Lazily re-verifies a committed CLA before it is consumed as an input;
   /// throws sdc::CorruptionDetected on mismatch.  No-op when sdc_checks is
   /// off or the buffer was already verified this pass.
   void verify_cla(const tree::Slot* slot);
 
-  /// True when the fused chunk loop must accumulate-and-compare `child`'s
+  /// True when the chunk loop must accumulate-and-compare `child`'s
   /// checksum (inner, committed, not yet trusted this pass).
   [[nodiscard]] bool wants_deferred_verify(const tree::Slot* child);
 
-  /// Compare step of a deferred (fused) verification: counts the check,
+  /// Compare step of a deferred (chunked) verification: counts the check,
   /// throws on mismatch, marks the buffer trusted for this pass.
   void finish_deferred_verify(const tree::Slot* child, const sdc::ClaChecksum& sum);
 

@@ -35,8 +35,9 @@ struct EngineConfig {
   /// Silent-data-corruption defense (DESIGN.md §10): checksum every CLA at
   /// newview commit, lazily re-verify it before reuse as an input, and heal
   /// detected corruption by re-planning just the affected subtree (bounded
-  /// retries, then escalate).  Off by default; the verify cost is ≤2% of a
-  /// branch-optimization workload (EXPERIMENTS.md).
+  /// retries, then escalate).  Off by default; on the dense engine the
+  /// verify cost is a median +11.5% on a branch-optimization workload
+  /// (bench_fig3_kernels part 4, EXPERIMENTS.md).
   bool sdc_checks = false;
   /// Optional kernel-invocation recorder (dense DNA engine only; the other
   /// engines accept and ignore it).  Not thread-safe: evaluators that

@@ -53,10 +53,17 @@ inline constexpr double kScaleFactor = 0x1.0p+256;
 inline constexpr double kLogScaleThreshold = -177.445678223345993274;  // ln(2^-256)
 
 /// Tuning knobs mirroring the paper's optimizations; the ablation bench
-/// disables them individually (Sections V-B5, V-B6).
+/// toggles them individually (Sections V-B5, V-B6).
 struct KernelTuning {
-  bool streaming_stores = true;  ///< non-temporal stores for parent CLA / sum buffer
-  int prefetch_distance = 8;     ///< sites ahead to software-prefetch (0 = off)
+  /// Non-temporal stores for the parent CLA / sum buffer (Section V-B5).
+  /// Off on the host: every freshly computed CLA is read again almost at
+  /// once (parent newview, evaluate, derivativeCore), and a multi-MiB L2
+  /// plus a shared L3 keep it cached, while streaming pushes it to DRAM
+  /// first.  KNC (512 KB private L2, no shared cache) is where streaming
+  /// pays; the platform model prices it for PlatformKind::kMic only.  Both
+  /// settings give bit-identical results.
+  bool streaming_stores = false;
+  int prefetch_distance = 8;  ///< sites ahead to software-prefetch (0 = off)
 };
 
 /// One child of a newview call: either an inner CLA or a tip code row.

@@ -10,7 +10,8 @@
 //         4 quad-broadcast + FMA steps per child
 //   V-B4  derivativeCore processes sites in blocks of 8 so the per-site
 //         scalar epilogue (division, accumulation) becomes vector ops
-//   V-B5  parent CLA and sum buffer are written with streaming stores
+//   V-B5  parent CLA and sum buffer can be written with streaming stores
+//         (KernelTuning::streaming_stores; off by default on the host)
 //   V-B6  software prefetch with a tunable distance on the streaming reads
 #pragma once
 
@@ -155,7 +156,7 @@ struct SimdKernels {
   template <bool kGather>
   static void derivative_sum(SumCtx& ctx) {
     // The paper's Figure 2 loop: a pure element-wise product over 16 lanes,
-    // written with streaming stores (Section V-B5).
+    // optionally written with streaming stores (Section V-B5).
     const bool stream = ctx.tuning.streaming_stores;
     const std::int64_t dist = ctx.tuning.prefetch_distance;
     for (std::int64_t s = ctx.begin; s < ctx.end; ++s) {

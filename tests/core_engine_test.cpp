@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "src/bio/aa.hpp"
 #include "src/core/engine.hpp"
+#include "src/core/make_evaluator.hpp"
+#include "src/model/general.hpp"
 #include "src/tree/moves.hpp"
 #include "src/util/error.hpp"
 #include "tests/testutil.hpp"
@@ -446,6 +452,104 @@ INSTANTIATE_TEST_SUITE_P(Isas, EngineInvariants,
                          ::testing::Values(simd::Isa::kScalar, simd::Isa::kAvx2,
                                            simd::Isa::kAvx512),
                          [](const auto& param_info) { return simd::to_string(param_info.param); });
+
+// --- Store mode is invisible end to end ------------------------------------
+//
+// KernelTuning::streaming_stores only changes where the kernels' stores
+// land, and the serial newview/derivativeSum paths run in fixed chunks
+// whatever the configuration.  Every engine family and configuration must
+// therefore give EXPECT_EQ-identical likelihoods, all-branch gradients and
+// optimized likelihoods with streaming on and off.
+
+struct StoreModeRun {
+  double lnl = 0.0;
+  std::vector<BranchGradient> gradient;
+  double optimized = 0.0;
+};
+
+template <typename MakeEvaluator>
+StoreModeRun run_store_mode(const tree::Tree& base_tree, const MakeEvaluator& make, bool stream) {
+  tree::Tree tree(base_tree);
+  EngineConfig config;
+  config.tuning.streaming_stores = stream;
+  auto evaluator = make(tree, config);
+  StoreModeRun run;
+  run.lnl = evaluator->log_likelihood(tree.tip(0));
+  EXPECT_TRUE(evaluator->gradient_all_branches(tree.tip(0), run.gradient));
+  run.optimized = evaluator->optimize_all_branches(tree.tip(0), 1);
+  return run;
+}
+
+template <typename MakeEvaluator>
+void expect_store_modes_identical(const tree::Tree& base_tree, const MakeEvaluator& make,
+                                  const std::string& context) {
+  const StoreModeRun plain = run_store_mode(base_tree, make, /*stream=*/false);
+  const StoreModeRun streamed = run_store_mode(base_tree, make, /*stream=*/true);
+  EXPECT_EQ(plain.lnl, streamed.lnl) << context;
+  EXPECT_EQ(plain.optimized, streamed.optimized) << context;
+  ASSERT_EQ(plain.gradient.size(), streamed.gradient.size()) << context;
+  for (std::size_t i = 0; i < plain.gradient.size(); ++i) {
+    EXPECT_EQ(plain.gradient[i].length, streamed.gradient[i].length) << context << " edge " << i;
+    EXPECT_EQ(plain.gradient[i].first, streamed.gradient[i].first) << context << " edge " << i;
+    EXPECT_EQ(plain.gradient[i].second, streamed.gradient[i].second) << context << " edge " << i;
+  }
+}
+
+struct StoreModeData {
+  bio::PatternSet patterns;
+  model::GtrModel model;
+  tree::Tree tree;
+};
+
+StoreModeData store_mode_data(std::uint64_t seed) {
+  Rng rng(seed);
+  // ~1,100 patterns: two full 512-site chunks plus an odd-width tail.
+  const auto alignment = random_alignment(16, 1100, rng, /*ambiguity=*/0.05);
+  model::GtrModel model(random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(16, rng);
+  return {bio::compress_patterns(alignment), std::move(model), std::move(tree)};
+}
+
+TEST(StoreModes, DenseEngineIsBitIdentical) {
+  const StoreModeData data = store_mode_data(1201);
+  struct Variant {
+    const char* name;
+    bool repeats;
+    bool sdc;
+    int budget;
+  };
+  for (const Variant variant : {Variant{"plain", false, false, -1},
+                                Variant{"site_repeats", true, false, -1},
+                                Variant{"sdc_checks", false, true, -1},
+                                Variant{"tight_budget", false, false, 6}}) {
+    const auto make = [&](tree::Tree& tree, EngineConfig config) {
+      config.site_repeats = variant.repeats;
+      config.sdc_checks = variant.sdc;
+      config.cla_buffers = variant.budget;
+      config.cla_spill = variant.budget > 0;
+      return std::make_unique<LikelihoodEngine>(data.patterns, data.model, tree, config);
+    };
+    expect_store_modes_identical(data.tree, make, std::string("dense ") + variant.name);
+  }
+}
+
+TEST(StoreModes, CatEngineIsBitIdentical) {
+  const StoreModeData data = store_mode_data(1202);
+  const auto make = [&](tree::Tree& tree, const EngineConfig& config) {
+    return make_evaluator(data.patterns, data.model, tree, /*categories=*/4, config);
+  };
+  expect_store_modes_identical(data.tree, make, "cat");
+}
+
+TEST(StoreModes, GeneralEngineIsBitIdentical) {
+  const StoreModeData data = store_mode_data(1203);
+  const model::GeneralModel model(4, {1.0, 2.5, 0.7, 1.1, 3.0, 1.0}, {0.3, 0.2, 0.25, 0.25},
+                                  0.8);
+  const auto make = [&](tree::Tree& tree, const EngineConfig& config) {
+    return make_evaluator(data.patterns, model, tree, bio::dna_code_masks(), config);
+  };
+  expect_store_modes_identical(data.tree, make, "general");
+}
 
 }  // namespace
 }  // namespace miniphi::core

@@ -1,11 +1,17 @@
 // Kernel-level tests: every vectorized back-end must agree with the scalar
 // reference on randomized inputs, for all child-type combinations and tuning
-// variants (streaming stores on/off, prefetching on/off).
+// variants (streaming stores on/off, prefetching on/off); chunked execution
+// and both store modes must be bitwise invisible in every kernel family.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "src/core/cat/cat_kernels.hpp"
+#include "src/core/general/general_kernels.hpp"
 #include "src/core/kernels.hpp"
 #include "src/core/ptable.hpp"
 #include "src/model/gtr.hpp"
@@ -240,7 +246,12 @@ TEST_P(KernelAgreement, DerivativeCoreMatchesScalar) {
 
 std::vector<CaseParam> all_cases() {
   std::vector<CaseParam> cases;
+  // Store modes are listed explicitly: the default no longer streams, and
+  // the non-temporal path must stay covered as the Section V-B5 ablation.
   const KernelTuning defaults{};
+  KernelTuning streamed;
+  streamed.streaming_stores = true;
+  streamed.prefetch_distance = 8;
   KernelTuning plain;
   plain.streaming_stores = false;
   plain.prefetch_distance = 0;
@@ -248,6 +259,7 @@ std::vector<CaseParam> all_cases() {
     for (const bool left_tip : {false, true}) {
       for (const bool right_tip : {false, true}) {
         cases.push_back({isa, left_tip, right_tip, defaults});
+        cases.push_back({isa, left_tip, right_tip, streamed});
         cases.push_back({isa, left_tip, right_tip, plain});
       }
     }
@@ -257,6 +269,283 @@ std::vector<CaseParam> all_cases() {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, KernelAgreement, ::testing::ValuesIn(all_cases()),
                          case_name);
+
+std::vector<simd::Isa> supported_isas() {
+  std::vector<simd::Isa> isas;
+  for (const auto isa : {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    if (simd::isa_supported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+KernelTuning store_mode(bool stream) {
+  KernelTuning tuning;
+  tuning.streaming_stores = stream;
+  return tuning;
+}
+
+/// Runs `kernel(begin, end)` over [0, n) in `chunk`-wide pieces (the last
+/// one shorter), the way the engine's serial chunk loop does.
+template <typename Kernel>
+void run_chunked(std::int64_t n, std::int64_t chunk, const Kernel& kernel) {
+  for (std::int64_t b = 0; b < n; b += chunk) kernel(b, std::min(n, b + chunk));
+}
+
+// The engine runs newview and derivativeSum in fixed-size chunks, with the
+// store mode as an ablation switch.  Both must be invisible in the output:
+// a chunked run in either store mode is bitwise equal to one full-range
+// call with the default tuning.  203 sites in chunks of 37 start most
+// chunks at odd sites and end on an 18-site tail.
+TEST(KernelChunking, NewviewChunksAndStoreModesAreBitIdentical) {
+  Rng rng(4242);
+  const auto data = make_fixture(203, rng);
+  for (const auto isa : supported_isas()) {
+    const auto ops = get_kernel_ops(isa);
+    for (const bool left_tip : {false, true}) {
+      const auto run = [&](KernelTuning tuning, std::int64_t chunk, AlignedDoubles& out,
+                           std::vector<std::int32_t>& out_scale) {
+        out.assign(static_cast<std::size_t>(data.npat) * kSiteBlock, 0.0);
+        out_scale.assign(static_cast<std::size_t>(data.npat), 0);
+        NewviewCtx ctx;
+        ctx.parent_cla = out.data();
+        ctx.parent_scale = out_scale.data();
+        ctx.left = left_tip ? child_as_tip(data, true) : child_as_inner(data, true);
+        ctx.right = child_as_inner(data, false);
+        ctx.wtable = data.wtable.data();
+        ctx.tuning = tuning;
+        run_chunked(data.npat, chunk, [&](std::int64_t b, std::int64_t e) {
+          ctx.begin = b;
+          ctx.end = e;
+          ops.newview(ctx);
+        });
+      };
+      AlignedDoubles expected, actual;
+      std::vector<std::int32_t> expected_scale, actual_scale;
+      run(KernelTuning{}, data.npat, expected, expected_scale);
+      for (const bool stream : {false, true}) {
+        run(store_mode(stream), 37, actual, actual_scale);
+        const std::string where = simd::to_string(isa) + (left_tip ? " tipL" : " innerL") +
+                                  (stream ? " stream" : " plain");
+        EXPECT_EQ(0, std::memcmp(actual.data(), expected.data(), expected.size() * sizeof(double)))
+            << where;
+        EXPECT_EQ(actual_scale, expected_scale) << where;
+      }
+    }
+  }
+}
+
+TEST(KernelChunking, DerivativeSumChunksAndStoreModesAreBitIdentical) {
+  Rng rng(4343);
+  const auto data = make_fixture(211, rng);
+  for (const auto isa : supported_isas()) {
+    const auto ops = get_kernel_ops(isa);
+    for (const bool right_tip : {false, true}) {
+      const auto run = [&](KernelTuning tuning, std::int64_t chunk, AlignedDoubles& out) {
+        out.assign(static_cast<std::size_t>(data.npat) * kSiteBlock, 0.0);
+        SumCtx ctx;
+        ctx.sum = out.data();
+        ctx.left_cla = data.left_cla.data();
+        if (right_tip) {
+          ctx.right_codes = data.right_codes.data();
+          ctx.tipvec16 = data.tipvec16.data();
+        } else {
+          ctx.right_cla = data.right_cla.data();
+        }
+        ctx.tuning = tuning;
+        run_chunked(data.npat, chunk, [&](std::int64_t b, std::int64_t e) {
+          ctx.begin = b;
+          ctx.end = e;
+          ops.derivative_sum(ctx);
+        });
+      };
+      AlignedDoubles expected, actual;
+      run(KernelTuning{}, data.npat, expected);
+      for (const bool stream : {false, true}) {
+        run(store_mode(stream), 37, actual);
+        EXPECT_EQ(0, std::memcmp(actual.data(), expected.data(), expected.size() * sizeof(double)))
+            << simd::to_string(isa) << (right_tip ? " tipR" : " innerR")
+            << (stream ? " stream" : " plain");
+      }
+    }
+  }
+}
+
+// --- Store-mode agreement for the CAT and general kernel families ---------
+//
+// Both families honour KernelTuning::streaming_stores in newview and
+// derivativeSum.  The tables are random (the math need not be a valid
+// model for a bitwise comparison); odd site counts reach the AVX-512 CAT
+// kernels' one-site tails.
+
+AlignedDoubles random_doubles(std::size_t count, Rng& rng) {
+  AlignedDoubles values(count);
+  for (auto& value : values) value = rng.uniform(-1.0, 1.0);
+  return values;
+}
+
+std::vector<std::uint8_t> random_codes(std::size_t count, std::uint64_t below, Rng& rng) {
+  std::vector<std::uint8_t> codes(count);
+  for (auto& code : codes) code = static_cast<std::uint8_t>(rng.below(below));
+  return codes;
+}
+
+std::vector<std::int32_t> random_scales(std::size_t count, Rng& rng) {
+  std::vector<std::int32_t> scales(count);
+  for (auto& scale : scales) scale = static_cast<std::int32_t>(rng.below(3));
+  return scales;
+}
+
+TEST(CatKernelStoreModes, NewviewAndDerivativeSumAreBitIdentical) {
+  Rng rng(5151);
+  constexpr std::int64_t kSites = 151;
+  constexpr int kCategories = 5;
+  const auto n = static_cast<std::size_t>(kSites);
+  const AlignedDoubles left_cla = random_doubles(n * kCatSiteBlock, rng);
+  const AlignedDoubles right_cla = random_doubles(n * kCatSiteBlock, rng);
+  const auto left_scale = random_scales(n, rng);
+  const auto right_scale = random_scales(n, rng);
+  const auto right_codes = random_codes(n, 16, rng);
+  const auto categories = random_codes(n, kCategories, rng);
+  const AlignedDoubles ptable_left = random_doubles(kCategories * 16, rng);
+  const AlignedDoubles ptable_right = random_doubles(kCategories * 16, rng);
+  const AlignedDoubles ump_right = random_doubles(kCategories * 16 * kCatSiteBlock, rng);
+  const AlignedDoubles wtable = random_doubles(16, rng);
+  const AlignedDoubles tipvec = random_doubles(16 * kCatSiteBlock, rng);
+
+  for (const auto isa : supported_isas()) {
+    const auto ops = get_cat_kernel_ops(isa);
+    for (const bool right_tip : {false, true}) {
+      const auto newview = [&](bool stream, AlignedDoubles& out,
+                               std::vector<std::int32_t>& out_scale) {
+        out.assign(n * kCatSiteBlock, 0.0);
+        out_scale.assign(n, 0);
+        CatNewviewCtx ctx;
+        ctx.parent_cla = out.data();
+        ctx.parent_scale = out_scale.data();
+        ctx.left = {left_cla.data(), left_scale.data(), nullptr, ptable_left.data(), nullptr};
+        if (right_tip) {
+          ctx.right = {nullptr, nullptr, right_codes.data(), ptable_right.data(), ump_right.data()};
+        } else {
+          ctx.right = {right_cla.data(), right_scale.data(), nullptr, ptable_right.data(), nullptr};
+        }
+        ctx.wtable = wtable.data();
+        ctx.site_categories = categories.data();
+        ctx.end = kSites;
+        ctx.tuning = store_mode(stream);
+        ops.newview(ctx);
+      };
+      const auto derivative_sum = [&](bool stream, AlignedDoubles& out) {
+        out.assign(n * kCatSiteBlock, 0.0);
+        CatSumCtx ctx;
+        ctx.sum = out.data();
+        ctx.left_cla = left_cla.data();
+        if (right_tip) {
+          ctx.right_codes = right_codes.data();
+          ctx.tipvec = tipvec.data();
+        } else {
+          ctx.right_cla = right_cla.data();
+        }
+        ctx.end = kSites;
+        ctx.tuning = store_mode(stream);
+        ops.derivative_sum(ctx);
+      };
+      const std::string where = simd::to_string(isa) + (right_tip ? " tipR" : " innerR");
+      AlignedDoubles plain, streamed;
+      std::vector<std::int32_t> plain_scale, streamed_scale;
+      newview(false, plain, plain_scale);
+      newview(true, streamed, streamed_scale);
+      EXPECT_EQ(0, std::memcmp(plain.data(), streamed.data(), plain.size() * sizeof(double)))
+          << "newview " << where;
+      EXPECT_EQ(plain_scale, streamed_scale) << "newview " << where;
+      derivative_sum(false, plain);
+      derivative_sum(true, streamed);
+      EXPECT_EQ(0, std::memcmp(plain.data(), streamed.data(), plain.size() * sizeof(double)))
+          << "derivativeSum " << where;
+    }
+  }
+}
+
+TEST(GeneralKernelStoreModes, NewviewAndDerivativeSumAreBitIdentical) {
+  Rng rng(6161);
+  constexpr std::int64_t kSites = 67;
+  constexpr int kCodes = 24;
+  const auto n = static_cast<std::size_t>(kSites);
+  for (const int states : {5, 20}) {
+    GeneralDims dims;
+    dims.states = states;
+    dims.padded = (states + 7) / 8 * 8;
+    const auto block = static_cast<std::size_t>(dims.block());
+    const auto padded = static_cast<std::size_t>(dims.padded);
+    const auto rates = static_cast<std::size_t>(dims.rates);
+    const AlignedDoubles left_cla = random_doubles(n * block, rng);
+    const AlignedDoubles right_cla = random_doubles(n * block, rng);
+    const auto left_scale = random_scales(n, rng);
+    const auto right_scale = random_scales(n, rng);
+    const auto right_codes = random_codes(n, kCodes, rng);
+    const AlignedDoubles ptable_left =
+        random_doubles(rates * static_cast<std::size_t>(states) * padded, rng);
+    const AlignedDoubles ptable_right = random_doubles(ptable_left.size(), rng);
+    const AlignedDoubles ump_right = random_doubles(kCodes * block, rng);
+    const AlignedDoubles wtable = random_doubles(padded * padded, rng);
+    const AlignedDoubles tipvec = random_doubles(kCodes * block, rng);
+
+    for (const auto isa : supported_isas()) {
+      const auto ops = get_general_kernel_ops(isa);
+      for (const bool right_tip : {false, true}) {
+        const auto newview = [&](bool stream, AlignedDoubles& out,
+                                 std::vector<std::int32_t>& out_scale) {
+          out.assign(n * block, 0.0);
+          out_scale.assign(n, 0);
+          GNewviewCtx ctx;
+          ctx.parent_cla = out.data();
+          ctx.parent_scale = out_scale.data();
+          ctx.left = {left_cla.data(), left_scale.data(), nullptr, ptable_left.data(), nullptr};
+          if (right_tip) {
+            ctx.right = {nullptr, nullptr, right_codes.data(), ptable_right.data(),
+                         ump_right.data()};
+          } else {
+            ctx.right = {right_cla.data(), right_scale.data(), nullptr, ptable_right.data(),
+                         nullptr};
+          }
+          ctx.wtable = wtable.data();
+          ctx.dims = dims;
+          ctx.end = kSites;
+          ctx.tuning = store_mode(stream);
+          ops.newview(ctx);
+        };
+        const auto derivative_sum = [&](bool stream, AlignedDoubles& out) {
+          out.assign(n * block, 0.0);
+          GSumCtx ctx;
+          ctx.sum = out.data();
+          ctx.left_cla = left_cla.data();
+          if (right_tip) {
+            ctx.right_codes = right_codes.data();
+            ctx.tipvec = tipvec.data();
+          } else {
+            ctx.right_cla = right_cla.data();
+          }
+          ctx.dims = dims;
+          ctx.end = kSites;
+          ctx.tuning = store_mode(stream);
+          ops.derivative_sum(ctx);
+        };
+        const std::string where = simd::to_string(isa) + " S=" + std::to_string(states) +
+                                  (right_tip ? " tipR" : " innerR");
+        AlignedDoubles plain, streamed;
+        std::vector<std::int32_t> plain_scale, streamed_scale;
+        newview(false, plain, plain_scale);
+        newview(true, streamed, streamed_scale);
+        EXPECT_EQ(0, std::memcmp(plain.data(), streamed.data(), plain.size() * sizeof(double)))
+            << "newview " << where;
+        EXPECT_EQ(plain_scale, streamed_scale) << "newview " << where;
+        derivative_sum(false, plain);
+        derivative_sum(true, streamed);
+        EXPECT_EQ(0, std::memcmp(plain.data(), streamed.data(), plain.size() * sizeof(double)))
+            << "derivativeSum " << where;
+      }
+    }
+  }
+}
 
 TEST(KernelDispatch, ScalarAlwaysAvailable) {
   const auto ops = get_kernel_ops(simd::Isa::kScalar);

@@ -157,6 +157,45 @@ TEST_P(DenseSdcTest, HealsCorruptionAtEveryPlanLevel) {
   EXPECT_GT(engine.sdc_counters().checks, engine.sdc_counters().hits);
 }
 
+// prepare_derivatives on an already-satisfied edge runs no newview, so its
+// endpoints are verified only by derivativeSum's chunk-loop prologue: that
+// verification must compare, detect and heal before the sum buffer is used.
+TEST_P(DenseSdcTest, HealsCorruptedEndpointBeforeDerivatives) {
+  Rng rng(8);
+  const auto alignment = testutil::random_alignment(10, 700, rng, 0.05);
+  const auto patterns = bio::compress_patterns(alignment);
+  const model::GtrModel model(testutil::random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(10, rng);
+
+  LikelihoodEngine::Config config;
+  config.isa = GetParam();
+  config.sdc_checks = true;
+  LikelihoodEngine engine(patterns, model, tree, config);
+  LikelihoodEngine::Config clean_config;
+  clean_config.isa = GetParam();
+  LikelihoodEngine clean(patterns, model, tree, clean_config);
+
+  for (tree::Slot* edge : tree.edges()) {
+    for (tree::Slot* end : {edge, edge->back}) {
+      if (end->is_tip()) continue;
+      const std::string context = "edge endpoint node " + std::to_string(end->node_id);
+      clean.prepare_derivatives(edge);
+      const auto expected = clean.derivatives(edge->length);
+
+      (void)engine.log_likelihood(edge);  // satisfies the edge's plan
+      ASSERT_TRUE(engine.corrupt_cla_for_testing(end->node_id, 11 * end->node_id, 5)) << context;
+      const sdc::Counters before = engine.sdc_counters();
+      engine.prepare_derivatives(edge);
+      const auto actual = engine.derivatives(edge->length);
+      const sdc::Counters after = engine.sdc_counters();
+
+      EXPECT_EQ(after.hits, before.hits + 1) << context;
+      EXPECT_EQ(after.heals, before.heals + 1) << context;
+      EXPECT_EQ(actual, expected) << context;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Isas, DenseSdcTest,
                          ::testing::Values(simd::Isa::kScalar, simd::Isa::kAvx2,
                                            simd::Isa::kAvx512));
