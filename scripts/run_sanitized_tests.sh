@@ -74,7 +74,12 @@ cmake -B "${build}" -S "${root}" \
 # and the engine store-mode tests exercise it) and in odd-width chunks with
 # short tails (including the AVX-512 CAT kernels' one-site paths) —
 # out-of-bounds tail reads and writes are ASan's to find.
-targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test core_kernels_test)
+# traversal_plan_test, cat_test, general_test and core_engine_test ride
+# along: they drive the shared EngineCore executor's pin, evict and reload
+# paths (nested-subplan recompute, cancellation unwinds) for every engine
+# family, where a stale pin or a read of an evicted buffer hides from plain
+# tests.
+targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test core_kernels_test traversal_plan_test cat_test general_test core_engine_test)
 cmake --build "${build}" -j "$(nproc)" --target "${targets[@]}"
 
 status=0

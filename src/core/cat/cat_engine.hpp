@@ -21,13 +21,14 @@
 #include "src/bio/patterns.hpp"
 #include "src/core/cat/cat_kernels.hpp"
 #include "src/core/engine.hpp"  // Kernel/KernelStat, branch bounds, GtrModel machinery
+#include "src/core/engine_core.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/memory/cla_store.hpp"
 #include "src/util/aligned.hpp"
 
 namespace miniphi::core {
 
-class CatEngine final : public Evaluator {
+class CatEngine final : public Evaluator, private EngineFamily {
  public:
   /// Common knobs come from core::EngineConfig.  The CAT kernels have no
   /// OpenMP path, so EngineConfig::use_openmp is accepted and ignored.
@@ -84,67 +85,42 @@ class CatEngine final : public Evaluator {
   void set_alpha(double alpha) override;
   [[nodiscard]] double alpha() const override;
 
-  void invalidate_all();
+  void invalidate_all() override;
   /// Traversal-plan cache statistics (builds / satisfied hits / reuses /
   /// executed ops+plans) — see core::PlanCache.
-  [[nodiscard]] const PlanCounters& plan_counters() const { return plan_cache_.counters(); }
+  [[nodiscard]] const PlanCounters& plan_counters() const { return core_.plan_counters(); }
 
   /// SDC verification/heal counters (Config::sdc_checks; see DESIGN.md §10).
-  [[nodiscard]] const sdc::Counters& sdc_counters() const { return sdc_counters_; }
+  [[nodiscard]] const sdc::Counters& sdc_counters() const { return core_.sdc_counters(); }
 
   /// Number of CLA buffers this engine allocated (== inner node count
   /// unless a smaller Config::cla_buffers budget is in force).
-  [[nodiscard]] int cla_buffer_count() const { return store_.resident_count(); }
+  [[nodiscard]] int cla_buffer_count() const { return core_.store().resident_count(); }
 
   /// The postorder CLA store (eviction/spill/reload counters and the spill
   /// test hooks live there).
-  [[nodiscard]] const memory::ClaStore& cla_store() const { return store_; }
-  [[nodiscard]] memory::ClaStore& cla_store_for_testing() { return store_; }
-  [[nodiscard]] std::int64_t cla_bytes_granted() const override { return store_.resident_bytes(); }
+  [[nodiscard]] const memory::ClaStore& cla_store() const { return core_.store(); }
+  [[nodiscard]] memory::ClaStore& cla_store_for_testing() { return core_.store(); }
+  [[nodiscard]] std::int64_t cla_bytes_granted() const override {
+    return core_.store().resident_bytes();
+  }
 
   /// Test-only fault injection: flips one bit of a committed CLA and clears
   /// the verification memo; false when the node's CLA is invalid.
-  bool corrupt_cla_for_testing(int node_id, std::int64_t word, int bit);
+  bool corrupt_cla_for_testing(int node_id, std::int64_t word, int bit) {
+    return core_.corrupt_cla_for_testing(node_id, word, bit);
+  }
   [[nodiscard]] const KernelStat& stats(Kernel k) const { return stats_.kernel(k); }
   [[nodiscard]] const EvalStats& stats() const override { return stats_; }
   void reset_stats() override { stats_ = EvalStats{}; }
   [[nodiscard]] simd::Isa isa() const { return ops_.isa; }
 
  private:
-  struct NodeCla {
-    int slot = -1;  ///< store slot (node_id - taxon_count); buffers live in store_
-    int orientation = -1;
-    bool valid = false;
-    // SDC defense (Config::sdc_checks): see LikelihoodEngine::NodeCla.
-    std::uint64_t checksum = 0;
-    bool checksummed = false;
-    std::uint64_t verified_pass = 0;
-  };
+  // EngineFamily hooks (see engine_core.hpp).
+  void run_newview(tree::Slot* slot) override;
+  [[nodiscard]] std::uint64_t cla_checksum(const double* values, const std::int32_t* scales,
+                                           std::int64_t blocks) override;
 
-  [[nodiscard]] NodeCla& node_cla(int node_id);
-  [[nodiscard]] bool slot_valid(const tree::Slot* s) const;
-  /// Plans + runs the traversal toward (edge, edge->back) through the
-  /// shared plan cache, leaving both non-tip endpoints pinned and resident
-  /// for the kernel that follows (callers unpin when done).  Full budgets
-  /// execute level-order; tight budgets run the Sethi-Ullman DFS order with
-  /// the pin/evict discipline through PlanCache::validate_with.
-  void validate_edge(tree::Slot* edge);
-  /// Tight-or-full plan executor (the `exec` seam of validate_with).
-  void execute_plan(const TraversalPlan& plan);
-  void run_plan_op(const PlfOp& op, bool pinning);
-  /// Pin + reload-or-recompute one plan input before a kernel reads it.
-  void ready_child(tree::Slot* child, bool computed_in_plan);
-
-  /// Queues the op's valid frontier inputs (not computed in this plan) into
-  /// the store's prefetch ring so spilled CLAs stream back while earlier
-  /// kernels run.
-  void prefetch_op_inputs(const PlfOp& op);
-  /// Reloads the node's CLA from the spill tier when evicted; resident
-  /// reloads restart the lazy trust pass.
-  void ensure_resident_cla(NodeCla& node);
-  void pin(int node_id);
-  void unpin(int node_id);
-  void run_newview(tree::Slot* slot);
   CatChildInput make_child_input(tree::Slot* child, std::span<double> ptable,
                                  std::span<double> ump, double branch_length);
   double run_evaluate(tree::Slot* edge);
@@ -166,12 +142,10 @@ class CatEngine final : public Evaluator {
   std::vector<double> category_rates_;
   std::vector<std::uint8_t> site_categories_;  ///< [length_]
 
-  std::vector<NodeCla> clas_;
-  // Tiered CLA storage (DESIGN.md §14): the store owns the buffer pool, the
-  // pin table, the monotonic LRU epoch, and the recompute-vs-spill policy;
-  // the engine owns validity, orientation, and checksums.
-  memory::ClaStore store_;
-  std::string cla_spill_dir_;  ///< kept for the lazily configured preorder tier
+  // Validity, orientation, the tiered store, plans, executors, cancellation
+  // and the SDC heal loop (engine_core.hpp).
+  EngineCore core_;
+
   AlignedDoubles tipvec_;   ///< [16 codes × 4]
   AlignedDoubles wtable_;   ///< [16]
   AlignedDoubles ptable_left_;
@@ -187,47 +161,17 @@ class CatEngine final : public Evaluator {
   /// touched); publishes to the obs registry when metrics are on.
   void record_kernel(Kernel k, std::int64_t cla_blocks, double seconds);
 
-  // SDC defense internals (mirrors LikelihoodEngine; heal paths unwind
-  // mid-traversal, so heal_or_rethrow drops the stores' pins).
-  void begin_sdc_pass() { ++sdc_pass_; }
-  void store_cla_checksum(NodeCla& node);
-  void verify_cla(const tree::Slot* slot);
-  [[noreturn]] void report_corruption(int node_id, const std::string& what);
-  void heal_or_rethrow(const sdc::CorruptionDetected& fault, int attempt);
   void run_prepare_derivatives(tree::Slot* edge);
 
-  /// Preorder (root-to-tips) partial for one node, used only inside
-  /// gradient_all_branches.  Transient between sweeps: recomputed from
-  /// scratch on every call, so there is no `valid` flag — `checksummed`
-  /// only gates the SDC verify.  Verification is deliberately deferred to
-  /// consumption (`verified_pass = 0` after compute): the exposure window is
-  /// compute→consume within one descent.
-  struct PreorderCla {
-    // Values/scales live in pre_store_ (slot == node_id); the preorder tier
-    // always spills on eviction because an outer partial, unlike a postorder
-    // CLA, cannot be recomputed from a subtree.
-    std::uint64_t checksum = 0;
-    bool checksummed = false;
-    std::uint64_t verified_pass = 0;
-  };
-
+  // All-branch gradient: the preorder descent runs through the core, which
+  // owns the preorder tier; these are the CAT kernel calls per op.
   void run_gradient_all_branches(tree::Slot* root_edge, std::vector<BranchGradient>& out);
   void run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
                        std::vector<BranchGradient>& out);
-  void verify_preorder_cla(int node_id);
 
   EvalStats stats_;
-  bool metrics_ = false;
   EngineMetricIds metric_ids_;
-  PlanCache plan_cache_;
-  memory::ClaStore pre_store_;         ///< slot == node_id (tips too)
-  std::vector<PreorderCla> pre_clas_;  ///< [node_count], lazily sized
-  TraversalPlan preorder_plan_;
   bool sum_prepared_ = false;
-  bool sdc_checks_ = false;
-  std::uint64_t sdc_pass_ = 1;
-  sdc::Counters sdc_counters_;
-  sdc::MetricIds sdc_ids_;
 };
 
 }  // namespace miniphi::core

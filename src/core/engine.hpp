@@ -15,12 +15,15 @@
 // invalidate_node(); traversals descend through valid nodes, so a deep
 // invalidation correctly propagates to all ancestors on the next traversal.
 //
-// Traversals are *planned*, not recursed: every virtual-root placement is
-// compiled (by core::TraversalPlanner) into a flat, dependency-leveled
-// PlfOp list which a small executor runs against the kernels.  Plans are
-// cached per branch and revalidated with an epoch counter that every CLA
-// state change (newview, invalidation, model change, eviction) bumps — a
-// repeated evaluation at an untouched branch skips the tree walk entirely.
+// Orchestration is not this file's: the engine is the DNA fast-path family
+// of the shared core::EngineCore (engine_core.hpp), which owns CLA validity,
+// the tiered store, the plan cache and both plan executors, cancellation and
+// the SDC heal loop for every engine family.  Traversals are *planned*, not
+// recursed — each virtual-root placement compiles into a flat,
+// dependency-leveled PlfOp list, cached per branch under an epoch protocol —
+// and the core calls back into run_newview() once per op.  This class keeps
+// what is DNA-specific: the 4-state Γ kernels and their tables, the chunked
+// SDC checksum loop, the site-repeats class maps, and the kernel statistics.
 // The flat form is also what the batching layers consume: partitioned and
 // wavefront evaluators fetch per-engine plans via plan_traversal(), run the
 // interleaved ops level by level through execute_plan_level(), and mark
@@ -34,6 +37,7 @@
 
 #include "src/bio/patterns.hpp"
 #include "src/core/engine_config.hpp"
+#include "src/core/engine_core.hpp"
 #include "src/core/engine_metrics.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/core/kernels.hpp"
@@ -53,7 +57,7 @@ namespace miniphi::core {
 inline constexpr double kMinBranchLength = 1e-8;
 inline constexpr double kMaxBranchLength = 50.0;
 
-class LikelihoodEngine final : public Evaluator {
+class LikelihoodEngine final : public Evaluator, private EngineFamily {
  public:
   /// All knobs are the shared core::EngineConfig set (the former DNA
   /// fast-path extras — trace, cla_buffers, site_repeats — moved up in PR 8
@@ -95,7 +99,7 @@ class LikelihoodEngine final : public Evaluator {
   /// Branch-length-only invalidation: drops the CLA values but keeps the
   /// node's site-repeat classes (they depend only on topology + tip data).
   void invalidate_branch(int node_id) override;
-  void invalidate_all();
+  void invalidate_all() override;
 
   /// Log-likelihood of this engine's slice with the virtual root on the
   /// branch (edge, edge->back).  Runs the minimal newview traversal first.
@@ -144,13 +148,15 @@ class LikelihoodEngine final : public Evaluator {
 
   /// Number of CLA buffers this engine allocated (== inner node count
   /// unless a smaller Config::cla_buffers budget is in force).
-  [[nodiscard]] int cla_buffer_count() const { return store_.resident_count(); }
+  [[nodiscard]] int cla_buffer_count() const { return core_.store().resident_count(); }
 
   /// The postorder CLA store (eviction/spill/reload counters and the spill
   /// test hooks live there).
-  [[nodiscard]] const memory::ClaStore& cla_store() const { return store_; }
-  [[nodiscard]] memory::ClaStore& cla_store_for_testing() { return store_; }
-  [[nodiscard]] std::int64_t cla_bytes_granted() const override { return store_.resident_bytes(); }
+  [[nodiscard]] const memory::ClaStore& cla_store() const { return core_.store(); }
+  [[nodiscard]] memory::ClaStore& cla_store_for_testing() { return core_.store(); }
+  [[nodiscard]] std::int64_t cla_bytes_granted() const override {
+    return core_.store().resident_bytes();
+  }
 
   /// Whether the site-repeats path is active.
   [[nodiscard]] bool site_repeats() const { return site_repeats_; }
@@ -161,22 +167,21 @@ class LikelihoodEngine final : public Evaluator {
   /// engine holds zero pins and stays reusable; external executors
   /// (PartitionedEvaluator) call it for the same reason when the unwind
   /// starts outside any engine.  Safe when no pins are held.
-  void release_pins() {
-    store_.reset_pins();
-    if (pre_store_.is_configured()) pre_store_.reset_pins();
-  }
+  void release_pins() { core_.release_pins(); }
 
   // --- Silent-data-corruption defense (Config::sdc_checks) ---------------
 
   /// Monotonic SDC verification/heal counters (always maintained when
   /// sdc_checks is on; mirrored to the `sdc.*` registry family with metrics).
-  [[nodiscard]] const sdc::Counters& sdc_counters() const { return sdc_counters_; }
+  [[nodiscard]] const sdc::Counters& sdc_counters() const { return core_.sdc_counters(); }
 
   /// Test-only fault injection: XORs one bit into a committed CLA buffer
   /// (word index taken modulo the committed region) and clears the node's
   /// verification memo, modelling corruption that struck *after* the last
   /// check.  Returns false when the node has no resident valid CLA.
-  bool corrupt_cla_for_testing(int node_id, std::int64_t word, int bit);
+  bool corrupt_cla_for_testing(int node_id, std::int64_t word, int bit) {
+    return core_.corrupt_cla_for_testing(node_id, word, bit);
+  }
 
   // --- Flat traversal plans ---------------------------------------------
 
@@ -187,27 +192,31 @@ class LikelihoodEngine final : public Evaluator {
   /// distributed); log_likelihood() and prepare_derivatives() consult the
   /// same cache internally.  The pointer stays valid until the next plan or
   /// invalidation call on this engine.
-  const TraversalPlan* plan_traversal(tree::Slot* edge);
+  const TraversalPlan* plan_traversal(tree::Slot* edge) { return core_.plan_traversal(edge); }
 
   /// Runs one dependency level of `plan` (all its ops are independent).
   /// External execution requires the full CLA budget: the caller, not the
   /// engine, owns op ordering, so the eviction pin discipline of the
   /// internal executor does not apply.  Thread-safety: one thread per
   /// engine at a time; different engines may run their levels concurrently.
-  void execute_plan_level(const TraversalPlan& plan, int level);
+  void execute_plan_level(const TraversalPlan& plan, int level) {
+    core_.execute_plan_level(plan, level);
+  }
 
   /// Runs a single op of `plan` (same contract and budget requirement as
   /// execute_plan_level; the caller must respect level order across calls).
-  void execute_plan_op(const TraversalPlan& plan, std::int32_t op);
+  void execute_plan_op(const TraversalPlan& plan, std::int32_t op) {
+    core_.execute_plan_op(plan, op);
+  }
 
   /// Marks the traversal planned at `edge` as executed (all levels ran via
   /// execute_plan_level).  The next log_likelihood()/prepare_derivatives()
   /// at this edge then skips straight to the root kernel.
-  void commit_planned_traversal(tree::Slot* edge);
+  void commit_planned_traversal(tree::Slot* edge) { core_.commit_planned_traversal(edge); }
 
   /// Monotonic plan-cache statistics (builds, satisfied-plan cache hits,
   /// prebuilt-plan reuses, executed ops/plans).
-  [[nodiscard]] const PlanCounters& plan_counters() const { return plan_counters_; }
+  [[nodiscard]] const PlanCounters& plan_counters() const { return core_.plan_counters(); }
 
   /// Unique repeat classes of one inner node's current CLA (slice size on
   /// the dense path; 0 when the node's repeat map has not been built yet).
@@ -218,88 +227,11 @@ class LikelihoodEngine final : public Evaluator {
   [[nodiscard]] double unique_site_ratio() const;
 
  private:
-  struct NodeCla {
-    int slot = -1;                 ///< ClaStore slot (== inner index)
-    int orientation = -1;          ///< slot_index the CLA points toward
-    bool valid = false;            ///< logical validity; residency is the store's
-    // SDC defense (Config::sdc_checks): checksum of the committed region,
-    // the site blocks it covers (== unique classes on the repeats path), and
-    // the trust-pass stamp of the last successful verification so one buffer
-    // verifies at most once per top-level call.
-    std::uint64_t checksum = 0;
-    std::int64_t checked_blocks = 0;
-    std::uint64_t verified_pass = 0;
-  };
+  // EngineFamily hooks (see engine_core.hpp).
+  void run_newview(tree::Slot* slot) override;
+  [[nodiscard]] std::uint64_t cla_checksum(const double* values, const std::int32_t* scales,
+                                           std::int64_t blocks) override;
 
-  [[nodiscard]] NodeCla& node_cla(int node_id);
-  [[nodiscard]] bool slot_valid(const tree::Slot* s) const;
-  [[nodiscard]] double* cla_data(NodeCla& node);
-  [[nodiscard]] std::int32_t* scale_data(NodeCla& node);
-
-  /// Write acquisition: gives `node` a resident buffer (store eviction may
-  /// spill or drop an unpinned victim).
-  void ensure_buffer(NodeCla& node);
-
-  /// Read acquisition: makes a *valid* node's contents resident, reloading
-  /// from the spill tier when evicted there.  A reload restarts the node's
-  /// lazy trust pass (spilled state re-earns trust like resident state).
-  void ensure_resident_cla(NodeCla& node);
-
-  /// One cached plan: the canonical branch slot it was built for, the CLA
-  /// epoch it was built against, and the epoch right after it last executed
-  /// (satisfied_epoch == cla_epoch_ means every goal CLA is still exactly
-  /// as the plan left it, so the traversal can be skipped outright).
-  struct PlanCacheEntry {
-    tree::Slot* key = nullptr;
-    std::uint64_t built_epoch = 0;      ///< 0 = never built
-    std::uint64_t satisfied_epoch = 0;  ///< 0 = never executed
-    std::int64_t last_use = 0;
-    TraversalPlan plan;
-  };
-
-  /// Cache slot for the branch (LRU over a small fixed set; SPR candidate
-  /// scans cycle through nearby branches, deeper history does not pay).
-  PlanCacheEntry& plan_entry(tree::Slot* edge);
-
-  /// Builds the entry's plan unless it already matches cla_epoch_.
-  const TraversalPlan& prepare_entry(PlanCacheEntry& entry);
-
-  /// Makes the CLAs at (edge, edge->back) valid via the plan cache and
-  /// leaves both end nodes pinned (+1); callers unpin after the consuming
-  /// root kernel ran.
-  void validate_edge(tree::Slot* edge);
-
-  /// Runs a prepared plan: pins its pre-valid roots, then executes the ops
-  /// — level order on a full budget (per-level spans/metrics), Sethi-Ullman
-  /// DFS order under a tight budget (the order the pin discipline needs).
-  void execute_plan(const TraversalPlan& plan);
-
-  /// One op: readies the children (pin inputs, recompute evicted ones),
-  /// runs newview, unpins the children and pins the output until its
-  /// consumer — or, for root ops, until the caller unpins.  `pinning` is
-  /// false on the external full-budget path, where level order alone
-  /// guarantees readiness and eviction cannot happen.
-  void run_plan_op(const PlfOp& op, bool pinning);
-
-  /// Readies one child CLA for a pinning-mode op: in-plan children are
-  /// already valid and pinned; pre-valid inputs get pinned and touched; an
-  /// input evicted since planning (tight budget) is recomputed through a
-  /// nested sub-plan — Izquierdo-Carrasco recomputation, time for memory.
-  void ready_child(tree::Slot* child, bool computed_in_plan);
-
-  /// Queues the op's valid frontier inputs (not computed in this plan) into
-  /// the store's prefetch ring so spilled CLAs stream back while earlier
-  /// kernels run.
-  void prefetch_op_inputs(const PlfOp& op);
-
-  void pin(int node_id);
-  void unpin(int node_id);
-
-  /// Every CLA state change bumps the epoch that plan-cache entries are
-  /// validated against.
-  void note_cla_state_changed() { ++cla_epoch_; }
-
-  void run_newview(tree::Slot* slot);
   /// `verify` = false defers the input-CLA verification to the caller (the
   /// chunk loop in run_newview verifies interleaved with kernel execution
   /// instead of paying an up-front cold sweep).
@@ -308,12 +240,6 @@ class LikelihoodEngine final : public Evaluator {
 
   double run_evaluate(tree::Slot* edge);
 
-  // --- SDC defense internals --------------------------------------------
-
-  /// Starts a new trust pass: every buffer consumed afterwards re-verifies
-  /// (at most once).  Called at each top-level entry point.
-  void begin_sdc_pass() { ++sdc_pass_; }
-
   /// Site blocks per chunk of the serial newview/derivativeSum loop: the
   /// dense kernels have no cross-site state, so they split bit-identically
   /// at any boundary; 512 blocks (64 KiB of values) keep each chunk cache
@@ -321,33 +247,6 @@ class LikelihoodEngine final : public Evaluator {
   /// re-reading it, which turns the checksum sweeps from DRAM traffic into
   /// register work.
   static constexpr std::int64_t kSdcChunkSites = 512;
-
-  /// Whole-range lane-structured checksum of a committed CLA region, via
-  /// the ISA-matched KernelOps::cla_checksum back-end.
-  [[nodiscard]] std::uint64_t compute_cla_checksum(NodeCla& node, std::int64_t blocks);
-
-  /// Lazily re-verifies a committed CLA before it is consumed as an input;
-  /// throws sdc::CorruptionDetected on mismatch.  No-op when sdc_checks is
-  /// off or the buffer was already verified this pass.
-  void verify_cla(const tree::Slot* slot);
-
-  /// True when the chunk loop must accumulate-and-compare `child`'s
-  /// checksum (inner, committed, not yet trusted this pass).
-  [[nodiscard]] bool wants_deferred_verify(const tree::Slot* child);
-
-  /// Compare step of a deferred (chunked) verification: counts the check,
-  /// throws on mismatch, marks the buffer trusted for this pass.
-  void finish_deferred_verify(const tree::Slot* child, const sdc::ClaChecksum& sum);
-
-  /// Counts a detection and throws sdc::CorruptionDetected.
-  [[noreturn]] void report_corruption(int node_id, const std::string& what);
-
-  /// Heal step of the bounded retry loop: resets the pin table (the throw
-  /// unwound mid-plan), invalidates the corrupt node (or everything, for
-  /// unlocalized faults), and counts a heal — or counts an escalation and
-  /// rethrows once the retry budget is spent.  Must be called from a catch
-  /// handler for sdc::CorruptionDetected.
-  void heal_or_rethrow(const sdc::CorruptionDetected& fault, int attempt);
 
   /// The body of prepare_derivatives(), wrapped by the heal loop.
   void run_prepare_derivatives(tree::Slot* edge);
@@ -367,17 +266,9 @@ class LikelihoodEngine final : public Evaluator {
   // always dense (site-indexed) even on the site-repeats path, because the
   // outer context of a site is not a function of the subtree pattern the
   // repeat classes dedup on; the repeat machinery still compresses every
-  // postorder *input* through the per-site class maps.  Allocated lazily on
-  // the first gradient_all_branches() call (~2× the postorder CLA pool).
-  struct PreorderCla {
-    // Values/scales live in pre_store_ (slot == node_id); the preorder tier
-    // always spills on eviction because an outer partial, unlike a postorder
-    // CLA, cannot be recomputed from a subtree.
-    std::uint64_t checksum = 0;        ///< sdc defense, as NodeCla
-    std::int64_t checked_blocks = 0;
-    std::uint64_t verified_pass = 0;
-  };
-
+  // postorder *input* through the per-site class maps.  The core allocates
+  // them lazily on the first gradient_all_branches() call (~2× the
+  // postorder CLA pool).
   /// The body of gradient_all_branches(), wrapped by the heal loop.
   void run_gradient_all_branches(tree::Slot* root_edge, std::vector<BranchGradient>& out);
 
@@ -385,12 +276,6 @@ class LikelihoodEngine final : public Evaluator {
   /// appends the gradient of the edge above it (op.slot) to `out`.
   void run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
                        std::vector<BranchGradient>& out);
-
-  /// Re-verifies a preorder partial before it is consumed as a parent input.
-  /// Unlike postorder CLAs, a preorder buffer is never read on a later pass,
-  /// so storing its checksum does NOT mark it trusted — the exposure window
-  /// is precisely compute → first consumption within one descent.
-  void verify_preorder_cla(int node_id);
 
   // --- Site-repeats machinery -------------------------------------------
   //
@@ -441,20 +326,16 @@ class LikelihoodEngine final : public Evaluator {
   std::int64_t offset_ = 0;
   std::int64_t length_ = 0;
 
-  std::vector<NodeCla> clas_;  ///< indexed by inner index (node_id - ntaxa)
+  // Validity, orientation, the tiered store, plans, executors, cancellation
+  // and the SDC heal loop (engine_core.hpp).
+  EngineCore core_;
 
   // Site-repeats state (empty unless Config::site_repeats).
   bool site_repeats_ = false;
-  std::vector<NodeRepeats> repeats_;        ///< indexed like clas_
+  std::vector<NodeRepeats> repeats_;        ///< indexed by inner index (node_id - ntaxa)
   std::vector<RepeatHashEntry> repeat_table_;  ///< open-addressing dedup table
   std::uint32_t repeat_epoch_ = 0;
   std::uint64_t repeat_version_counter_ = 0;
-
-  // Tiered CLA storage (DESIGN.md §14): the store owns the buffer pool, the
-  // pin table, the monotonic LRU epoch, and the recompute-vs-spill policy;
-  // the engine owns validity, orientation, and checksums.
-  memory::ClaStore store_;
-  std::string cla_spill_dir_;  ///< kept for the lazily configured preorder tier
 
   // Branch-independent tables.
   AlignedDoubles tipvec16_;
@@ -472,33 +353,14 @@ class LikelihoodEngine final : public Evaluator {
 
   EvalStats stats_;
 
-  // Metrics publication (Config::metrics == kOn): ids cached once at
-  // construction so the kernel path pays one branch + a few sharded adds.
-  bool metrics_ = false;
+  // Kernel metric ids (Config::metrics == kOn), cached once at construction
+  // so the kernel path pays one branch + a few sharded adds.
   EngineMetricIds metric_ids_;
 
-  // Plan cache + planner (see the class comment).
-  static constexpr int kPlanCacheSize = 8;
-  TraversalPlanner planner_;
-  std::vector<PlanCacheEntry> plan_cache_;
-  std::uint64_t cla_epoch_ = 1;
-  std::int64_t plan_use_counter_ = 0;
-  PlanCounters plan_counters_;
-  PlanMetricIds plan_ids_;
-
-  // SDC defense state (see sdc.hpp and DESIGN.md §10).
-  bool sdc_checks_ = false;
-  std::uint64_t sdc_pass_ = 1;  ///< trust pass for the verify memo
-  sdc::Counters sdc_counters_;
-  sdc::MetricIds sdc_ids_;
-
-  // Preorder-partial state (lazily sized by gradient_all_branches).
-  memory::ClaStore pre_store_;                 ///< slot == node_id (tips too)
-  std::vector<PreorderCla> pre_clas_;          ///< indexed by node_id (tips too)
+  // Preorder-pass scratch (the partials themselves live in the core's tier).
   std::vector<std::uint32_t> identity_gather_; ///< 0..length_-1 (dense side of a gather op)
   std::vector<std::uint32_t> code_gather_left_;   ///< tip codes widened for newview_repeats
   std::vector<std::uint32_t> code_gather_right_;
-  TraversalPlan preorder_plan_;
   EngineMetricIds pre_metric_ids_;  ///< "plf.<isa>.preorder.*" family
 
   // State of the prepared derivative buffer.
@@ -507,15 +369,6 @@ class LikelihoodEngine final : public Evaluator {
   bool sum_left_tip_ = false;
 
   KernelTrace* trace_ = nullptr;
-
-  // Cooperative cancellation (Config::cancel; DESIGN.md §15).  checked at
-  // plan-level boundaries via check_cancel(); nullptr = never cancelled.
-  const CancelToken* cancel_ = nullptr;
-  void check_cancel() const {
-    if (cancel_ != nullptr) cancel_->check();
-  }
-
-  friend class EngineTestPeer;
 };
 
 }  // namespace miniphi::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #if defined(_OPENMP)
 #include <omp.h>
@@ -23,7 +22,8 @@ GeneralEngine::GeneralEngine(const bio::PatternSet& patterns, const model::Gener
       dims_(general_dims(model)),
       ops_(get_general_kernel_ops(config.isa)),
       tuning_(config.tuning),
-      use_openmp_(config.use_openmp) {
+      use_openmp_(config.use_openmp),
+      core_(*this, tree) {
   const auto npat = static_cast<std::int64_t>(patterns.pattern_count());
   MINIPHI_CHECK(npat > 0, "general engine: empty pattern set");
   MINIPHI_CHECK(static_cast<std::size_t>(tree.taxon_count()) == patterns.taxon_count(),
@@ -45,57 +45,10 @@ GeneralEngine::GeneralEngine(const bio::PatternSet& patterns, const model::Gener
   length_ = (config.end < 0 ? npat : config.end) - offset_;
   MINIPHI_CHECK(offset_ >= 0 && length_ > 0 && offset_ + length_ <= npat,
                 "general engine: invalid pattern slice");
-  sdc_checks_ = config.sdc_checks;
-  if (obs::kMetricsCompiled && config.metrics == obs::MetricsMode::kOn) {
-    metrics_ = true;
-    metric_ids_ = register_engine_metrics(ops_.isa, "general");
-    plan_cache_.enable_metrics();
-    sdc_ids_ = sdc::register_metrics();
-  }
+  core_.configure(config, length_, dims_.block(), "general engine");
+  if (core_.metrics()) metric_ids_ = register_engine_metrics(ops_.isa, "general");
 
   const auto block = static_cast<std::size_t>(dims_.block());
-  const int inner_count = tree.inner_count();
-  int budget = (config.cla_buffers < 0) ? inner_count : config.cla_buffers;
-  if (config.cla_buffers < 0 && config.cla_budget_bytes > 0) {
-    // Byte-denominated budget (the C-API resource negotiation speaks bytes):
-    // derive the buffer count from this slice's per-buffer footprint.
-    const std::int64_t bytes_per_buffer =
-        length_ * dims_.block() * static_cast<std::int64_t>(sizeof(double)) +
-        length_ * static_cast<std::int64_t>(sizeof(std::int32_t));
-    budget = static_cast<int>(
-        std::min<std::int64_t>(inner_count, config.cla_budget_bytes / bytes_per_buffer));
-    MINIPHI_CHECK(budget >= std::min(inner_count, 3),
-                  "general engine: cla_budget_bytes cannot fit the minimum working set (" +
-                      std::to_string(std::min(inner_count, 3)) + " CLA buffers of " +
-                      std::to_string(bytes_per_buffer) + " bytes each)");
-  }
-  budget = std::min(budget, inner_count);
-  MINIPHI_CHECK(budget >= std::min(inner_count, 3),
-                "general engine: cla_buffers budget must be at least 3 (got " +
-                    std::to_string(budget) + ")");
-  clas_.resize(static_cast<std::size_t>(inner_count));
-  for (int i = 0; i < inner_count; ++i) clas_[static_cast<std::size_t>(i)].slot = i;
-  cla_spill_dir_ = config.cla_spill_dir;
-
-  // Tiered CLA storage (DESIGN.md §14), shared with the dense engine: the
-  // store owns the resident pool, the pin table, the monotonic LRU epoch,
-  // and the recompute-vs-spill policy.  A dropped CLA is marked invalid so
-  // the next traversal recomputes it.
-  memory::ClaStoreConfig store_config;
-  store_config.slots = inner_count;
-  store_config.resident = budget;
-  store_config.values = length_ * dims_.block();
-  store_config.scales = length_;
-  store_config.spill = config.cla_spill;
-  store_config.spill_dir = config.cla_spill_dir;
-  store_config.spill_min_registers = config.cla_spill_min_registers;
-  store_config.node_id_base = tree.taxon_count();
-  store_config.metrics = metrics_ ? obs::MetricsMode::kOn : obs::MetricsMode::kOff;
-  store_config.on_drop = [this](int slot) {
-    clas_[static_cast<std::size_t>(slot)].valid = false;
-    plan_cache_.note_cla_state_changed();
-  };
-  store_.configure(std::move(store_config));
   ptable_left_.resize(gptable_size(dims_));
   ptable_right_.resize(gptable_size(dims_));
   ump_left_.resize(gblock_table_size(dims_, code_masks_.size()));
@@ -119,177 +72,18 @@ void GeneralEngine::set_general_model(const model::GeneralModel& model) {
 
 void GeneralEngine::invalidate_node(int node_id) {
   if (node_id < tree_.taxon_count()) return;
-  const auto inner = static_cast<std::size_t>(node_id - tree_.taxon_count());
-  clas_[inner].valid = false;
-  // Free the resident buffer and any spill record eagerly: eviction must
-  // never waste a disk write on a CLA that is already dead.
-  store_.drop(static_cast<int>(inner));
+  core_.invalidate_node(node_id);
   sum_prepared_ = false;
-  plan_cache_.note_cla_state_changed();
 }
 
 void GeneralEngine::invalidate_all() {
-  for (auto& node : clas_) node.valid = false;
-  store_.drop_all();
+  core_.invalidate_all();
   sum_prepared_ = false;
-  plan_cache_.note_cla_state_changed();
 }
 
-GeneralEngine::NodeCla& GeneralEngine::node_cla(int node_id) {
-  MINIPHI_ASSERT(node_id >= tree_.taxon_count());
-  return clas_[static_cast<std::size_t>(node_id - tree_.taxon_count())];
-}
-
-bool GeneralEngine::slot_valid(const tree::Slot* s) const {
-  const auto& node = clas_[static_cast<std::size_t>(s->node_id - tree_.taxon_count())];
-  return node.valid && node.orientation == s->slot_index;
-}
-
-void GeneralEngine::ensure_resident_cla(NodeCla& node) {
-  MINIPHI_ASSERT(node.valid);
-  if (store_.ensure_resident(node.slot) == memory::Residency::kReloaded) {
-    // The reload verified the spill checksum, but spilled state re-earns
-    // trust exactly like resident state: restart the lazy trust pass.
-    node.verified_pass = 0;
-  }
-}
-
-void GeneralEngine::pin(int node_id) {
-  if (node_id >= tree_.taxon_count()) store_.pin(node_id - tree_.taxon_count());
-}
-
-void GeneralEngine::unpin(int node_id) {
-  if (node_id >= tree_.taxon_count()) store_.unpin(node_id - tree_.taxon_count());
-}
-
-void GeneralEngine::validate_edge(tree::Slot* edge) {
-  const bool executed = plan_cache_.validate_with(
-      edge, [this](const tree::Slot* slot) { return slot_valid(slot); },
-      [this](const TraversalPlan& plan) { execute_plan(plan); });
-  if (!executed) {
-    // Satisfied cache hit or an empty plan: execute_plan never ran, so the
-    // endpoints are not pinned yet.  Pin both before pulling either back
-    // from the spill tier, so one reload's eviction cannot take the other.
-    pin(edge->node_id);
-    pin(edge->back->node_id);
-  }
-  for (tree::Slot* s : {edge, edge->back}) {
-    if (s->is_tip()) continue;
-    MINIPHI_ASSERT(slot_valid(s));
-    ensure_resident_cla(node_cla(s->node_id));
-  }
-}
-
-void GeneralEngine::execute_plan(const TraversalPlan& plan) {
-  // Roots that were already valid at planning time are plan inputs too:
-  // pin them before running any op so the execution cannot evict them.
-  for (const PlanRoot& root : plan.roots()) {
-    if (root.slot->is_tip() || root.op >= 0) continue;
-    ready_child(root.slot, false);
-  }
-  if (store_.full_resident()) {
-    // Full budget: level order, no eviction possible, no pinning inside.
-    for (int level = 1; level <= plan.levels(); ++level) {
-      for (const std::int32_t op : plan.level_ops(level)) {
-        run_plan_op(plan.ops()[static_cast<std::size_t>(op)], /*pinning=*/false);
-      }
-    }
-    // Level order leaves computed roots unpinned; pin them like the DFS
-    // path does so validate_edge hands every caller the same contract.
-    for (const PlanRoot& root : plan.roots()) {
-      if (root.op >= 0) pin(root.slot->node_id);
-    }
-    return;
-  }
-  // Tight budget: run in Sethi-Ullman DFS order with pin/unpin discipline
-  // so the live working set stays ~log2(n) buffers.  Feed the plan's read
-  // positions to the store first: eviction then prefers CLAs with no
-  // remaining use in this plan, and otherwise the farthest next use —
-  // the register-allocation heuristic of DESIGN.md §14.
-  store_.begin_plan();
-  const auto& ops = plan.ops();
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    for (tree::Slot* child : {ops[i].slot->child1(), ops[i].slot->child2()}) {
-      if (!child->is_tip()) {
-        store_.plan_next_use(child->node_id - tree_.taxon_count(),
-                             static_cast<std::int64_t>(i));
-      }
-    }
-  }
-  for (const PlanRoot& root : plan.roots()) {
-    // Roots are read by the kernel that follows the whole plan.
-    if (!root.slot->is_tip()) {
-      store_.plan_next_use(root.slot->node_id - tree_.taxon_count(),
-                           static_cast<std::int64_t>(ops.size()));
-    }
-  }
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    store_.plan_cursor(static_cast<std::int64_t>(i));
-    // Read-ahead: stream this op's and the next op's frontier inputs from
-    // the spill tier while kernels run (two-entry ring; extras dropped,
-    // resident slots are no-ops).
-    prefetch_op_inputs(ops[i]);
-    if (i + 1 < ops.size()) prefetch_op_inputs(ops[i + 1]);
-    run_plan_op(ops[i], /*pinning=*/true);
-  }
-}
-
-void GeneralEngine::run_plan_op(const PlfOp& op, bool pinning) {
-  if (pinning) {
-    ready_child(op.slot->child1(), op.left_op >= 0);
-    ready_child(op.slot->child2(), op.right_op >= 0);
-  }
-  run_newview(op.slot);
-  // The op's Sethi–Ullman `registers` number is exactly the cost of
-  // rebuilding this CLA from scratch — the store's recompute-vs-spill
-  // signal at eviction time.
-  if (op.registers > 0) {
-    store_.set_rebuild_cost(op.slot->node_id - tree_.taxon_count(), op.registers);
-  }
-  if (pinning) {
-    unpin(op.slot->child1()->node_id);
-    unpin(op.slot->child2()->node_id);
-    // The output stays pinned until its consumer (a later op, or the caller
-    // for a root) releases it.
-    pin(op.slot->node_id);
-  }
-}
-
-void GeneralEngine::prefetch_op_inputs(const PlfOp& op) {
-  if (op.left_op < 0 && !op.slot->child1()->is_tip() && slot_valid(op.slot->child1())) {
-    store_.prefetch(op.slot->child1()->node_id - tree_.taxon_count());
-  }
-  if (op.right_op < 0 && !op.slot->child2()->is_tip() && slot_valid(op.slot->child2())) {
-    store_.prefetch(op.slot->child2()->node_id - tree_.taxon_count());
-  }
-}
-
-void GeneralEngine::ready_child(tree::Slot* child, bool computed_in_plan) {
-  if (child->is_tip()) return;
-  if (computed_in_plan) {
-    // An earlier op produced (and pinned) this CLA; it cannot have been
-    // evicted since.
-    MINIPHI_ASSERT(slot_valid(child));
-    return;
-  }
-  if (slot_valid(child)) {
-    pin(child->node_id);
-    // Pin first so the reload's own eviction cannot pick this slot.
-    ensure_resident_cla(node_cla(child->node_id));
-    return;
-  }
-  // A plan input was evicted-and-dropped between planning and consumption
-  // (possible under tight budgets when a sibling subtree recycled its
-  // buffer).  Recompute it with a nested sub-plan; the child comes back
-  // pinned.  With the spill tier on this path is rare: eviction keeps
-  // expensive subtrees on disk and the branch above reloads them instead.
-  store_.note_recompute();
-  tree::Slot* const goals[1] = {child};
-  TraversalPlan subplan;
-  plan_cache_.planner().build(
-      std::span<tree::Slot* const>(goals),
-      [this](const tree::Slot* slot) { return slot_valid(slot); }, subplan);
-  for (const PlfOp& sub : subplan.ops()) run_plan_op(sub, /*pinning=*/true);
+std::uint64_t GeneralEngine::cla_checksum(const double* values, const std::int32_t* scales,
+                                          std::int64_t blocks) {
+  return sdc::checksum_cla(values, blocks * dims_.block(), scales, blocks);
 }
 
 GChildInput GeneralEngine::make_child_input(tree::Slot* child, std::span<double> ptable,
@@ -302,95 +96,24 @@ GChildInput GeneralEngine::make_child_input(tree::Slot* child, std::span<double>
     input.codes = patterns_.tip_rows[static_cast<std::size_t>(child->node_id)].data() + offset_;
     input.ump = ump.data();
   } else {
-    MINIPHI_ASSERT(slot_valid(child));
-    auto& node = node_cla(child->node_id);
-    ensure_resident_cla(node);
-    verify_cla(child);
-    input.cla = store_.values(node.slot);
-    input.scale = store_.scales(node.slot);
+    core_.resident_input(child);
+    input.cla = core_.values(child->node_id);
+    input.scale = core_.scales(child->node_id);
   }
   return input;
 }
 
-void GeneralEngine::store_cla_checksum(NodeCla& node) {
-  node.checksum = sdc::checksum_cla(store_.values(node.slot), length_ * dims_.block(),
-                                    store_.scales(node.slot), length_);
-  node.checksummed = true;
-  node.verified_pass = sdc_pass_;
-}
-
-void GeneralEngine::verify_cla(const tree::Slot* slot) {
-  if (!sdc_checks_) return;
-  NodeCla& node = node_cla(slot->node_id);
-  if (node.verified_pass == sdc_pass_ || !node.checksummed) return;
-  Timer timer;
-  const std::uint64_t actual = sdc::checksum_cla(store_.values(node.slot), length_ * dims_.block(),
-                                                 store_.scales(node.slot), length_);
-  ++sdc_counters_.checks;
-  if (metrics_) {
-    obs::Registry& registry = obs::Registry::instance();
-    registry.add(sdc_ids_.checks, 1);
-    registry.observe(sdc_ids_.verify_ns, static_cast<std::int64_t>(timer.seconds() * 1e9));
-  }
-  if (actual != node.checksum) {
-    report_corruption(slot->node_id, "sdc: general CLA checksum mismatch at node " +
-                                         std::to_string(slot->node_id));
-  }
-  node.verified_pass = sdc_pass_;
-}
-
-void GeneralEngine::report_corruption(int node_id, const std::string& what) {
-  ++sdc_counters_.hits;
-  if (metrics_) obs::Registry::instance().add(sdc_ids_.hits, 1);
-  throw sdc::CorruptionDetected(node_id, what);
-}
-
-void GeneralEngine::heal_or_rethrow(const sdc::CorruptionDetected& fault, int attempt) {
-  if (attempt + 1 >= sdc::kHealRetryBudget) {
-    ++sdc_counters_.escalations;
-    if (metrics_) obs::Registry::instance().add(sdc_ids_.escalations, 1);
-    throw;
-  }
-  // The throw unwound mid-traversal: pins taken by execute_plan or the
-  // gradient descent are still held.  Drop them all — the retry re-pins.
-  store_.reset_pins();
-  if (pre_store_.is_configured()) pre_store_.reset_pins();
-  if (fault.node_id() >= 0) {
-    invalidate_node(fault.node_id());
-  } else {
-    invalidate_all();
-  }
-  ++sdc_counters_.heals;
-  if (metrics_) obs::Registry::instance().add(sdc_ids_.heals, 1);
-}
-
-bool GeneralEngine::corrupt_cla_for_testing(int node_id, std::int64_t word, int bit) {
-  if (node_id < tree_.taxon_count()) return false;
-  NodeCla& node = node_cla(node_id);
-  if (!node.valid || !store_.resident(node.slot)) return false;
-  double* buffer = store_.values(node.slot);
-  const auto index =
-      static_cast<std::size_t>(word) % static_cast<std::size_t>(length_ * dims_.block());
-  std::uint64_t bits;
-  std::memcpy(&bits, &buffer[index], sizeof(bits));
-  bits ^= 1ULL << (bit & 63);
-  std::memcpy(&buffer[index], &bits, sizeof(bits));
-  node.verified_pass = 0;
-  return true;
-}
-
 void GeneralEngine::run_newview(tree::Slot* slot) {
   MINIPHI_ASSERT(!slot->is_tip());
-  auto& parent = node_cla(slot->node_id);
   // Write acquisition: the store may evict an unpinned victim, spilling it
   // or (via the on_drop callback) invalidating it — either way cached plans
   // that counted the victim as a resident input stay correct, because a
   // spilled CLA is still logically valid and a dropped one bumps the epoch.
-  store_.acquire(parent.slot);
+  core_.acquire(slot->node_id);
 
   GNewviewCtx ctx;
-  ctx.parent_cla = store_.values(parent.slot);
-  ctx.parent_scale = store_.scales(parent.slot);
+  ctx.parent_cla = core_.values(slot->node_id);
+  ctx.parent_scale = core_.scales(slot->node_id);
   ctx.left = make_child_input(slot->child1(), ptable_left_, ump_left_, slot->next->length);
   ctx.right =
       make_child_input(slot->child2(), ptable_right_, ump_right_, slot->next->next->length);
@@ -422,13 +145,8 @@ void GeneralEngine::run_newview(tree::Slot* slot) {
                 length_ * (1 + (ctx.left.is_tip() ? 0 : 1) + (ctx.right.is_tip() ? 0 : 1)),
                 timer.seconds());
 
-  parent.orientation = slot->slot_index;
-  parent.valid = true;
-  if (sdc_checks_) store_cla_checksum(parent);
+  core_.commit_cla(slot, length_);
   sum_prepared_ = false;
-  // Reorientation silently invalidates the opposite direction: stale plans
-  // must not count this CLA as a resident input.
-  plan_cache_.note_cla_state_changed();
 }
 
 void GeneralEngine::record_kernel(Kernel k, std::int64_t cla_blocks, double seconds) {
@@ -440,7 +158,7 @@ void GeneralEngine::record_kernel(Kernel k, std::int64_t cla_blocks, double seco
   stat.sites += length_;
   stat.sites_represented += length_;
   stat.bytes += cla_bytes;
-  if (metrics_) {
+  if (core_.metrics()) {
     publish_kernel(metric_ids_.kernels[static_cast<std::size_t>(static_cast<int>(k))], length_,
                    length_, cla_bytes, seconds);
   }
@@ -454,24 +172,18 @@ double GeneralEngine::run_evaluate(tree::Slot* edge) {
   MINIPHI_CHECK(!p->is_tip(), "evaluate: both ends of the root edge are tips");
 
   GEvaluateCtx ctx;
-  auto& left = node_cla(p->node_id);
-  MINIPHI_ASSERT(slot_valid(p));
-  ensure_resident_cla(left);  // both endpoints are pinned by validate_edge
-  verify_cla(p);
-  ctx.left_cla = store_.values(left.slot);
-  ctx.left_scale = store_.scales(left.slot);
+  core_.resident_input(p);  // both endpoints are pinned by validate_edge
+  ctx.left_cla = core_.values(p->node_id);
+  ctx.left_scale = core_.scales(p->node_id);
   build_general_diag(model_, edge->length, diag_);
   if (q->is_tip()) {
     build_general_evtab(dims_, diag_, tipvec_, evtab_);
     ctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(q->node_id)].data() + offset_;
     ctx.evtab = evtab_.data();
   } else {
-    MINIPHI_ASSERT(slot_valid(q));
-    auto& right = node_cla(q->node_id);
-    ensure_resident_cla(right);
-    verify_cla(q);
-    ctx.right_cla = store_.values(right.slot);
-    ctx.right_scale = store_.scales(right.slot);
+    core_.resident_input(q);
+    ctx.right_cla = core_.values(q->node_id);
+    ctx.right_scale = core_.scales(q->node_id);
     ctx.diag = diag_.data();
   }
   ctx.weights = patterns_.weights.data() + offset_;
@@ -503,45 +215,11 @@ double GeneralEngine::run_evaluate(tree::Slot* edge) {
 }
 
 double GeneralEngine::log_likelihood(tree::Slot* edge) {
-  MINIPHI_ASSERT(edge != nullptr && edge->back != nullptr);
-  if (!sdc_checks_) {
-    validate_edge(edge);
-    const double result = run_evaluate(edge);
-    unpin(edge->node_id);
-    unpin(edge->back->node_id);
-    return result;
-  }
-  for (int attempt = 0;; ++attempt) {
-    try {
-      begin_sdc_pass();
-      validate_edge(edge);
-      const double result = run_evaluate(edge);
-      unpin(edge->node_id);
-      unpin(edge->back->node_id);
-      if (!std::isfinite(result)) {
-        report_corruption(-1, "sdc: non-finite log-likelihood from general evaluate");
-      }
-      return result;
-    } catch (const sdc::CorruptionDetected& fault) {
-      heal_or_rethrow(fault, attempt);
-    }
-  }
+  return core_.log_likelihood(edge, [this](tree::Slot* e) { return run_evaluate(e); });
 }
 
 void GeneralEngine::prepare_derivatives(tree::Slot* edge) {
-  if (!sdc_checks_) {
-    run_prepare_derivatives(edge);
-    return;
-  }
-  for (int attempt = 0;; ++attempt) {
-    try {
-      begin_sdc_pass();
-      run_prepare_derivatives(edge);
-      return;
-    } catch (const sdc::CorruptionDetected& fault) {
-      heal_or_rethrow(fault, attempt);
-    }
-  }
+  core_.guarded([&] { run_prepare_derivatives(edge); });
 }
 
 void GeneralEngine::run_prepare_derivatives(tree::Slot* edge) {
@@ -550,22 +228,18 @@ void GeneralEngine::run_prepare_derivatives(tree::Slot* edge) {
   if (p->is_tip()) std::swap(p, q);
   MINIPHI_CHECK(!p->is_tip(), "derivatives: both ends of the branch are tips");
 
-  validate_edge(edge);
+  core_.validate_edge(edge);
 
   GSumCtx ctx;
   ctx.sum = sum_buffer_.data();
-  auto& left = node_cla(p->node_id);
-  ensure_resident_cla(left);  // both endpoints are pinned by validate_edge
-  verify_cla(p);
-  ctx.left_cla = store_.values(left.slot);
+  core_.resident_input(p);  // both endpoints are pinned by validate_edge
+  ctx.left_cla = core_.values(p->node_id);
   if (q->is_tip()) {
     ctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(q->node_id)].data() + offset_;
     ctx.tipvec = tipvec_.data();
   } else {
-    auto& right = node_cla(q->node_id);
-    ensure_resident_cla(right);
-    verify_cla(q);
-    ctx.right_cla = store_.values(right.slot);
+    core_.resident_input(q);
+    ctx.right_cla = core_.values(q->node_id);
   }
   ctx.dims = dims_;
   ctx.begin = 0;
@@ -591,8 +265,8 @@ void GeneralEngine::run_prepare_derivatives(tree::Slot* edge) {
     ops_.derivative_sum(ctx);
   }
   record_kernel(Kernel::kDerivSum, length_ * (q->is_tip() ? 2 : 3), timer.seconds());
-  unpin(p->node_id);
-  unpin(q->node_id);
+  core_.unpin(p->node_id);
+  core_.unpin(q->node_id);
   sum_prepared_ = true;
 }
 
@@ -637,40 +311,33 @@ std::pair<double, double> GeneralEngine::derivatives(double z) {
     second = ctx.out_second;
   }
   record_kernel(Kernel::kDerivCore, length_, timer.seconds());
-  if (sdc_checks_ && (!std::isfinite(first) || !std::isfinite(second))) {
-    report_corruption(-1, "sdc: non-finite derivative from general derivativeCore");
+  if (core_.sdc_checks() && (!std::isfinite(first) || !std::isfinite(second))) {
+    core_.report_corruption(-1, "sdc: non-finite derivative from general derivativeCore");
   }
   return {first, second};
 }
 
 double GeneralEngine::optimize_branch(tree::Slot* edge, int max_iterations) {
-  // prepare_derivatives runs its own heal loop; keeping it outside the try
-  // below means an escalation there propagates instead of doubling the
-  // retry budget.
-  for (int attempt = 0;; ++attempt) {
-    prepare_derivatives(edge);
-    try {
-      double z = edge->length;
-      for (int iteration = 0; iteration < max_iterations; ++iteration) {
-        const auto [first, second] = derivatives(z);
-        const double next = LikelihoodEngine::newton_step(z, first, second);
-        const bool converged = std::abs(next - z) < 1e-10;
-        z = next;
-        if (converged) break;
-      }
-      tree::Tree::set_length(edge, z);
-      invalidate_node(edge->node_id);
-      invalidate_node(edge->back->node_id);
-      return z;
-    } catch (const sdc::CorruptionDetected& fault) {
-      heal_or_rethrow(fault, attempt);
+  return core_.heal_loop([&] { prepare_derivatives(edge); }, [&] {
+    double z = edge->length;
+    for (int iteration = 0; iteration < max_iterations; ++iteration) {
+      const auto [first, second] = derivatives(z);
+      const double next = LikelihoodEngine::newton_step(z, first, second);
+      const bool converged = std::abs(next - z) < 1e-10;
+      z = next;
+      if (converged) break;
     }
-  }
+    tree::Tree::set_length(edge, z);
+    invalidate_node(edge->node_id);
+    invalidate_node(edge->back->node_id);
+    return z;
+  });
 }
 
 double GeneralEngine::optimize_all_branches(tree::Slot* root_edge, int passes) {
   for (int pass = 0; pass < passes; ++pass) {
     for (tree::Slot* edge : tree_.edges()) {
+      core_.check_cancel();  // per-branch cancellation boundary
       optimize_branch(edge, 32);
     }
   }
@@ -680,48 +347,15 @@ double GeneralEngine::optimize_all_branches(tree::Slot* root_edge, int passes) {
 bool GeneralEngine::gradient_all_branches(tree::Slot* root_edge,
                                           std::vector<BranchGradient>& out) {
   MINIPHI_ASSERT(root_edge != nullptr && root_edge->back != nullptr);
-  if (!sdc_checks_) {
-    run_gradient_all_branches(root_edge, out);
-    return true;
-  }
-  for (int attempt = 0;; ++attempt) {
-    try {
-      begin_sdc_pass();
-      run_gradient_all_branches(root_edge, out);
-      return true;
-    } catch (const sdc::CorruptionDetected& fault) {
-      heal_or_rethrow(fault, attempt);
-    }
-  }
+  core_.guarded([&] { run_gradient_all_branches(root_edge, out); });
+  return true;
 }
 
 void GeneralEngine::run_gradient_all_branches(tree::Slot* root_edge,
                                               std::vector<BranchGradient>& out) {
   out.clear();
   out.reserve(static_cast<std::size_t>(tree_.edge_count()));
-  if (pre_clas_.empty()) pre_clas_.resize(static_cast<std::size_t>(tree_.node_count()));
-  if (!pre_store_.is_configured()) {
-    // Preorder tier (lazily sized on the first gradient call): one slot per
-    // node, tips included.  This tier *always* spills on eviction — an outer
-    // partial, unlike a postorder CLA, cannot be recomputed from a subtree —
-    // which is what lets the descent run on any CLA budget instead of
-    // declining under tight ones.  On the full budget every partial stays
-    // resident and the spill file is never created.
-    memory::ClaStoreConfig pre_config;
-    pre_config.slots = tree_.node_count();
-    pre_config.resident =
-        store_.full_resident()
-            ? tree_.node_count()
-            : std::min(tree_.node_count(), std::max(4, store_.resident_count()));
-    pre_config.values = length_ * dims_.block();
-    pre_config.scales = length_;
-    pre_config.spill = true;
-    pre_config.spill_min_registers = 0;  // rebuild is impossible: always spill
-    pre_config.spill_dir = cla_spill_dir_;
-    pre_config.node_id_base = 0;  // preorder slots are node ids already
-    pre_config.metrics = metrics_ ? obs::MetricsMode::kOn : obs::MetricsMode::kOff;
-    pre_store_.configure(std::move(pre_config));
-  }
+  core_.ensure_preorder_tier();
 
   // Postorder pass + root-edge derivative via the classic protocol.  Its
   // validate_edge also orients every postorder CLA toward the root edge —
@@ -730,77 +364,34 @@ void GeneralEngine::run_gradient_all_branches(tree::Slot* root_edge,
   const auto [root_first, root_second] = derivatives(root_edge->length);
   out.push_back({root_edge, root_edge->length, root_first, root_second});
 
-  // The descent's reload/rebuild pattern is not the postorder plan the store
-  // last saw; open a fresh (empty) plan window so stale next-use hints do
-  // not skew eviction toward the wrong victims.
-  store_.begin_plan();
-
   // Preorder pass, serial in emission order (parents precede children).
-  TraversalPlanner::build_preorder(root_edge, preorder_plan_);
-  for (const PlfOp& op : preorder_plan_.ops()) run_preorder_op(preorder_plan_, op, out);
+  core_.run_preorder_descent(root_edge, [&](const TraversalPlan& plan, const PlfOp& op) {
+    run_preorder_op(plan, op, out);
+  });
   sum_prepared_ = false;  // sum_buffer_ holds the last preorder edge's sums
 }
 
 void GeneralEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
                                     std::vector<BranchGradient>& out) {
-  MINIPHI_ASSERT(op.kind == PlfOpKind::kPreorder);
+  const EngineCore::PreorderInputs in = core_.begin_preorder_op(plan, op);
   tree::Slot* toward = op.slot;       // u's slot pointing down at v
   tree::Slot* v_slot = toward->back;  // v, the node this op's partial points at
-  const int v = op.node_id;
-
-  PreorderCla& pre = pre_clas_[static_cast<std::size_t>(v)];
-  // The node's preorder partial lives in the preorder tier (slot == node
-  // id).  Write-acquire and pin it for the whole op: newview fills it and
-  // the gradient contraction below reads it back.
-  pre_store_.acquire(v);
-  pre_store_.pin(v);
-
-  int pinned_pre_parent = -1;              // preorder-tier pin to release after newview
-  tree::Slot* pinned_left_post = nullptr;  // postorder pins likewise
-  tree::Slot* root_slot = nullptr;         // seed ops only
-  tree::Slot* opposite = nullptr;
-  tree::Slot* sib = op.sibling->back;  // right input: the sibling's postorder side
-  if (op.left_op < 0) {
-    // Seed op at the root edge: the parent input is the *opposite* endpoint
-    // of the root edge across root_edge->length.
-    root_slot = (toward->next == op.sibling) ? toward->next->next : toward->next;
-    opposite = root_slot->back;
-  }
-  // Ready (pin + reload or rebuild) every postorder input *before* building
-  // any kernel context: under a tight budget ready_child may recompute a
-  // dropped CLA through run_newview, which rebuilds through the very
-  // ptable/ump workspaces the contexts below point into.
-  if (opposite != nullptr) {
-    ready_child(opposite, /*computed_in_plan=*/false);
-    pinned_left_post = opposite;
-  }
-  ready_child(sib, /*computed_in_plan=*/false);
+  const int v = in.node;
 
   // Preorder partial of v = newview(parent input across the edge above u,
   // sibling's postorder side across the sibling edge).
   GNewviewCtx ctx;
-  ctx.parent_cla = pre_store_.values(v);
-  ctx.parent_scale = pre_store_.scales(v);
-  if (op.left_op >= 0) {
-    const PlfOp& above = plan.ops()[static_cast<std::size_t>(op.left_op)];
-    const int u = toward->node_id;
-    // The parent's preorder partial may have been evicted to the spill tier
-    // since it was computed; pin before the reload so the sibling's own
-    // residency work cannot displace it.
-    pre_store_.pin(u);
-    pinned_pre_parent = u;
-    if (pre_store_.ensure_resident(u) == memory::Residency::kReloaded) {
-      pre_clas_[static_cast<std::size_t>(u)].verified_pass = 0;
-    }
-    verify_preorder_cla(u);
-    build_general_ptable(model_, above.slot->length, ptable_left_);
+  ctx.parent_cla = core_.preorder_values(v);
+  ctx.parent_scale = core_.preorder_scales(v);
+  if (in.parent >= 0) {
+    build_general_ptable(model_, in.left_length, ptable_left_);
     ctx.left.ptable = ptable_left_.data();
-    ctx.left.cla = pre_store_.values(u);
-    ctx.left.scale = pre_store_.scales(u);
+    ctx.left.cla = core_.preorder_values(in.parent);
+    ctx.left.scale = core_.preorder_scales(in.parent);
   } else {
-    ctx.left = make_child_input(opposite, ptable_left_, ump_left_, root_slot->length);
+    ctx.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length);
   }
-  ctx.right = make_child_input(sib, ptable_right_, ump_right_, op.sibling->length);
+  ctx.right = make_child_input(in.sibling, ptable_right_, ump_right_, op.sibling->length);
   ctx.wtable = wtable_.data();
   ctx.dims = dims_;
   ctx.begin = 0;
@@ -812,17 +403,7 @@ void GeneralEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
   record_kernel(Kernel::kNewview,
                 length_ * (1 + (ctx.left.is_tip() ? 0 : 1) + (ctx.right.is_tip() ? 0 : 1)),
                 timer.seconds());
-  // The newview inputs are consumed; release their pins before the gradient
-  // contraction pulls in the node's own postorder side.
-  if (pinned_pre_parent >= 0) pre_store_.unpin(pinned_pre_parent);
-  if (pinned_left_post != nullptr) unpin(pinned_left_post->node_id);
-  unpin(sib->node_id);
-  if (sdc_checks_) {
-    pre.checksum =
-        sdc::checksum_cla(ctx.parent_cla, length_ * dims_.block(), ctx.parent_scale, length_);
-    pre.checksummed = true;
-    pre.verified_pass = 0;  // trust is earned at consumption, not at compute
-  }
+  core_.end_preorder_newview(in);
 
   // Gradient of the edge (u, v): derivative sums of the preorder partial
   // against v's own postorder side, then the derivative core at toward's
@@ -837,9 +418,8 @@ void GeneralEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
   } else {
     // The node's own postorder CLA: reload or rebuild it like any other
     // tight-budget input (pinned until the contraction is done).
-    ready_child(v_slot, /*computed_in_plan=*/false);
-    verify_cla(v_slot);
-    sctx.right_cla = store_.values(node_cla(v).slot);
+    core_.ready_preorder_node(v_slot);
+    sctx.right_cla = core_.values(v);
   }
   sctx.dims = dims_;
   sctx.begin = 0;
@@ -850,8 +430,7 @@ void GeneralEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
   record_kernel(Kernel::kDerivSum, length_ * (right_tip ? 2 : 3), sum_timer.seconds());
   // The contraction is done with both CLAs; derivativeCore below reads only
   // the sum buffer.
-  if (!right_tip) unpin(v);
-  pre_store_.unpin(v);
+  core_.end_preorder_op(in);
 
   build_general_dtab(model_, toward->length, dtab_);
   GDerivCtx dctx;
@@ -864,33 +443,11 @@ void GeneralEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
   Timer core_timer;
   ops_.derivative_core(dctx);
   record_kernel(Kernel::kDerivCore, length_, core_timer.seconds());
-  if (sdc_checks_ && (!std::isfinite(dctx.out_first) || !std::isfinite(dctx.out_second))) {
-    report_corruption(-1, "sdc: non-finite all-branch gradient from general derivativeCore");
+  if (core_.sdc_checks() &&
+      (!std::isfinite(dctx.out_first) || !std::isfinite(dctx.out_second))) {
+    core_.report_corruption(-1, "sdc: non-finite all-branch gradient from general derivativeCore");
   }
   out.push_back({toward, toward->length, dctx.out_first, dctx.out_second});
-}
-
-void GeneralEngine::verify_preorder_cla(int node_id) {
-  if (!sdc_checks_) return;
-  PreorderCla& pre = pre_clas_[static_cast<std::size_t>(node_id)];
-  if (pre.verified_pass == sdc_pass_ || !pre.checksummed) return;
-  Timer timer;
-  // Callers pin the partial resident before asking for verification.
-  const std::uint64_t actual = sdc::checksum_cla(pre_store_.values(node_id), length_ * dims_.block(),
-                                                 pre_store_.scales(node_id), length_);
-  ++sdc_counters_.checks;
-  if (metrics_) {
-    obs::Registry& registry = obs::Registry::instance();
-    registry.add(sdc_ids_.checks, 1);
-    registry.observe(sdc_ids_.verify_ns, static_cast<std::int64_t>(timer.seconds() * 1e9));
-  }
-  if (actual != pre.checksum) {
-    // Preorder partials are transient (no committed copy to pinpoint), so
-    // heal with the full-sweep path.
-    report_corruption(-1, "sdc: general preorder partial checksum mismatch at node " +
-                              std::to_string(node_id));
-  }
-  pre.verified_pass = sdc_pass_;
 }
 
 }  // namespace miniphi::core

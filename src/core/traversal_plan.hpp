@@ -25,7 +25,7 @@
 //
 // Plans are pure descriptions: building one never touches CLA state, so
 // engines cache them per virtual root and revalidate with a cheap epoch
-// check (see LikelihoodEngine) instead of re-walking the tree.
+// check (PlanCache below) instead of re-walking the tree.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "src/obs/metrics.hpp"
-#include "src/obs/span_trace.hpp"
 #include "src/tree/tree.hpp"
 #include "src/util/error.hpp"
 #include "src/util/timer.hpp"
@@ -237,8 +236,8 @@ class TraversalPlanner {
   std::uint32_t stamp_ = 0;
 };
 
-/// Execution counters an engine keeps next to its plan cache (also published
-/// as obs metrics when the engine has metrics on).
+/// Execution counters of one plan cache (also published as obs metrics when
+/// the engine has metrics on).
 struct PlanCounters {
   std::int64_t builds = 0;        ///< plans built (or rebuilt) from the tree
   std::int64_t cache_hits = 0;    ///< traversals skipped: cached plan still satisfied
@@ -263,19 +262,29 @@ struct PlanMetricIds {
 /// like the plf.* kernel family).
 [[nodiscard]] PlanMetricIds register_plan_metrics();
 
-/// Shared plan cache + level-order executor for engines with one resident
-/// CLA per inner node (cat, general): no eviction can happen, so execution
-/// is a straight level sweep with per-level spans and metrics.  The dense
-/// engine implements the same protocol inline because its executor adds the
-/// tight-budget pin/recompute discipline on top.
+/// Per-branch plan cache plus the plan.* counters and metrics.  Every
+/// engine family owns one through its EngineCore, whose executors run the
+/// plans it hands out (level order on a full CLA budget, DFS order with the
+/// pin/evict discipline on a tight one).
 ///
-/// Epoch protocol: every CLA state change (newview, invalidation, model or
-/// rate change) must call note_cla_state_changed().  A cached plan whose
-/// built_epoch matches the current epoch is re-executable as-is; one whose
-/// satisfied_epoch matches means the goal CLAs are still exactly as the last
-/// execution left them and the traversal is skipped outright.
+/// Epoch protocol: every CLA state change (newview, invalidation, eviction,
+/// model or rate change) must call note_cla_state_changed().  A cached plan
+/// whose built_epoch matches the current epoch is re-executable as-is
+/// ("reuse"); one whose satisfied_epoch matches means the goal CLAs are
+/// still exactly as the last execution left them and the traversal is
+/// skipped outright ("cache hit").
 class PlanCache {
  public:
+  /// One cached plan: the canonical branch slot it was built for, the epoch
+  /// it was built against, and the epoch right after it last executed.
+  struct Entry {
+    tree::Slot* key = nullptr;
+    std::uint64_t built_epoch = 0;      ///< 0 = never built
+    std::uint64_t satisfied_epoch = 0;  ///< 0 = never executed
+    std::int64_t last_use = 0;
+    TraversalPlan plan;
+  };
+
   explicit PlanCache(int capacity = 8) : capacity_(capacity) {
     entries_.reserve(static_cast<std::size_t>(capacity));
   }
@@ -291,98 +300,9 @@ class PlanCache {
 
   [[nodiscard]] const PlanCounters& counters() const { return counters_; }
 
-  /// Makes the CLAs at (edge, edge->back) valid: satisfied-plan fast path,
-  /// else build-or-reuse the cached plan and run every op level by level
-  /// through `run_op(const PlfOp&)`.  Returns true when any op ran.
-  template <typename ValidFn, typename OpFn>
-  bool validate(tree::Slot* edge, ValidFn&& valid, OpFn&& run_op) {
-    Entry& entry = entry_for(edge);
-    if (entry.satisfied_epoch != 0 && entry.satisfied_epoch == epoch_) {
-      ++counters_.cache_hits;
-      if (metrics_) obs::Registry::instance().add(ids_.cache_hits, 1);
-      return false;
-    }
-    const TraversalPlan& plan = prepare(entry, valid);
-    if (!plan.empty()) {
-      obs::ScopedSpan span("plan:execute");
-      for (int level = 1; level <= plan.levels(); ++level) {
-        run_level(plan, level, run_op);
-      }
-      ++counters_.executed_plans;
-      if (metrics_) {
-        obs::Registry& registry = obs::Registry::instance();
-        registry.add(ids_.executed_plans, 1);
-        registry.observe(ids_.levels, plan.levels());
-      }
-    }
-    // Ops bump the epoch (they reorient CLAs), so satisfaction is recorded
-    // against the post-execution state.
-    entry.built_epoch = epoch_;
-    entry.satisfied_epoch = epoch_;
-    return !plan.empty();
-  }
-
-  /// Like validate(), but hands the whole prepared plan to `exec` instead of
-  /// sweeping it level by level — the seam for tight-budget executors that
-  /// must run ops in DFS emission order with pin/evict bookkeeping (the
-  /// cache-entry, epoch, and metric protocol is identical).
-  template <typename ValidFn, typename ExecFn>
-  bool validate_with(tree::Slot* edge, ValidFn&& valid, ExecFn&& exec) {
-    Entry& entry = entry_for(edge);
-    if (entry.satisfied_epoch != 0 && entry.satisfied_epoch == epoch_) {
-      ++counters_.cache_hits;
-      if (metrics_) obs::Registry::instance().add(ids_.cache_hits, 1);
-      return false;
-    }
-    const TraversalPlan& plan = prepare(entry, valid);
-    if (!plan.empty()) {
-      obs::ScopedSpan span("plan:execute");
-      exec(plan);
-      ++counters_.executed_plans;
-      counters_.executed_ops += plan.op_count();
-      if (metrics_) {
-        obs::Registry& registry = obs::Registry::instance();
-        registry.add(ids_.executed_plans, 1);
-        registry.add(ids_.executed_ops, plan.op_count());
-        registry.observe(ids_.levels, plan.levels());
-      }
-    }
-    entry.built_epoch = epoch_;
-    entry.satisfied_epoch = epoch_;
-    return !plan.empty();
-  }
-
-  /// The planner, exposed so tight-budget executors can build nested
-  /// subplans (recomputing a dropped input) with the same scratch arrays.
-  [[nodiscard]] TraversalPlanner& planner() { return planner_; }
-
-  /// Runs one dependency level of `plan` through `run_op` (with the
-  /// per-level span and width/op metrics).
-  template <typename OpFn>
-  void run_level(const TraversalPlan& plan, int level, OpFn&& run_op) {
-    obs::ScopedSpan span("plan:level");
-    const auto level_ops = plan.level_ops(level);
-    if (metrics_) {
-      obs::Registry& registry = obs::Registry::instance();
-      registry.observe(ids_.level_width, static_cast<std::int64_t>(level_ops.size()));
-      registry.add(ids_.executed_ops, static_cast<std::int64_t>(level_ops.size()));
-    }
-    counters_.executed_ops += static_cast<std::int64_t>(level_ops.size());
-    for (const std::int32_t op : level_ops) {
-      run_op(plan.ops()[static_cast<std::size_t>(op)]);
-    }
-  }
-
- private:
-  struct Entry {
-    tree::Slot* key = nullptr;
-    std::uint64_t built_epoch = 0;      ///< 0 = never built
-    std::uint64_t satisfied_epoch = 0;  ///< 0 = never executed
-    std::int64_t last_use = 0;
-    TraversalPlan plan;
-  };
-
-  /// Cache slot for the branch (both directions share one entry; small LRU).
+  /// Cache slot for the branch: both directions share one entry, keyed on
+  /// the smaller slot index (small LRU over a fixed set; SPR candidate scans
+  /// cycle through nearby branches, deeper history does not pay).
   Entry& entry_for(tree::Slot* edge) {
     tree::Slot* key = (edge->back->slot_index < edge->slot_index) ? edge->back : edge;
     Entry* found = nullptr;
@@ -408,10 +328,24 @@ class PlanCache {
     return *found;
   }
 
-  /// Builds the entry's plan unless it already matches the current epoch.
+  /// Whether the entry's goal CLAs are untouched since its last execution.
+  [[nodiscard]] bool satisfied(const Entry& entry) const {
+    return entry.satisfied_epoch != 0 && entry.satisfied_epoch == epoch_;
+  }
+
+  /// Records that the entry's traversal ran, at the post-execution epoch.
+  void mark_satisfied(Entry& entry) {
+    entry.built_epoch = epoch_;
+    entry.satisfied_epoch = epoch_;
+  }
+
+  /// The entry's plan, rebuilt from the tree unless it matches the current
+  /// epoch.  `valid(slot)` is the owner's CLA validity test.
   template <typename ValidFn>
   const TraversalPlan& prepare(Entry& entry, ValidFn&& valid) {
     if (entry.built_epoch == epoch_) {
+      // The tree and CLA validity have not changed since this plan was
+      // built: the op list is still exact.
       ++counters_.reuses;
       if (metrics_) obs::Registry::instance().add(ids_.reuses, 1);
       return entry.plan;
@@ -430,6 +364,40 @@ class PlanCache {
     return entry.plan;
   }
 
+  /// Builds an uncached plan toward one goal (a tight-budget executor
+  /// recomputing a dropped input) with the same planner scratch.
+  template <typename ValidFn>
+  void build_subplan(tree::Slot* goal, ValidFn&& valid, TraversalPlan& out) {
+    tree::Slot* const goals[1] = {goal};
+    planner_.build(std::span<tree::Slot* const>(goals), valid, out);
+    ++counters_.builds;
+    if (metrics_) obs::Registry::instance().add(ids_.builds, 1);
+  }
+
+  void count_cache_hit() {
+    ++counters_.cache_hits;
+    if (metrics_) obs::Registry::instance().add(ids_.cache_hits, 1);
+  }
+
+  void count_executed_op() {
+    ++counters_.executed_ops;
+    if (metrics_) obs::Registry::instance().add(ids_.executed_ops, 1);
+  }
+
+  void count_executed_plan(const TraversalPlan& plan) {
+    ++counters_.executed_plans;
+    if (metrics_) {
+      obs::Registry& registry = obs::Registry::instance();
+      registry.add(ids_.executed_plans, 1);
+      registry.observe(ids_.levels, plan.levels());
+    }
+  }
+
+  void observe_level_width(std::int64_t width) {
+    if (metrics_) obs::Registry::instance().observe(ids_.level_width, width);
+  }
+
+ private:
   int capacity_;
   TraversalPlanner planner_;
   std::vector<Entry> entries_;

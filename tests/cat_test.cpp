@@ -9,6 +9,7 @@
 #include "src/simulate/simulate.hpp"
 #include "src/tree/parsimony.hpp"
 #include "src/tree/splits.hpp"
+#include "src/util/cancellation.hpp"
 #include "src/util/error.hpp"
 #include "tests/testutil.hpp"
 
@@ -210,6 +211,31 @@ TEST(CatEngine, RejectsBadCategories) {
                                      std::vector<std::uint8_t>(
                                          instance.patterns.pattern_count(), 3)),
                Error);
+}
+
+TEST(CatEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
+  // EngineConfig::cancel holds for every family: at the minimum working set
+  // with spill on, a token tripped mid-traversal unwinds log_likelihood with
+  // CancelledError, every pin is dropped on the way out, and the engine's
+  // next (uncancelled) call matches a fresh engine bit for bit.
+  auto instance = make_instance(12, 140, 4, 43);
+  CancelToken token;
+  token.arm_trip_after(3);
+  CatEngine::Config config;
+  config.cla_buffers = 3;
+  config.cla_spill = true;
+  config.cancel = &token;
+  CatEngine engine(instance.patterns, instance.model, *instance.tree, 4, config);
+  tree::Slot* edge = instance.tree->tip(0);
+  EXPECT_THROW((void)engine.log_likelihood(edge), CancelledError);
+  const memory::ClaStore& store = engine.cla_store();
+  for (int slot = 0; slot < store.slot_count(); ++slot) {
+    EXPECT_EQ(store.pin_count(slot), 0) << "slot " << slot;
+  }
+
+  token.reset();
+  CatEngine fresh(instance.patterns, instance.model, *instance.tree, 4);
+  EXPECT_EQ(engine.log_likelihood(edge), fresh.log_likelihood(edge));
 }
 
 TEST(CatEngine, SiteRateOptimizationFitsHeterogeneousData) {

@@ -17,6 +17,7 @@
 #include "src/simulate/simulate.hpp"
 #include "src/tree/parsimony.hpp"
 #include "src/tree/splits.hpp"
+#include "src/util/cancellation.hpp"
 #include "src/util/error.hpp"
 #include "tests/testutil.hpp"
 
@@ -533,6 +534,33 @@ TEST(GeneralEngine, RejectsGeometryErrors) {
   auto bad_masks = bio::aa_code_masks();
   bad_masks[0] = 1u << 25;
   EXPECT_THROW(GeneralEngine(patterns, model, tree, bad_masks), Error);
+}
+
+TEST(GeneralEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
+  // EngineConfig::cancel holds for every family: at the minimum working set
+  // with spill on, a token tripped mid-traversal unwinds log_likelihood with
+  // CancelledError, every pin is dropped on the way out, and the engine's
+  // next (uncancelled) call matches a fresh engine bit for bit.
+  Rng rng(44);
+  const auto patterns = random_protein_patterns(12, 60, rng);
+  const auto model = random_general_model(20, rng);
+  tree::Tree tree = tree::Tree::random(12, rng);
+  CancelToken token;
+  token.arm_trip_after(3);
+  GeneralEngine::Config config;
+  config.cla_buffers = 3;
+  config.cla_spill = true;
+  config.cancel = &token;
+  GeneralEngine engine(patterns, model, tree, bio::aa_code_masks(), config);
+  EXPECT_THROW((void)engine.log_likelihood(tree.tip(0)), CancelledError);
+  const memory::ClaStore& store = engine.cla_store();
+  for (int slot = 0; slot < store.slot_count(); ++slot) {
+    EXPECT_EQ(store.pin_count(slot), 0) << "slot " << slot;
+  }
+
+  token.reset();
+  GeneralEngine fresh(patterns, model, tree, bio::aa_code_masks());
+  EXPECT_EQ(engine.log_likelihood(tree.tip(0)), fresh.log_likelihood(tree.tip(0)));
 }
 
 TEST(GeneralSimulator, ProteinCompositionMatchesFrequencies) {

@@ -1,7 +1,8 @@
 // Tests for the flat traversal-plan layer (src/core/traversal_plan): planner
 // invariants, iterative planning on pathologically deep trees, the dense
-// engine's external plan protocol, and epoch-based plan caching under
-// randomized topology and branch-length changes.
+// engine's external plan protocol, epoch-based plan caching under
+// randomized topology and branch-length changes, and plan/store-count
+// parity across the engine families that share one orchestration core.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +10,10 @@
 #include <span>
 #include <vector>
 
+#include "src/bio/aa.hpp"
 #include "src/core/cat/cat_engine.hpp"
 #include "src/core/engine.hpp"
+#include "src/core/general/general_engine.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/tree/moves.hpp"
 #include "tests/testutil.hpp"
@@ -340,6 +343,75 @@ TEST(PlanCache, CatEngineSharesTheCachingProtocol) {
   const double third = engine.log_likelihood(tree.tip(0));
   EXPECT_EQ(first, third);
   EXPECT_EQ(engine.plan_counters().builds, 2);
+}
+
+/// Plan-cache and CLA-store counters after one fixed call sequence.
+struct FamilyCounts {
+  PlanCounters plan;
+  memory::ClaStoreCounters store;
+};
+
+template <typename Engine>
+FamilyCounts run_family_sequence(Engine& engine, tree::Tree& tree) {
+  for (const int edge : {0, 4, 4, 9, 4, 2}) {
+    (void)engine.log_likelihood(tree.edges()[static_cast<std::size_t>(edge)]);
+  }
+  engine.prepare_derivatives(tree.edges()[6]);
+  std::vector<BranchGradient> gradients;
+  EXPECT_TRUE(engine.gradient_all_branches(tree.tip(0), gradients));
+  (void)engine.log_likelihood(tree.tip(3));
+  return {engine.plan_counters(), engine.cla_store().counters()};
+}
+
+void expect_same_counts(const FamilyCounts& expected, const FamilyCounts& actual,
+                        const char* family, int budget) {
+  SCOPED_TRACE(::testing::Message() << family << " at cla_buffers " << budget);
+  EXPECT_EQ(actual.plan.builds, expected.plan.builds);
+  EXPECT_EQ(actual.plan.cache_hits, expected.plan.cache_hits);
+  EXPECT_EQ(actual.plan.reuses, expected.plan.reuses);
+  EXPECT_EQ(actual.plan.executed_ops, expected.plan.executed_ops);
+  EXPECT_EQ(actual.plan.executed_plans, expected.plan.executed_plans);
+  EXPECT_EQ(actual.store.evictions, expected.store.evictions);
+  EXPECT_EQ(actual.store.recomputes, expected.store.recomputes);
+}
+
+TEST(PlanCache, PlanAndStoreCountsMatchAcrossEngineFamilies) {
+  // Planning, execution order and eviction do not depend on the engine
+  // family — only the kernels do.  The same DNA tree and call sequence must
+  // therefore produce identical plan counters and CLA-store traffic on the
+  // dense, CAT and general engines, at the full budget and at the minimum
+  // working set (spill off, so every eviction drops and nested subplans
+  // recompute).
+  Rng rng(57);
+  const auto alignment = random_alignment(12, 90, rng);
+  const auto patterns = bio::compress_patterns(alignment);
+  const auto params = random_gtr_params(rng);
+  const model::GtrModel dna_model(params);
+  const model::GeneralModel general_model(
+      4, std::vector<double>(params.exchangeabilities.begin(), params.exchangeabilities.end()),
+      std::vector<double>(params.frequencies.begin(), params.frequencies.end()), params.alpha);
+  const tree::Tree base = tree::Tree::random(12, rng);
+
+  for (const int budget : {-1, 3}) {
+    EngineConfig config;
+    config.cla_buffers = budget;
+    tree::Tree dense_tree(base);
+    tree::Tree cat_tree(base);
+    tree::Tree general_tree(base);
+    LikelihoodEngine dense(patterns, dna_model, dense_tree, config);
+    CatEngine cat(patterns, dna_model, cat_tree, 4, config);
+    GeneralEngine general(patterns, general_model, general_tree, bio::dna_code_masks(), config);
+
+    const FamilyCounts expected = run_family_sequence(dense, dense_tree);
+    EXPECT_GT(expected.plan.builds, 0);
+    EXPECT_GT(expected.plan.cache_hits, 0);
+    if (budget > 0) {
+      EXPECT_GT(expected.store.evictions, 0);
+      EXPECT_GT(expected.store.recomputes, 0);
+    }
+    expect_same_counts(expected, run_family_sequence(cat, cat_tree), "cat", budget);
+    expect_same_counts(expected, run_family_sequence(general, general_tree), "general", budget);
+  }
 }
 
 }  // namespace
