@@ -177,6 +177,7 @@ int main() {
       tree::Tree tree(base_tree);
       core::LikelihoodEngine::Config config;
       config.metrics = mode;
+      config.site_repeats = false;  // the paper's per-site kernels
       core::LikelihoodEngine engine(patterns, model::GtrModel(model::GtrParams::jc69(0.8)),
                                     tree, config);
       const Timer timer;
@@ -226,6 +227,7 @@ int main() {
       tree::Tree tree(base_tree);
       core::LikelihoodEngine::Config config;
       config.sdc_checks = sdc_checks;
+      config.site_repeats = false;  // the paper's per-site kernels
       core::LikelihoodEngine engine(patterns, model::GtrModel(model::GtrParams::jc69(0.8)),
                                     tree, config);
       const Timer timer;

@@ -79,7 +79,11 @@ cmake -B "${build}" -S "${root}" \
 # paths (nested-subplan recompute, cancellation unwinds) for every engine
 # family, where a stale pin or a read of an evicted buffer hides from plain
 # tests.
-targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test core_kernels_test traversal_plan_test cat_test general_test core_engine_test)
+# search_test and bootstrap_test ride along: with site repeats on by default
+# they drive whole SPR searches through the per-slot class maps (memo
+# rebuilds after every regraft, identity slots gathering from compressed
+# children), the widest workout the gather paths get.
+targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test core_kernels_test traversal_plan_test cat_test general_test core_engine_test search_test bootstrap_test)
 cmake --build "${build}" -j "$(nproc)" --target "${targets[@]}"
 
 status=0

@@ -54,9 +54,19 @@ LikelihoodEngine::LikelihoodEngine(const bio::PatternSet& patterns,
   if (site_repeats_) {
     MINIPHI_CHECK(length_ <= std::numeric_limits<std::uint32_t>::max(),
                   "engine: site_repeats needs 32-bit class ids; slice too wide");
-    repeats_.resize(static_cast<std::size_t>(tree.inner_count()));
+    repeats_.resize(3 * static_cast<std::size_t>(tree.inner_count()));
+    max_classes_ = static_cast<std::int64_t>(kIdentityFraction * static_cast<double>(length_));
+    // A build stops at max_classes_ + 1 classes, so the table never runs
+    // above half full.
     repeat_table_.resize(
-        std::max<std::size_t>(16, next_pow2(2 * static_cast<std::size_t>(length_))));
+        std::max<std::size_t>(16, next_pow2(2 * static_cast<std::size_t>(max_classes_ + 1))));
+    build_first_.resize(static_cast<std::size_t>(max_classes_ + 1));
+    class_left_.resize(static_cast<std::size_t>(max_classes_ + 1));
+    class_right_.resize(static_cast<std::size_t>(max_classes_ + 1));
+    identity_gather_.resize(static_cast<std::size_t>(length_));
+    for (std::int64_t s = 0; s < length_; ++s) {
+      identity_gather_[static_cast<std::size_t>(s)] = static_cast<std::uint32_t>(s);
+    }
   }
 
   ptable_left_.resize(kPtableSize);
@@ -79,8 +89,8 @@ void LikelihoodEngine::set_model(const model::GtrModel& model) {
   model_ = model;
   tipvec16_ = build_tipvec16(model_);
   wtable_ = build_wtable(model_);
-  // Model changes invalidate CLA *values* only: repeat classes are a pure
-  // function of topology and tip states, so α/GTR optimization reuses them.
+  // Repeat classes are a pure function of topology and tip states, so
+  // α/GTR optimization recomputes only the unique classes.
   core_.invalidate_all();  // spilled copies are stale too
   sum_prepared_ = false;
 }
@@ -94,27 +104,11 @@ void LikelihoodEngine::set_alpha(double alpha) {
 void LikelihoodEngine::invalidate_node(int node_id) {
   if (node_id < tree_.taxon_count()) return;  // tips have no CLA
   core_.invalidate_node(node_id);
-  // Callers announce topology changes through this entry point, so the
-  // node's subtree composition may have changed: drop its repeat classes.
-  // Ancestors rebuild automatically — their next newview sees this node's
-  // bumped version stamp, exactly like the CLA partial-traversal recompute.
-  if (site_repeats_) {
-    repeats_[static_cast<std::size_t>(node_id - tree_.taxon_count())].orientation = -1;
-  }
   sum_prepared_ = false;
 }
-
-void LikelihoodEngine::invalidate_values(int node_id) {
-  if (node_id < tree_.taxon_count()) return;
-  core_.invalidate_node(node_id);
-  sum_prepared_ = false;
-}
-
-void LikelihoodEngine::invalidate_branch(int node_id) { invalidate_values(node_id); }
 
 void LikelihoodEngine::invalidate_all() {
   core_.invalidate_all();
-  for (auto& rep : repeats_) rep.orientation = -1;
   sum_prepared_ = false;
 }
 
@@ -147,45 +141,45 @@ ChildInput LikelihoodEngine::make_child_input(tree::Slot* child, std::span<doubl
 std::uint64_t LikelihoodEngine::repeat_signature(const tree::Slot* child) const {
   if (child->is_tip()) {
     // Tip data never changes: a constant per-taxon tag (high bit keeps tip
-    // tags disjoint from the monotonically increasing inner versions).
+    // tags disjoint from the inner versions and the identity signature).
     return 0x8000000000000000ULL | static_cast<std::uint64_t>(child->node_id);
   }
-  const auto& rep = repeats_[static_cast<std::size_t>(child->node_id - tree_.taxon_count())];
-  MINIPHI_ASSERT(rep.orientation == child->slot_index);
-  return rep.version;
+  const SlotRepeats& rep = repeats_of(child);
+  MINIPHI_ASSERT(rep.unique > 0);  // a valid child CLA was built through its record
+  return rep.signature;
 }
 
-std::int64_t LikelihoodEngine::ensure_repeat_classes(tree::Slot* slot) {
-  NodeRepeats& rep = repeats_[static_cast<std::size_t>(slot->node_id - tree_.taxon_count())];
+const LikelihoodEngine::SlotRepeats& LikelihoodEngine::ensure_repeat_classes(tree::Slot* slot) {
+  SlotRepeats& rep = repeats_of(slot);
   tree::Slot* left = slot->child1();
   tree::Slot* right = slot->child2();
   const std::uint64_t lsig = repeat_signature(left);
   const std::uint64_t rsig = repeat_signature(right);
-  if (rep.orientation == slot->slot_index && rep.left_seen == lsig && rep.right_seen == rsig) {
-    return rep.unique;  // branch-length and model changes land here: full reuse
+  if (rep.unique > 0 && rep.left_seen == lsig && rep.right_seen == rsig) {
+    return rep;  // nothing changed below this slot: full reuse
   }
+  ++repeat_map_builds_;
+  rep.left_seen = lsig;
+  rep.right_seen = rsig;
+  const auto become_identity = [&]() -> const SlotRepeats& {
+    rep.unique = length_;
+    rep.signature = kIdentitySignature;
+    std::vector<std::uint32_t>().swap(rep.class_of_site);
+    std::vector<std::uint32_t>().swap(rep.first_site);
+    return rep;
+  };
+  if (lsig == kIdentitySignature || rsig == kIdentitySignature) return become_identity();
 
   // A site's class is the deduplicated pair (left class, right class), with
   // tip codes standing in for tip children — the LvD subtree-pattern
-  // identity.  Children's maps are current: newview runs bottom-up, and a
-  // valid child CLA implies a current child map (invalidate_values keeps
-  // maps, invalidate_node drops CLA and map together).
+  // identity.  Children's records are current: newview runs bottom-up and
+  // checks each record on use.
   const bio::DnaCode* left_codes = nullptr;
   const std::uint32_t* left_map = nullptr;
-  if (left->is_tip()) {
-    left_codes = patterns_.tip_rows[static_cast<std::size_t>(left->node_id)].data() + offset_;
-  } else {
-    left_map = repeats_[static_cast<std::size_t>(left->node_id - tree_.taxon_count())]
-                   .class_of_site.data();
-  }
   const bio::DnaCode* right_codes = nullptr;
   const std::uint32_t* right_map = nullptr;
-  if (right->is_tip()) {
-    right_codes = patterns_.tip_rows[static_cast<std::size_t>(right->node_id)].data() + offset_;
-  } else {
-    right_map = repeats_[static_cast<std::size_t>(right->node_id - tree_.taxon_count())]
-                    .class_of_site.data();
-  }
+  child_classes(left, left_codes, left_map);
+  child_classes(right, right_codes, right_map);
 
   // Open-addressing dedup with epoch stamps: one epoch per build, so the
   // table is never cleared on the hot path.  On the (astronomically rare)
@@ -194,9 +188,9 @@ std::int64_t LikelihoodEngine::ensure_repeat_classes(tree::Slot* slot) {
     for (auto& entry : repeat_table_) entry.epoch = 0;
     repeat_epoch_ = 1;
   }
-  rep.class_of_site.resize(static_cast<std::size_t>(length_));
-  rep.left_index.clear();
-  rep.right_index.clear();
+  build_classes_.resize(static_cast<std::size_t>(length_));
+  std::uint32_t* classes = build_classes_.data();
+  const auto max_classes = static_cast<std::uint32_t>(max_classes_);
   const std::size_t mask = repeat_table_.size() - 1;
   std::uint32_t unique = 0;
   for (std::int64_t s = 0; s < length_; ++s) {
@@ -210,35 +204,82 @@ std::int64_t LikelihoodEngine::ensure_repeat_classes(tree::Slot* slot) {
     for (;;) {
       RepeatHashEntry& entry = repeat_table_[probe];
       if (entry.epoch != repeat_epoch_) {
+        // Past the cutoff: stop hashing, the slot runs site-indexed.
+        if (unique == max_classes) return become_identity();
         entry.key = key;
         entry.cls = unique;
         entry.epoch = repeat_epoch_;
-        rep.left_index.push_back(lc);
-        rep.right_index.push_back(rc);
-        rep.class_of_site[static_cast<std::size_t>(s)] = unique;
+        build_first_[unique] = static_cast<std::uint32_t>(s);
+        classes[s] = unique;
         ++unique;  // class ids in first-appearance order: deterministic
         break;
       }
       if (entry.key == key) {
-        rep.class_of_site[static_cast<std::size_t>(s)] = entry.cls;
+        classes[s] = entry.cls;
         break;
       }
       probe = (probe + 1) & mask;
     }
   }
+  rep.class_of_site.swap(build_classes_);
+  rep.first_site.assign(build_first_.begin(), build_first_.begin() + unique);
   rep.unique = unique;
-  rep.orientation = slot->slot_index;
-  rep.left_seen = lsig;
-  rep.right_seen = rsig;
-  rep.version = ++repeat_version_counter_;  // parents must rebuild against us
-  return rep.unique;
+  rep.signature = ++repeat_version_counter_;  // parents must rebuild against us
+  return rep;
+}
+
+void LikelihoodEngine::child_classes(const tree::Slot* child, const bio::DnaCode*& codes,
+                                     const std::uint32_t*& map) const {
+  if (child->is_tip()) {
+    codes = patterns_.tip_rows[static_cast<std::size_t>(child->node_id)].data() + offset_;
+  } else {
+    map = repeats_of(child).class_of_site.data();
+  }
+}
+
+void LikelihoodEngine::fill_class_children(tree::Slot* slot, const SlotRepeats& rep) {
+  // A class's child indices are the children's classes at any one of its
+  // sites: O(classes), cheaper than keeping two more arrays per slot.
+  const auto fill = [&](const tree::Slot* child, std::vector<std::uint32_t>& out) {
+    const bio::DnaCode* codes = nullptr;
+    const std::uint32_t* map = nullptr;
+    child_classes(child, codes, map);
+    const std::uint32_t* first = rep.first_site.data();
+    for (std::int64_t c = 0; c < rep.unique; ++c) {
+      const std::uint32_t s = first[c];
+      out[static_cast<std::size_t>(c)] =
+          codes != nullptr ? static_cast<std::uint32_t>(codes[s]) : map[s];
+    }
+  };
+  fill(slot->child1(), class_left_);
+  fill(slot->child2(), class_right_);
+}
+
+const std::uint32_t* LikelihoodEngine::site_gather(const tree::Slot* slot,
+                                                   std::vector<std::uint32_t>& scratch) {
+  if (slot->is_tip()) {
+    // newview_repeats reads tip codes through the gather field.
+    const bio::DnaCode* codes =
+        patterns_.tip_rows[static_cast<std::size_t>(slot->node_id)].data() + offset_;
+    scratch.resize(static_cast<std::size_t>(length_));
+    for (std::int64_t s = 0; s < length_; ++s) {
+      scratch[static_cast<std::size_t>(s)] = static_cast<std::uint32_t>(codes[s]);
+    }
+    return scratch.data();
+  }
+  const SlotRepeats& rep = repeats_of(slot);
+  return rep.identity() ? identity_gather_.data() : rep.class_of_site.data();
 }
 
 std::int64_t LikelihoodEngine::node_unique_classes(int node_id) const {
   if (!site_repeats_) return length_;
   if (node_id < tree_.taxon_count()) return 0;
-  const auto& rep = repeats_[static_cast<std::size_t>(node_id - tree_.taxon_count())];
-  return (rep.orientation >= 0) ? rep.unique : 0;
+  const int inner = node_id - tree_.taxon_count();
+  for (int k = 0; k < 3; ++k) {
+    const tree::Slot* slot = tree_.inner_slot(inner, k);
+    if (core_.slot_valid(slot)) return repeats_of(slot).unique;
+  }
+  return 0;
 }
 
 double LikelihoodEngine::unique_site_ratio() const {
@@ -246,7 +287,7 @@ double LikelihoodEngine::unique_site_ratio() const {
   std::int64_t total = 0;
   std::int64_t built = 0;
   for (const auto& rep : repeats_) {
-    if (rep.orientation < 0) continue;
+    if (rep.unique == 0) continue;
     total += rep.unique;
     ++built;
   }
@@ -260,41 +301,57 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
   MINIPHI_ASSERT(slot->child1()->is_tip() || core_.slot_valid(slot->child1()));
   MINIPHI_ASSERT(slot->child2()->is_tip() || core_.slot_valid(slot->child2()));
 
+  // On a compressed slot newview iterates parent *classes*, not sites: the
+  // children are fetched through the per-class gather maps and the parent
+  // CLA holds one block per unique class.  An identity slot iterates sites,
+  // gathering only from compressed children; with none it is the dense
+  // path.
+  tree::Slot* left = slot->child1();
+  tree::Slot* right = slot->child2();
+  std::int64_t work = length_;
+  const std::uint32_t* left_gather = nullptr;
+  const std::uint32_t* right_gather = nullptr;
+  if (site_repeats_) {
+    const SlotRepeats& rep = ensure_repeat_classes(slot);
+    if (!rep.identity()) {
+      work = rep.unique;
+      fill_class_children(slot, rep);
+      left_gather = class_left_.data();
+      right_gather = class_right_.data();
+    } else if (compressed(left) || compressed(right)) {
+      left_gather = site_gather(left, code_gather_left_);
+      right_gather = site_gather(right, code_gather_right_);
+    }
+  }
+  const bool gather = left_gather != nullptr;
+
   NewviewCtx ctx;
   core_.acquire(slot->node_id);
   ctx.parent_cla = core_.values(slot->node_id);
   ctx.parent_scale = core_.scales(slot->node_id);
   // Dense serial path: input verification runs chunk by chunk inside the
   // kernel loop below instead of as a separate cold sweep, so defer the
-  // make_child_input verification.  The repeat path reads its children
-  // through class gathers (not in chunk order) and verifies them up front.
+  // make_child_input verification.  A gather reads its children out of
+  // chunk order, so it verifies them up front.
   const bool sdc_checks = core_.sdc_checks();
-  const bool chunk_verify = sdc_checks && !site_repeats_ && !use_openmp_;
-  ctx.left = make_child_input(slot->child1(), ptable_left_, ump_left_, slot->next->length,
+  const bool chunk_verify = sdc_checks && !gather && !use_openmp_;
+  ctx.left = make_child_input(left, ptable_left_, ump_left_, slot->next->length,
                               /*verify=*/!chunk_verify);
-  ctx.right = make_child_input(slot->child2(), ptable_right_, ump_right_,
-                               slot->next->next->length, /*verify=*/!chunk_verify);
+  ctx.right = make_child_input(right, ptable_right_, ump_right_, slot->next->next->length,
+                               /*verify=*/!chunk_verify);
+  ctx.left.gather = left_gather;
+  ctx.right.gather = right_gather;
   ctx.wtable = wtable_.data();
-  // On the repeat path newview iterates parent *classes*, not sites: the
-  // children are fetched through the per-class gather maps and the parent
-  // CLA holds one block per unique class.
-  std::int64_t work = length_;
-  if (site_repeats_) {
-    work = ensure_repeat_classes(slot);
-    NodeRepeats& rep = repeats_[static_cast<std::size_t>(slot->node_id - tree_.taxon_count())];
-    ctx.left.gather = rep.left_index.data();
-    ctx.right.gather = rep.right_index.data();
-  }
   ctx.begin = 0;
   ctx.end = work;
   ctx.tuning = tuning_;
 
-  void (*newview_fn)(NewviewCtx&) = site_repeats_ ? ops_.newview_repeats : ops_.newview;
+  void (*newview_fn)(NewviewCtx&) = gather ? ops_.newview_repeats : ops_.newview;
   sdc::ClaChecksum parent_ck;
   sdc::ClaChecksum left_ck;
   sdc::ClaChecksum right_ck;
-  const bool check_left = chunk_verify && core_.wants_deferred_verify(slot->child1());
-  const bool check_right = chunk_verify && core_.wants_deferred_verify(slot->child2());
+  const bool check_left = chunk_verify && core_.wants_deferred_verify(left);
+  const bool check_right = chunk_verify && core_.wants_deferred_verify(right);
   // The buffer is overwritten incrementally: if a deferred verification
   // unwinds below, the old contents are gone, so the node must not keep
   // advertising its previous commit as valid.
@@ -318,7 +375,7 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
     if (sdc_checks) ops_.cla_checksum(parent_ck, ctx.parent_cla, ctx.parent_scale, 0, work);
   } else {
     // The one serial execution path (DESIGN.md §10): kSdcChunkSites-block
-    // chunks over sites, or over parent classes on the repeat path.  The
+    // chunks over sites, or over parent classes on a compressed slot.  The
     // optional prologue folds each not-yet-trusted child chunk an instant
     // before the kernel pulls the same cache lines (the sweep doubles as a
     // prefetch); the optional epilogue folds the parent chunk while its
@@ -378,14 +435,13 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
     obs::Registry::instance().add(metric_ids_.scaling_events, fresh);
   }
   if (trace_ != nullptr) {
-    trace_->record(TraceKernel::kNewview, slot->child1()->is_tip(), slot->child2()->is_tip(),
-                   work, length_);
+    trace_->record(TraceKernel::kNewview, left->is_tip(), right->is_tip(), work, length_);
   }
 
   // Deferred input verification: a mismatch must unwind before the parent
   // is committed, so a heal retry recomputes both nodes.
-  if (check_left) core_.finish_deferred_verify(slot->child1(), left_ck);
-  if (check_right) core_.finish_deferred_verify(slot->child2(), right_ck);
+  if (check_left) core_.finish_deferred_verify(left, left_ck);
+  if (check_right) core_.finish_deferred_verify(right, right_ck);
 
   core_.commit_cla(slot, work, &parent_ck);
   sum_prepared_ = false;
@@ -418,22 +474,14 @@ double LikelihoodEngine::run_evaluate(tree::Slot* edge) {
   ctx.weights = patterns_.weights.data() + offset_;
   ctx.begin = 0;
   ctx.end = length_;
-  // Repeat path: the endpoint CLAs are class-compressed, so the per-site
-  // loop fetches each block through the node's site → class map.
-  if (site_repeats_) {
-    const NodeRepeats& prep =
-        repeats_[static_cast<std::size_t>(p->node_id - tree_.taxon_count())];
-    MINIPHI_ASSERT(prep.orientation == p->slot_index);
-    ctx.left_gather = prep.class_of_site.data();
-    if (!q->is_tip()) {
-      const NodeRepeats& qrep =
-          repeats_[static_cast<std::size_t>(q->node_id - tree_.taxon_count())];
-      MINIPHI_ASSERT(qrep.orientation == q->slot_index);
-      ctx.right_gather = qrep.class_of_site.data();
-    }
+  // A class-compressed endpoint is read through its site → class map (the
+  // other inner endpoint through its map or the identity gather).
+  const bool gather = compressed(p) || compressed(q);
+  if (gather) {
+    ctx.left_gather = site_gather(p, code_gather_left_);
+    if (!q->is_tip()) ctx.right_gather = site_gather(q, code_gather_right_);
   }
-  double (*evaluate_fn)(const EvaluateCtx&) =
-      site_repeats_ ? ops_.evaluate_gather : ops_.evaluate;
+  double (*evaluate_fn)(const EvaluateCtx&) = gather ? ops_.evaluate_gather : ops_.evaluate;
 
   auto& stat = stats_.kernel(Kernel::kEvaluate);
   Timer timer;
@@ -491,10 +539,13 @@ void LikelihoodEngine::run_prepare_derivatives(tree::Slot* edge) {
   core_.validate_edge(edge);
 
   SumCtx ctx;
-  // Same arrangement as run_newview: on the dense serial path untrusted
-  // endpoint CLAs verify chunk-interleaved with the kernel below instead of
-  // as up-front cold sweeps.
-  const bool chunk_verify = core_.sdc_checks() && !site_repeats_ && !use_openmp_;
+  // Same arrangement as run_newview: a class-compressed endpoint is read
+  // through its site → class map, and without one untrusted endpoint CLAs
+  // verify chunk-interleaved with the kernel below (serial path) instead
+  // of as up-front cold sweeps.  The sum buffer stays site-indexed, so
+  // derivativeCore is unchanged.
+  const bool gather = compressed(p) || compressed(q);
+  const bool chunk_verify = core_.sdc_checks() && !gather && !use_openmp_;
   core_.resident_input(p, !chunk_verify);  // both endpoints are pinned by validate_edge
   ctx.left_cla = core_.values(p->node_id);
   const std::int32_t* p_scale = core_.scales(p->node_id);
@@ -511,21 +562,11 @@ void LikelihoodEngine::run_prepare_derivatives(tree::Slot* edge) {
   ctx.begin = 0;
   ctx.end = length_;
   ctx.tuning = tuning_;
-  // Repeat path: gather the class-compressed CLA blocks per site.  The sum
-  // buffer itself stays site-indexed so derivativeCore is unchanged.
-  if (site_repeats_) {
-    const NodeRepeats& prep =
-        repeats_[static_cast<std::size_t>(p->node_id - tree_.taxon_count())];
-    MINIPHI_ASSERT(prep.orientation == p->slot_index);
-    ctx.left_gather = prep.class_of_site.data();
-    if (!q->is_tip()) {
-      const NodeRepeats& qrep =
-          repeats_[static_cast<std::size_t>(q->node_id - tree_.taxon_count())];
-      MINIPHI_ASSERT(qrep.orientation == q->slot_index);
-      ctx.right_gather = qrep.class_of_site.data();
-    }
+  if (gather) {
+    ctx.left_gather = site_gather(p, code_gather_left_);
+    if (!q->is_tip()) ctx.right_gather = site_gather(q, code_gather_right_);
   }
-  void (*sum_fn)(SumCtx&) = site_repeats_ ? ops_.derivative_sum_gather : ops_.derivative_sum;
+  void (*sum_fn)(SumCtx&) = gather ? ops_.derivative_sum_gather : ops_.derivative_sum;
 
   sdc::ClaChecksum p_sum;
   sdc::ClaChecksum q_sum;
@@ -706,9 +747,8 @@ double LikelihoodEngine::optimize_branch(tree::Slot* edge, int max_iterations) {
       if (!(lnl_final >= lnl0)) z = z0;
     }
     tree::Tree::set_length(edge, z);
-    // Branch-length-only change: CLA values are stale, repeat classes are not.
-    invalidate_branch(edge->node_id);
-    invalidate_branch(edge->back->node_id);
+    invalidate_node(edge->node_id);
+    invalidate_node(edge->back->node_id);
     return z;
   });
 }
@@ -735,12 +775,6 @@ void LikelihoodEngine::run_gradient_all_branches(tree::Slot* root_edge,
   out.clear();
   out.reserve(static_cast<std::size_t>(tree_.edge_count()));
   core_.ensure_preorder_tier();
-  if (site_repeats_ && identity_gather_.empty()) {
-    identity_gather_.resize(static_cast<std::size_t>(length_));
-    for (std::int64_t s = 0; s < length_; ++s) {
-      identity_gather_[static_cast<std::size_t>(s)] = static_cast<std::uint32_t>(s);
-    }
-  }
 
   // Root edge first: the classic two-endpoint protocol.  Its validate_edge
   // also orients every postorder CLA toward the root edge — exactly the
@@ -781,7 +815,6 @@ void LikelihoodEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& o
   // Left input: the context flowing down from above — the parent's preorder
   // partial across the parent's own parent edge, or (seed op) the opposite
   // root-edge endpoint across the root edge.
-  tree::Slot* left_inner_post = nullptr;  // inner postorder slot on the left, if any
   const bool left_dense = in.parent >= 0;  // left CLA is site-indexed (a preorder partial)
   if (left_dense) {
     build_ptable(model_, in.left_length, ptable_left_);
@@ -791,42 +824,19 @@ void LikelihoodEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& o
   } else {
     ctx.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length,
                                 /*verify=*/true);
-    if (!in.opposite->is_tip()) left_inner_post = in.opposite;
   }
   tree::Slot* sib = in.sibling;
   ctx.right = make_child_input(sib, ptable_right_, ump_right_, op.sibling->length,
                                /*verify=*/true);
 
   // Gathers are only needed when a class-compressed postorder CLA
-  // participates; preorder partials and tip code rows stay site-indexed.
-  const bool gather = site_repeats_ && (left_inner_post != nullptr || !sib->is_tip());
+  // participates; preorder partials, identity CLAs and tip code rows stay
+  // site-indexed.
+  const bool gather = (!left_dense && compressed(in.opposite)) || compressed(sib);
   if (gather) {
-    const auto class_map = [this](const tree::Slot* s) -> const std::uint32_t* {
-      const NodeRepeats& rep =
-          repeats_[static_cast<std::size_t>(s->node_id - tree_.taxon_count())];
-      MINIPHI_ASSERT(rep.orientation == s->slot_index);
-      return rep.class_of_site.data();
-    };
-    // newview_repeats reads tip codes through the gather field, so a
-    // site-indexed tip row must be widened to uint32 when the *other* side
-    // forces the gather path (only seed ops can hit this: cost O(sites),
-    // at most twice per descent).
-    const auto code_map = [this](const ChildInput& side,
-                                 std::vector<std::uint32_t>& scratch) -> const std::uint32_t* {
-      scratch.resize(static_cast<std::size_t>(length_));
-      for (std::int64_t s = 0; s < length_; ++s) {
-        scratch[static_cast<std::size_t>(s)] = static_cast<std::uint32_t>(side.codes[s]);
-      }
-      return scratch.data();
-    };
-    if (left_dense) {
-      ctx.left.gather = identity_gather_.data();
-    } else if (left_inner_post != nullptr) {
-      ctx.left.gather = class_map(left_inner_post);
-    } else {
-      ctx.left.gather = code_map(ctx.left, code_gather_left_);
-    }
-    ctx.right.gather = sib->is_tip() ? code_map(ctx.right, code_gather_right_) : class_map(sib);
+    ctx.left.gather =
+        left_dense ? identity_gather_.data() : site_gather(in.opposite, code_gather_left_);
+    ctx.right.gather = site_gather(sib, code_gather_right_);
   }
 
   void (*newview_fn)(NewviewCtx&) = gather ? ops_.newview_repeats : ops_.newview;
@@ -875,11 +885,9 @@ void LikelihoodEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& o
     // tight-budget input (pinned until the contraction is done).
     core_.ready_preorder_node(v_slot);
     sctx.right_cla = core_.values(v);
-    if (site_repeats_) {
-      const NodeRepeats& rep = repeats_[static_cast<std::size_t>(v - tree_.taxon_count())];
-      MINIPHI_ASSERT(rep.orientation == v_slot->slot_index);
+    if (compressed(v_slot)) {
       sctx.left_gather = identity_gather_.data();
-      sctx.right_gather = rep.class_of_site.data();
+      sctx.right_gather = repeats_of(v_slot).class_of_site.data();
       sum_fn = ops_.derivative_sum_gather;
     }
   }

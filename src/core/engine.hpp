@@ -94,11 +94,10 @@ class LikelihoodEngine final : public Evaluator, private EngineFamily {
   [[nodiscard]] double alpha() const override { return model_.params().alpha; }
 
   /// Marks one inner node's CLA stale.  Call for every node whose incident
-  /// branches or subtree composition changed.
+  /// branches or subtree composition changed.  Site-repeat class maps are
+  /// not state to invalidate (each is re-checked against its children on
+  /// use), so the inherited invalidate_branch() is the same call.
   void invalidate_node(int node_id) override;
-  /// Branch-length-only invalidation: drops the CLA values but keeps the
-  /// node's site-repeat classes (they depend only on topology + tip data).
-  void invalidate_branch(int node_id) override;
   void invalidate_all() override;
 
   /// Log-likelihood of this engine's slice with the virtual root on the
@@ -219,12 +218,18 @@ class LikelihoodEngine final : public Evaluator, private EngineFamily {
   [[nodiscard]] const PlanCounters& plan_counters() const { return core_.plan_counters(); }
 
   /// Unique repeat classes of one inner node's current CLA (slice size on
-  /// the dense path; 0 when the node's repeat map has not been built yet).
+  /// the dense path and for identity slots; 0 when the node holds no valid
+  /// CLA).
   [[nodiscard]] std::int64_t node_unique_classes(int node_id) const;
 
-  /// Mean unique-class fraction over all inner nodes with built repeat maps
-  /// (1.0 on the dense path) — the tentpole's headline instrumentation.
+  /// Mean unique-class fraction over all directed slots with a built class
+  /// record, identity slots counting 1.0 (1.0 on the dense path).
   [[nodiscard]] double unique_site_ratio() const;
+
+  /// Monotonic count of class-record (re)builds: one per slot whose
+  /// children's class structure changed since its last build, hashed or
+  /// marked identity (0 on the dense path).
+  [[nodiscard]] std::int64_t repeat_map_builds() const { return repeat_map_builds_; }
 
  private:
   // EngineFamily hooks (see engine_core.hpp).
@@ -279,25 +284,47 @@ class LikelihoodEngine final : public Evaluator, private EngineFamily {
 
   // --- Site-repeats machinery -------------------------------------------
   //
-  // Per inner node: a site → class map (two sites share a class iff their
-  // tip-state pattern inside the node's subtree is identical, the LvD
-  // subtree-pattern identity), the per-class child indices the repeat
-  // kernel consumes, and a version stamp.  A node's classes are the
-  // deduplicated pairs of its children's classes (tip codes for tips), so
-  // maps are built bottom-up exactly where newview runs.  They depend only
-  // on topology + tip data: invalidate_values() (branch lengths, model)
-  // keeps them, invalidate_node() (possible topology change) drops them,
-  // and parents notice rebuilt children through the version stamps.
-  struct NodeRepeats {
-    std::vector<std::uint32_t> class_of_site;  ///< [length_] site → class
-    std::vector<std::uint32_t> left_index;     ///< [unique] class → left block/code
-    std::vector<std::uint32_t> right_index;    ///< [unique] class → right block/code
-    std::int64_t unique = 0;
-    int orientation = -1;  ///< slot_index the classes point toward, -1 = invalid
-    std::uint64_t version = 0;     ///< identity of this build (for parents)
-    std::uint64_t left_seen = 0;   ///< child signatures at build time
+  // One class record per directed inner slot (indexed by slot_index - ntaxa,
+  // dense in [0, 3(n-2))): a site → class map for the subtree behind the
+  // slot (two sites share a class iff their tip-state pattern inside that
+  // subtree is identical, the LvD subtree-pattern identity) and each
+  // class's first site, from which newview derives the per-class child
+  // indices the repeat kernel consumes.  A slot's classes are the
+  // deduplicated pairs of its children's classes (tip codes for tips),
+  // built bottom-up where newview runs.  Records are a memo checked on
+  // use, never invalidated: each remembers the signatures its children
+  // had when it was built (a constant per-taxon tag for tips, a per-build
+  // version or the shared identity signature for inner slots) and rebuilds
+  // only when they differ.  Re-orienting a node therefore reuses that
+  // orientation's record, and branch-length, model and heal invalidations
+  // never touch them.
+  //
+  // Identity cutoff: a slot whose classes would exceed kIdentityFraction of
+  // the slice keeps no map and computes site-indexed like the dense path.
+  // Class counts only grow toward the root, so a slot with an identity
+  // child is identity without hashing.
+
+  /// Signature shared by every identity slot: a parent over an identity
+  /// child is identity whatever that child's subtree, so it need not
+  /// rebuild when one identity child is replaced by another.
+  static constexpr std::uint64_t kIdentitySignature = 0x4000000000000000ULL;
+
+  struct SlotRepeats {
+    std::vector<std::uint32_t> class_of_site;  ///< [length_] site → class; empty if identity
+    std::vector<std::uint32_t> first_site;     ///< [unique] class → its first site
+    std::int64_t unique = 0;        ///< computed blocks (length_ if identity); 0 = never built
+    std::uint64_t signature = 0;    ///< what parents see: build version or kIdentitySignature
+    std::uint64_t left_seen = 0;    ///< child signatures at build time
     std::uint64_t right_seen = 0;
+    [[nodiscard]] bool identity() const { return signature == kIdentitySignature; }
   };
+
+  /// Fraction of the slice above which a slot runs as identity.  Near it a
+  /// gathered class costs ~1.5× a dense site and hashing adds more, so
+  /// compression barely pays, while near-unique maps hold most of the map
+  /// bytes; search time measured flat from 0.5 to 0.9 and map memory grows
+  /// with the fraction (EXPERIMENTS.md).
+  static constexpr double kIdentityFraction = 0.7;
 
   struct RepeatHashEntry {
     std::uint64_t key = 0;
@@ -305,17 +332,36 @@ class LikelihoodEngine final : public Evaluator, private EngineFamily {
     std::uint32_t epoch = 0;
   };
 
-  /// Signature identifying a child's current class structure: stable for
-  /// tips, the map's build version for inner nodes.
+  [[nodiscard]] SlotRepeats& repeats_of(const tree::Slot* slot) {
+    return repeats_[static_cast<std::size_t>(slot->slot_index - tree_.taxon_count())];
+  }
+  [[nodiscard]] const SlotRepeats& repeats_of(const tree::Slot* slot) const {
+    return repeats_[static_cast<std::size_t>(slot->slot_index - tree_.taxon_count())];
+  }
+
+  /// Signature identifying a child's current class structure.
   [[nodiscard]] std::uint64_t repeat_signature(const tree::Slot* child) const;
 
-  /// (Re)builds the repeat classes for `slot` if its children's class
-  /// structure changed since the last build; returns the unique count.
-  std::int64_t ensure_repeat_classes(tree::Slot* slot);
+  /// (Re)builds the class record of `slot` if its children's signatures
+  /// changed since its last build.
+  const SlotRepeats& ensure_repeat_classes(tree::Slot* slot);
 
-  /// Marks one node's CLA values stale but keeps its repeat classes (used
-  /// for branch-length changes, which cannot alter subtree tip patterns).
-  void invalidate_values(int node_id);
+  /// Where `child`'s per-site classes live: its tip code row or its map.
+  void child_classes(const tree::Slot* child, const bio::DnaCode*& codes,
+                     const std::uint32_t*& map) const;
+
+  /// Fills class_left_/class_right_ with a compressed slot's per-class
+  /// child indices (block index or tip code) for newview_repeats.
+  void fill_class_children(tree::Slot* slot, const SlotRepeats& rep);
+
+  /// Whether `slot` is an inner slot whose CLA is class-compressed.
+  [[nodiscard]] bool compressed(const tree::Slot* slot) const {
+    return site_repeats_ && !slot->is_tip() && !repeats_of(slot).identity();
+  }
+
+  /// Per-site block index (or tip code) of `slot`'s postorder side: its
+  /// class map, identity_gather_, or the tip's codes widened into `scratch`.
+  const std::uint32_t* site_gather(const tree::Slot* slot, std::vector<std::uint32_t>& scratch);
 
   const bio::PatternSet& patterns_;
   model::GtrModel model_;
@@ -332,10 +378,19 @@ class LikelihoodEngine final : public Evaluator, private EngineFamily {
 
   // Site-repeats state (empty unless Config::site_repeats).
   bool site_repeats_ = false;
-  std::vector<NodeRepeats> repeats_;        ///< indexed by inner index (node_id - ntaxa)
+  std::vector<SlotRepeats> repeats_;           ///< indexed by slot_index - ntaxa
   std::vector<RepeatHashEntry> repeat_table_;  ///< open-addressing dedup table
+  std::vector<std::uint32_t> build_classes_;   ///< build scratch, swapped into the record
+  std::vector<std::uint32_t> build_first_;
+  std::vector<std::uint32_t> class_left_;      ///< per-class child indices of one newview
+  std::vector<std::uint32_t> class_right_;
+  std::int64_t max_classes_ = 0;               ///< identity above this many classes
   std::uint32_t repeat_epoch_ = 0;
   std::uint64_t repeat_version_counter_ = 0;
+  std::int64_t repeat_map_builds_ = 0;
+  std::vector<std::uint32_t> identity_gather_;    ///< 0..length_-1 (site-indexed side of a gather)
+  std::vector<std::uint32_t> code_gather_left_;   ///< tip codes widened for newview_repeats
+  std::vector<std::uint32_t> code_gather_right_;
 
   // Branch-independent tables.
   AlignedDoubles tipvec16_;
@@ -357,10 +412,6 @@ class LikelihoodEngine final : public Evaluator, private EngineFamily {
   // so the kernel path pays one branch + a few sharded adds.
   EngineMetricIds metric_ids_;
 
-  // Preorder-pass scratch (the partials themselves live in the core's tier).
-  std::vector<std::uint32_t> identity_gather_; ///< 0..length_-1 (dense side of a gather op)
-  std::vector<std::uint32_t> code_gather_left_;   ///< tip codes widened for newview_repeats
-  std::vector<std::uint32_t> code_gather_right_;
   EngineMetricIds pre_metric_ids_;  ///< "plf.<isa>.preorder.*" family
 
   // State of the prepared derivative buffer.

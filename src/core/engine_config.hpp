@@ -84,16 +84,19 @@ struct EngineConfig {
   /// (default) compiles the checks down to one branch per boundary.
   const CancelToken* cancel = nullptr;
   /// Site-repeats mode (LvD algorithm of Bryant/Scornavacca/Swofford;
-  /// BEAGLE 4.1's parallel back-ends do the same): each inner node keeps a
-  /// site → repeat-class map — two sites share a class iff they induce the
-  /// same tip-state pattern in the node's subtree — and newview computes
-  /// one CLA block per *unique class* instead of per site.  evaluate and
-  /// derivativeSum gather per-site values through the class maps.  Class
-  /// maps depend only on the topology and tip data, never on branch
-  /// lengths or the model, so branch-length optimization reuses them;
-  /// topology changes rebuild them through the same partial-traversal
-  /// machinery that recomputes CLAs.  Dense DNA engine only.
-  bool site_repeats = false;
+  /// BEAGLE 4.1's parallel back-ends do the same), on by default: each
+  /// directed inner slot keeps a site → repeat-class map — two sites share
+  /// a class iff they induce the same tip-state pattern in the slot's
+  /// subtree — and newview computes one CLA block per *unique class*
+  /// instead of per site; evaluate and derivativeSum gather per-site
+  /// values through the class maps.  Maps are a memo checked against the
+  /// children on use, so branch-length and model changes, invalidations
+  /// and re-rooting reuse them and a topology change rebuilds only the
+  /// slots whose subtree changed.  Slots with nearly one class per site
+  /// (above a fixed fraction, DESIGN.md §6) keep no map and run the dense
+  /// per-site kernels.  Likelihoods match the dense path's; false runs the
+  /// paper's per-site kernels everywhere.  Dense DNA engine only.
+  bool site_repeats = true;
 };
 
 }  // namespace miniphi::core

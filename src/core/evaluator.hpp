@@ -68,9 +68,10 @@ class Evaluator {
   virtual void invalidate_node(int node_id) = 0;
 
   /// Invalidate one inner node's CLA after a *branch-length-only* change.
-  /// Weaker than invalidate_node(): topology-derived caches (e.g. the
-  /// site-repeat class maps) may survive because the subtree's tip patterns
-  /// are unchanged.  Defaults to the conservative full invalidation.
+  /// An evaluator may keep more here than invalidate_node() does, because
+  /// the subtree's tip patterns are unchanged; defaults to the full
+  /// invalidation.  (The dense engine's site-repeat class maps are checked
+  /// on use and survive both calls, so there the two are the same.)
   virtual void invalidate_branch(int node_id) { invalidate_node(node_id); }
 
   /// Replace the Γ shape parameter everywhere (invalidates all CLAs).

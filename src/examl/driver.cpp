@@ -44,6 +44,9 @@ TracedRun run_traced_search(const bio::Alignment& alignment, const ExperimentOpt
   config.trace = &run.trace;
   config.metrics = options.metrics;
   config.sdc_checks = options.sdc_checks;
+  // The trace is priced by the platform model as the paper's per-site
+  // kernels (Fig. 3-5, Table III), so this search runs them dense.
+  config.site_repeats = false;
   const auto engine_ptr = core::make_evaluator(patterns, model, tree, config);
   core::Evaluator& engine = *engine_ptr;
 

@@ -17,8 +17,9 @@ namespace {
 /// Invalidates the CLAs of every node incident to a topology change.
 /// The incident-node lists routinely repeat ids (e.g. a pruned slot adjacent
 /// to its own reinsertion edge), so deduplicate before invalidating —
-/// engines may do non-idempotent bookkeeping per invalidation (the
-/// site-repeats path drops and rebuilds class maps).
+/// aggregating evaluators fan each invalidation out to every partition or
+/// rank.  Site-repeat class maps need nothing here: the engine re-checks
+/// them against the new children on the next traversal.
 void invalidate_around(core::Evaluator& engine, const tree::Tree& tree,
                        std::initializer_list<int> node_ids) {
   int seen[8];

@@ -288,6 +288,7 @@ TEST_P(EngineInvariants, StatsCountKernelInvocations) {
 
   LikelihoodEngine::Config config;
   config.isa = GetParam();
+  config.site_repeats = false;
   LikelihoodEngine engine(patterns, model, tree, config);
   (void)engine.log_likelihood(tree.tip(0));
 
@@ -298,6 +299,37 @@ TEST_P(EngineInvariants, StatsCountKernelInvocations) {
             4 * static_cast<std::int64_t>(patterns.pattern_count()));
 
   // Second call with no changes: everything cached except evaluate.
+  (void)engine.log_likelihood(tree.tip(0));
+  EXPECT_EQ(engine.stats(Kernel::kNewview).calls, 4);
+  EXPECT_EQ(engine.stats(Kernel::kEvaluate).calls, 2);
+
+  engine.reset_stats();
+  EXPECT_EQ(engine.stats(Kernel::kEvaluate).calls, 0);
+}
+
+TEST_P(EngineInvariants, RepeatsStatsCountKernelInvocations) {
+  // The site-repeats twin: same invocation counts, but newview computes at
+  // most the sites it represents (one block per unique class).
+  Rng rng(12);
+  const auto alignment = random_alignment(6, 64, rng);
+  const auto patterns = bio::compress_patterns(alignment);
+  const model::GtrModel model(random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(6, rng);
+
+  LikelihoodEngine::Config config;
+  config.isa = GetParam();
+  config.site_repeats = true;
+  LikelihoodEngine engine(patterns, model, tree, config);
+  (void)engine.log_likelihood(tree.tip(0));
+
+  const auto npat = static_cast<std::int64_t>(patterns.pattern_count());
+  EXPECT_EQ(engine.stats(Kernel::kNewview).calls, 4);
+  EXPECT_EQ(engine.stats(Kernel::kEvaluate).calls, 1);
+  EXPECT_EQ(engine.stats(Kernel::kNewview).sites_represented, 4 * npat);
+  EXPECT_GT(engine.stats(Kernel::kNewview).sites, 0);
+  EXPECT_LE(engine.stats(Kernel::kNewview).sites, engine.stats(Kernel::kNewview).sites_represented);
+  EXPECT_EQ(engine.stats(Kernel::kEvaluate).sites, npat);
+
   (void)engine.log_likelihood(tree.tip(0));
   EXPECT_EQ(engine.stats(Kernel::kNewview).calls, 4);
   EXPECT_EQ(engine.stats(Kernel::kEvaluate).calls, 2);

@@ -405,6 +405,7 @@ TEST(EngineMetrics, RegistryCountersMatchEvalStats) {
   tree::Tree tree = tree::parsimony_starting_tree(patterns, rng);
   core::LikelihoodEngine::Config config;
   config.metrics = obs::MetricsMode::kOn;
+  config.site_repeats = false;
   core::LikelihoodEngine engine(patterns, model::GtrModel(model::GtrParams::jc69(0.8)), tree,
                                 config);
   registry.reset();  // after construction: registration is setup-time

@@ -259,7 +259,9 @@ TEST_F(ForkJoinFixture, FullSearchMatchesSerialSearch) {
 
 TEST_F(ForkJoinFixture, StatsAggregateAcrossWorkers) {
   WorkerPool pool(4);
-  ForkJoinEvaluator evaluator(pool, *patterns_, *model_, *tree_);
+  core::LikelihoodEngine::Config config;
+  config.site_repeats = false;
+  ForkJoinEvaluator evaluator(pool, *patterns_, *model_, *tree_, config);
   (void)evaluator.log_likelihood(tree_->tip(0));
   const auto stat = evaluator.total_stats(core::Kernel::kNewview);
   EXPECT_EQ(stat.calls, 4 * tree_->inner_count());

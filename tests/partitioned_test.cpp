@@ -79,7 +79,9 @@ TEST_F(PartitionedFixture, SiteRepeatsFlowThroughToEveryPartitionEngine) {
   // partition engine, every partition keeps its own repeat maps, and the
   // summed likelihood matches the dense partitioned evaluator exactly.
   const auto specs = even_partitions(static_cast<std::int64_t>(alignment_->site_count()), 3);
-  PartitionedEvaluator dense(*alignment_, specs, *model_, *tree_);
+  LikelihoodEngine::Config dense_config;
+  dense_config.site_repeats = false;
+  PartitionedEvaluator dense(*alignment_, specs, *model_, *tree_, dense_config);
 
   LikelihoodEngine::Config config;
   config.site_repeats = true;
@@ -100,7 +102,7 @@ TEST_F(PartitionedFixture, SiteRepeatsFlowThroughToEveryPartitionEngine) {
   // partition engine; repeat maps must survive it and agree with dense.
   tree::Tree tree_a(*tree_);
   tree::Tree tree_b(*tree_);
-  PartitionedEvaluator dense_opt(*alignment_, specs, *model_, tree_a);
+  PartitionedEvaluator dense_opt(*alignment_, specs, *model_, tree_a, dense_config);
   PartitionedEvaluator repeats_opt(*alignment_, specs, *model_, tree_b, config);
   const double lnl_a = dense_opt.optimize_all_branches(tree_a.tip(0), 2);
   const double lnl_b = repeats_opt.optimize_all_branches(tree_b.tip(0), 2);

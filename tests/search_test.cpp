@@ -189,6 +189,47 @@ TEST_F(SearchFixture, FullSearchRecoversTrueTopology) {
   EXPECT_GE(result.log_likelihood, reference_lnl - 0.05);
 }
 
+TEST_F(SearchFixture, SiteRepeatsDefaultSearchMatchesDenseSearch) {
+  // The default engine (site repeats on) and an explicitly dense one must
+  // walk the same search: repeat classes change which blocks are computed,
+  // never a value, so every accept/reject decision agrees.
+  make_instance(12, 1500, 29);
+  Rng rng(31);
+  const tree::Tree start = tree::Tree::random(12, rng);
+  const model::GtrModel model(model::GtrParams::jc69());
+  tree::Tree repeat_tree(start);
+  tree::Tree dense_tree(start);
+  core::LikelihoodEngine repeats(*patterns_, model, repeat_tree);
+  ASSERT_TRUE(repeats.site_repeats());
+  core::LikelihoodEngine::Config dense_config;
+  dense_config.site_repeats = false;
+  core::LikelihoodEngine dense(*patterns_, model, dense_tree, dense_config);
+
+  SearchOptions options;
+  options.max_rounds = 2;
+  const SearchResult a = run_tree_search(repeats, repeat_tree, options);
+  const SearchResult b = run_tree_search(dense, dense_tree, options);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.accepted_moves, b.accepted_moves);
+  EXPECT_EQ(a.evaluated_insertions, b.evaluated_insertions);
+  EXPECT_EQ(a.trajectory.size(), b.trajectory.size());
+  EXPECT_GT(a.evaluated_insertions, 0);
+
+  // Each final tree against a scalar dense re-evaluation.
+  const auto scalar_lnl = [&](const tree::Tree& tree, const core::LikelihoodEngine& engine) {
+    tree::Tree copy(tree);
+    core::LikelihoodEngine::Config config;
+    config.isa = simd::Isa::kScalar;
+    config.site_repeats = false;
+    core::LikelihoodEngine reference(*patterns_, engine.model(), copy, config);
+    return reference.log_likelihood(copy.tip(0));
+  };
+  const double want_a = scalar_lnl(repeat_tree, repeats);
+  const double want_b = scalar_lnl(dense_tree, dense);
+  EXPECT_NEAR(a.log_likelihood, want_a, std::abs(want_a) * 1e-10);
+  EXPECT_NEAR(b.log_likelihood, want_b, std::abs(want_b) * 1e-10);
+}
+
 TEST_F(SearchFixture, SearchTrajectoryIsMonotone) {
   make_instance(12, 600, 3);
   Rng rng(9);

@@ -3,12 +3,14 @@
 // The repeat-aware kernels must be numerically indistinguishable (≤1e-10
 // relative) from the dense path on every compiled ISA, across random
 // topologies, duplicated-column alignments, scaling-heavy long-branch
-// instances, and long incremental topology-move sequences — the repeat
-// class maps ride the same invalidation machinery as the CLAs, so the
-// stress tests double as invalidation-correctness tests.
+// instances, and long incremental topology-move sequences.  The per-slot
+// class maps are a memo re-checked against the children on every use, so
+// the stress tests double as memo-correctness tests, and the map-reuse
+// tests pin down that nothing but a changed subtree rebuilds a map.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -269,6 +271,257 @@ TEST_P(SiteRepeats, TopologyMoveStressAgainstDenseEngine) {
     const double got = repeats.log_likelihood(root);
     ASSERT_NEAR(got, want, std::abs(want) * 1e-10 + 1e-10) << "step=" << step;
   }
+}
+
+// --- Map reuse and the identity cutoff ----------------------------------
+
+/// Ordered topology of the subtree behind every inner slot (tip ids only):
+/// what a slot's class map is a function of.
+std::map<int, std::string> subtree_keys(tree::Tree& tree) {
+  std::map<int, std::string> keys;
+  const auto key = [&](const auto& self, const tree::Slot* slot) -> std::string {
+    if (slot->is_tip()) return std::to_string(slot->node_id);
+    return "(" + self(self, slot->child1()) + "," + self(self, slot->child2()) + ")";
+  };
+  for (int inner = 0; inner < tree.inner_count(); ++inner) {
+    for (int k = 0; k < 3; ++k) {
+      const tree::Slot* slot = tree.inner_slot(inner, k);
+      keys[slot->slot_index] = key(key, slot);
+    }
+  }
+  return keys;
+}
+
+int changed_slots(const std::map<int, std::string>& before,
+                  const std::map<int, std::string>& after) {
+  int changed = 0;
+  for (const auto& [slot, key] : after) changed += before.at(slot) != key ? 1 : 0;
+  return changed;
+}
+
+/// Evaluates at every edge: each directed inner slot is an endpoint of
+/// exactly one edge, so this computes the CLA toward every slot and brings
+/// every class map up to date.
+void evaluate_every_orientation(LikelihoodEngine& engine, tree::Tree& tree) {
+  for (tree::Slot* edge : tree.edges()) (void)engine.log_likelihood(edge);
+}
+
+double dense_reference(const bio::PatternSet& patterns, const model::GtrModel& model,
+                       const tree::Tree& tree, tree::Slot* edge) {
+  tree::Tree copy(tree);
+  LikelihoodEngine::Config config;
+  config.site_repeats = false;
+  LikelihoodEngine fresh(patterns, model, copy, config);
+  return fresh.log_likelihood(copy.slot(edge->slot_index));
+}
+
+struct ReuseCase {
+  const char* name;
+  bool tight_budget;  ///< minimum feasible budget with the spill tier
+  bool sdc_checks;
+};
+
+class RepeatMapReuse : public ::testing::TestWithParam<ReuseCase> {
+ protected:
+  LikelihoodEngine::Config config_for(const bio::PatternSet& patterns,
+                                      const model::GtrModel& model,
+                                      const tree::Tree& base_tree) const {
+    LikelihoodEngine::Config config;
+    EXPECT_TRUE(config.site_repeats);  // the default under test
+    config.sdc_checks = GetParam().sdc_checks;
+    if (GetParam().tight_budget) {
+      config.cla_spill = true;
+      // The smallest budget that still runs a smoothing pass.
+      for (int budget = 3; budget < base_tree.inner_count(); ++budget) {
+        try {
+          tree::Tree tree(base_tree);
+          LikelihoodEngine::Config probe = config;
+          probe.cla_buffers = budget;
+          LikelihoodEngine engine(patterns, model, tree, probe);
+          (void)engine.optimize_all_branches(tree.tip(0), 1);
+          config.cla_buffers = budget;
+          break;
+        } catch (const Error&) {
+          // working set does not fit; try one more buffer
+        }
+      }
+      EXPECT_GT(config.cla_buffers, 0);
+      EXPECT_LT(config.cla_buffers, base_tree.inner_count());
+    }
+    return config;
+  }
+};
+
+TEST_P(RepeatMapReuse, FixedTopologyNeverRebuilds) {
+  Rng rng(2024);
+  const int ntaxa = 12;
+  const auto patterns =
+      bio::uncompressed_patterns(duplicate_columns(random_alignment(ntaxa, 40, rng), 5));
+  const model::GtrModel model(random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(ntaxa, rng);
+  LikelihoodEngine engine(patterns, model, tree, config_for(patterns, model, tree));
+  tree::Slot* root = tree.tip(0);
+
+  evaluate_every_orientation(engine, tree);
+  const std::int64_t built = engine.repeat_map_builds();
+  EXPECT_GT(built, 0);
+  EXPECT_LE(built, 3 * tree.inner_count());  // each directed slot at most once
+
+  (void)engine.optimize_all_branches(root, 2);
+  EXPECT_EQ(engine.repeat_map_builds(), built) << "per-branch Newton re-rooting";
+
+  std::vector<BranchGradient> gradient;
+  ASSERT_TRUE(engine.gradient_all_branches(root, gradient));
+  EXPECT_EQ(engine.repeat_map_builds(), built) << "preorder gradient descent";
+
+  for (int inner = 0; inner < tree.inner_count(); ++inner) {
+    engine.invalidate_node(tree.taxon_count() + inner);
+  }
+  const double lnl = engine.log_likelihood(root);
+  EXPECT_EQ(engine.repeat_map_builds(), built) << "invalidate_node on every inner node";
+
+  const double want = dense_reference(patterns, model, tree, root);
+  EXPECT_NEAR(lnl, want, std::abs(want) * 1e-10);
+}
+
+TEST_P(RepeatMapReuse, SprCycleRebuildsOnlyChangedSubtrees) {
+  // spr_round's call pattern: prune, then regraft / evaluate / ungraft per
+  // candidate, then undo, each followed by invalidate_node on the incident
+  // nodes.  After each step a sweep over every orientation brings every
+  // map up to date, so the step's builds must equal the number of slots
+  // whose subtree changed since their last build: on this low-diversity
+  // alignment no slot is identity, so every changed slot must rebuild and
+  // an equal count means no unchanged slot did.
+  Rng rng(77);
+  const int ntaxa = 11;
+  const auto patterns =
+      bio::uncompressed_patterns(duplicate_columns(random_alignment(ntaxa, 40, rng), 5));
+  const model::GtrModel model(random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(ntaxa, rng);
+  LikelihoodEngine engine(patterns, model, tree, config_for(patterns, model, tree));
+
+  evaluate_every_orientation(engine, tree);
+  std::map<int, std::string> built_keys = subtree_keys(tree);
+  const auto invalidate = [&](std::initializer_list<int> nodes) {
+    for (const int node : nodes) engine.invalidate_node(node);
+  };
+  const auto expect_step = [&](const char* step, std::int64_t before) {
+    evaluate_every_orientation(engine, tree);
+    const std::map<int, std::string> keys = subtree_keys(tree);
+    EXPECT_EQ(engine.repeat_map_builds() - before, changed_slots(built_keys, keys)) << step;
+    built_keys = keys;
+  };
+
+  int cycles = 0;
+  for (int inner = 0; inner < tree.inner_count() && cycles < 4; ++inner) {
+    tree::Slot* p = tree.inner_slot(inner, 0);
+    const auto record = tree::prune(tree, p);
+    const auto candidates = tree::insertion_candidates(record, 2);
+    if (candidates.empty()) {
+      tree::undo_prune(tree, record);
+      continue;
+    }
+    ++cycles;
+    std::int64_t before = engine.repeat_map_builds();
+    invalidate({record.left->node_id, record.right->node_id, p->node_id});
+    for (tree::Slot* e : candidates) {
+      tree::Slot* other = e->back;
+      tree::regraft(tree, record, e);
+      invalidate({e->node_id, other->node_id, p->node_id});
+      const double lnl = engine.log_likelihood(p->next);
+      const double want = dense_reference(patterns, model, tree, p->next);
+      EXPECT_NEAR(lnl, want, std::abs(want) * 1e-10);
+      expect_step("regraft", before);
+
+      before = engine.repeat_map_builds();
+      tree::ungraft(tree, record);
+      invalidate({e->node_id, other->node_id, p->node_id});
+    }
+    tree::undo_prune(tree, record);
+    invalidate({record.left->node_id, record.right->node_id, p->node_id});
+    const double lnl = engine.log_likelihood(p->next);
+    EXPECT_NEAR(lnl, dense_reference(patterns, model, tree, p->next), std::abs(lnl) * 1e-10);
+    expect_step("undo", before);
+  }
+  EXPECT_EQ(cycles, 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, RepeatMapReuse,
+                         ::testing::Values(ReuseCase{"plain", false, false},
+                                           ReuseCase{"min_budget_spill", true, false},
+                                           ReuseCase{"sdc_checks", false, true}),
+                         [](const auto& param_info) { return std::string(param_info.param.name); });
+
+TEST(RepeatIdentityCutoff, HighDiversityRunsNearRootSlotsAsIdentity) {
+  // Random columns on many taxa are distinct in every large subtree.  The
+  // last 45 of 300 columns repeat an earlier column everywhere but at tip
+  // 0, so the subtree behind the root edge's inner endpoint (all taxa but
+  // tip 0) has 255 classes for 300 sites: above the cutoff, so it must run
+  // as identity and compute every site it represents.
+  Rng rng(5150);
+  const int ntaxa = 24;
+  const auto base = random_alignment(ntaxa, 255, rng);
+  std::vector<std::string> names;
+  std::vector<std::vector<bio::DnaCode>> rows;
+  for (std::size_t t = 0; t < base.taxon_count(); ++t) {
+    names.push_back(base.taxon_name(t));
+    const auto row = base.row(t);
+    std::vector<bio::DnaCode> out(row.begin(), row.end());
+    for (std::size_t j = 0; j < 45; ++j) {
+      const bio::DnaCode code = row[j];
+      out.push_back(t != 0 ? code : static_cast<bio::DnaCode>(code == 1 ? 2 : 1));
+    }
+    rows.push_back(std::move(out));
+  }
+  const auto patterns = bio::compress_patterns(bio::Alignment(std::move(names), std::move(rows)));
+  ASSERT_EQ(patterns.pattern_count(), 300u);
+  const model::GtrModel model(random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(ntaxa, rng);
+  KernelTrace trace;
+  LikelihoodEngine::Config config;
+  config.trace = &trace;
+  LikelihoodEngine engine(patterns, model, tree, config);
+  tree::Slot* root = tree.tip(0);
+  const double lnl = engine.log_likelihood(root);
+  EXPECT_NEAR(lnl, dense_reference(patterns, model, tree, root), std::abs(lnl) * 1e-10);
+
+  // The root edge's inner endpoint is the last newview of the traversal.
+  const tree::Slot* endpoint = root->back;
+  ASSERT_FALSE(endpoint->is_tip());
+  EXPECT_EQ(engine.node_unique_classes(endpoint->node_id), engine.slice_size());
+  int identity_calls = 0;
+  int compressed_calls = 0;
+  const TraceCall* last = nullptr;
+  for (const TraceCall& call : trace.calls) {
+    if (call.kernel != TraceKernel::kNewview) continue;
+    last = &call;
+    (call.sites == call.sites_represented ? identity_calls : compressed_calls) += 1;
+    EXPECT_LE(call.sites, call.sites_represented);
+  }
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->sites, last->sites_represented);
+  EXPECT_GT(identity_calls, 0);
+  EXPECT_GT(compressed_calls, 0);  // cherries still compress
+}
+
+TEST(RepeatIdentityCutoff, LowDiversityCompressesEverySlot) {
+  Rng rng(5151);
+  const int ntaxa = 24;
+  const auto patterns =
+      bio::uncompressed_patterns(duplicate_columns(random_alignment(ntaxa, 50, rng), 6));
+  const model::GtrModel model(random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(ntaxa, rng);
+  KernelTrace trace;
+  LikelihoodEngine::Config config;
+  config.trace = &trace;
+  LikelihoodEngine engine(patterns, model, tree, config);
+  const double lnl = engine.optimize_all_branches(tree.tip(0), 1);
+  EXPECT_NEAR(lnl, dense_reference(patterns, model, tree, tree.tip(0)), std::abs(lnl) * 1e-10);
+  for (const TraceCall& call : trace.calls) {
+    if (call.kernel != TraceKernel::kNewview) continue;
+    EXPECT_LE(call.sites * 6, call.sites_represented);
+  }
+  EXPECT_LE(engine.unique_site_ratio(), 1.0 / 6.0 + 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Isas, SiteRepeats,
