@@ -1,5 +1,6 @@
 #include "bench/common.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <mutex>
 
@@ -57,6 +58,26 @@ double simulated_seconds(const platform::ExecConfig& config, std::int64_t size) 
   const auto& bundle = shared_trace();
   const auto scaled = bundle.trace.scaled_to(bundle.pattern_count, size);
   return platform::simulate_trace(scaled, config).total_seconds;
+}
+
+double median(std::vector<double> samples) {
+  if (samples.empty()) return 0.0;
+  const auto mid = samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  if (samples.size() % 2 == 1) return *mid;
+  return (*mid + *std::max_element(samples.begin(), mid)) / 2.0;
+}
+
+std::vector<double> median_seconds(int runs, const std::vector<std::function<double()>>& trials) {
+  runs = std::max(runs, 5);
+  std::vector<std::vector<double>> seconds(trials.size());
+  for (int run = 0; run < runs; ++run) {
+    for (std::size_t t = 0; t < trials.size(); ++t) seconds[t].push_back(trials[t]());
+  }
+  std::vector<double> medians;
+  medians.reserve(trials.size());
+  for (auto& samples : seconds) medians.push_back(median(std::move(samples)));
+  return medians;
 }
 
 std::string format_seconds(double seconds) {

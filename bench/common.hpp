@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,15 @@ std::vector<platform::ExecConfig> table3_configs();
 
 /// Simulated wall time of the full search at `size` patterns under `config`.
 double simulated_seconds(const platform::ExecConfig& config, std::int64_t size);
+
+/// Median of `samples` (0 when empty).
+double median(std::vector<double> samples);
+
+/// Wall-clock gates compare medians, never one sample: the host is shared
+/// and one run swings by about ±20 %.  Runs every trial `runs` times
+/// (at least 5), round-robin so slow drift hits every trial alike, and
+/// returns each trial's median.  A trial returns the seconds it measured.
+std::vector<double> median_seconds(int runs, const std::vector<std::function<double()>>& trials);
 
 /// Pretty-printing helpers.
 std::string format_seconds(double seconds);

@@ -104,8 +104,9 @@ typedef struct miniphi_resource_grant {
   int partitions; /* partitions actually created */
   int streams;    /* stream groups actually running */
   /* CLA budget echo (since 1.1): the bytes the caller asked for (0 =
-   * unlimited) and the bytes of resident CLA storage actually allocated.
-   * granted <= requested whenever a budget was requested. */
+   * unlimited) and the bytes of CLA storage the instance may hold (its
+   * cap; buffers are allocated as CLAs are written).  granted <= requested
+   * whenever a budget was requested. */
   int64_t cla_bytes_requested;
   int64_t cla_bytes_granted;
 } miniphi_resource_grant;

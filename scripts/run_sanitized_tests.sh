@@ -83,7 +83,12 @@ cmake -B "${build}" -S "${root}" \
 # they drive whole SPR searches through the per-slot class maps (memo
 # rebuilds after every regraft, identity slots gathering from compressed
 # children), the widest workout the gather paths get.
-targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test core_kernels_test traversal_plan_test cat_test general_test core_engine_test search_test bootstrap_test)
+# bio_test, io_test, model_test, platform_test, simd_test, simulate_test,
+# tree_test and util_test complete the set: every test binary now runs under
+# both sanitizers.  Parsers, pattern compression, the eigen solver, the
+# SIMD packs and the tree surgery are single-threaded, but their index
+# arithmetic is exactly where an out-of-bounds read hides.
+targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test core_kernels_test traversal_plan_test cat_test general_test core_engine_test search_test bootstrap_test bio_test io_test model_test platform_test simd_test simulate_test tree_test util_test)
 cmake --build "${build}" -j "$(nproc)" --target "${targets[@]}"
 
 status=0

@@ -205,7 +205,7 @@ void CatEngine::run_newview(tree::Slot* slot) {
   // or (via the on_drop callback) invalidating it — either way cached plans
   // that counted the victim as a resident input stay correct, because a
   // spilled CLA is still logically valid and a dropped one bumps the epoch.
-  core_.acquire(slot->node_id);
+  core_.acquire(slot->node_id, length_);
   CatNewviewCtx ctx;
   ctx.parent_cla = core_.values(slot->node_id);
   ctx.parent_scale = core_.scales(slot->node_id);

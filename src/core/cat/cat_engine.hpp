@@ -93,16 +93,16 @@ class CatEngine final : public Evaluator, private EngineFamily {
   /// SDC verification/heal counters (Config::sdc_checks; see DESIGN.md §10).
   [[nodiscard]] const sdc::Counters& sdc_counters() const { return core_.sdc_counters(); }
 
-  /// Number of CLA buffers this engine allocated (== inner node count
-  /// unless a smaller Config::cla_buffers budget is in force).
-  [[nodiscard]] int cla_buffer_count() const { return core_.store().resident_count(); }
+  /// Full-width CLA buffers the budget holds (== inner node count unless
+  /// a smaller Config::cla_buffers or cla_budget_bytes budget is in force).
+  [[nodiscard]] int cla_buffer_count() const { return core_.store().full_width_buffers(); }
 
   /// The postorder CLA store (eviction/spill/reload counters and the spill
   /// test hooks live there).
   [[nodiscard]] const memory::ClaStore& cla_store() const { return core_.store(); }
   [[nodiscard]] memory::ClaStore& cla_store_for_testing() { return core_.store(); }
   [[nodiscard]] std::int64_t cla_bytes_granted() const override {
-    return core_.store().resident_bytes();
+    return core_.store().budget_bytes();
   }
 
   /// Test-only fault injection: flips one bit of a committed CLA and clears

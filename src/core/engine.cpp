@@ -326,7 +326,7 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
   const bool gather = left_gather != nullptr;
 
   NewviewCtx ctx;
-  core_.acquire(slot->node_id);
+  core_.acquire(slot->node_id, work);  // class-sized on a compressed slot
   ctx.parent_cla = core_.values(slot->node_id);
   ctx.parent_scale = core_.scales(slot->node_id);
   // Dense serial path: input verification runs chunk by chunk inside the

@@ -145,16 +145,16 @@ class LikelihoodEngine final : public Evaluator, private EngineFamily {
   /// local and the distributed Newton loops so they behave identically).
   static double newton_step(double z, double first, double second);
 
-  /// Number of CLA buffers this engine allocated (== inner node count
-  /// unless a smaller Config::cla_buffers budget is in force).
-  [[nodiscard]] int cla_buffer_count() const { return core_.store().resident_count(); }
+  /// Full-width CLA buffers the budget holds (== inner node count unless
+  /// a smaller Config::cla_buffers or cla_budget_bytes budget is in force).
+  [[nodiscard]] int cla_buffer_count() const { return core_.store().full_width_buffers(); }
 
   /// The postorder CLA store (eviction/spill/reload counters and the spill
   /// test hooks live there).
   [[nodiscard]] const memory::ClaStore& cla_store() const { return core_.store(); }
   [[nodiscard]] memory::ClaStore& cla_store_for_testing() { return core_.store(); }
   [[nodiscard]] std::int64_t cla_bytes_granted() const override {
-    return core_.store().resident_bytes();
+    return core_.store().budget_bytes();
   }
 
   /// Whether the site-repeats path is active.

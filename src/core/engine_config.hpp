@@ -43,18 +43,23 @@ struct EngineConfig {
   /// engines accept and ignore it).  Not thread-safe: evaluators that
   /// dispatch engines onto worker pools require trace == nullptr.
   KernelTrace* trace = nullptr;
-  /// CLA memory budget: number of CLA buffers to allocate (-1 = one per
-  /// inner node, the default).  Smaller budgets trade running time for
-  /// memory by evicting CLAs through the tiered memory::ClaStore — the
-  /// recompute technique of Izquierdo-Carrasco et al. (Section V-A) plus an
-  /// optional checksummed spill tier (DESIGN.md §14).  A traversal that
-  /// cannot fit its working set throws.  Honored by every engine family
-  /// (dense, CAT, general) since the ClaStore extraction.
+  /// CLA memory budget as a count: at most this many CLA buffers held at
+  /// once (-1 = one per inner node, the default), whatever their size.
+  /// Smaller budgets trade running time for memory by evicting CLAs
+  /// through the tiered memory::ClaStore — the recompute technique of
+  /// Izquierdo-Carrasco et al. (Section V-A) plus an optional checksummed
+  /// spill tier (DESIGN.md §14).  At least 3; a traversal that cannot fit
+  /// its working set throws.  Honored by every engine family (dense, CAT,
+  /// general) and takes precedence over cla_budget_bytes.
   int cla_buffers = -1;
-  /// CLA budget in *bytes* (0 = unlimited).  The C-API resource negotiation
-  /// speaks bytes; when set (and cla_buffers is -1) the engine derives the
-  /// buffer count from its per-buffer footprint.  Throws when the minimum
-  /// working set cannot fit.
+  /// CLA memory budget in *bytes* (0 = unlimited), used when cla_buffers
+  /// is -1.  The store caps the bytes of the buffers it holds, and buffers
+  /// are sized by what newview writes: a site-repeats slot holds its class
+  /// count of blocks, so the same bytes keep more CLAs resident than a
+  /// count of full-width buffers would.  The C-API resource negotiation
+  /// speaks bytes and cla_bytes_granted() reports the cap.  Construction
+  /// throws when three full-width buffers do not fit (the minimum working
+  /// set of the count budget).
   std::int64_t cla_budget_bytes = 0;
   /// Enables the ClaStore spill tier: evicted CLAs whose subtree is
   /// expensive to rebuild are written to disk (asynchronously, checksummed)

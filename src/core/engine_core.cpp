@@ -24,34 +24,38 @@ void EngineCore::configure(const EngineConfig& config, std::int64_t length, std:
   }
 
   const int inner_count = tree_.inner_count();
-  int budget = (config.cla_buffers < 0) ? inner_count : config.cla_buffers;
-  if (config.cla_buffers < 0 && config.cla_budget_bytes > 0) {
-    // Byte-denominated budget (the C-API resource negotiation speaks bytes):
-    // derive the buffer count from this slice's per-buffer footprint.
-    const std::int64_t bytes_per_buffer =
+  const int floor_buffers = std::min(inner_count, 3);
+  memory::ClaStoreConfig store_config;
+  if (config.cla_buffers >= 0) {
+    // Count budget: at most this many CLA buffers at once, whatever their
+    // size.
+    const int budget = std::min(config.cla_buffers, inner_count);
+    MINIPHI_CHECK(budget >= floor_buffers, who + ": cla_buffers budget must be at least 3 (got " +
+                                               std::to_string(budget) + ")");
+    store_config.resident = budget;
+  } else if (config.cla_budget_bytes > 0) {
+    // Byte budget (the C-API resource negotiation speaks bytes): the store
+    // caps the bytes it holds, so class-sized buffers fit far more CLAs
+    // than full-width ones.  The floor is still three full-width buffers,
+    // so every traversal that runs under the minimum count budget runs
+    // here too.
+    const std::int64_t full_width_bytes =
         length * block * static_cast<std::int64_t>(sizeof(double)) +
         length * static_cast<std::int64_t>(sizeof(std::int32_t));
-    budget = static_cast<int>(
-        std::min<std::int64_t>(inner_count, config.cla_budget_bytes / bytes_per_buffer));
-    MINIPHI_CHECK(budget >= std::min(inner_count, 3),
+    MINIPHI_CHECK(config.cla_budget_bytes >= floor_buffers * full_width_bytes,
                   who + ": cla_budget_bytes cannot fit the minimum working set (" +
-                      std::to_string(std::min(inner_count, 3)) + " CLA buffers of " +
-                      std::to_string(bytes_per_buffer) + " bytes each)");
+                      std::to_string(floor_buffers) + " CLA buffers of " +
+                      std::to_string(full_width_bytes) + " bytes each)");
+    store_config.budget_bytes = config.cla_budget_bytes;
   }
-  budget = std::min(budget, inner_count);
-  MINIPHI_CHECK(budget >= std::min(inner_count, 3),
-                who + ": cla_buffers budget must be at least 3 (got " + std::to_string(budget) +
-                    ")");
   clas_.resize(static_cast<std::size_t>(inner_count));
 
-  // Tiered CLA storage (DESIGN.md §14): the store owns the resident pool,
-  // the pin table, the monotonic LRU epoch, and the recompute-vs-spill
-  // policy.  When an eviction drops a CLA (no spill), the callback marks the
-  // node invalid so the next traversal recomputes it — the eviction side of
-  // the Izquierdo-Carrasco trade-off.
-  memory::ClaStoreConfig store_config;
+  // Tiered CLA storage (DESIGN.md §14): the store owns the resident
+  // buffers, the pin table, the monotonic LRU epoch, and the
+  // recompute-vs-spill policy.  When an eviction drops a CLA (no spill), the
+  // callback marks the node invalid so the next traversal recomputes it —
+  // the eviction side of the Izquierdo-Carrasco trade-off.
   store_config.slots = inner_count;
-  store_config.resident = budget;
   store_config.values = length * block;
   store_config.scales = length;
   store_config.spill = config.cla_spill;
@@ -192,7 +196,8 @@ bool EngineCore::corrupt_cla_for_testing(int node_id, std::int64_t word, int bit
   if (node_id < taxa_) return false;
   ClaState& node = clas_[inner(node_id)];
   if (!node.valid || !store_.resident(node_id - taxa_)) return false;
-  const std::int64_t blocks = node.checked_blocks > 0 ? node.checked_blocks : length_;
+  // The buffer may be class-sized: stay within the blocks it holds.
+  const std::int64_t blocks = store_.blocks(node_id - taxa_);
   double* buffer = values(node_id);
   const auto index = static_cast<std::size_t>(word % (blocks * block_));
   std::uint64_t bits;
@@ -367,6 +372,7 @@ void EngineCore::commit_planned_traversal(tree::Slot* edge) {
 void EngineCore::ensure_preorder_tier() {
   if (pre_store_.is_configured()) return;
   pre_.resize(static_cast<std::size_t>(tree_.node_count()));
+  pre_readers_.resize(static_cast<std::size_t>(tree_.node_count()));
   // One slot per node, tips included (the branch *above* a tip still needs
   // its gradient).  This tier *always* spills on eviction — an outer
   // partial, unlike a postorder CLA, cannot be recomputed from a subtree —
@@ -374,9 +380,10 @@ void EngineCore::ensure_preorder_tier() {
   // budget every partial stays resident and the spill file is never created.
   memory::ClaStoreConfig pre_config;
   pre_config.slots = tree_.node_count();
-  pre_config.resident = store_.full_resident()
-                            ? tree_.node_count()
-                            : std::min(tree_.node_count(), std::max(4, store_.resident_count()));
+  pre_config.resident =
+      store_.full_resident()
+          ? tree_.node_count()
+          : std::min(tree_.node_count(), std::max(4, store_.full_width_buffers()));
   pre_config.values = length_ * block_;
   pre_config.scales = length_;
   pre_config.spill = true;
@@ -398,8 +405,9 @@ EngineCore::PreorderInputs EngineCore::begin_preorder_op(const TraversalPlan& pl
   // The node's preorder partial lives in the preorder tier (slot == node
   // id).  Write-acquire and pin it for the whole op: newview fills it and
   // the gradient contraction reads it back.
-  pre_store_.acquire(in.node);
+  pre_store_.acquire(in.node, length_);
   pre_store_.pin(in.node);
+  pre_readers_[static_cast<std::size_t>(in.node)] = 2;  // its children's ops
   tree::Slot* root_slot = nullptr;
   if (op.left_op < 0) {
     // Seed op: the left input is the *opposite* endpoint of the root edge,
@@ -463,6 +471,13 @@ void EngineCore::ready_preorder_node(tree::Slot* node_slot) {
 void EngineCore::end_preorder_op(const PreorderInputs& in) {
   unpin(in.node);  // no-op for a tip
   pre_store_.unpin(in.node);
+  // A preorder partial is read by its own gradient contraction and by its
+  // children's preorder ops, never again in this descent: drop it after
+  // its last reader, so a tight budget never spills a dead partial.
+  if (in.node < taxa_) pre_store_.drop(in.node);
+  if (in.parent >= 0 && --pre_readers_[static_cast<std::size_t>(in.parent)] == 0) {
+    pre_store_.drop(in.parent);
+  }
 }
 
 }  // namespace miniphi::core

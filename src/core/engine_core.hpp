@@ -100,9 +100,10 @@ class EngineCore {
   void invalidate_node(int node_id);
   void invalidate_all();
 
-  /// Write acquisition of `node_id`'s buffer: may evict an unpinned victim,
-  /// spilling it or (via on_drop) invalidating it.
-  void acquire(int node_id) { store_.acquire(node_id - taxa_); }
+  /// Write acquisition of `node_id`'s buffer with room for `blocks` site
+  /// blocks (a site-repeats slot asks for its class count): may evict
+  /// unpinned victims, spilling them or (via on_drop) invalidating them.
+  void acquire(int node_id, std::int64_t blocks) { store_.acquire(node_id - taxa_, blocks); }
 
   /// Withdraws a node's validity while its buffer is overwritten in place,
   /// so an unwind mid-kernel cannot leave a half-written CLA advertised.
@@ -134,7 +135,8 @@ class EngineCore {
 
   [[nodiscard]] const sdc::Counters& sdc_counters() const { return sdc_counters_; }
 
-  /// Test hook: flips one bit of a committed, resident CLA and clears its
+  /// Test hook: flips one bit of a committed, resident CLA (word index
+  /// taken modulo the blocks the store holds for it) and clears its
   /// verification memo; false when there is none.
   bool corrupt_cla_for_testing(int node_id, std::int64_t word, int bit);
 
@@ -264,7 +266,7 @@ class EngineCore {
   void ready_preorder_node(tree::Slot* node_slot);
 
   /// After the gradient contraction: releases the node's postorder CLA and
-  /// its preorder partial.
+  /// its preorder partial, and drops the partials this op read last.
   void end_preorder_op(const PreorderInputs& in);
 
   [[nodiscard]] double* preorder_values(int node_id) { return pre_store_.values(node_id); }
@@ -336,6 +338,7 @@ class EngineCore {
 
   memory::ClaStore pre_store_;   ///< slot == node_id (tips too)
   std::vector<ClaState> pre_;    ///< indexed by node_id; only the SDC fields
+  std::vector<int> pre_readers_;  ///< child ops yet to read each partial
   TraversalPlan preorder_plan_;
 
   bool sdc_checks_ = false;

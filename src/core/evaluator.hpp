@@ -87,8 +87,9 @@ class Evaluator {
   /// widest ISA any of their engines runs.
   [[nodiscard]] virtual simd::Isa isa() const { return simd::best_supported_isa(); }
 
-  /// Bytes of resident CLA storage this evaluator's memory tier holds — the
-  /// granted side of the C-API resource negotiation under a
+  /// Bytes of CLA storage this evaluator's memory tier may hold (its cap;
+  /// buffers are allocated on write, so it may hold less) — the granted
+  /// side of the C-API resource negotiation under a
   /// EngineConfig::cla_budget_bytes budget (DESIGN.md §14).  Aggregating
   /// evaluators sum their children; -1 = no local memory tier to report.
   [[nodiscard]] virtual std::int64_t cla_bytes_granted() const { return -1; }

@@ -109,7 +109,7 @@ void GeneralEngine::run_newview(tree::Slot* slot) {
   // or (via the on_drop callback) invalidating it — either way cached plans
   // that counted the victim as a resident input stay correct, because a
   // spilled CLA is still logically valid and a dropped one bumps the epoch.
-  core_.acquire(slot->node_id);
+  core_.acquire(slot->node_id, length_);
 
   GNewviewCtx ctx;
   ctx.parent_cla = core_.values(slot->node_id);

@@ -126,7 +126,7 @@ PartitionedEvaluator::PartitionedEvaluator(const bio::Alignment& alignment,
   }
   // Per-partition budget carve (DESIGN.md §14): a global cla_budget_bytes is
   // split into per-partition buffer counts so the sum of the partitions'
-  // resident pools honors the one budget the caller negotiated.
+  // full-width buffer caps honors the one budget the caller negotiated.
   std::vector<int> carved;
   if (engine_config.cla_buffers < 0 && engine_config.cla_budget_bytes > 0) {
     std::vector<std::int64_t> lengths;

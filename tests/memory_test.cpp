@@ -25,6 +25,7 @@
 #include "src/model/general.hpp"
 #include "src/platform/cost_model.hpp"
 #include "src/simd/dispatch.hpp"
+#include "src/simulate/simulate.hpp"
 #include "src/util/cancellation.hpp"
 #include "src/util/error.hpp"
 #include "tests/testutil.hpp"
@@ -235,9 +236,12 @@ TEST(ClaStore, TouchEpochIsMonotonicAcrossDrops) {
 TEST(ClaStore, ResidentBytesReportsThePool) {
   ClaStore store;
   store.configure(small_config(4, 2, /*spill=*/false));
-  EXPECT_EQ(store.resident_bytes(),
+  // The granted side is the cap: two full-width buffers.  Nothing is held
+  // before the first write.
+  EXPECT_EQ(store.budget_bytes(),
             2 * (kValues * static_cast<std::int64_t>(sizeof(double)) +
                  kScales * static_cast<std::int64_t>(sizeof(std::int32_t))));
+  EXPECT_EQ(store.held_bytes(), 0);
 }
 
 TEST(ClaStore, ThrowsWhenEveryBufferIsPinned) {
@@ -250,12 +254,261 @@ TEST(ClaStore, ThrowsWhenEveryBufferIsPinned) {
   EXPECT_THROW(store.acquire(2), Error);
 }
 
+// --- Class-sized buffers ------------------------------------------------------
+//
+// Buffers are allocated on write and sized by the caller's block count; a
+// byte cap bounds the capacity held, and spill records carry only the
+// blocks a slot holds.
+
+constexpr std::int64_t kBlockDoubles = kValues / kScales;
+constexpr std::int64_t kBlockBytes = kBlockDoubles * static_cast<std::int64_t>(sizeof(double)) +
+                                     static_cast<std::int64_t>(sizeof(std::int32_t));
+constexpr std::int64_t kFullBytes = kScales * kBlockBytes;
+
+ClaStoreConfig byte_config(int slots, std::int64_t budget_bytes, bool spill) {
+  ClaStoreConfig config = small_config(slots, /*resident=*/-1, spill);
+  config.budget_bytes = budget_bytes;
+  return config;
+}
+
+void fill_blocks(ClaStore& store, int slot, std::int64_t blocks, double seed) {
+  double* values = store.values(slot);
+  for (std::int64_t i = 0; i < blocks * kBlockDoubles; ++i) {
+    values[i] = seed + static_cast<double>(i);
+  }
+  std::int32_t* scales = store.scales(slot);
+  for (std::int64_t i = 0; i < blocks; ++i) {
+    scales[i] = static_cast<std::int32_t>(seed) + static_cast<std::int32_t>(i);
+  }
+}
+
+void expect_blocks(ClaStore& store, int slot, std::int64_t blocks, double seed) {
+  ASSERT_EQ(store.blocks(slot), blocks);
+  const double* values = store.values(slot);
+  for (std::int64_t i = 0; i < blocks * kBlockDoubles; ++i) {
+    ASSERT_EQ(values[i], seed + static_cast<double>(i)) << "slot " << slot << " value " << i;
+  }
+  const std::int32_t* scales = store.scales(slot);
+  for (std::int64_t i = 0; i < blocks; ++i) {
+    ASSERT_EQ(scales[i], static_cast<std::int32_t>(seed) + static_cast<std::int32_t>(i))
+        << "slot " << slot << " scale " << i;
+  }
+}
+
+/// Writes class-sized slots 0 (3 blocks) and 1 (5 blocks), then forces both
+/// out to the spill tier through the two-buffer count cap.
+void spill_class_sized(ClaStore& store) {
+  store.acquire(0, 3);
+  fill_blocks(store, 0, 3, 1000.0);
+  store.acquire(1, 5);
+  fill_blocks(store, 1, 5, 2000.0);
+  store.acquire(2);
+  store.acquire(3);
+  ASSERT_TRUE(store.spilled(0));
+  ASSERT_TRUE(store.spilled(1));
+  ASSERT_FALSE(store.resident(0));
+  ASSERT_FALSE(store.resident(1));
+}
+
+TEST(ClaStore, AllocatesNothingUntilTheFirstWrite) {
+  ClaStore store;
+  store.configure(small_config(4, -1, /*spill=*/false));
+  EXPECT_EQ(store.held_bytes(), 0);
+  EXPECT_TRUE(store.full_resident());
+  store.acquire(2, 3);
+  EXPECT_EQ(store.held_bytes(), 3 * kBlockBytes);
+  EXPECT_EQ(store.blocks(2), 3);
+  // Without a cap a buffer only grows: a smaller write reuses it.
+  store.acquire(2, 1);
+  EXPECT_EQ(store.held_bytes(), 3 * kBlockBytes);
+  store.acquire(2, 6);
+  EXPECT_EQ(store.held_bytes(), 6 * kBlockBytes);
+}
+
+TEST(ClaStore, DroppedBufferIsReusedWithoutAnEviction) {
+  ClaStore store;
+  store.configure(small_config(3, 1, /*spill=*/false));
+  store.acquire(0);
+  store.drop(0);
+  // The one buffer the count cap allows changes hands: nothing live was
+  // displaced, so nothing was evicted.
+  store.acquire(1);
+  EXPECT_EQ(store.counters().evictions, 0);
+  EXPECT_EQ(store.held_bytes(), kFullBytes);
+  EXPECT_FALSE(store.has_data(0));
+}
+
+TEST(ClaStore, ClassSizedRecordsRoundTripByteForByte) {
+  ClaStore store;
+  store.configure(small_config(4, 2, /*spill=*/true));
+  spill_class_sized(store);
+  // Each payload covers only the slot's blocks, padded to 8 bytes.
+  const auto payload = [](std::int64_t blocks) { return (blocks * kBlockBytes + 7) / 8 * 8; };
+  EXPECT_EQ(store.counters().spill_bytes, payload(3) + payload(5));
+  EXPECT_LT(store.counters().spill_bytes, 2 * payload(kScales));
+  EXPECT_EQ(store.blocks(0), 3);
+  EXPECT_EQ(store.blocks(1), 5);
+
+  EXPECT_EQ(store.ensure_resident(0), Residency::kReloaded);
+  expect_blocks(store, 0, 3, 1000.0);
+  EXPECT_EQ(store.ensure_resident(1), Residency::kReloaded);
+  expect_blocks(store, 1, 5, 2000.0);
+}
+
+TEST(ClaStore, SpillRecordBlockCountMismatchIsCorruption) {
+  ClaStore store;
+  store.configure(small_config(4, 2, /*spill=*/true));
+  spill_class_sized(store);
+  ASSERT_TRUE(store.rewrite_spill_header_for_testing(0, memory::kSpillFormatVersion, 4));
+  try {
+    (void)store.ensure_resident(0);
+    FAIL() << "block-count mismatch was not rejected";
+  } catch (const CorruptionDetected& fault) {
+    EXPECT_NE(std::string(fault.what()).find("block count"), std::string::npos) << fault.what();
+  }
+  EXPECT_FALSE(store.has_data(0));
+  // The sibling record is untouched.
+  EXPECT_EQ(store.ensure_resident(1), Residency::kReloaded);
+  expect_blocks(store, 1, 5, 2000.0);
+}
+
+TEST(ClaStore, VersionOneSpillRecordIsRejected) {
+  ClaStore store;
+  store.configure(small_config(4, 2, /*spill=*/true));
+  spill_class_sized(store);
+  ASSERT_TRUE(store.rewrite_spill_header_for_testing(1, /*version=*/1, 5));
+  try {
+    (void)store.ensure_resident(1);
+    FAIL() << "version-1 record was not rejected";
+  } catch (const CorruptionDetected& fault) {
+    EXPECT_NE(std::string(fault.what()).find("version"), std::string::npos) << fault.what();
+  }
+  EXPECT_FALSE(store.has_data(1));
+  EXPECT_EQ(store.ensure_resident(0), Residency::kReloaded);
+  expect_blocks(store, 0, 3, 1000.0);
+}
+
+TEST(ClaStore, PinnedBytesOverflowingTheCapThrowTheWorkingSetError) {
+  ClaStore store;
+  store.configure(byte_config(4, 3 * kFullBytes, /*spill=*/false));
+  EXPECT_FALSE(store.full_resident());
+  EXPECT_EQ(store.budget_bytes(), 3 * kFullBytes);
+  store.acquire(0);
+  store.pin(0);
+  store.acquire(1);
+  store.pin(1);
+  store.acquire(2, kScales / 2);
+  store.pin(2);
+  const std::int64_t held = store.held_bytes();
+  try {
+    store.acquire(3);
+    FAIL() << "a full-width write past the pinned bytes did not throw";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("working set"), std::string::npos) << error.what();
+  }
+  // The failed write changed nothing.
+  EXPECT_EQ(store.held_bytes(), held);
+  EXPECT_FALSE(store.has_data(3));
+  EXPECT_EQ(store.counters().evictions, 0);
+  // Half a buffer still fits next to the pins.
+  store.acquire(3, kScales / 2);
+  EXPECT_LE(store.held_bytes(), store.budget_bytes());
+}
+
+/// A seeded random walk over acquire (mixed sizes), reload, prefetch, pin,
+/// unpin and drop under a byte cap: held capacity never exceeds the cap,
+/// every slot that still claims data reads back exactly what was last
+/// written, and a pinned buffer never moves.
+void run_mixed_size_walk(bool spill, std::uint64_t seed) {
+  // Wider buffers than the other unit tests, so sizes vary enough to
+  // fragment the cap's arena and force compactions around the pins.
+  constexpr int kSlots = 10;
+  constexpr std::int64_t kWalkBlocks = 64;
+  std::vector<int> dropped_by_store;
+  ClaStoreConfig config = small_config(kSlots, /*resident=*/-1, spill);
+  config.values = kWalkBlocks * kBlockDoubles;
+  config.scales = kWalkBlocks;
+  config.budget_bytes = 7 * kWalkBlocks * kBlockBytes / 2;
+  config.on_drop = [&](int slot) { dropped_by_store.push_back(slot); };
+  ClaStore store;
+  store.configure(std::move(config));
+
+  struct Written {
+    std::int64_t blocks = 0;
+    double seed = 0.0;
+  };
+  std::vector<Written> model(kSlots);  // blocks == 0: no data
+  std::vector<std::pair<int, const double*>> pinned;  // slot, address when pinned
+  Rng rng(seed);
+  for (int step = 0; step < 4000; ++step) {
+    const int slot = static_cast<int>(rng.below(kSlots));
+    const std::uint64_t action = rng.below(10);
+    if (action < 4) {
+      if (store.pin_count(slot) > 0) continue;  // owners never rewrite a pinned CLA
+      const auto blocks = static_cast<std::int64_t>(1 + rng.below(kWalkBlocks));
+      store.acquire(slot, blocks);
+      const double value_seed = 100.0 * static_cast<double>(step + 1);
+      fill_blocks(store, slot, blocks, value_seed);
+      model[static_cast<std::size_t>(slot)] = {blocks, value_seed};
+    } else if (action < 6) {
+      if (model[static_cast<std::size_t>(slot)].blocks > 0) {
+        (void)store.ensure_resident(slot);
+        const Written& w = model[static_cast<std::size_t>(slot)];
+        expect_blocks(store, slot, w.blocks, w.seed);
+      }
+    } else if (action < 7) {
+      // At most two pins: the cap (3.5 full-width buffers) always leaves
+      // room for one more full-width write.
+      if (pinned.size() < 2 && store.resident(slot)) {
+        store.pin(slot);
+        pinned.emplace_back(slot, store.values(slot));
+      }
+    } else if (action < 9) {
+      if (!pinned.empty()) {
+        store.unpin(pinned.back().first);
+        pinned.pop_back();
+      }
+    } else if (rng.uniform() < 0.5) {
+      store.prefetch(slot);  // a no-op unless the slot is spilled
+    } else if (store.pin_count(slot) == 0) {
+      store.drop(slot);
+      model[static_cast<std::size_t>(slot)] = {};
+    }
+    for (const int gone : dropped_by_store) model[static_cast<std::size_t>(gone)] = {};
+    dropped_by_store.clear();
+    ASSERT_LE(store.held_bytes(), store.budget_bytes()) << "step " << step;
+    ASSERT_GE(store.held_bytes(), 0) << "step " << step;
+    for (int s = 0; s < kSlots; ++s) {
+      ASSERT_EQ(store.has_data(s), model[static_cast<std::size_t>(s)].blocks > 0)
+          << "step " << step << " slot " << s;
+    }
+    // Compaction moves buffers, but never a pinned one.
+    for (const auto& [s, address] : pinned) {
+      ASSERT_EQ(store.values(s), address) << "step " << step << " slot " << s;
+    }
+  }
+  EXPECT_GT(store.counters().evictions, 0) << "the walk never pressed the cap";
+  if (spill) {
+    EXPECT_GT(store.counters().reloads, 0);
+    EXPECT_GT(store.counters().prefetch_hits, 0);
+  }
+}
+
+TEST(ClaStore, MixedSizeWalkKeepsHeldBytesUnderTheCap) {
+  run_mixed_size_walk(/*spill=*/false, 401);
+  run_mixed_size_walk(/*spill=*/true, 402);
+}
+
 // --- Tight-budget bit-identity matrices ------------------------------------
 //
 // For every engine family: lnL and the full branch-length optimization must
 // be bit-identical between the full CLA budget and tight budgets {min,
 // min+2}, in both eviction modes (recompute-only and the spill tier), with
 // the store's counters proving the tight path actually ran.
+
+constexpr std::int64_t kDenseBytesPerPattern =
+    core::kSiteBlock * static_cast<std::int64_t>(sizeof(double)) +
+    static_cast<std::int64_t>(sizeof(std::int32_t));
 
 struct RunResult {
   double initial = 0.0;
@@ -338,6 +591,78 @@ TEST(TightBudget, DenseBitIdenticalAcrossIsasAndRepeats) {
       expect_budget_bit_identity(base_tree, make_engine,
                                  "dense " + simd::to_string(isa) +
                                      (repeats ? " repeats" : " no-repeats"));
+    }
+  }
+}
+
+// Byte budgets cap the bytes the store holds, and a site-repeats slot
+// holds only its class count of blocks: the same bytes keep more CLAs
+// resident than the equivalent count of full-width buffers.
+TEST(TightBudget, DenseRepeatsByteBudgetsBitIdenticalAndEvictLess) {
+  Rng rng(39);
+  const auto patterns = bio::compress_patterns(simulate::paper_dataset(900, 41, 24));
+  const model::GtrModel model(testutil::random_gtr_params(rng));
+  const tree::Tree base_tree = tree::Tree::random(24, rng);
+  const std::int64_t full_width = static_cast<std::int64_t>(patterns.pattern_count()) *
+                                  kDenseBytesPerPattern;
+  const std::int64_t full_bytes = base_tree.inner_count() * full_width;
+  const int quarter_count = base_tree.inner_count() / 4;
+
+  for (const auto isa : supported_isas()) {
+    struct Run {
+      double initial = 0.0;
+      double optimized = 0.0;
+      std::int64_t evictions = 0;
+    };
+    const auto run = [&](int buffers, std::int64_t bytes, bool spill) {
+      tree::Tree tree(base_tree);
+      core::LikelihoodEngine::Config config;
+      config.isa = isa;
+      config.cla_buffers = buffers;
+      config.cla_budget_bytes = bytes;
+      config.cla_spill = spill;
+      core::LikelihoodEngine engine(patterns, model, tree, config);
+      Run result;
+      result.initial = engine.log_likelihood(tree.tip(0));
+      result.optimized = engine.optimize_all_branches(tree.tip(0), 2);
+      result.evictions = engine.cla_store().counters().evictions;
+      EXPECT_LE(engine.cla_store().held_bytes(), engine.cla_store().budget_bytes());
+      if (bytes > 0) {
+        EXPECT_EQ(engine.cla_bytes_granted(), std::min(bytes, full_bytes));
+      }
+      return result;
+    };
+    const std::string context = "dense repeats " + simd::to_string(isa);
+    const Run full = run(-1, 0, false);
+
+    // The smallest byte budget this shape runs with, probed upward from the
+    // construction floor of three full-width buffers.
+    std::int64_t minimum = 3 * full_width;
+    for (;; minimum += full_width) {
+      ASSERT_LT(minimum, full_bytes) << context << ": no tight byte budget fits";
+      try {
+        (void)run(-1, minimum, false);
+        break;
+      } catch (const Error&) {
+        // working set does not fit; try one more full-width buffer
+      }
+    }
+    const std::int64_t quarter = full_bytes / 4;
+    ASSERT_LT(minimum, quarter) << context;
+    for (const std::int64_t bytes : {minimum, quarter}) {
+      for (const bool spill : {false, true}) {
+        const Run tight = run(-1, bytes, spill);
+        EXPECT_EQ(tight.initial, full.initial) << context << ": bytes " << bytes << " spill " << spill;
+        EXPECT_EQ(tight.optimized, full.optimized)
+            << context << ": bytes " << bytes << " spill " << spill;
+        if (bytes == minimum) {
+          EXPECT_GT(tight.evictions, 0) << context << ": minimum byte budget never evicted";
+        } else {
+          const Run counted = run(quarter_count, 0, spill);
+          EXPECT_GT(counted.evictions, 0) << context;
+          EXPECT_LT(tight.evictions, counted.evictions) << context << ": spill " << spill;
+        }
+      }
     }
   }
 }
@@ -468,10 +793,6 @@ TEST(SpillHeal, DenseReloadCorruptionDetectsAndHeals) {
 }
 
 // --- Per-partition budget carving -------------------------------------------
-
-constexpr std::int64_t kDenseBytesPerPattern =
-    core::kSiteBlock * static_cast<std::int64_t>(sizeof(double)) +
-    static_cast<std::int64_t>(sizeof(std::int32_t));
 
 TEST(CarveClaBudgets, FloorsEveryPartitionAtTheMinimumWorkingSet) {
   const std::vector<std::int64_t> lengths{100, 50};

@@ -264,6 +264,47 @@ TEST(GeneralSdc, HealsCorruptionAtEveryNode) {
   }
 }
 
+// Without sdc_checks there is no committed block count, so the test hook
+// bounds its word index by the blocks the store holds.  A compressed slot
+// holds only its class count of blocks: the flip must land inside them
+// (under ASan a write past the class-sized buffer is a hard failure).
+TEST(SdcTestHook, CorruptsCompressedSlotWithinItsClassBlocks) {
+  Rng rng(3131);
+  const auto patterns = bio::compress_patterns(simulate::paper_dataset(600, 17, 24));
+  const model::GtrModel model(testutil::random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(24, rng);
+  LikelihoodEngine::Config config;
+  config.sdc_checks = false;
+  LikelihoodEngine engine(patterns, model, tree, config);
+  (void)engine.log_likelihood(tree.tip(0));
+
+  auto& store = engine.cla_store_for_testing();
+  const std::int64_t width = engine.slice_size();
+  int slot = -1;
+  for (int s = 0; s < store.slot_count(); ++s) {
+    if (store.resident(s) && store.blocks(s) < width) {
+      slot = s;
+      break;
+    }
+  }
+  ASSERT_GE(slot, 0) << "no compressed slot to corrupt";
+  const std::int64_t words = store.blocks(slot) * kSiteBlock;
+  const std::vector<double> before(store.values(slot), store.values(slot) + words);
+
+  // The last word of a full-width buffer: far past the class blocks.
+  const std::int64_t word = width * kSiteBlock - 1;
+  ASSERT_TRUE(engine.corrupt_cla_for_testing(tree.taxon_count() + slot, word, 5));
+  const double* after = store.values(slot);
+  int changed = 0;
+  for (std::int64_t i = 0; i < words; ++i) {
+    if (std::memcmp(&before[static_cast<std::size_t>(i)], after + i, sizeof(double)) != 0) {
+      ++changed;
+      EXPECT_EQ(i, word % words);
+    }
+  }
+  EXPECT_EQ(changed, 1);
+}
+
 TEST(Escalation, NonFiniteOutputExhaustsRetryBudgetThenThrows) {
   // A NaN branch length makes evaluate return NaN deterministically: every
   // heal attempt (invalidate-all + recompute) reproduces the same NaN, so

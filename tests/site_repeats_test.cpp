@@ -524,6 +524,44 @@ TEST(RepeatIdentityCutoff, LowDiversityCompressesEverySlot) {
   EXPECT_LE(engine.unique_site_ratio(), 1.0 / 6.0 + 1e-12);
 }
 
+// CLA buffers are allocated on write and sized by what newview computes:
+// a compressed slot holds its class count of blocks, an identity slot the
+// full width.
+TEST(ClassSizedBuffers, FreshEngineHoldsNoClaBytes) {
+  Rng rng(6161);
+  const auto patterns = bio::compress_patterns(random_alignment(12, 120, rng));
+  const model::GtrModel model(random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(12, rng);
+  const LikelihoodEngine engine(patterns, model, tree, LikelihoodEngine::Config{});
+  EXPECT_EQ(engine.cla_store().held_bytes(), 0);
+  EXPECT_TRUE(engine.cla_store().full_resident());
+}
+
+TEST(ClassSizedBuffers, FullTraversalHoldsExactlyTheClassBlocks) {
+  Rng rng(6262);
+  const int ntaxa = 16;
+  const auto patterns =
+      bio::uncompressed_patterns(duplicate_columns(random_alignment(ntaxa, 60, rng), 4));
+  const model::GtrModel model(random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(ntaxa, rng);
+  LikelihoodEngine engine(patterns, model, tree, LikelihoodEngine::Config{});
+  (void)engine.log_likelihood(tree.tip(0));
+
+  // One full traversal computes every inner node once, toward tip 0.
+  constexpr std::int64_t kBlockBytes =
+      kSiteBlock * static_cast<std::int64_t>(sizeof(double)) +
+      static_cast<std::int64_t>(sizeof(std::int32_t));
+  std::int64_t class_blocks = 0;
+  for (int inner = 0; inner < tree.inner_count(); ++inner) {
+    const std::int64_t unique = engine.node_unique_classes(tree.taxon_count() + inner);
+    ASSERT_GT(unique, 0) << "inner node " << inner << " not computed";
+    EXPECT_EQ(engine.cla_store().blocks(inner), unique) << "inner node " << inner;
+    class_blocks += unique;
+  }
+  EXPECT_EQ(engine.cla_store().held_bytes(), class_blocks * kBlockBytes);
+  EXPECT_LT(class_blocks, tree.inner_count() * engine.slice_size());
+}
+
 INSTANTIATE_TEST_SUITE_P(Isas, SiteRepeats,
                          ::testing::Values(simd::Isa::kScalar, simd::Isa::kAvx2,
                                            simd::Isa::kAvx512),
