@@ -13,6 +13,7 @@
 #include <mutex>
 #include <new>
 #include <thread>
+#include <utility>
 
 // Header-only pieces of the SDC layer (checksum_words, CorruptionDetected);
 // no miniphi_core symbol is referenced, so the link graph stays acyclic.
@@ -436,7 +437,13 @@ class Arena {
   Arena& operator=(const Arena&) = delete;
 
   [[nodiscard]] unsigned char* base() const { return base_; }
-  [[nodiscard]] bool owns(const unsigned char* p) const { return p >= base_ && p < base_ + size_; }
+  /// Whether `p` lies in the region (compared as addresses: a buffer from
+  /// the general allocator is a different object).
+  [[nodiscard]] bool owns(const unsigned char* p) const {
+    const auto at = reinterpret_cast<std::uintptr_t>(p);
+    const auto base = reinterpret_cast<std::uintptr_t>(base_);
+    return at >= base && at - base < size_;
+  }
 
   /// The start of the smallest free extent that holds `bytes`, or nullptr.
   unsigned char* allocate(std::size_t bytes) {
