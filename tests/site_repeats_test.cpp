@@ -321,6 +321,10 @@ struct ReuseCase {
   bool sdc_checks;
 };
 
+// gtest would otherwise dump the raw bytes (a string address and padding)
+// into the listed test name, which then differs on every listing.
+void PrintTo(const ReuseCase& c, std::ostream* os) { *os << c.name; }
+
 class RepeatMapReuse : public ::testing::TestWithParam<ReuseCase> {
  protected:
   LikelihoodEngine::Config config_for(const bio::PatternSet& patterns,
