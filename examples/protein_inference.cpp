@@ -46,8 +46,9 @@ int main(int argc, char** argv) {
     std::printf("alignment: %zu taxa x %zu residues -> %zu patterns\n", alignment.taxon_count(),
                 alignment.site_count(), patterns.pattern_count());
 
-    tree::Tree tree = tree::parsimony_starting_tree(patterns, rng);
-    const auto evaluator = core::make_evaluator(patterns, model, tree, bio::aa_code_masks());
+    const auto masks = bio::aa_code_masks();
+    tree::Tree tree = tree::parsimony_starting_tree(patterns, rng, masks);
+    const auto evaluator = core::make_evaluator(patterns, model, tree, masks);
     std::printf("kernels: %s, %d states padded to %d\n",
                 simd::to_string(evaluator->isa()).c_str(), model.states(),
                 model.padded_states());

@@ -116,6 +116,19 @@ std::string case_name(const ::testing::TestParamInfo<CaseParam>& info) {
   return name;
 }
 
+// gtest's byte dump of the case, padding zeroed, so listed names are stable.
+void PrintTo(const CaseParam& c, std::ostream* os) {
+  testutil::print_zero_padded_bytes<CaseParam>(
+      [&](CaseParam& out) {
+        out.isa = c.isa;
+        out.left_tip = c.left_tip;
+        out.right_tip = c.right_tip;
+        out.tuning.streaming_stores = c.tuning.streaming_stores;
+        out.tuning.prefetch_distance = c.tuning.prefetch_distance;
+      },
+      os);
+}
+
 class KernelAgreement : public ::testing::TestWithParam<CaseParam> {
  protected:
   void SetUp() override {

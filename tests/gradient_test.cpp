@@ -55,6 +55,16 @@ std::string case_name(const ::testing::TestParamInfo<GradientCase>& info) {
          std::string(info.param.site_repeats ? "_repeats" : "_dense");
 }
 
+// gtest's byte dump of the case, padding zeroed, so listed names are stable.
+void PrintTo(const GradientCase& c, std::ostream* os) {
+  testutil::print_zero_padded_bytes<GradientCase>(
+      [&](GradientCase& out) {
+        out.isa = c.isa;
+        out.site_repeats = c.site_repeats;
+      },
+      os);
+}
+
 class AllBranchGradient : public ::testing::TestWithParam<GradientCase> {
  protected:
   void SetUp() override {

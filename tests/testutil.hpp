@@ -2,7 +2,11 @@
 #pragma once
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/bio/alignment.hpp"
@@ -47,6 +51,30 @@ inline model::GtrParams random_gtr_params(Rng& rng) {
   for (auto& freq : params.frequencies) freq /= sum;
   params.alpha = rng.uniform(0.2, 2.5);
   return params;
+}
+
+/// Prints `value` the way gtest prints a type that has no printer
+/// ("8-byte object <02-00 00-00 01-00 00-00>"), with every padding byte
+/// printed as 00.  gtest's own dump shows whatever memory the padding
+/// held, so a listed test name built from it differs from one listing to
+/// the next; this keeps the name's registered form and makes it stable.
+/// `set_fields` copies the fields into storage that starts zeroed.
+template <typename T, typename SetFields>
+void print_zero_padded_bytes(SetFields set_fields, std::ostream* os) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T value;
+  std::memset(static_cast<void*>(&value), 0, sizeof value);
+  set_fields(value);
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof value);
+  *os << sizeof(T) << "-byte object <";
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    char hex[3];
+    std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
+    if (i != 0) *os << (i % 2 == 0 ? ' ' : '-');
+    *os << hex;
+  }
+  *os << '>';
 }
 
 /// Taxon names t0..t{n-1} for Newick round trips.

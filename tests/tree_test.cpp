@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <set>
 
+#include "src/bio/aa.hpp"
+#include "src/bio/protein_alignment.hpp"
+#include "src/search/bootstrap.hpp"
 #include "src/tree/moves.hpp"
 #include "src/tree/parsimony.hpp"
 #include "src/tree/splits.hpp"
@@ -277,6 +282,257 @@ TEST(Parsimony, StartingTreeIsDeterministicGivenSeed) {
   Tree ta = parsimony_starting_tree(patterns, a);
   Tree tb = parsimony_starting_tree(patterns, b);
   EXPECT_EQ(robinson_foulds(ta, tb), 0);
+}
+
+// The stepwise addition the library used before its bit-sliced scorer, kept
+// as an oracle: every candidate edge rescored from scratch by a recursive
+// Fitch pass with one vector per node, O(n³·m).  Codes are resolved to state
+// sets through the same mask table, which for DNA is the identity.
+namespace reference {
+
+using StateSets = std::vector<std::uint32_t>;
+
+struct Data {
+  std::vector<StateSets> tips;
+  const std::vector<std::uint32_t>& weights;
+};
+
+Data resolve(const bio::PatternSet& patterns, const std::vector<std::uint32_t>& masks) {
+  Data data{{}, patterns.weights};
+  for (const auto& row : patterns.tip_rows) {
+    StateSets sets;
+    for (const auto code : row) sets.push_back(masks.at(code));
+    data.tips.push_back(std::move(sets));
+  }
+  return data;
+}
+
+StateSets fitch_down(const Slot* slot, const Data& data, std::uint64_t& cost) {
+  if (slot->is_tip()) return data.tips[static_cast<std::size_t>(slot->node_id)];
+  const auto s1 = fitch_down(slot->child1(), data, cost);
+  const auto s2 = fitch_down(slot->child2(), data, cost);
+  StateSets out(s1.size());
+  for (std::size_t p = 0; p < s1.size(); ++p) {
+    out[p] = s1[p] & s2[p];
+    if (out[p] == 0) {
+      out[p] = s1[p] | s2[p];
+      cost += data.weights[p];
+    }
+  }
+  return out;
+}
+
+std::uint64_t score_component(const Slot* anchor_tip, const Data& data) {
+  std::uint64_t cost = 0;
+  const auto states = fitch_down(anchor_tip->back, data, cost);
+  const auto& anchor = data.tips[static_cast<std::size_t>(anchor_tip->node_id)];
+  for (std::size_t p = 0; p < states.size(); ++p) {
+    if ((states[p] & anchor[p]) == 0) cost += data.weights[p];
+  }
+  return cost;
+}
+
+void collect_component_edges(Slot* slot, std::vector<Slot*>& out) {
+  out.push_back(slot);
+  if (slot->back->is_tip()) return;
+  collect_component_edges(slot->back->next, out);
+  collect_component_edges(slot->back->next->next, out);
+}
+
+std::uint64_t fitch_score(const Tree& tree, const bio::PatternSet& patterns,
+                          const std::vector<std::uint32_t>& masks = bio::dna_code_masks()) {
+  return score_component(tree.tip(0), resolve(patterns, masks));
+}
+
+Tree parsimony_starting_tree(const bio::PatternSet& patterns, Rng& rng,
+                             const std::vector<std::uint32_t>& masks = bio::dna_code_masks()) {
+  const Data data = resolve(patterns, masks);
+  const int ntaxa = static_cast<int>(patterns.taxon_count());
+  Tree tree(ntaxa);
+  std::vector<int> order(static_cast<std::size_t>(ntaxa));
+  std::iota(order.begin(), order.end(), 0);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+  tree.connect(tree.tip(order[0]), tree.inner_slot(0, 0), kDefaultBranchLength);
+  tree.connect(tree.tip(order[1]), tree.inner_slot(0, 1), kDefaultBranchLength);
+  tree.connect(tree.tip(order[2]), tree.inner_slot(0, 2), kDefaultBranchLength);
+
+  const auto insert = [&](Slot* edge, Slot* tip, int inner) {
+    Slot* other = edge->back;
+    const double length = edge->length;
+    tree.disconnect(edge);
+    tree.connect(edge, tree.inner_slot(inner, 0), length * 0.5);
+    tree.connect(other, tree.inner_slot(inner, 1), length * 0.5);
+    tree.connect(tip, tree.inner_slot(inner, 2), kDefaultBranchLength);
+  };
+  for (int i = 3; i < ntaxa; ++i) {
+    Slot* tip = tree.tip(order[static_cast<std::size_t>(i)]);
+    Slot* anchor = tree.tip(order[0]);
+    std::vector<Slot*> edges;
+    collect_component_edges(anchor, edges);
+    Slot* best_edge = nullptr;
+    std::uint64_t best_score = std::numeric_limits<std::uint64_t>::max();
+    for (Slot* edge : edges) {
+      Slot* other = edge->back;
+      const double length = edge->length;
+      insert(edge, tip, i - 2);
+      const std::uint64_t score = score_component(anchor, data);
+      if (score < best_score) {
+        best_score = score;
+        best_edge = edge;
+      }
+      tree.disconnect(edge);
+      tree.disconnect(other);
+      tree.disconnect(tip);
+      tree.connect(edge, other, length);
+    }
+    insert(best_edge, tip, i - 2);
+  }
+  return tree;
+}
+
+}  // namespace reference
+
+/// Asserts that the library builds the reference's tree for `seed`: the
+/// same Newick string (topology and halved branch lengths) and score.
+void expect_reference_tree(const bio::PatternSet& patterns, std::uint64_t seed,
+                           const std::vector<std::uint32_t>& masks = bio::dna_code_masks()) {
+  SCOPED_TRACE("taxa " + std::to_string(patterns.taxon_count()) + ", patterns " +
+               std::to_string(patterns.pattern_count()) + ", seed " + std::to_string(seed));
+  Rng rng_new(seed), rng_ref(seed);
+  const Tree built = parsimony_starting_tree(patterns, rng_new, masks);
+  const Tree expected = reference::parsimony_starting_tree(patterns, rng_ref, masks);
+  const auto names = testutil::taxon_names(static_cast<int>(patterns.taxon_count()));
+  EXPECT_EQ(built.to_newick(names), expected.to_newick(names));
+  EXPECT_EQ(fitch_score(built, patterns, masks), reference::fitch_score(expected, patterns, masks));
+  EXPECT_EQ(rng_new(), rng_ref());
+}
+
+TEST(ParsimonyOracle, SameTreesAcrossTaxonCounts) {
+  // Pattern counts near but off multiples of 64, with ambiguity codes and
+  // gaps (0xF) in a tenth of the cells.
+  for (const int ntaxa : {3, 4, 5, 16, 48}) {
+    for (const int sites : {1, 63, 130, 257}) {
+      Rng rng(static_cast<std::uint64_t>(1000 * ntaxa + sites));
+      const auto patterns =
+          bio::compress_patterns(testutil::random_alignment(ntaxa, sites, rng, 0.1));
+      for (const std::uint64_t seed : {1u, 2u, 3u}) expect_reference_tree(patterns, seed);
+    }
+  }
+}
+
+TEST(ParsimonyOracle, SameTreesWithManyWeights) {
+  // 9 weights interleaved over 1,300 patterns (about 144 per weight, so
+  // full words and a tail word per weight), then 60 weights over 450
+  // patterns (mostly tail words).
+  for (const auto& [sites, distinct] : {std::pair{1300, 9}, std::pair{450, 60}}) {
+    Rng rng(static_cast<std::uint64_t>(sites + distinct));
+    auto patterns = bio::uncompressed_patterns(testutil::random_alignment(16, sites, rng, 0.05));
+    for (std::size_t p = 0; p < patterns.weights.size(); ++p) {
+      patterns.weights[p] = 1 + static_cast<std::uint32_t>((p * 7) % static_cast<std::size_t>(distinct));
+    }
+    for (const std::uint64_t seed : {4u, 5u}) expect_reference_tree(patterns, seed);
+  }
+}
+
+TEST(ParsimonyOracle, SameTreesOnBootstrapReplicates) {
+  Rng rng(71);
+  const auto patterns = bio::compress_patterns(testutil::random_alignment(16, 300, rng, 0.05));
+  for (const std::uint64_t replicate : {1u, 2u, 3u}) {
+    Rng draw(replicate);
+    const auto resampled = search::bootstrap_resample(patterns, draw);
+    ASSERT_GT(std::count(resampled.weights.begin(), resampled.weights.end(), 0u), 0);
+    expect_reference_tree(resampled, replicate);
+  }
+}
+
+TEST(ParsimonyOracle, AllConstantDataTiesEverywhere) {
+  // Every candidate scores 0, so every insertion takes the first edge.
+  io::SequenceSet records;
+  for (int t = 0; t < 16; ++t) records.push_back({"t" + std::to_string(t), "ACGTTGCA"});
+  const auto patterns = bio::compress_patterns(bio::Alignment(records));
+  for (const std::uint64_t seed : {6u, 7u}) {
+    expect_reference_tree(patterns, seed);
+    Rng rng(seed);
+    EXPECT_EQ(fitch_score(parsimony_starting_tree(patterns, rng), patterns), 0u);
+  }
+}
+
+TEST(ParsimonyOracle, FitchScoreMatchesReferenceOnRandomTrees) {
+  for (const int ntaxa : {3, 5, 16, 48}) {
+    Rng rng(static_cast<std::uint64_t>(ntaxa));
+    auto patterns = bio::compress_patterns(testutil::random_alignment(ntaxa, 200, rng, 0.1));
+    for (std::size_t p = 0; p < patterns.weights.size(); ++p) {
+      patterns.weights[p] = static_cast<std::uint32_t>(p % 4);  // zeros included
+    }
+    for (int trial = 0; trial < 3; ++trial) {
+      const Tree tree = Tree::random(ntaxa, rng);
+      EXPECT_EQ(fitch_score(tree, patterns), reference::fitch_score(tree, patterns));
+    }
+  }
+}
+
+TEST(ParsimonyOracle, ProteinTreesMatchReferenceUnderAaMasks) {
+  const char* const kResidues = "ARNDCQEGHILKMFPSTWYVBZX";
+  for (const int ntaxa : {5, 16}) {
+    Rng rng(static_cast<std::uint64_t>(300 + ntaxa));
+    io::SequenceSet records;
+    for (int t = 0; t < ntaxa; ++t) {
+      std::string seq;
+      for (int s = 0; s < 150; ++s) seq.push_back(kResidues[rng.below(s % 10 == 0 ? 23 : 4)]);
+      records.push_back({"t" + std::to_string(t), seq});
+    }
+    const auto patterns = bio::compress_protein_patterns(bio::ProteinAlignment(records));
+    expect_reference_tree(patterns, 8, bio::aa_code_masks());
+    const Tree tree = Tree::random(ntaxa, rng);
+    EXPECT_EQ(fitch_score(tree, patterns, bio::aa_code_masks()),
+              reference::fitch_score(tree, patterns, bio::aa_code_masks()));
+  }
+}
+
+TEST(Parsimony, AllAlanineColumnScoresZeroUnderAaMasks) {
+  // 'A' is amino-acid code 0: read as a bitmask it would be the empty set.
+  io::SequenceSet records = {{"t0", "AA"}, {"t1", "AA"}, {"t2", "AA"}, {"t3", "AA"}, {"t4", "AA"}};
+  const auto patterns = bio::compress_protein_patterns(bio::ProteinAlignment(records));
+  Rng rng(9);
+  const Tree tree = parsimony_starting_tree(patterns, rng, bio::aa_code_masks());
+  EXPECT_EQ(fitch_score(tree, patterns, bio::aa_code_masks()), 0u);
+}
+
+TEST(Parsimony, DistinctAminoAcidsShareNoState) {
+  // R (code 1) & Q (code 5) is nonzero as bitmasks, but the sets are
+  // disjoint: a two-state column costs exactly one change on any tree.
+  io::SequenceSet records = {{"t0", "R"}, {"t1", "R"}, {"t2", "Q"}, {"t3", "Q"}};
+  const auto patterns = bio::compress_protein_patterns(bio::ProteinAlignment(records));
+  Rng rng(10);
+  for (int trial = 0; trial < 3; ++trial) {
+    EXPECT_EQ(fitch_score(Tree::random(4, rng), patterns, bio::aa_code_masks()), 1u);
+  }
+}
+
+TEST(Parsimony, ExplicitDnaMasksMatchTheDefault) {
+  Rng rng(11);
+  const auto patterns = bio::compress_patterns(testutil::random_alignment(12, 300, rng, 0.1));
+  Rng a(12), b(12);
+  const Tree implicit = parsimony_starting_tree(patterns, a);
+  const Tree explicit_masks = parsimony_starting_tree(patterns, b, bio::dna_code_masks());
+  const auto names = testutil::taxon_names(12);
+  EXPECT_EQ(implicit.to_newick(names), explicit_masks.to_newick(names));
+  EXPECT_EQ(fitch_score(implicit, patterns), fitch_score(implicit, patterns, bio::dna_code_masks()));
+}
+
+TEST(Parsimony, EmptyStateSetIsRejected) {
+  io::SequenceSet records = {{"t0", "AC"}, {"t1", "AG"}, {"t2", "CT"}, {"t3", "AA"}};
+  const auto patterns = bio::compress_patterns(bio::Alignment(records));
+  auto masks = bio::dna_code_masks();
+  masks[bio::encode_dna('A')] = 0;
+  Rng rng(13);
+  EXPECT_THROW(parsimony_starting_tree(patterns, rng, masks), Error);
+  EXPECT_THROW(fitch_score(Tree::random(4, rng), patterns, masks), Error);
+  // A code past the end of the table has no state set either.
+  EXPECT_THROW(fitch_score(Tree::random(4, rng), patterns, std::vector<std::uint32_t>(2, 0xF)),
+               Error);
 }
 
 }  // namespace
