@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "src/bio/patterns.hpp"
@@ -29,6 +30,9 @@
 namespace {
 
 using namespace miniphi;
+
+/// Interleaved runs per median of the metrics and SDC overhead lines.
+constexpr int kOverheadRuns = 7;
 
 /// Host micro-benchmark of one kernel back-end; returns ns per site.
 double measure_kernel(core::Kernel kernel, simd::Isa isa, std::int64_t sites, int repetitions) {
@@ -185,31 +189,31 @@ int main() {
       return std::pair<double, core::EvalStats>{timer.seconds(), engine.stats()};
     };
 
-    // Interleaved best-of-5 per mode: the workload is ~0.15 s, small enough
-    // that a single run is at the mercy of scheduler noise on a shared
-    // host; alternating modes exposes both to the same machine state and
-    // the min discards the noisy outliers.
+    // Medians of interleaved runs per mode: the workload is ~0.15 s, small
+    // enough that a single run is at the mercy of scheduler noise on a
+    // shared host; alternating modes exposes both to the same machine state.
     (void)timed_run(obs::MetricsMode::kOff);  // warm up caches / frequency
-    obs::Registry::instance().reset();
-    double off_seconds = 1e30;
-    double on_seconds = 1e30;
     core::EvalStats on_stats;
-    for (int r = 0; r < 5; ++r) {
-      off_seconds = std::min(off_seconds, timed_run(obs::MetricsMode::kOff).first);
-      // Reset between runs so the printed registry report covers one run,
-      // matching the stats() table next to it.
-      obs::Registry::instance().reset();
-      const auto [seconds, stats] = timed_run(obs::MetricsMode::kOn);
-      if (seconds < on_seconds) {
-        on_seconds = seconds;
-        on_stats = stats;
-      }
-    }
+    std::vector<double> iqrs;
+    const std::vector<double> medians = bench::median_seconds(
+        kOverheadRuns, {[&] { return timed_run(obs::MetricsMode::kOff).first; },
+                        [&] {
+                          // Reset before each run so the printed registry
+                          // report covers one run, matching the stats()
+                          // table next to it.
+                          obs::Registry::instance().reset();
+                          const auto [seconds, stats] = timed_run(obs::MetricsMode::kOn);
+                          on_stats = stats;
+                          return seconds;
+                        }},
+        &iqrs);
 
     std::printf("%s", core::format_eval_stats(on_stats).c_str());
     std::printf("\n%s", obs::render_kernel_report().c_str());
-    std::printf("\nbranch-length optimization wall: metrics off %.3fs, on %.3fs (%+.2f%%)\n",
-                off_seconds, on_seconds, (on_seconds / off_seconds - 1.0) * 100.0);
+    std::printf("\nbranch-length optimization wall, median of %d (IQR): metrics off %.3fs "
+                "(%.3f), on %.3fs (%.3f) -> %+.2f%%\n",
+                kOverheadRuns, medians[0], iqrs[0], medians[1], iqrs[1],
+                (medians[1] / medians[0] - 1.0) * 100.0);
   }
 
   // Part 4: overhead of the silent-data-corruption defense (DESIGN.md §10) —
@@ -236,23 +240,23 @@ int main() {
     };
 
     (void)timed_run(false);  // warm up caches / frequency
-    double off_seconds = 1e30;
-    double on_seconds = 1e30;
     core::sdc::Counters counters;
-    for (int r = 0; r < 5; ++r) {
-      off_seconds = std::min(off_seconds, timed_run(false).first);
-      const auto [seconds, sdc] = timed_run(true);
-      if (seconds < on_seconds) {
-        on_seconds = seconds;
-        counters = sdc;
-      }
-    }
+    std::vector<double> iqrs;
+    const std::vector<double> medians = bench::median_seconds(
+        kOverheadRuns, {[&] { return timed_run(false).first; },
+                        [&] {
+                          const auto [seconds, sdc] = timed_run(true);
+                          counters = sdc;
+                          return seconds;
+                        }},
+        &iqrs);
 
-    const double overhead = (on_seconds / off_seconds - 1.0) * 100.0;
+    const double overhead = (medians[1] / medians[0] - 1.0) * 100.0;
     std::printf("checksum verifies per run: %lld (hits: %lld — a clean run must detect 0)\n",
                 static_cast<long long>(counters.checks), static_cast<long long>(counters.hits));
-    std::printf("branch-length optimization wall: checks off %.3fs, on %.3fs (%+.2f%%)\n",
-                off_seconds, on_seconds, overhead);
+    std::printf("branch-length optimization wall, median of %d (IQR): checks off %.3fs (%.3f), "
+                "on %.3fs (%.3f) -> %+.2f%%\n",
+                kOverheadRuns, medians[0], iqrs[0], medians[1], iqrs[1], overhead);
     if (std::getenv("MINIPHI_BENCH_REQUIRE_SDC_OVERHEAD") != nullptr && overhead > 2.0) {
       std::printf("FAIL: sdc verify overhead %.2f%% exceeds the 2%% budget\n", overhead);
       return 1;

@@ -68,7 +68,8 @@ double median(std::vector<double> samples) {
   return (*mid + *std::max_element(samples.begin(), mid)) / 2.0;
 }
 
-std::vector<double> median_seconds(int runs, const std::vector<std::function<double()>>& trials) {
+std::vector<double> median_seconds(int runs, const std::vector<std::function<double()>>& trials,
+                                   std::vector<double>* iqrs) {
   runs = std::max(runs, 5);
   std::vector<std::vector<double>> seconds(trials.size());
   for (int run = 0; run < runs; ++run) {
@@ -76,7 +77,18 @@ std::vector<double> median_seconds(int runs, const std::vector<std::function<dou
   }
   std::vector<double> medians;
   medians.reserve(trials.size());
-  for (auto& samples : seconds) medians.push_back(median(std::move(samples)));
+  if (iqrs != nullptr) iqrs->clear();
+  for (auto& samples : seconds) {
+    if (iqrs != nullptr) {
+      // Lower and upper halves (the median itself excluded for odd counts).
+      std::sort(samples.begin(), samples.end());
+      const auto half = static_cast<std::ptrdiff_t>(samples.size() / 2);
+      const std::vector<double> low(samples.begin(), samples.begin() + half);
+      const std::vector<double> high(samples.end() - half, samples.end());
+      iqrs->push_back(median(high) - median(low));
+    }
+    medians.push_back(median(std::move(samples)));
+  }
   return medians;
 }
 

@@ -62,7 +62,9 @@ double median(std::vector<double> samples);
 /// and one run swings by about ±20 %.  Runs every trial `runs` times
 /// (at least 5), round-robin so slow drift hits every trial alike, and
 /// returns each trial's median.  A trial returns the seconds it measured.
-std::vector<double> median_seconds(int runs, const std::vector<std::function<double()>>& trials);
+/// `iqrs`, when given, receives each trial's interquartile range (q3 - q1).
+std::vector<double> median_seconds(int runs, const std::vector<std::function<double()>>& trials,
+                                   std::vector<double>* iqrs = nullptr);
 
 /// Pretty-printing helpers.
 std::string format_seconds(double seconds);

@@ -74,10 +74,11 @@ typedef enum miniphi_backend {
 } miniphi_backend;
 
 /* What the caller asks for.  Zero-initialize for "let the library decide
- * everything" (cost-model back-end choice, one partition, one stream). */
+ * everything" (widest supported back-end, one partition, one stream). */
 typedef struct miniphi_resource_request {
-  /* OR of miniphi_backend bits the instance may use; 0 = any, the platform
-   * cost model picks per partition. */
+  /* OR of miniphi_backend bits the instance may use; 0 = any.  The
+   * instance runs the widest permitted back-end the host supports on every
+   * partition. */
   int backends;
   /* Number of partitions to split the alignment's sites into (>= 1;
    * 0 = 1).  Partitions are near-equal contiguous site ranges. */
@@ -100,7 +101,8 @@ typedef struct miniphi_resource_request {
 
 /* What the library actually granted. */
 typedef struct miniphi_resource_grant {
-  int backends;   /* OR of miniphi_backend bits in use across partitions */
+  int backends;   /* the one miniphi_backend bit in use: the widest
+                   * permitted back-end, shared by every partition */
   int partitions; /* partitions actually created */
   int streams;    /* stream groups actually running */
   /* CLA budget echo (since 1.1): the bytes the caller asked for (0 =

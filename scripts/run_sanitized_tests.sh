@@ -33,8 +33,8 @@ cmake -B "${build}" -S "${root}" \
 # tests, and ASan sees straight through them.  obs_test rides along too: the
 # metrics registry's sharded counters and the tracer's lock-free appends are
 # precisely the code TSan exists to audit.  partitioned_test covers the
-# merged traversal queue's wavefront/per-node dispatch — concurrent
-# execute_plan_level calls on sibling engines through the worker pool's
+# stream executor's pooled dispatch — sibling engines running whole
+# evaluator calls concurrently as stream tasks through the worker pool's
 # atomic task claiming.  sdc_test rides along: the heal path unwinds
 # CorruptionDetected through kernel regions, worker-pool threads, and the
 # rank threads of the agreement collective — stale pointers after a healed

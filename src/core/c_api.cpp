@@ -2,10 +2,11 @@
 //
 // Everything here is boundary code: translate C inputs into the C++ seam
 // types (core::EngineConfig, core::PartitionSpec, core::StreamPlan), run
-// the resource negotiation against the host's supported back-ends and the
-// platform cost model, construct evaluators exclusively through the
-// factories (core::make_evaluator / parallel::make_stream_evaluator), and
-// map every exception to a stable miniphi_error before it can cross into C.
+// the resource negotiation against the host's supported back-ends, pack
+// streams with the platform cost model, construct evaluators exclusively
+// through the factories (core::make_evaluator /
+// parallel::make_stream_evaluator), and map every exception to a stable
+// miniphi_error before it can cross into C.
 //
 // Since 1.2 handles are generation-stamped table entries rather than raw
 // pointers: the opaque pointer a caller holds encodes (slot index,
@@ -404,8 +405,7 @@ miniphi_error miniphi_create_instance(const miniphi_alignment* alignment,
     MINIPHI_CHECK(req.cla_budget_bytes >= 0, "negative CLA budget request");
 
     // Back-end negotiation: the request is a permission mask; intersect it
-    // with what the host supports, then let the cost model choose per
-    // partition within the granted set.
+    // with what the host supports and run the widest back-end left.
     const int supported = miniphi_supported_backends();
     const int allowed = req.backends == 0 ? supported : (req.backends & supported);
     if (allowed == 0) {
@@ -453,36 +453,26 @@ miniphi_error miniphi_create_instance(const miniphi_alignment* alignment,
                          instance->evaluator->cla_bytes_granted()};
     } else {
       instance->partitions = miniphi::core::even_partitions(sites, partitions);
-      // Cost-model stream plan; per-partition site counts stand in for the
-      // (not yet compressed) pattern counts.
-      std::vector<std::int64_t> partition_sites;
-      partition_sites.reserve(instance->partitions.size());
-      for (const auto& spec : instance->partitions) {
-        partition_sites.push_back(spec.end - spec.begin);
-      }
+      // Cost-model stream plan over the compressed pattern counts — the
+      // same counts the evaluator carves a byte budget over, so a budget it
+      // accepts is never refused here.
+      const auto patterns = miniphi::core::partition_pattern_counts(alignment_payload->alignment,
+                                                                    instance->partitions);
       // Budget-aware stream packing: under a carved budget, tight partitions
       // are modeled slower (they recompute or reload evicted CLAs), so LPT
-      // spreads them across streams.  Site counts stand in for pattern
-      // counts here exactly as they do for the cost model itself.
+      // spreads them across streams.
       std::vector<double> budget_fraction;
       if (req.cla_budget_bytes > 0) {
         const auto counts = miniphi::core::carve_cla_budgets(
-            req.cla_budget_bytes, partition_sites, instance->tree.inner_count());
+            req.cla_budget_bytes, patterns, instance->tree.inner_count());
         budget_fraction.reserve(counts.size());
         for (const int count : counts) {
           budget_fraction.push_back(static_cast<double>(count) /
                                     static_cast<double>(instance->tree.inner_count()));
         }
       }
-      auto plan = miniphi::platform::plan_partition_streams(partition_sites, streams, widest,
-                                                            budget_fraction);
-      int granted_mask = 0;
-      for (auto& isa : plan.partition_isa) {
-        // The permission mask may exclude a middle width (e.g. AVX2-only):
-        // clamp excluded choices up to the widest granted back-end.
-        if ((allowed & backend_bit(isa)) == 0) isa = widest;
-        granted_mask |= backend_bit(isa);
-      }
+      const auto plan = miniphi::platform::plan_partition_streams(patterns, streams, widest,
+                                                                  budget_fraction);
       const int granted_streams = plan.stream_count;
       if (granted_streams > 1) {
         instance->pool = std::make_unique<miniphi::parallel::WorkerPool>(granted_streams);
@@ -494,7 +484,7 @@ miniphi_error miniphi_create_instance(const miniphi_alignment* alignment,
             alignment_payload->alignment, instance->partitions, instance->model,
             instance->tree, config, plan);
       }
-      instance->grant = {granted_mask, partitions, granted_streams, req.cla_budget_bytes,
+      instance->grant = {backend_bit(widest), partitions, granted_streams, req.cla_budget_bytes,
                          instance->evaluator->cla_bytes_granted()};
     }
 

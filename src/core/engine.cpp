@@ -788,8 +788,8 @@ void LikelihoodEngine::run_gradient_all_branches(tree::Slot* root_edge,
   // Root-to-tips descent.  Ops are emitted parents-first, so emission order
   // is a valid schedule; it is also the only schedule used — the pass is
   // deliberately serial so the per-edge results are bit-identical no matter
-  // how the postorder CLAs were produced (per-node, wavefront or distributed
-  // execution all commit the same buffers).
+  // how the postorder CLAs were produced (level order, DFS order or
+  // distributed execution all commit the same buffers).
   core_.run_preorder_descent(root_edge, [&](const TraversalPlan& plan, const PlfOp& op) {
     run_preorder_op(plan, op, out);
   });

@@ -24,10 +24,9 @@
 // and the core calls back into run_newview() once per op.  This class keeps
 // what is DNA-specific: the 4-state Γ kernels and their tables, the chunked
 // SDC checksum loop, the site-repeats class maps, and the kernel statistics.
-// The flat form is also what the batching layers consume: partitioned and
-// wavefront evaluators fetch per-engine plans via plan_traversal(), run the
-// interleaved ops level by level through execute_plan_level(), and mark
-// them done with commit_planned_traversal().
+// The flat form is also what the distributed layer consumes: it fetches
+// each traversal's plan via plan_traversal() to derive its communication
+// plan.
 #pragma once
 
 #include <array>
@@ -187,31 +186,10 @@ class LikelihoodEngine final : public Evaluator, private EngineFamily {
   /// Plan for validating the CLAs at (edge, edge->back): the cached plan if
   /// it still matches the engine's CLA state, a freshly built one otherwise.
   /// Returns nullptr when the cached plan is already *satisfied* — nothing
-  /// to run.  Used by batching executors (partitioned / wavefront /
-  /// distributed); log_likelihood() and prepare_derivatives() consult the
-  /// same cache internally.  The pointer stays valid until the next plan or
-  /// invalidation call on this engine.
+  /// to run.  Used by the distributed evaluator; log_likelihood() and
+  /// prepare_derivatives() consult the same cache internally.  The pointer
+  /// stays valid until the next plan or invalidation call on this engine.
   const TraversalPlan* plan_traversal(tree::Slot* edge) { return core_.plan_traversal(edge); }
-
-  /// Runs one dependency level of `plan` (all its ops are independent).
-  /// External execution requires the full CLA budget: the caller, not the
-  /// engine, owns op ordering, so the eviction pin discipline of the
-  /// internal executor does not apply.  Thread-safety: one thread per
-  /// engine at a time; different engines may run their levels concurrently.
-  void execute_plan_level(const TraversalPlan& plan, int level) {
-    core_.execute_plan_level(plan, level);
-  }
-
-  /// Runs a single op of `plan` (same contract and budget requirement as
-  /// execute_plan_level; the caller must respect level order across calls).
-  void execute_plan_op(const TraversalPlan& plan, std::int32_t op) {
-    core_.execute_plan_op(plan, op);
-  }
-
-  /// Marks the traversal planned at `edge` as executed (all levels ran via
-  /// execute_plan_level).  The next log_likelihood()/prepare_derivatives()
-  /// at this edge then skips straight to the root kernel.
-  void commit_planned_traversal(tree::Slot* edge) { core_.commit_planned_traversal(edge); }
 
   /// Monotonic plan-cache statistics (builds, satisfied-plan cache hits,
   /// prebuilt-plan reuses, executed ops/plans).

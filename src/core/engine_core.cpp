@@ -270,7 +270,7 @@ void EngineCore::execute_plan(const TraversalPlan& plan) {
     }
   } else {
     // Full budget: level order.  Nothing can be evicted, so no pinning —
-    // this is the order the batched/wavefront executors use.
+    // every op's inputs come from an earlier level or the plan's inputs.
     for (int level = 1; level <= plan.levels(); ++level) {
       check_cancel();  // plan-level cancellation boundary
       obs::ScopedSpan level_span("plan:level");
@@ -344,29 +344,12 @@ void EngineCore::prefetch_op_inputs(const PlfOp& op) {
 }
 
 const TraversalPlan* EngineCore::plan_traversal(tree::Slot* edge) {
-  // External executors start their traversal here: open a fresh trust pass
-  // so the plan's frontier inputs re-verify once during execution.
+  // An external traversal starts here: open a fresh trust pass so the
+  // plan's frontier inputs re-verify once during execution.
   if (sdc_checks_) ++sdc_pass_;
   PlanCache::Entry& entry = plan_cache_.entry_for(edge);
   if (plan_cache_.satisfied(entry)) return nullptr;
   return &plan_cache_.prepare(entry, [this](const tree::Slot* s) { return slot_valid(s); });
-}
-
-void EngineCore::execute_plan_level(const TraversalPlan& plan, int level) {
-  for (const std::int32_t op : plan.level_ops(level)) execute_plan_op(plan, op);
-}
-
-void EngineCore::execute_plan_op(const TraversalPlan& plan, std::int32_t op) {
-  MINIPHI_CHECK(store_.full_resident(),
-                "engine: external plan execution requires the full CLA budget "
-                "(Config::cla_buffers must cover every inner node)");
-  run_plan_op(plan.ops()[static_cast<std::size_t>(op)], /*pinning=*/false);
-}
-
-void EngineCore::commit_planned_traversal(tree::Slot* edge) {
-  PlanCache::Entry& entry = plan_cache_.entry_for(edge);
-  plan_cache_.mark_satisfied(entry);
-  if (!entry.plan.empty()) plan_cache_.count_executed_plan(entry.plan);
 }
 
 void EngineCore::ensure_preorder_tier() {

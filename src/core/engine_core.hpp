@@ -215,14 +215,9 @@ class EngineCore {
     if (node_id >= taxa_) store_.unpin(node_id - taxa_);
   }
 
-  /// External plan API (partitioned / wavefront / distributed executors):
-  /// the plan for (edge, edge->back), or nullptr when the cached one is
-  /// satisfied; its levels or single ops run on the full budget only; the
-  /// commit marks the traversal executed.
+  /// The plan for (edge, edge->back), or nullptr when the cached one is
+  /// satisfied — what DistributedEvaluator derives its CommPlan from.
   const TraversalPlan* plan_traversal(tree::Slot* edge);
-  void execute_plan_level(const TraversalPlan& plan, int level);
-  void execute_plan_op(const TraversalPlan& plan, std::int32_t op);
-  void commit_planned_traversal(tree::Slot* edge);
 
   [[nodiscard]] const PlanCounters& plan_counters() const { return plan_cache_.counters(); }
 

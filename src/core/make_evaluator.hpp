@@ -39,11 +39,11 @@ std::unique_ptr<Evaluator> make_evaluator(const bio::PatternSet& patterns,
                                           const EngineConfig& config = {});
 
 /// Partitioned (multi-gene) evaluator: one engine per partition over the
-/// shared tree, per-partition back-ends and stream groups per `streams`
-/// (normally produced by platform::plan_partition_streams).  Stream
-/// dispatch additionally requires a ParallelFor attached with
-/// PlanSchedule::kStreams — parallel::make_stream_evaluator bundles a
-/// worker pool with the partitioned evaluator for that.
+/// shared tree, all on config.isa, grouped into streams per `streams`
+/// (normally produced by platform::plan_partition_streams).  This factory
+/// runs the stream tasks serially on the calling thread;
+/// parallel::make_stream_evaluator bundles a worker pool with the same
+/// evaluator to run them concurrently, bit-identically.
 std::unique_ptr<Evaluator> make_evaluator(const bio::Alignment& alignment,
                                           std::span<const PartitionSpec> partitions,
                                           const model::GtrModel& model, tree::Tree& tree,

@@ -1,19 +1,16 @@
 // Partition and stream-group descriptions — the concrete-engine-free part
 // of the partitioned evaluation API.
 //
-// These types are pure data: how the alignment splits into partitions, how
-// the merged traversal queue is dispatched, and (since PR 8) how partitions
-// map onto *stream groups* with a kernel back-end chosen per partition.
-// They live apart from partitioned.hpp so that public consumers (examples,
-// the factory seam, the platform cost model, the C API shim) can describe a
-// partitioned job without pulling in any concrete engine header.
+// These types are pure data: how the alignment splits into partitions and
+// how partitions map onto *stream groups*.  They live apart from
+// partitioned.hpp so that public consumers (examples, the factory seam, the
+// platform cost model, the C API shim) can describe a partitioned job
+// without pulling in any concrete engine header.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "src/simd/dispatch.hpp"
 
 namespace miniphi::core {
 
@@ -27,44 +24,19 @@ struct PartitionSpec {
 /// Splits [0, total_sites) into `count` near-equal partitions named gene0…
 std::vector<PartitionSpec> even_partitions(std::int64_t total_sites, int count);
 
-/// How the cross-partition work is dispatched.
-enum class PlanSchedule {
-  kBatched,    ///< one serial walk over the merged level queue (default)
-  kPerNode,    ///< one parallel region per tree node (classical fork-join)
-  kWavefront,  ///< one parallel region per dependency level
-  /// Stream groups (PR 8, the BEAGLE-4.1 concurrent-streams analogue): each
-  /// stream is one long-lived task evaluating its subset of partitions
-  /// end-to-end — newview traversal, root kernels, derivatives — with no
-  /// cross-stream barrier until the final fixed-order reduction.  One
-  /// parallel region per evaluator call instead of one per dependency level.
-  kStreams,
-};
-
-/// Per-partition back-end and stream assignment, normally produced by
-/// platform::plan_partition_streams (the cost model decides which ISA is
-/// fastest for each partition's size) but constructible by hand.  Empty
-/// vectors mean "default": every partition uses the engine config's ISA and
-/// stream 0.  The assignment is fixed at evaluator construction — kernels
-/// tables are per-engine — and reductions always fold in fixed partition
-/// order, so any assignment yields bit-identical results across stream
-/// counts and schedules.
+/// Stream-group assignment, normally produced by
+/// platform::plan_partition_streams (LPT over the modeled partition costs)
+/// but constructible by hand.  An empty vector means "default": every
+/// partition on stream 0.  Each stream is one task that evaluates its
+/// partitions end-to-end; reductions always fold in fixed partition order,
+/// so any assignment yields bit-identical results across stream counts and
+/// thread counts.
 struct StreamPlan {
-  std::vector<simd::Isa> partition_isa;  ///< per partition; empty = config ISA
-  std::vector<int> partition_stream;     ///< per partition stream id; empty = 0
-  int stream_count = 1;                  ///< number of stream groups (>= 1)
+  std::vector<int> partition_stream;  ///< per partition stream id; empty = 0
+  int stream_count = 1;               ///< number of stream groups (>= 1)
 };
 
-/// Monotonic counters for the merged cross-partition executor.
-struct MergedPlanCounters {
-  std::int64_t traversals = 0;  ///< merged traversals executed (≥1 op total)
-  std::int64_t levels = 0;      ///< dependency levels walked
-  /// Parallel regions issued (newview levels or node groups, plus one per
-  /// root-kernel phase); the schedules differ only in the newview share.
-  std::int64_t regions = 0;
-  std::int64_t ops = 0;  ///< newview ops dispatched through the queue
-};
-
-/// Monotonic counters for the stream-group executor (PlanSchedule::kStreams).
+/// Monotonic counters for the stream-group executor.
 struct StreamCounters {
   std::int64_t calls = 0;    ///< evaluator entry points dispatched via streams
   std::int64_t regions = 0;  ///< parallel regions issued (1 per call)

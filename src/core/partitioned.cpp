@@ -28,13 +28,9 @@ bio::Alignment slice_alignment(const bio::Alignment& alignment, const PartitionS
 }
 
 /// Fills the defaulted StreamPlan fields and validates the explicit ones.
-StreamPlan normalize_stream_plan(const StreamPlan& plan, std::size_t partitions,
-                                 simd::Isa default_isa) {
+StreamPlan normalize_stream_plan(const StreamPlan& plan, std::size_t partitions) {
   StreamPlan out = plan;
   MINIPHI_CHECK(out.stream_count >= 1, "stream plan: stream_count must be >= 1");
-  if (out.partition_isa.empty()) out.partition_isa.assign(partitions, default_isa);
-  MINIPHI_CHECK(out.partition_isa.size() == partitions,
-                "stream plan: partition_isa size does not match the partition count");
   if (out.partition_stream.empty()) out.partition_stream.assign(partitions, 0);
   MINIPHI_CHECK(out.partition_stream.size() == partitions,
                 "stream plan: partition_stream size does not match the partition count");
@@ -90,6 +86,17 @@ std::vector<int> carve_cla_budgets(std::int64_t budget_bytes,
   return counts;
 }
 
+std::vector<std::int64_t> partition_pattern_counts(const bio::Alignment& alignment,
+                                                   std::span<const PartitionSpec> specs) {
+  std::vector<std::int64_t> counts;
+  counts.reserve(specs.size());
+  for (const PartitionSpec& spec : specs) {
+    counts.push_back(static_cast<std::int64_t>(
+        bio::compress_patterns(slice_alignment(alignment, spec)).pattern_count()));
+  }
+  return counts;
+}
+
 std::vector<PartitionSpec> even_partitions(std::int64_t total_sites, int count) {
   MINIPHI_CHECK(count >= 1 && total_sites >= count,
                 "even_partitions: need at least one site per partition");
@@ -111,7 +118,7 @@ PartitionedEvaluator::PartitionedEvaluator(const bio::Alignment& alignment,
                                            tree::Tree& tree,
                                            const EngineConfig& engine_config,
                                            const StreamPlan& streams)
-    : tree_(tree), streams_(normalize_stream_plan(streams, specs.size(), engine_config.isa)) {
+    : tree_(tree), streams_(normalize_stream_plan(streams, specs.size())) {
   MINIPHI_CHECK(!specs.empty(), "partitioned evaluator: no partitions given");
   stream_partitions_.resize(static_cast<std::size_t>(streams_.stream_count));
   // Compress every partition first: a global byte budget is carved over the
@@ -140,7 +147,6 @@ PartitionedEvaluator::PartitionedEvaluator(const bio::Alignment& alignment,
     EngineConfig config = engine_config;
     config.begin = 0;
     config.end = -1;
-    config.isa = streams_.partition_isa[p];
     if (!carved.empty()) {
       // The engine gets its carved buffer count directly; a full grant maps
       // back to the unconstrained default so the store runs level-order.
@@ -151,43 +157,24 @@ PartitionedEvaluator::PartitionedEvaluator(const bio::Alignment& alignment,
         std::make_unique<LikelihoodEngine>(*patterns_[p], initial_model, tree, config));
   }
   trace_attached_ = engine_config.trace != nullptr;
-  sdc_checks_ = engine_config.sdc_checks;
   cancel_ = engine_config.cancel;  // engines share the same token via config
-  // External plan execution needs the full CLA budget (no eviction); under
-  // a tight budget the engines keep traversing internally with their pin
-  // discipline and the merged queue stands down.  (Stream dispatch is
-  // unaffected: streams always run the engines' internal executors.)
-  merged_supported_ = engine_config.cla_buffers < 0;
-  for (const int count : carved) {
-    if (count < tree.inner_count()) merged_supported_ = false;
-  }
   if (obs::kMetricsCompiled && engine_config.metrics == obs::MetricsMode::kOn) {
     metrics_ = true;
     obs::Registry& registry = obs::Registry::instance();
-    merged_traversals_id_ = registry.counter("plan.merged.traversals");
-    merged_levels_id_ = registry.histogram("plan.merged.levels");
-    merged_regions_id_ = registry.counter("plan.merged.regions");
     stream_calls_id_ = registry.counter("stream.calls");
     stream_regions_id_ = registry.counter("stream.regions");
     stream_width_id_ = registry.histogram("stream.width");
     sdc_ids_ = sdc::register_metrics();
   }
-  plans_.resize(engines_.size());
   partials_.resize(engines_.size());
   derivative_partials_.resize(engines_.size());
 }
 
-void PartitionedEvaluator::set_parallel_for(ParallelFor* parallel_for, PlanSchedule schedule) {
+void PartitionedEvaluator::set_parallel_for(ParallelFor* parallel_for) {
   MINIPHI_CHECK(parallel_for == nullptr || !trace_attached_,
                 "partitioned evaluator: the engines share a KernelTrace, which is not "
                 "thread-safe; build without Config::trace to attach a ParallelFor");
   parallel_for_ = parallel_for;
-  schedule_ = schedule;
-}
-
-simd::Isa PartitionedEvaluator::partition_isa(int p) const {
-  MINIPHI_ASSERT(p >= 0 && p < partition_count());
-  return engines_[static_cast<std::size_t>(p)]->isa();
 }
 
 void PartitionedEvaluator::heal_or_rethrow(const sdc::CorruptionDetected& fault, int attempt) {
@@ -203,25 +190,10 @@ void PartitionedEvaluator::heal_or_rethrow(const sdc::CorruptionDetected& fault,
   if (metrics_) obs::Registry::instance().add(sdc_ids_.heals, 1);
 }
 
-void PartitionedEvaluator::run_region(int count, const std::function<void(int)>& fn) {
-  if (count <= 0) return;
-  if (parallel_for_ != nullptr) {
-    ++merged_counters_.regions;
-    if (metrics_) obs::Registry::instance().add(merged_regions_id_, 1);
-    parallel_for_->run(count, fn);
-    return;
-  }
-  for (int i = 0; i < count; ++i) fn(i);
-}
-
 void PartitionedEvaluator::run_partitions(const std::function<void(int)>& fn) {
-  if (!streams_active()) {
-    run_region(partition_count(), fn);
-    return;
-  }
-  // Stream dispatch: one region, one task per stream group.  Each task walks
-  // its own partitions end-to-end, so every engine is touched by exactly one
-  // thread and the whole call costs a single fork-join barrier.
+  // One region, one task per stream group.  Each task walks its own
+  // partitions end-to-end, so every engine is touched by exactly one thread
+  // and the whole call costs a single fork-join barrier.
   const int streams = streams_.stream_count;
   ++stream_counters_.calls;
   stream_counters_.tasks += streams;
@@ -244,97 +216,6 @@ void PartitionedEvaluator::run_partitions(const std::function<void(int)>& fn) {
     return;
   }
   for (int s = 0; s < streams; ++s) task(s);
-}
-
-void PartitionedEvaluator::validate_edge(tree::Slot* edge) {
-  // Stream dispatch skips the merged queue outright: each stream's engines
-  // validate internally (plan cache, level executor, SDC heal loop) as part
-  // of their end-to-end task.  Same holds under a tight CLA budget.
-  if (!merged_supported_ || streams_active()) return;
-  const int count = partition_count();
-  int max_levels = 0;
-  for (int p = 0; p < count; ++p) {
-    // nullptr = this partition's cached plan is already satisfied.
-    plans_[static_cast<std::size_t>(p)] = engines_[static_cast<std::size_t>(p)]->plan_traversal(edge);
-    if (plans_[static_cast<std::size_t>(p)] != nullptr) {
-      max_levels = std::max(max_levels, plans_[static_cast<std::size_t>(p)]->levels());
-    }
-  }
-  if (max_levels > 0) {
-    obs::ScopedSpan span("plan:merged");
-    // Scratch shared by the per-level dispatch below.  `active` holds the
-    // partitions with ops at the current level; `node_tasks` is the
-    // kPerNode regrouping of one level's ops by tree node.
-    std::vector<int> active;
-    struct NodeTask {
-      int node_id = 0;
-      int partition = 0;
-      std::int32_t op = 0;
-    };
-    std::vector<NodeTask> node_tasks;
-    for (int level = 1; level <= max_levels; ++level) {
-      check_cancel();  // merged-queue plan-level cancellation boundary
-      ++merged_counters_.levels;
-      active.clear();
-      for (int p = 0; p < count; ++p) {
-        const TraversalPlan* plan = plans_[static_cast<std::size_t>(p)];
-        if (plan == nullptr || level > plan->levels()) continue;
-        active.push_back(p);
-        merged_counters_.ops += static_cast<std::int64_t>(plan->level_ops(level).size());
-      }
-      if (active.empty()) continue;
-      if (schedule_ == PlanSchedule::kPerNode) {
-        // Classical fork-join shape: regroup the level's ops by tree node
-        // and issue one region per node (all partitions recompute the same
-        // node together, then barrier — the per-node baseline the wavefront
-        // ablation measures against).
-        node_tasks.clear();
-        for (const int p : active) {
-          const TraversalPlan* plan = plans_[static_cast<std::size_t>(p)];
-          for (const std::int32_t op : plan->level_ops(level)) {
-            node_tasks.push_back(
-                {plan->ops()[static_cast<std::size_t>(op)].node_id, p, op});
-          }
-        }
-        std::stable_sort(node_tasks.begin(), node_tasks.end(),
-                         [](const NodeTask& a, const NodeTask& b) { return a.node_id < b.node_id; });
-        std::size_t begin = 0;
-        while (begin < node_tasks.size()) {
-          std::size_t end = begin + 1;
-          while (end < node_tasks.size() && node_tasks[end].node_id == node_tasks[begin].node_id) {
-            ++end;
-          }
-          run_region(static_cast<int>(end - begin), [&](int i) {
-            const NodeTask& task = node_tasks[begin + static_cast<std::size_t>(i)];
-            engines_[static_cast<std::size_t>(task.partition)]->execute_plan_op(
-                *plans_[static_cast<std::size_t>(task.partition)], task.op);
-          });
-          begin = end;
-        }
-      } else {
-        // Wavefront / batched: the whole level is one dispatch — one region
-        // (one barrier) with a ParallelFor, one loop without.  Task
-        // granularity is a partition's level slice, so each engine is
-        // touched by exactly one thread per region.
-        run_region(static_cast<int>(active.size()), [&](int i) {
-          const int p = active[static_cast<std::size_t>(i)];
-          engines_[static_cast<std::size_t>(p)]->execute_plan_level(
-              *plans_[static_cast<std::size_t>(p)], level);
-        });
-      }
-    }
-    ++merged_counters_.traversals;
-    if (metrics_) {
-      obs::Registry& registry = obs::Registry::instance();
-      registry.add(merged_traversals_id_, 1);
-      registry.observe(merged_levels_id_, max_levels);
-    }
-  }
-  for (int p = 0; p < count; ++p) {
-    if (plans_[static_cast<std::size_t>(p)] != nullptr) {
-      engines_[static_cast<std::size_t>(p)]->commit_planned_traversal(edge);
-    }
-  }
 }
 
 const std::string& PartitionedEvaluator::partition_name(int p) const {
@@ -360,17 +241,14 @@ int PartitionedEvaluator::partition_cla_buffers(int p) const {
 double PartitionedEvaluator::log_likelihood(tree::Slot* edge) {
   for (int attempt = 0;; ++attempt) {
     try {
-      validate_edge(edge);
-      // Merged schedules: all traversal work is done (each engine's plan is
-      // satisfied) and the per-engine calls below go straight to the
-      // evaluate root kernel.  Stream dispatch: each stream task runs its
-      // partitions end-to-end (traversal + evaluate) right here.
+      // Each stream task runs its partitions end-to-end (traversal +
+      // evaluate).
       run_partitions([&](int p) {
         partials_[static_cast<std::size_t>(p)] =
             engines_[static_cast<std::size_t>(p)]->log_likelihood(edge);
       });
-      // Fixed partition order: bit-identical across schedules, stream
-      // counts and thread counts.
+      // Fixed partition order: bit-identical across stream counts and
+      // thread counts.
       double total = 0.0;
       for (int p = 0; p < partition_count(); ++p) total += partials_[static_cast<std::size_t>(p)];
       return total;
@@ -386,7 +264,6 @@ double PartitionedEvaluator::log_likelihood(tree::Slot* edge) {
 void PartitionedEvaluator::prepare_derivatives(tree::Slot* edge) {
   for (int attempt = 0;; ++attempt) {
     try {
-      validate_edge(edge);
       run_partitions([&](int p) {
         engines_[static_cast<std::size_t>(p)]->prepare_derivatives(edge);
       });
@@ -507,11 +384,7 @@ std::int64_t PartitionedEvaluator::cla_bytes_granted() const {
   return total;
 }
 
-simd::Isa PartitionedEvaluator::isa() const {
-  simd::Isa widest = simd::Isa::kScalar;
-  for (const auto& engine : engines_) widest = std::max(widest, engine->isa());
-  return widest;
-}
+simd::Isa PartitionedEvaluator::isa() const { return engines_.front()->isa(); }
 
 const model::GtrModel* PartitionedEvaluator::gtr_model() const {
   return &engines_.front()->model();

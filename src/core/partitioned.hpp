@@ -12,29 +12,18 @@
 // claim itself is reproduced by bench_ablation_partitions via the platform
 // cost model.
 //
-// Two execution shapes (DESIGN.md §13):
-//
-//  * Merged queue (kBatched/kPerNode/kWavefront): every evaluator call first
-//    fetches each engine's flat traversal plan (core::TraversalPlan) and
-//    runs the merged queue level by level, interleaving ops from different
-//    partitions within a level.  kWavefront issues one parallel region (one
-//    barrier) per dependency level; kPerNode reproduces the classical
-//    fork-join shape for the ablation; kBatched walks the merged queue on
-//    the calling thread.
-//
-//  * Stream groups (kStreams, PR 8 — the BEAGLE-4.1 concurrent-partition-
-//    streams analogue): partitions are assigned to independent stream
-//    groups, each stream evaluates its partitions *end-to-end* (newview
-//    traversal through the engine's own plan cache, root kernels,
-//    derivatives) as one long task, and the only synchronization is the
-//    region join before the fixed-order reduction.  Each partition's kernel
-//    back-end (ISA) can differ — chosen by platform::plan_partition_streams
-//    from the cost model — so a mixed job runs small partitions on
-//    scalar/AVX2 and large ones on AVX-512 simultaneously.
+// One execution shape (DESIGN.md §13), the BEAGLE-4.1 concurrent-
+// partition-streams analogue: partitions are assigned to independent stream
+// groups, each stream evaluates its partitions *end-to-end* (newview
+// traversal through the engine's own plan cache, root kernels,
+// derivatives) as one task, and the only synchronization is the region join
+// before the fixed-order reduction — one parallel region per evaluator
+// call.  With no ParallelFor attached the stream tasks run as a plain loop
+// on the calling thread, which is the serial path.  Every partition runs the
+// engine config's ISA.
 //
 // Every reduction sums in fixed partition order, so results are
-// bit-identical across schedules, stream counts and thread counts for a
-// given per-partition back-end assignment.
+// bit-identical across stream counts and thread counts.
 #pragma once
 
 #include <functional>
@@ -65,17 +54,21 @@ std::vector<int> carve_cla_budgets(std::int64_t budget_bytes,
                                    std::span<const std::int64_t> partition_lengths,
                                    int inner_count);
 
+/// Compressed pattern count of each partition, exactly as the partitioned
+/// evaluator compresses them: the input of carve_cla_budgets and of
+/// platform::plan_partition_streams before an evaluator exists.
+std::vector<std::int64_t> partition_pattern_counts(const bio::Alignment& alignment,
+                                                   std::span<const PartitionSpec> specs);
+
 class PartitionedEvaluator final : public Evaluator {
  public:
   /// Compresses each site range into its own pattern set and builds one
   /// engine per partition over the shared tree.  Every partition starts
   /// with `initial_model`; models can then diverge per partition.
   ///
-  /// `streams` fixes each partition's kernel back-end (StreamPlan::
-  /// partition_isa overrides engine_config.isa per partition) and its
-  /// stream-group assignment; the default plan keeps every partition on the
-  /// config ISA in one stream.  Stream dispatch additionally needs
-  /// set_parallel_for(…, PlanSchedule::kStreams).
+  /// `streams` fixes each partition's stream group; the default plan keeps
+  /// every partition in one stream.  Every engine runs engine_config.isa.
+  /// The streams run in parallel once a ParallelFor is attached.
   PartitionedEvaluator(const bio::Alignment& alignment, std::span<const PartitionSpec> specs,
                        const model::GtrModel& initial_model, tree::Tree& tree,
                        const EngineConfig& engine_config = {}, const StreamPlan& streams = {});
@@ -93,27 +86,19 @@ class PartitionedEvaluator final : public Evaluator {
   /// inner-node count when no byte budget is in force.
   [[nodiscard]] int partition_cla_buffers(int p) const;
 
-  /// Attaches (or detaches, with nullptr) a parallel-for executor and picks
-  /// the dispatch schedule.  Requires engines built without a KernelTrace
-  /// (the trace recorder is not thread-safe) and, for the merged-queue
-  /// schedules, the full CLA budget.  With no executor attached every
-  /// schedule runs on the calling thread (regions degrade to loops), which
-  /// keeps both executors — and their counters — testable single-threaded.
-  void set_parallel_for(ParallelFor* parallel_for, PlanSchedule schedule);
-  [[nodiscard]] PlanSchedule plan_schedule() const { return schedule_; }
+  /// Attaches (or detaches, with nullptr) the parallel-for executor that
+  /// runs the stream tasks.  Requires engines built without a KernelTrace
+  /// (the trace recorder is not thread-safe).  With no executor attached
+  /// the stream tasks run as a plain loop on the calling thread.
+  void set_parallel_for(ParallelFor* parallel_for);
 
-  /// The back-end/stream assignment in force (normalized: per-partition
-  /// vectors are always filled).
+  /// The stream assignment in force (normalized: partition_stream is always
+  /// filled).
   [[nodiscard]] const StreamPlan& stream_plan() const { return streams_; }
   [[nodiscard]] int stream_count() const { return streams_.stream_count; }
-  /// Kernel ISA partition `p`'s engine actually runs.
-  [[nodiscard]] simd::Isa partition_isa(int p) const;
 
-  /// Counters of the merged cross-partition executor (never reset; callers
-  /// take deltas).  regions stays 0 until a ParallelFor is attached.
-  [[nodiscard]] const MergedPlanCounters& merged_plan_counters() const { return merged_counters_; }
-
-  /// Counters of the stream-group executor (kStreams dispatch only).
+  /// Counters of the stream-group executor (never reset; callers take
+  /// deltas).  regions stays 0 until a ParallelFor is attached.
   [[nodiscard]] const StreamCounters& stream_counters() const { return stream_counters_; }
 
   // Evaluator interface: branch lengths are linked across partitions, so
@@ -126,7 +111,7 @@ class PartitionedEvaluator final : public Evaluator {
   double optimize_all_branches(tree::Slot* root_edge, int passes) override;
   /// All-branch gradient: each partition runs its own two-pass sweep; the
   /// per-edge derivatives are summed in fixed partition order (bit-identical
-  /// across schedules, stream counts and thread counts like every other
+  /// across stream counts and thread counts like every other
   /// reduction here).  Works on every CLA budget — each engine's preorder
   /// partials live in their own spilling memory::ClaStore tier — and only
   /// declines (false) if some partition's engine declines for another
@@ -139,8 +124,7 @@ class PartitionedEvaluator final : public Evaluator {
   void set_alpha(double alpha) override;
   [[nodiscard]] double alpha() const override;
 
-  /// Widest kernel ISA any partition runs (per-partition ISAs via
-  /// partition_isa(p)).
+  /// Kernel ISA every partition runs (the engine config's).
   [[nodiscard]] simd::Isa isa() const override;
 
   /// Sum of the per-partition resident CLA pools — what a global
@@ -159,43 +143,30 @@ class PartitionedEvaluator final : public Evaluator {
   void reset_stats() override;
 
  private:
-  /// Plans every partition's traversal toward (edge, edge->back) and runs
-  /// the merged queue level by level under the active schedule.  No-op
-  /// under kStreams (each stream's engines validate internally, end-to-end).
-  void validate_edge(tree::Slot* edge);
-
-  /// Dispatches `count` independent tasks: one region through the attached
-  /// ParallelFor, or a plain loop when none is attached.
-  void run_region(int count, const std::function<void(int)>& fn);
-
-  /// Dispatches `fn(p)` over every partition: under kStreams one region of
-  /// stream_count tasks, each walking its own partitions serially (so an
-  /// engine is only ever touched by its stream's thread); otherwise one
-  /// region of partition_count independent tasks.
+  /// Dispatches `fn(p)` over every partition: one region of stream_count
+  /// tasks, each walking its own partitions serially (so an engine is only
+  /// ever touched by its stream's thread), or a plain loop over the tasks
+  /// when no ParallelFor is attached.
   void run_partitions(const std::function<void(int)>& fn);
 
-  /// True when the stream-group executor handles dispatch.
-  [[nodiscard]] bool streams_active() const { return schedule_ == PlanSchedule::kStreams; }
-
-  /// Partition-level heal step (Config::sdc_checks; see DESIGN.md §10): a
-  /// CorruptionDetected escaping the merged external executor — where no
-  /// engine-internal heal loop is active — or an engine escalation is
-  /// healed by invalidating the named node on every partition and retrying;
-  /// after sdc::kHealRetryBudget attempts the fault propagates.
+  /// Partition-level heal step (Config::sdc_checks; see DESIGN.md §10): an
+  /// engine escalation is healed by invalidating the named node on every
+  /// partition and retrying; after sdc::kHealRetryBudget attempts the fault
+  /// propagates.
   void heal_or_rethrow(const sdc::CorruptionDetected& fault, int attempt);
 
   /// Cancellation boundary (Config::cancel; DESIGN.md §15): throws
-  /// CancelledError between merged-queue levels and between branches of a
-  /// smoothing sweep.  No-op without a token.
+  /// CancelledError between branches of a smoothing sweep (the engines
+  /// check the token themselves inside a traversal).  No-op without a
+  /// token.
   void check_cancel() const {
     if (cancel_ != nullptr) cancel_->check();
   }
 
   /// Drops every pin on every partition engine.  Called when a cooperative
-  /// cancellation unwinds a top-level call: engines that observed the token
-  /// internally already released their own pins, but an unwind that starts
-  /// in the merged external executor (between levels) must not strand pins
-  /// on engines it never re-entered.
+  /// cancellation unwinds a top-level call: the engine that observed the
+  /// token released its own pins, and this leaves no other engine of a
+  /// multi-stream call holding one.
   void release_all_pins() {
     for (auto& engine : engines_) engine->release_pins();
   }
@@ -206,21 +177,13 @@ class PartitionedEvaluator final : public Evaluator {
   std::vector<std::unique_ptr<LikelihoodEngine>> engines_;
   mutable EvalStats aggregated_stats_;  ///< cache filled by stats()
 
-  // Merged-traversal machinery.
   ParallelFor* parallel_for_ = nullptr;
-  PlanSchedule schedule_ = PlanSchedule::kBatched;
   bool trace_attached_ = false;  ///< engines share a KernelTrace (not thread-safe)
-  bool merged_supported_ = true;  ///< false under a tight CLA budget
-  MergedPlanCounters merged_counters_;
   bool metrics_ = false;
-  bool sdc_checks_ = false;
   const CancelToken* cancel_ = nullptr;
   sdc::MetricIds sdc_ids_;
-  obs::MetricId merged_traversals_id_ = 0;
-  obs::MetricId merged_levels_id_ = 0;    ///< histogram: levels per merged traversal
-  obs::MetricId merged_regions_id_ = 0;
 
-  // Stream-group machinery (PlanSchedule::kStreams).
+  // Stream-group machinery.
   StreamPlan streams_;                       ///< normalized at construction
   std::vector<std::vector<int>> stream_partitions_;  ///< stream → its partitions
   StreamCounters stream_counters_;
@@ -228,8 +191,7 @@ class PartitionedEvaluator final : public Evaluator {
   obs::MetricId stream_regions_id_ = 0;
   obs::MetricId stream_width_id_ = 0;  ///< histogram: partitions per stream task
 
-  // Per-traversal scratch (reused; sized to partition_count()).
-  std::vector<const TraversalPlan*> plans_;
+  // Per-call scratch (reused; sized to partition_count()).
   std::vector<double> partials_;
   std::vector<std::pair<double, double>> derivative_partials_;
 };

@@ -408,9 +408,9 @@ class PlanCache {
   bool metrics_ = false;
 };
 
-/// Minimal parallel-for seam so core-layer plan executors can run
-/// independent same-level ops concurrently without a dependency on
-/// src/parallel (which links against core, not the other way around).
+/// Minimal parallel-for seam so the partitioned evaluator can run its
+/// stream tasks concurrently without a dependency on src/parallel (which
+/// links against core, not the other way around).
 /// run() must execute fn(0..count-1) to completion before returning; fn
 /// must be safe to call from multiple threads.
 class ParallelFor {

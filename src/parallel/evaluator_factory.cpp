@@ -18,11 +18,10 @@ class PooledPartitionedEvaluator final : public core::Evaluator {
   PooledPartitionedEvaluator(WorkerPool& pool, const bio::Alignment& alignment,
                              std::span<const core::PartitionSpec> partitions,
                              const model::GtrModel& model, tree::Tree& tree,
-                             const core::EngineConfig& config, const core::StreamPlan& streams,
-                             core::PlanSchedule schedule)
+                             const core::EngineConfig& config, const core::StreamPlan& streams)
       : parallel_for_(pool),
         inner_(alignment, partitions, model, tree, config, streams) {
-    inner_.set_parallel_for(&parallel_for_, schedule);
+    inner_.set_parallel_for(&parallel_for_);
   }
 
   double log_likelihood(tree::Slot* edge) override { return inner_.log_likelihood(edge); }
@@ -72,10 +71,9 @@ std::unique_ptr<core::Evaluator> make_fork_join_evaluator(WorkerPool& pool,
 std::unique_ptr<core::Evaluator> make_stream_evaluator(
     WorkerPool& pool, const bio::Alignment& alignment,
     std::span<const core::PartitionSpec> partitions, const model::GtrModel& model,
-    tree::Tree& tree, const core::EngineConfig& config, const core::StreamPlan& streams,
-    core::PlanSchedule schedule) {
+    tree::Tree& tree, const core::EngineConfig& config, const core::StreamPlan& streams) {
   return std::make_unique<PooledPartitionedEvaluator>(pool, alignment, partitions, model, tree,
-                                                      config, streams, schedule);
+                                                      config, streams);
 }
 
 }  // namespace miniphi::parallel

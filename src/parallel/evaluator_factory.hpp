@@ -28,18 +28,16 @@ std::unique_ptr<core::Evaluator> make_fork_join_evaluator(WorkerPool& pool,
                                                           tree::Tree& tree,
                                                           const core::EngineConfig& config = {});
 
-/// Partitioned evaluator dispatched over the pool.  With the default
-/// kStreams schedule each stream group runs its partitions end-to-end as
-/// one pool task (DESIGN.md §13); `streams` — normally from
-/// platform::plan_partition_streams — fixes each partition's kernel
-/// back-end and stream.  The merged-queue schedules (kWavefront, kPerNode)
-/// are accepted too, for ablations.  Results are bit-identical to the
-/// serial core::make_evaluator partitioned path for the same back-end
-/// assignment.  Pool, alignment and tree must outlive the evaluator.
+/// Partitioned evaluator dispatched over the pool: each stream group runs
+/// its partitions end-to-end as one pool task, one region per evaluator
+/// call (DESIGN.md §13); `streams` — normally from
+/// platform::plan_partition_streams — fixes each partition's stream.  Every
+/// partition runs config.isa.  Results are bit-identical to the serial
+/// core::make_evaluator partitioned path.  Pool, alignment and tree must
+/// outlive the evaluator.
 std::unique_ptr<core::Evaluator> make_stream_evaluator(
     WorkerPool& pool, const bio::Alignment& alignment,
     std::span<const core::PartitionSpec> partitions, const model::GtrModel& model,
-    tree::Tree& tree, const core::EngineConfig& config = {}, const core::StreamPlan& streams = {},
-    core::PlanSchedule schedule = core::PlanSchedule::kStreams);
+    tree::Tree& tree, const core::EngineConfig& config = {}, const core::StreamPlan& streams = {});
 
 }  // namespace miniphi::parallel

@@ -1,6 +1,5 @@
-// Adapter that lets core-layer plan executors (PartitionedEvaluator's
-// merged traversal queue) dispatch independent same-level ops onto a
-// WorkerPool.  core::ParallelFor is the seam: src/core cannot depend on
+// Adapter that lets PartitionedEvaluator's stream executor dispatch its
+// stream tasks onto a WorkerPool.  core::ParallelFor is the seam: src/core cannot depend on
 // src/parallel (the dependency points the other way), so the evaluator
 // talks to this interface and the application wires the pool in.
 #pragma once

@@ -45,8 +45,8 @@ class WorkerPool {
   /// One fork-join region that executes fn(0..count-1): workers claim task
   /// indices from a shared atomic counter, so `count` may exceed (or
   /// undershoot) the thread count and imbalanced tasks self-balance.  This
-  /// is the dispatch primitive of wavefront scheduling — all of a
-  /// dependency level's independent ops in a single region/barrier.
+  /// is the dispatch primitive of the stream executor — every stream task
+  /// of one evaluator call in a single region/barrier.
   void run_tasks(int count, const std::function<void(int)>& fn);
 
   /// Number of fork-join regions executed so far (2 syncs each).

@@ -163,21 +163,6 @@ double partition_cost(std::int64_t patterns, simd::Isa isa) {
   return sites / speedup + width * kLaneCallCost;
 }
 
-simd::Isa choose_partition_isa(std::int64_t patterns, simd::Isa widest) {
-  simd::Isa best = simd::Isa::kScalar;
-  double best_cost = partition_cost(patterns, best);
-  for (const simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
-    if (static_cast<int>(isa) > static_cast<int>(widest)) break;
-    const double cost = partition_cost(patterns, isa);
-    // Strict improvement keeps the choice stable at exact crossovers.
-    if (cost < best_cost) {
-      best = isa;
-      best_cost = cost;
-    }
-  }
-  return best;
-}
-
 core::StreamPlan plan_partition_streams(std::span<const std::int64_t> partition_patterns,
                                         int stream_count, simd::Isa widest,
                                         std::span<const double> budget_fraction) {
@@ -188,14 +173,10 @@ core::StreamPlan plan_partition_streams(std::span<const std::int64_t> partition_
   core::StreamPlan plan;
   plan.stream_count = std::clamp(stream_count, 1, std::max(n, 1));
   plan.partition_stream.assign(static_cast<std::size_t>(n), 0);
-  plan.partition_isa.reserve(static_cast<std::size_t>(n));
   std::vector<double> costs;
   costs.reserve(static_cast<std::size_t>(n));
   for (int p = 0; p < n; ++p) {
-    const std::int64_t patterns = partition_patterns[static_cast<std::size_t>(p)];
-    const simd::Isa isa = choose_partition_isa(patterns, widest);
-    plan.partition_isa.push_back(isa);
-    double cost = partition_cost(patterns, isa);
+    double cost = partition_cost(partition_patterns[static_cast<std::size_t>(p)], widest);
     if (!budget_fraction.empty()) {
       // Tight-budget partitions recompute evicted CLAs: model a linear ramp
       // from 1× (full residency) to 2× (minimum working set).

@@ -23,6 +23,7 @@
 #include "src/core/partition_spec.hpp"
 #include "src/core/trace.hpp"
 #include "src/platform/spec.hpp"
+#include "src/simd/dispatch.hpp"
 
 namespace miniphi::platform {
 
@@ -87,16 +88,15 @@ ExecConfig config_phi_single();
 ExecConfig config_phi_dual();
 
 // ---------------------------------------------------------------------------
-// Stream planning (PR 8): per-partition back-end choice + stream grouping.
+// Stream planning: stream grouping of a partitioned job.
 //
 // The same latency/concurrency ramp the trace pricer applies per worker
 // applies per *vector unit*: a kernel over few patterns cannot amortize a
-// wide vector's prologue/remainder handling, so the widest ISA is not
-// always the fastest.  choose_partition_isa prices each supported ISA for a
-// partition's pattern count and picks the cheapest; plan_partition_streams
-// then balances the modeled per-partition costs across stream groups
-// (longest-processing-time-first), producing the core::StreamPlan that
-// PartitionedEvaluator's stream executor consumes.
+// wide vector's prologue/remainder handling, so a partition's cost is not
+// linear in its pattern count.  plan_partition_streams prices every
+// partition on the job's ISA and balances the modeled costs across stream
+// groups (longest-processing-time-first), producing the core::StreamPlan
+// that PartitionedEvaluator's stream executor consumes.
 // ---------------------------------------------------------------------------
 
 /// Modeled evaluation cost of one partition on one kernel back-end, in
@@ -107,17 +107,12 @@ ExecConfig config_phi_dual();
 /// masked-remainder handling of wide kernels.
 double partition_cost(std::int64_t patterns, simd::Isa isa);
 
-/// Cheapest back-end for a partition of `patterns` compressed sites, never
-/// wider than `widest` (pass simd::best_supported_isa() — the default — to
-/// honor the host).  Tiny partitions pick kScalar, mid-size kAvx2, large
-/// kAvx512; the chosen width is non-decreasing in the pattern count.
-simd::Isa choose_partition_isa(std::int64_t patterns, simd::Isa widest = simd::best_supported_isa());
-
-/// Builds the stream plan for a partitioned job: chooses each partition's
-/// back-end via choose_partition_isa, then assigns partitions to at most
-/// `stream_count` stream groups by LPT over the modeled costs (heaviest
-/// partition first onto the least-loaded stream, ties to the lowest stream
-/// id — deterministic for a given input).  stream_count is clamped to the
+/// Builds the stream plan for a partitioned job: assigns partitions to at
+/// most `stream_count` stream groups by LPT over the modeled costs
+/// partition_cost(patterns, widest), where `widest` is the ISA every
+/// partition runs (the engine config's; the default is the host's widest).
+/// LPT puts the heaviest partition first onto the least-loaded stream, ties
+/// to the lowest stream id — deterministic for a given input.  stream_count is clamped to the
 /// partition count; every returned stream owns at least one partition.
 ///
 /// `budget_fraction` (optional, one entry per partition) makes the packing

@@ -102,7 +102,9 @@ TEST(CApi, NegotiationGrantsPartitionsAndStreams) {
   EXPECT_EQ(grant.partitions, 4);
   EXPECT_EQ(grant.streams, 2);
   EXPECT_NE(grant.backends, 0);
-  // Granted back-ends never exceed what the host supports.
+  // One bit — every partition runs the widest permitted back-end — and
+  // never one the host does not support.
+  EXPECT_EQ(grant.backends & (grant.backends - 1), 0);
   EXPECT_EQ(grant.backends & ~miniphi_supported_backends(), 0);
   double lnl = 0.0;
   ASSERT_EQ(miniphi_evaluate(instance, &lnl), MINIPHI_OK);
@@ -146,6 +148,51 @@ TEST(CApi, ClaBudgetBelowWorkingSetIsInsufficientMemory) {
             MINIPHI_ERROR_INSUFFICIENT_MEMORY);
   EXPECT_EQ(instance, nullptr);
   EXPECT_NE(std::strstr(miniphi_last_error_message(), "minimum working set"), nullptr);
+}
+
+TEST(CApi, PartitionedBudgetIsCarvedOverCompressedPatterns) {
+  // 8 taxa x 8,000 sites built from 4 distinct columns: each of 8 partitions
+  // compresses to at most 4 patterns, so 64 KiB holds every CLA of every
+  // partition.  The request must be granted (not refused as if each
+  // partition held 1,000 uncompressed sites), and the budgeted run must be
+  // bit-identical to the unlimited one.
+  const char* columns[4] = {"AAAACCCC", "ACGTACGT", "AACCGGTT", "AAAAAAAT"};
+  std::string fasta;
+  for (int taxon = 0; taxon < 8; ++taxon) {
+    fasta += ">t" + std::to_string(taxon) + "\n";
+    for (int site = 0; site < 8000; ++site) fasta += columns[site % 4][taxon];
+    fasta += "\n";
+  }
+  miniphi_alignment* alignment = nullptr;
+  ASSERT_EQ(miniphi_alignment_from_fasta(fasta.c_str(), &alignment), MINIPHI_OK);
+  miniphi_tree* tree = nullptr;
+  ASSERT_EQ(miniphi_tree_parsimony(alignment, 7, &tree), MINIPHI_OK);
+
+  miniphi_resource_request request{};
+  request.partitions = 8;
+  request.streams = 2;
+  double unlimited = 0.0;
+  {
+    miniphi_instance* instance = nullptr;
+    ASSERT_EQ(miniphi_create_instance(alignment, tree, &request, nullptr, &instance), MINIPHI_OK);
+    ASSERT_EQ(miniphi_evaluate(instance, &unlimited), MINIPHI_OK);
+    EXPECT_EQ(miniphi_finalize_instance(instance), MINIPHI_OK);
+  }
+  request.cla_budget_bytes = 64 * 1024;
+  miniphi_resource_grant grant{};
+  miniphi_instance* instance = nullptr;
+  ASSERT_EQ(miniphi_create_instance(alignment, tree, &request, &grant, &instance), MINIPHI_OK)
+      << miniphi_last_error_message();
+  EXPECT_EQ(grant.partitions, 8);
+  EXPECT_EQ(grant.streams, 2);
+  EXPECT_GT(grant.cla_bytes_granted, 0);
+  EXPECT_LE(grant.cla_bytes_granted, grant.cla_bytes_requested);
+  double lnl = 0.0;
+  ASSERT_EQ(miniphi_evaluate(instance, &lnl), MINIPHI_OK);
+  EXPECT_EQ(lnl, unlimited);
+  EXPECT_EQ(miniphi_finalize_instance(instance), MINIPHI_OK);
+  miniphi_tree_destroy(tree);
+  miniphi_alignment_destroy(alignment);
 }
 
 TEST(CApi, PartitionedInstanceMatchesSinglePartitionLikelihood) {

@@ -19,6 +19,8 @@
 #include "src/core/engine.hpp"
 #include "src/core/general/general_engine.hpp"
 #include "src/core/partitioned.hpp"
+#include "src/parallel/pool_parallel_for.hpp"
+#include "src/parallel/worker_pool.hpp"
 #include "src/search/spr_search.hpp"
 #include "src/util/error.hpp"
 #include "tests/testutil.hpp"
@@ -371,9 +373,9 @@ TEST(AllBranchGradientEngines, GeneralMatchesPerBranchProtocol) {
 }
 
 // Partitioned: the summed gradient must equal the evaluator's own derivative
-// protocol, and must be bit-identical across merged-dispatch schedules (the
-// preorder pass is serial per partition, so the schedule only reorders the
-// postorder newviews, which are bitwise schedule-invariant by design).
+// protocol, and must be bit-identical between the serial path and pooled
+// 3-stream dispatch (each partition's sweep runs whole inside one stream
+// task, and the per-edge sums fold in fixed partition order).
 TEST(AllBranchGradientEngines, PartitionedSumsAndSchedulesBitIdentical) {
   Rng rng(6401);
   const int ntaxa = 12;
@@ -382,15 +384,20 @@ TEST(AllBranchGradientEngines, PartitionedSumsAndSchedulesBitIdentical) {
   tree::Tree tree = tree::Tree::random(ntaxa, rng);
   const auto specs = even_partitions(static_cast<std::int64_t>(alignment.site_count()), 3);
 
-  PartitionedEvaluator per_node(alignment, specs, model, tree);
-  per_node.set_parallel_for(nullptr, PlanSchedule::kPerNode);
-  PartitionedEvaluator wavefront(alignment, specs, model, tree);
-  wavefront.set_parallel_for(nullptr, PlanSchedule::kWavefront);
+  PartitionedEvaluator serial(alignment, specs, model, tree);
+  StreamPlan plan;
+  plan.stream_count = 3;
+  plan.partition_stream = {0, 1, 2};
+  parallel::WorkerPool pool(3);
+  parallel::PoolParallelFor parallel_for(pool);
+  PartitionedEvaluator pooled(alignment, specs, model, tree, {}, plan);
+  pooled.set_parallel_for(&parallel_for);
 
   std::vector<BranchGradient> a;
   std::vector<BranchGradient> b;
-  ASSERT_TRUE(per_node.gradient_all_branches(tree.tip(0), a));
-  ASSERT_TRUE(wavefront.gradient_all_branches(tree.tip(0), b));
+  ASSERT_TRUE(serial.gradient_all_branches(tree.tip(0), a));
+  ASSERT_TRUE(pooled.gradient_all_branches(tree.tip(0), b));
+  EXPECT_EQ(pooled.stream_counters().regions, 1);
   ASSERT_EQ(a.size(), static_cast<std::size_t>(tree.edge_count()));
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -399,8 +406,8 @@ TEST(AllBranchGradientEngines, PartitionedSumsAndSchedulesBitIdentical) {
     EXPECT_EQ(a[i].second, b[i].second) << "edge node " << a[i].edge->node_id;
   }
   for (const BranchGradient& g : a) {
-    per_node.prepare_derivatives(g.edge);
-    const auto [first, second] = per_node.derivatives(g.edge->length);
+    serial.prepare_derivatives(g.edge);
+    const auto [first, second] = serial.derivatives(g.edge->length);
     EXPECT_NEAR(g.first, first, std::abs(first) * 1e-8 + 1e-7)
         << "edge node " << g.edge->node_id;
     EXPECT_NEAR(g.second, second, std::abs(second) * 1e-8 + 1e-7)

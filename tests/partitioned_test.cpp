@@ -7,6 +7,7 @@
 #include "src/core/partitioned.hpp"
 #include "src/parallel/pool_parallel_for.hpp"
 #include "src/parallel/worker_pool.hpp"
+#include "src/platform/cost_model.hpp"
 #include "src/search/model_optimizer.hpp"
 #include "src/search/spr_search.hpp"
 #include "src/simulate/simulate.hpp"
@@ -201,59 +202,63 @@ TEST_F(PartitionedFixture, SearchRunsOnPartitionedEvaluator) {
   }
 }
 
-TEST_F(PartitionedFixture, MergedScheduleVariantsAreBitIdentical) {
-  // The merged cross-partition queue must produce bit-identical likelihoods
-  // under every dispatch schedule: the kernels run on the same inputs and
+TEST_F(PartitionedFixture, StreamScheduleVariantsAreBitIdentical) {
+  // The stream executor must produce bit-identical likelihoods under every
+  // stream count and pool size: the kernels run on the same inputs and
   // every reduction sums in fixed partition order, so no tolerance applies.
+  // 25 partitions: enough terms that a sum in stream order instead of
+  // partition order changes the last bits.
   const auto specs =
-      even_partitions(static_cast<std::int64_t>(alignment_->site_count()), 8);
+      even_partitions(static_cast<std::int64_t>(alignment_->site_count()), 25);
   PartitionedEvaluator reference(*alignment_, specs, *model_, *tree_);
   const double expected = reference.log_likelihood(tree_->tip(0));
-  // The serial reference already went through the merged queue.
-  EXPECT_EQ(reference.merged_plan_counters().traversals, 1);
-  EXPECT_EQ(reference.merged_plan_counters().ops, 8 * tree_->inner_count());
-  EXPECT_EQ(reference.merged_plan_counters().regions, 0);  // no ParallelFor
+  // The serial reference runs its one stream task as a plain loop.
+  EXPECT_EQ(reference.stream_counters().calls, 1);
+  EXPECT_EQ(reference.stream_counters().tasks, 1);
+  EXPECT_EQ(reference.stream_counters().regions, 0);  // no ParallelFor
 
-  parallel::WorkerPool pool(4);
-  parallel::PoolParallelFor parallel_for(pool);
-  for (const auto schedule : {PlanSchedule::kWavefront, PlanSchedule::kPerNode}) {
-    PartitionedEvaluator evaluator(*alignment_, specs, *model_, *tree_);
-    evaluator.set_parallel_for(&parallel_for, schedule);
-    EXPECT_EQ(evaluator.log_likelihood(tree_->tip(0)), expected);
-
-    const MergedPlanCounters& counters = evaluator.merged_plan_counters();
-    EXPECT_EQ(counters.traversals, 1);
-    EXPECT_EQ(counters.ops, 8 * tree_->inner_count());
-    if (schedule == PlanSchedule::kWavefront) {
-      // One region per dependency level plus one for the evaluate kernels.
-      EXPECT_EQ(counters.regions, counters.levels + 1);
-    } else {
-      // Classical fork-join: one region per tree node plus the root phase.
-      EXPECT_EQ(counters.regions, tree_->inner_count() + 1);
-      EXPECT_GE(counters.regions, counters.levels + 1);
+  const auto patterns = partition_pattern_counts(*alignment_, specs);
+  for (const int streams : {1, 2, 4}) {
+    const StreamPlan plan = platform::plan_partition_streams(patterns, streams);
+    for (const int workers : {1, 2, 4}) {
+      parallel::WorkerPool pool(workers);
+      parallel::PoolParallelFor parallel_for(pool);
+      PartitionedEvaluator evaluator(*alignment_, specs, *model_, *tree_, {}, plan);
+      evaluator.set_parallel_for(&parallel_for);
+      EXPECT_EQ(evaluator.log_likelihood(tree_->tip(0)), expected)
+          << streams << " streams, " << workers << " workers";
+      // One region of stream_count tasks for the whole evaluation.
+      const StreamCounters& counters = evaluator.stream_counters();
+      EXPECT_EQ(counters.regions, 1);
+      EXPECT_EQ(counters.tasks, streams);
     }
   }
 }
 
 TEST_F(PartitionedFixture, BranchOptimizationIsScheduleInvariant) {
   // Newton branch optimization drives prepare_derivatives/derivatives through
-  // the same merged machinery; optimized lengths and the final likelihood
-  // must be bit-identical across schedules and thread counts.
+  // the same stream tasks; optimized lengths and the final likelihood must
+  // be bit-identical across stream counts and pool sizes.
   const auto specs =
       even_partitions(static_cast<std::int64_t>(alignment_->site_count()), 4);
   tree::Tree tree_serial(*tree_);
   PartitionedEvaluator serial(*alignment_, specs, *model_, tree_serial);
   const double expected = serial.optimize_all_branches(tree_serial.tip(0), 2);
 
-  parallel::WorkerPool pool(3);
-  parallel::PoolParallelFor parallel_for(pool);
-  for (const auto schedule : {PlanSchedule::kWavefront, PlanSchedule::kPerNode}) {
-    tree::Tree tree(*tree_);
-    PartitionedEvaluator evaluator(*alignment_, specs, *model_, tree);
-    evaluator.set_parallel_for(&parallel_for, schedule);
-    EXPECT_EQ(evaluator.optimize_all_branches(tree.tip(0), 2), expected);
-    for (int i = 0; i < tree.slot_count(); ++i) {
-      EXPECT_EQ(tree.slot(i)->length, tree_serial.slot(i)->length);
+  const auto patterns = partition_pattern_counts(*alignment_, specs);
+  for (const int streams : {1, 2, 4}) {
+    const StreamPlan plan = platform::plan_partition_streams(patterns, streams);
+    for (const int workers : {1, 3}) {
+      parallel::WorkerPool pool(workers);
+      parallel::PoolParallelFor parallel_for(pool);
+      tree::Tree tree(*tree_);
+      PartitionedEvaluator evaluator(*alignment_, specs, *model_, tree, {}, plan);
+      evaluator.set_parallel_for(&parallel_for);
+      EXPECT_EQ(evaluator.optimize_all_branches(tree.tip(0), 2), expected)
+          << streams << " streams, " << workers << " workers";
+      for (int i = 0; i < tree.slot_count(); ++i) {
+        EXPECT_EQ(tree.slot(i)->length, tree_serial.slot(i)->length);
+      }
     }
   }
 }

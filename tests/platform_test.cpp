@@ -228,25 +228,6 @@ TEST(CostModel, SyncAccountingSeparatesComputeAndSync) {
 
 // --- Stream planning (PR 8) ---
 
-TEST(StreamPlanner, IsaChoiceIsWidthMonotonicInPartitionSize) {
-  // Tiny partitions cannot amortize a wide vector unit; huge ones can.
-  EXPECT_EQ(choose_partition_isa(8, simd::Isa::kAvx512), simd::Isa::kScalar);
-  EXPECT_EQ(choose_partition_isa(400, simd::Isa::kAvx512), simd::Isa::kAvx2);
-  EXPECT_EQ(choose_partition_isa(100000, simd::Isa::kAvx512), simd::Isa::kAvx512);
-  // Widths never shrink as partitions grow.
-  int previous = 0;
-  for (const std::int64_t patterns : {1, 10, 50, 150, 400, 900, 4000, 100000}) {
-    const int width = static_cast<int>(choose_partition_isa(patterns, simd::Isa::kAvx512));
-    EXPECT_GE(width, previous) << "at " << patterns << " patterns";
-    previous = width;
-  }
-}
-
-TEST(StreamPlanner, IsaChoiceNeverExceedsWidestSupported) {
-  EXPECT_EQ(choose_partition_isa(100000, simd::Isa::kScalar), simd::Isa::kScalar);
-  EXPECT_EQ(choose_partition_isa(100000, simd::Isa::kAvx2), simd::Isa::kAvx2);
-}
-
 TEST(StreamPlanner, LptBalancesModeledLoadAcrossStreams) {
   // One huge partition and several small ones: LPT must isolate the big one
   // and spread the rest, not round-robin by index.
@@ -261,7 +242,6 @@ TEST(StreamPlanner, LptBalancesModeledLoadAcrossStreams) {
   // Deterministic: same input, same plan.
   const auto again = plan_partition_streams(patterns, 2, simd::Isa::kAvx512);
   EXPECT_EQ(again.partition_stream, plan.partition_stream);
-  EXPECT_EQ(again.partition_isa, plan.partition_isa);
 }
 
 TEST(StreamPlanner, StreamCountClampsToPartitionCountAndEveryStreamIsUsed) {
@@ -271,15 +251,6 @@ TEST(StreamPlanner, StreamCountClampsToPartitionCountAndEveryStreamIsUsed) {
   std::vector<bool> used(static_cast<std::size_t>(plan.stream_count), false);
   for (const int s : plan.partition_stream) used[static_cast<std::size_t>(s)] = true;
   for (std::size_t s = 0; s < used.size(); ++s) EXPECT_TRUE(used[s]) << "stream " << s;
-}
-
-TEST(StreamPlanner, MixedJobUsesMixedBackends) {
-  // The headline PR 8 scenario: small and large partitions in one job get
-  // different back-ends from the same plan.
-  const std::vector<std::int64_t> patterns = {40, 40, 8000, 8000};
-  const auto plan = plan_partition_streams(patterns, 4, simd::Isa::kAvx512);
-  EXPECT_EQ(plan.partition_isa[0], simd::Isa::kScalar);
-  EXPECT_EQ(plan.partition_isa[2], simd::Isa::kAvx512);
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
-// Mixed-backend stream-executor suite (DESIGN.md §13): the kStreams
-// dispatch of PartitionedEvaluator must be bit-identical across stream
-// counts and thread counts for a fixed per-partition back-end assignment,
-// and the cost-model-mixed assignment must agree with a uniform back-end to
-// floating-point tolerance (different ISAs reorder the within-partition
-// arithmetic, so cross-ISA results are close, not bit-equal).
+// Stream-executor suite (DESIGN.md §13): PartitionedEvaluator's stream
+// dispatch must be bit-identical across stream counts and thread counts,
+// and the pooled factory must match the serial core factory bit for bit on
+// every supported ISA — lnL, optimized branch lengths and gradients.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -31,19 +28,13 @@ class StreamFixture : public ::testing::Test {
     alignment_ = std::make_unique<bio::Alignment>(testutil::random_alignment(12, 2000, rng));
     model_ = std::make_unique<model::GtrModel>(testutil::random_gtr_params(rng));
     tree_ = std::make_unique<tree::Tree>(tree::Tree::random(12, rng));
-    // Deliberately uneven gene sizes: two tiny partitions the cost model
-    // should keep narrow, two large ones it should vectorize.
+    // Deliberately uneven gene sizes, so LPT packing has work to do.
     specs_ = {{"tiny_a", 0, 40}, {"tiny_b", 40, 80}, {"big_a", 80, 1040}, {"big_b", 1040, 2000}};
   }
 
   /// Compressed pattern counts per partition — the planner's input.
   std::vector<std::int64_t> pattern_counts() {
-    PartitionedEvaluator probe(*alignment_, specs_, *model_, *tree_);
-    std::vector<std::int64_t> counts;
-    for (int p = 0; p < probe.partition_count(); ++p) {
-      counts.push_back(static_cast<std::int64_t>(probe.partition_patterns(p).pattern_count()));
-    }
-    return counts;
+    return partition_pattern_counts(*alignment_, specs_);
   }
 
   std::unique_ptr<bio::Alignment> alignment_;
@@ -53,10 +44,8 @@ class StreamFixture : public ::testing::Test {
 };
 
 TEST_F(StreamFixture, BitIdenticalAcrossStreamCountsAndThreadCounts) {
-  // The per-partition back-end choice depends only on the pattern count,
-  // not the stream count, so every variant below runs identical kernels on
-  // identical inputs and reduces in fixed partition order: EXPECT_EQ on
-  // doubles, no tolerance.
+  // Every variant below runs identical kernels on identical inputs and
+  // reduces in fixed partition order: EXPECT_EQ on doubles, no tolerance.
   const auto counts = pattern_counts();
   const StreamPlan reference_plan =
       platform::plan_partition_streams(counts, 1);
@@ -66,18 +55,16 @@ TEST_F(StreamFixture, BitIdenticalAcrossStreamCountsAndThreadCounts) {
 
   for (const int streams : {1, 2, 4}) {
     const StreamPlan plan = platform::plan_partition_streams(counts, streams);
-    ASSERT_EQ(plan.partition_isa, reference_plan.partition_isa);
     for (const int workers : {1, 3}) {
       parallel::WorkerPool pool(workers);
       parallel::PoolParallelFor parallel_for(pool);
       PartitionedEvaluator evaluator(*alignment_, specs_, *model_, *tree_, {}, plan);
-      evaluator.set_parallel_for(&parallel_for, PlanSchedule::kStreams);
+      evaluator.set_parallel_for(&parallel_for);
       EXPECT_EQ(evaluator.log_likelihood(tree_->tip(0)), expected)
           << streams << " streams, " << workers << " workers";
     }
     // Serial stream dispatch (no executor attached) takes the same path.
     PartitionedEvaluator serial(*alignment_, specs_, *model_, *tree_, {}, plan);
-    serial.set_parallel_for(nullptr, PlanSchedule::kStreams);
     EXPECT_EQ(serial.log_likelihood(tree_->tip(0)), expected) << streams << " streams, serial";
   }
 }
@@ -95,7 +82,7 @@ TEST_F(StreamFixture, GradientsAreBitIdenticalAcrossStreamCounts) {
   for (const int streams : {2, 4}) {
     const StreamPlan plan = platform::plan_partition_streams(counts, streams);
     PartitionedEvaluator evaluator(*alignment_, specs_, *model_, *tree_, {}, plan);
-    evaluator.set_parallel_for(&parallel_for, PlanSchedule::kStreams);
+    evaluator.set_parallel_for(&parallel_for);
     std::vector<BranchGradient> got;
     ASSERT_TRUE(evaluator.gradient_all_branches(tree_->tip(0), got));
     ASSERT_EQ(got.size(), expected.size());
@@ -110,8 +97,7 @@ TEST_F(StreamFixture, GradientsAreBitIdenticalAcrossStreamCounts) {
 TEST_F(StreamFixture, BranchOptimizationIsStreamInvariant) {
   // Newton branch optimization under streams drives prepare_derivatives /
   // derivatives through the same end-to-end tasks; optimized lengths and the
-  // final likelihood must be bit-identical to the serial run with the same
-  // back-end assignment.
+  // final likelihood must be bit-identical to the serial run.
   const auto counts = pattern_counts();
   const StreamPlan plan1 = platform::plan_partition_streams(counts, 1);
   tree::Tree tree_serial(*tree_);
@@ -123,41 +109,11 @@ TEST_F(StreamFixture, BranchOptimizationIsStreamInvariant) {
   const StreamPlan plan4 = platform::plan_partition_streams(counts, 4);
   tree::Tree tree(*tree_);
   PartitionedEvaluator evaluator(*alignment_, specs_, *model_, tree, {}, plan4);
-  evaluator.set_parallel_for(&parallel_for, PlanSchedule::kStreams);
+  evaluator.set_parallel_for(&parallel_for);
   EXPECT_EQ(evaluator.optimize_all_branches(tree.tip(0), 2), expected);
   for (int i = 0; i < tree.slot_count(); ++i) {
     EXPECT_EQ(tree.slot(i)->length, tree_serial.slot(i)->length);
   }
-}
-
-TEST_F(StreamFixture, CostModelMixedBackendsAgreeWithUniformScalar) {
-  // Uniform scalar run: every partition on kScalar, one stream.
-  EngineConfig scalar_config;
-  scalar_config.isa = simd::Isa::kScalar;
-  PartitionedEvaluator uniform(*alignment_, specs_, *model_, *tree_, scalar_config);
-  const double expected = uniform.log_likelihood(tree_->tip(0));
-
-  // Cost-model plan: tiny partitions stay scalar, large ones take the
-  // widest profitable ISA.  Cross-ISA reductions reorder arithmetic, so the
-  // comparison is tolerance-based.
-  const auto counts = pattern_counts();
-  const StreamPlan plan = platform::plan_partition_streams(counts, 2);
-  EXPECT_EQ(plan.partition_isa[0], simd::Isa::kScalar);
-  EXPECT_EQ(plan.partition_isa[1], simd::Isa::kScalar);
-  EXPECT_EQ(plan.partition_isa[2], platform::choose_partition_isa(counts[2]));
-  EXPECT_EQ(plan.partition_isa[3], platform::choose_partition_isa(counts[3]));
-
-  parallel::WorkerPool pool(2);
-  parallel::PoolParallelFor parallel_for(pool);
-  PartitionedEvaluator mixed(*alignment_, specs_, *model_, *tree_, {}, plan);
-  mixed.set_parallel_for(&parallel_for, PlanSchedule::kStreams);
-  EXPECT_NEAR(mixed.log_likelihood(tree_->tip(0)), expected, std::abs(expected) * 1e-10);
-
-  // The evaluator reports the back-ends actually in force.
-  for (int p = 0; p < mixed.partition_count(); ++p) {
-    EXPECT_EQ(mixed.partition_isa(p), plan.partition_isa[static_cast<std::size_t>(p)]);
-  }
-  EXPECT_EQ(mixed.isa(), *std::max_element(plan.partition_isa.begin(), plan.partition_isa.end()));
 }
 
 TEST_F(StreamFixture, StreamCountersCountCallsTasksAndRegions) {
@@ -168,7 +124,7 @@ TEST_F(StreamFixture, StreamCountersCountCallsTasksAndRegions) {
   parallel::WorkerPool pool(2);
   parallel::PoolParallelFor parallel_for(pool);
   PartitionedEvaluator evaluator(*alignment_, specs_, *model_, *tree_, {}, plan);
-  evaluator.set_parallel_for(&parallel_for, PlanSchedule::kStreams);
+  evaluator.set_parallel_for(&parallel_for);
   EXPECT_EQ(evaluator.stream_counters().calls, 0);
 
   (void)evaluator.log_likelihood(tree_->tip(0));
@@ -176,14 +132,12 @@ TEST_F(StreamFixture, StreamCountersCountCallsTasksAndRegions) {
   EXPECT_EQ(after_lnl.calls, 1);
   EXPECT_EQ(after_lnl.regions, 1);  // one barrier for the whole evaluation
   EXPECT_EQ(after_lnl.tasks, 2);    // one end-to-end task per stream group
-  EXPECT_EQ(evaluator.merged_plan_counters().traversals, 0);  // merged queue stood down
 
   (void)evaluator.log_likelihood(tree_->tip(0));
   EXPECT_EQ(evaluator.stream_counters().calls, 2);
 
   // Serial stream dispatch counts calls and tasks but issues no regions.
   PartitionedEvaluator serial(*alignment_, specs_, *model_, *tree_, {}, plan);
-  serial.set_parallel_for(nullptr, PlanSchedule::kStreams);
   (void)serial.log_likelihood(tree_->tip(0));
   EXPECT_EQ(serial.stream_counters().calls, 1);
   EXPECT_EQ(serial.stream_counters().tasks, 2);
@@ -219,10 +173,9 @@ TEST_F(StreamFixture, FactoriesMatchDirectConstructionBitExactly) {
 }
 
 TEST_F(StreamFixture, StreamsWorkUnderTightClaBudget) {
-  // The merged queue stands down under a CLA budget, but stream dispatch
-  // runs the engines' internal executors (with their pin discipline), so
-  // kStreams stays available — and bit-identical to the full-budget run on
-  // the same back-end assignment.
+  // Stream tasks run the engines' internal executors (with their pin
+  // discipline), so a tight CLA budget stays bit-identical to the
+  // full-budget run.
   const auto counts = pattern_counts();
   const StreamPlan plan = platform::plan_partition_streams(counts, 2);
   PartitionedEvaluator full(*alignment_, specs_, *model_, *tree_, {}, plan);
@@ -233,7 +186,7 @@ TEST_F(StreamFixture, StreamsWorkUnderTightClaBudget) {
   parallel::WorkerPool pool(2);
   parallel::PoolParallelFor parallel_for(pool);
   PartitionedEvaluator budgeted(*alignment_, specs_, *model_, *tree_, tight, plan);
-  budgeted.set_parallel_for(&parallel_for, PlanSchedule::kStreams);
+  budgeted.set_parallel_for(&parallel_for);
   EXPECT_EQ(budgeted.log_likelihood(tree_->tip(0)), expected);
 }
 
@@ -244,9 +197,54 @@ TEST_F(StreamFixture, RejectsMalformedStreamPlans) {
   EXPECT_THROW(PartitionedEvaluator(*alignment_, specs_, *model_, *tree_, {}, bad_stream), Error);
 
   StreamPlan bad_size;
-  bad_size.partition_isa = {simd::Isa::kScalar};  // 1 entry for 4 partitions
+  bad_size.partition_stream = {0};  // 1 entry for 4 partitions
   EXPECT_THROW(PartitionedEvaluator(*alignment_, specs_, *model_, *tree_, {}, bad_size), Error);
 }
+
+/// Serial core::make_evaluator against pooled parallel::make_stream_evaluator
+/// on one ISA: the same kernels on the same inputs, so lnL, gradients and
+/// optimized branch lengths agree bitwise.
+class StreamIsaSweep : public StreamFixture, public ::testing::WithParamInterface<simd::Isa> {};
+
+TEST_P(StreamIsaSweep, SerialAndPooledAgreeBitwise) {
+  const simd::Isa isa = GetParam();
+  if (!simd::isa_supported(isa)) GTEST_SKIP() << simd::to_string(isa) << " not supported";
+  EngineConfig config;
+  config.isa = isa;
+  const StreamPlan plan = platform::plan_partition_streams(pattern_counts(), 3, isa);
+  parallel::WorkerPool pool(3);
+
+  tree::Tree tree_serial(*tree_);
+  tree::Tree tree_pooled(*tree_);
+  const auto serial = make_evaluator(*alignment_, specs_, *model_, tree_serial, config);
+  const auto pooled = parallel::make_stream_evaluator(pool, *alignment_, specs_, *model_,
+                                                      tree_pooled, config, plan);
+  EXPECT_EQ(serial->isa(), isa);
+  EXPECT_EQ(pooled->isa(), isa);
+  EXPECT_EQ(pooled->log_likelihood(tree_pooled.tip(0)), serial->log_likelihood(tree_serial.tip(0)));
+
+  std::vector<BranchGradient> want;
+  std::vector<BranchGradient> got;
+  ASSERT_TRUE(serial->gradient_all_branches(tree_serial.tip(0), want));
+  ASSERT_TRUE(pooled->gradient_all_branches(tree_pooled.tip(0), got));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].edge->node_id, want[i].edge->node_id);
+    EXPECT_EQ(got[i].first, want[i].first) << "edge " << i;
+    EXPECT_EQ(got[i].second, want[i].second) << "edge " << i;
+  }
+
+  EXPECT_EQ(pooled->optimize_all_branches(tree_pooled.tip(0), 2),
+            serial->optimize_all_branches(tree_serial.tip(0), 2));
+  for (int i = 0; i < tree_serial.slot_count(); ++i) {
+    EXPECT_EQ(tree_pooled.slot(i)->length, tree_serial.slot(i)->length) << "slot " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isas, StreamIsaSweep,
+                         ::testing::Values(simd::Isa::kScalar, simd::Isa::kAvx2,
+                                           simd::Isa::kAvx512),
+                         [](const auto& param_info) { return simd::to_string(param_info.param); });
 
 }  // namespace
 }  // namespace miniphi::core

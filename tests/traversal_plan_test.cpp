@@ -198,8 +198,9 @@ TEST(DensePlanProtocol, ExternalExecutionMatchesInternalTraversal) {
   LikelihoodEngine external(patterns, model, tree);
   tree::Slot* edge = tree.tip(0);
 
-  // Build once, fetch again before executing: second fetch reuses the
-  // cached plan object without a rebuild.
+  // The plan_traversal contract DistributedEvaluator derives its CommPlan
+  // from: build once, fetch again before executing — the second fetch
+  // reuses the cached plan object without a rebuild.
   const TraversalPlan* plan = external.plan_traversal(edge);
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->op_count(), tree.inner_count());
@@ -208,20 +209,16 @@ TEST(DensePlanProtocol, ExternalExecutionMatchesInternalTraversal) {
   EXPECT_EQ(external.plan_counters().builds, 1);
   EXPECT_EQ(external.plan_counters().reuses, 1);
 
-  // Run every level externally (the partitioned/wavefront executors' path),
-  // commit, and the engine considers the traversal satisfied.
-  for (int level = 1; level <= plan->levels(); ++level) {
-    external.execute_plan_level(*plan, level);
-  }
-  external.commit_planned_traversal(edge);
-  EXPECT_EQ(external.plan_traversal(edge), nullptr);
-
-  // log_likelihood now skips straight to the root kernel, and the result is
-  // bit-identical to an engine that traversed internally.
+  // The engine executes that same prepared plan (no rebuild), bit-identical
+  // to an engine that planned internally; afterwards the plan is satisfied.
   const double got = external.log_likelihood(edge);
+  EXPECT_EQ(external.plan_counters().builds, 1);
+  EXPECT_EQ(external.plan_traversal(edge), nullptr);
   LikelihoodEngine internal(patterns, model, tree);
   EXPECT_EQ(got, internal.log_likelihood(edge));
   EXPECT_EQ(external.stats(Kernel::kNewview).calls, internal.stats(Kernel::kNewview).calls);
+  // Evaluating the same edge again is a satisfied-plan cache hit.
+  EXPECT_EQ(external.log_likelihood(edge), got);
   EXPECT_GE(external.plan_counters().cache_hits, 1);
 }
 
