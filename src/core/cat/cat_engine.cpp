@@ -32,12 +32,12 @@ void tip_vector(const model::GtrModel& model, int code, double out[kS]) {
 
 CatEngine::CatEngine(const bio::PatternSet& patterns, const model::GtrModel& model,
                      tree::Tree& tree, int categories, const Config& config)
-    : patterns_(patterns),
+    : EngineFamily(tree),
+      patterns_(patterns),
       model_(model),
       tree_(tree),
       ops_(get_cat_kernel_ops(config.isa)),
-      tuning_(config.tuning),
-      core_(*this, tree) {
+      tuning_(config.tuning) {
   const auto npat = static_cast<std::int64_t>(patterns.pattern_count());
   MINIPHI_CHECK(npat > 0, "cat engine: empty pattern set");
   MINIPHI_CHECK(static_cast<std::size_t>(tree.taxon_count()) == patterns.taxon_count(),
@@ -49,7 +49,7 @@ CatEngine::CatEngine(const bio::PatternSet& patterns, const model::GtrModel& mod
   MINIPHI_CHECK(offset_ >= 0 && length_ > 0 && offset_ + length_ <= npat,
                 "cat engine: invalid pattern slice");
   core_.configure(config, length_, kS, "cat engine");
-  if (core_.metrics()) metric_ids_ = register_engine_metrics(ops_.isa, "cat");
+  core_.register_kernel_metrics(ops_.isa, "cat", "cat");
   ptable_left_.resize(static_cast<std::size_t>(kMaxCatCategories) * 16);
   ptable_right_.resize(ptable_left_.size());
   ump_left_.resize(static_cast<std::size_t>(kMaxCatCategories) * 16 * kS);
@@ -157,17 +157,6 @@ void CatEngine::build_dtab(double z, std::span<double> out) const {
   }
 }
 
-void CatEngine::invalidate_node(int node_id) {
-  if (node_id < tree_.taxon_count()) return;
-  core_.invalidate_node(node_id);
-  sum_prepared_ = false;
-}
-
-void CatEngine::invalidate_all() {
-  core_.invalidate_all();
-  sum_prepared_ = false;
-}
-
 std::uint64_t CatEngine::cla_checksum(const double* values, const std::int32_t* scales,
                                       std::int64_t blocks) {
   return sdc::checksum_cla(values, blocks * kS, scales, blocks);
@@ -220,40 +209,18 @@ void CatEngine::run_newview(tree::Slot* slot) {
 
   Timer timer;
   ops_.newview(ctx);
-  record_kernel(Kernel::kNewview,
-                length_ * (1 + (ctx.left.is_tip() ? 0 : 1) + (ctx.right.is_tip() ? 0 : 1)),
-                timer.seconds());
+  core_.account_kernel(Kernel::kNewview, /*preorder=*/false, length_, timer.seconds(),
+                       ctx.left.is_tip(), ctx.right.is_tip());
 
   core_.commit_cla(slot, length_);
-  sum_prepared_ = false;
 }
 
-void CatEngine::record_kernel(Kernel k, std::int64_t cla_blocks, double seconds) {
-  auto& stat = stats_.kernel(k);
-  const std::int64_t cla_bytes =
-      cla_blocks * kCatSiteBlock * static_cast<std::int64_t>(sizeof(double));
-  stat.seconds += seconds;
-  ++stat.calls;
-  stat.sites += length_;
-  stat.sites_represented += length_;
-  stat.bytes += cla_bytes;
-  if (core_.metrics()) {
-    publish_kernel(metric_ids_.kernels[static_cast<std::size_t>(static_cast<int>(k))], length_,
-                   length_, cla_bytes, seconds);
-  }
-}
-
-double CatEngine::run_evaluate(tree::Slot* edge) {
-  tree::Slot* p = edge;
-  tree::Slot* q = edge->back;
-  if (p->is_tip()) std::swap(p, q);
-  MINIPHI_CHECK(!p->is_tip(), "evaluate: both ends of the root edge are tips");
-
+double CatEngine::run_evaluate(tree::Slot* p, tree::Slot* q, double length) {
   CatEvaluateCtx ctx;
   core_.resident_input(p);  // both endpoints are pinned by validate_edge
   ctx.left_cla = core_.values(p->node_id);
   ctx.left_scale = core_.scales(p->node_id);
-  build_diag(edge->length, diag_);
+  build_diag(length, diag_);
   if (q->is_tip()) {
     for (std::size_t cat = 0; cat < category_rates_.size(); ++cat) {
       for (int code = 0; code < 16; ++code) {
@@ -279,26 +246,12 @@ double CatEngine::run_evaluate(tree::Slot* edge) {
 
   Timer timer;
   const double result = ops_.evaluate(ctx);
-  record_kernel(Kernel::kEvaluate, length_ * (q->is_tip() ? 1 : 2), timer.seconds());
+  core_.account_kernel(Kernel::kEvaluate, /*preorder=*/false, length_, timer.seconds(),
+                       /*left_tip=*/false, q->is_tip());
   return result;
 }
 
-double CatEngine::log_likelihood(tree::Slot* edge) {
-  return core_.log_likelihood(edge, [this](tree::Slot* e) { return run_evaluate(e); });
-}
-
-void CatEngine::prepare_derivatives(tree::Slot* edge) {
-  core_.guarded([&] { run_prepare_derivatives(edge); });
-}
-
-void CatEngine::run_prepare_derivatives(tree::Slot* edge) {
-  tree::Slot* p = edge;
-  tree::Slot* q = edge->back;
-  if (p->is_tip()) std::swap(p, q);
-  MINIPHI_CHECK(!p->is_tip(), "derivatives: both ends of the branch are tips");
-
-  core_.validate_edge(edge);
-
+void CatEngine::run_derivative_sum(tree::Slot* p, tree::Slot* q) {
   CatSumCtx ctx;
   ctx.sum = sum_buffer_.data();
   core_.resident_input(p);  // both endpoints are pinned by validate_edge
@@ -316,14 +269,12 @@ void CatEngine::run_prepare_derivatives(tree::Slot* edge) {
 
   Timer timer;
   ops_.derivative_sum(ctx);
-  record_kernel(Kernel::kDerivSum, length_ * (q->is_tip() ? 2 : 3), timer.seconds());
-  core_.unpin(p->node_id);
-  core_.unpin(q->node_id);
-  sum_prepared_ = true;
+  core_.account_kernel(Kernel::kDerivSum, /*preorder=*/false, length_, timer.seconds(),
+                       /*left_tip=*/false, q->is_tip());
 }
 
-std::pair<double, double> CatEngine::derivatives(double z) {
-  MINIPHI_CHECK(sum_prepared_, "derivatives() without prepare_derivatives()");
+std::pair<double, double> CatEngine::run_derivative_core(double z, bool want_lnl, double& lnl,
+                                                         bool descent) {
   build_dtab(z, dtab_);
   CatDerivCtx ctx;
   ctx.sum = sum_buffer_.data();
@@ -332,83 +283,21 @@ std::pair<double, double> CatEngine::derivatives(double z) {
   ctx.site_categories = site_categories_.data();
   ctx.begin = 0;
   ctx.end = length_;
+  ctx.want_lnl = want_lnl;
 
   Timer timer;
   ops_.derivative_core(ctx);
-  record_kernel(Kernel::kDerivCore, length_, timer.seconds());
-  if (core_.sdc_checks() && (!std::isfinite(ctx.out_first) || !std::isfinite(ctx.out_second))) {
-    core_.report_corruption(-1, "sdc: non-finite derivative from CAT derivativeCore");
-  }
+  core_.account_kernel(Kernel::kDerivCore, descent, length_, timer.seconds());
+  lnl = ctx.out_lnl;
   return {ctx.out_first, ctx.out_second};
 }
 
-double CatEngine::optimize_branch(tree::Slot* edge, int max_iterations) {
-  return core_.heal_loop([&] { prepare_derivatives(edge); }, [&] {
-    double z = edge->length;
-    for (int iteration = 0; iteration < max_iterations; ++iteration) {
-      const auto [first, second] = derivatives(z);
-      const double next = LikelihoodEngine::newton_step(z, first, second);
-      const bool converged = std::abs(next - z) < 1e-10;
-      z = next;
-      if (converged) break;
-    }
-    tree::Tree::set_length(edge, z);
-    invalidate_node(edge->node_id);
-    invalidate_node(edge->back->node_id);
-    return z;
-  });
-}
-
-double CatEngine::optimize_all_branches(tree::Slot* root_edge, int passes) {
-  for (int pass = 0; pass < passes; ++pass) {
-    for (tree::Slot* edge : tree_.edges()) {
-      core_.check_cancel();  // per-branch cancellation boundary
-      optimize_branch(edge, 32);
-    }
-  }
-  return log_likelihood(root_edge);
-}
-
-bool CatEngine::gradient_all_branches(tree::Slot* root_edge, std::vector<BranchGradient>& out) {
-  MINIPHI_ASSERT(root_edge != nullptr && root_edge->back != nullptr);
-  core_.guarded([&] { run_gradient_all_branches(root_edge, out); });
-  return true;
-}
-
-void CatEngine::run_gradient_all_branches(tree::Slot* root_edge,
-                                          std::vector<BranchGradient>& out) {
-  out.clear();
-  out.reserve(static_cast<std::size_t>(tree_.edge_count()));
-  core_.ensure_preorder_tier();
-
-  // Postorder pass + root-edge derivative via the classic protocol.  Its
-  // validate_edge also orients every postorder CLA toward the root edge —
-  // exactly the orientation the descent's sibling inputs need.
-  run_prepare_derivatives(root_edge);
-  const auto [root_first, root_second] = derivatives(root_edge->length);
-  out.push_back({root_edge, root_edge->length, root_first, root_second});
-
-  // Preorder pass, serial in emission order: parents precede children by
-  // construction, and keeping it serial makes the result independent of the
-  // postorder dispatch schedule.
-  core_.run_preorder_descent(root_edge, [&](const TraversalPlan& plan, const PlfOp& op) {
-    run_preorder_op(plan, op, out);
-  });
-  sum_prepared_ = false;  // sum_buffer_ holds the last preorder edge's sums
-}
-
-void CatEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
-                                std::vector<BranchGradient>& out) {
-  const EngineCore::PreorderInputs in = core_.begin_preorder_op(plan, op);
-  tree::Slot* toward = op.slot;       // u's slot pointing down at v
-  tree::Slot* v_slot = toward->back;  // v, the node this partial points at
-  const int v = in.node;
-
+void CatEngine::run_preorder_newview(const PreorderInputs& in) {
   // Preorder partial of v = newview(parent input across the edge above u,
   // sibling's postorder CLA across the sibling edge).
   CatNewviewCtx ctx;
-  ctx.parent_cla = core_.preorder_values(v);
-  ctx.parent_scale = core_.preorder_scales(v);
+  ctx.parent_cla = core_.preorder_values(in.node);
+  ctx.parent_scale = core_.preorder_scales(in.node);
   if (in.parent >= 0) {
     build_ptable(in.left_length, ptable_left_);
     ctx.left.ptable = ptable_left_.data();
@@ -417,7 +306,7 @@ void CatEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
   } else {
     ctx.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length);
   }
-  ctx.right = make_child_input(in.sibling, ptable_right_, ump_right_, op.sibling->length);
+  ctx.right = make_child_input(in.sibling, ptable_right_, ump_right_, in.sibling->length);
   ctx.wtable = wtable_.data();
   ctx.site_categories = site_categories_.data();
   ctx.begin = 0;
@@ -426,53 +315,30 @@ void CatEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
 
   Timer timer;
   ops_.newview(ctx);
-  record_kernel(Kernel::kNewview,
-                length_ * (1 + (ctx.left.is_tip() ? 0 : 1) + (ctx.right.is_tip() ? 0 : 1)),
-                timer.seconds());
-  core_.end_preorder_newview(in);
+  core_.account_kernel(Kernel::kNewview, /*preorder=*/true, length_, timer.seconds(),
+                       ctx.left.is_tip(), ctx.right.is_tip());
+}
 
-  // Gradient of the edge (u, v): derivative sums of the preorder partial
-  // against v's own postorder side, then the derivative core at toward's
-  // length.  Scale factors cancel in the ℓ'/ℓ'' ratios.
-  CatSumCtx sctx;
-  sctx.sum = sum_buffer_.data();
-  sctx.left_cla = ctx.parent_cla;
-  const bool right_tip = v_slot->is_tip();
+void CatEngine::run_preorder_sum(const PreorderInputs& in, const tree::Slot* node_slot) {
+  // Scale factors cancel in the ℓ′/ℓ″ ratios, so the contraction ignores
+  // them.
+  CatSumCtx ctx;
+  ctx.sum = sum_buffer_.data();
+  ctx.left_cla = core_.preorder_values(in.node);
+  const bool right_tip = node_slot->is_tip();
   if (right_tip) {
-    sctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(v)].data() + offset_;
-    sctx.tipvec = tipvec_.data();
+    ctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(in.node)].data() + offset_;
+    ctx.tipvec = tipvec_.data();
   } else {
-    // The node's own postorder CLA: reload or rebuild it like any other
-    // tight-budget input (pinned until the contraction is done).
-    core_.ready_preorder_node(v_slot);
-    sctx.right_cla = core_.values(v);
+    ctx.right_cla = core_.values(in.node);
   }
-  sctx.begin = 0;
-  sctx.end = length_;
-  sctx.tuning = tuning_;
-  Timer sum_timer;
-  ops_.derivative_sum(sctx);
-  record_kernel(Kernel::kDerivSum, length_ * (right_tip ? 2 : 3), sum_timer.seconds());
-  // The contraction is done with both CLAs; derivativeCore below reads only
-  // the sum buffer.
-  core_.end_preorder_op(in);
-
-  build_dtab(toward->length, dtab_);
-  CatDerivCtx dctx;
-  dctx.sum = sum_buffer_.data();
-  dctx.weights = patterns_.weights.data() + offset_;
-  dctx.dtab = dtab_.data();
-  dctx.site_categories = site_categories_.data();
-  dctx.begin = 0;
-  dctx.end = length_;
-  Timer core_timer;
-  ops_.derivative_core(dctx);
-  record_kernel(Kernel::kDerivCore, length_, core_timer.seconds());
-  if (core_.sdc_checks() &&
-      (!std::isfinite(dctx.out_first) || !std::isfinite(dctx.out_second))) {
-    core_.report_corruption(-1, "sdc: non-finite all-branch gradient from CAT derivativeCore");
-  }
-  out.push_back({toward, toward->length, dctx.out_first, dctx.out_second});
+  ctx.begin = 0;
+  ctx.end = length_;
+  ctx.tuning = tuning_;
+  Timer timer;
+  ops_.derivative_sum(ctx);
+  core_.account_kernel(Kernel::kDerivSum, /*preorder=*/true, length_, timer.seconds(),
+                       /*left_tip=*/false, right_tip);
 }
 
 std::vector<double> CatEngine::single_rate_site_log_likelihoods(tree::Slot* root_edge,

@@ -107,6 +107,7 @@ void cat_derivative_core_scalar(CatDerivCtx& ctx) {
   constexpr int kStride = kMaxCatCategories * kS;
   double first = 0.0;
   double second = 0.0;
+  double lnl = 0.0;
   for (std::int64_t s = ctx.begin; s < ctx.end; ++s) {
     const int cat = ctx.site_categories[s];
     const double* sb = ctx.sum + s * kS;
@@ -126,9 +127,11 @@ void cat_derivative_core_scalar(CatDerivCtx& ctx) {
     const double w = ctx.weights[s];
     first += w * t1;
     second += w * (t2 - t1 * t1);
+    if (ctx.want_lnl) lnl += w * std::log(l0);
   }
   ctx.out_first = first;
   ctx.out_second = second;
+  ctx.out_lnl = lnl;
 }
 
 }  // namespace

@@ -128,6 +128,7 @@ struct CatKernels4 {
     constexpr int kStride = kMaxCatCategories * kCatSiteBlock;
     double first = 0.0;
     double second = 0.0;
+    double lnl = 0.0;
     for (std::int64_t s = ctx.begin; s < ctx.end; ++s) {
       const int cat = ctx.site_categories[s];
       const P4 sb = P4::load(ctx.sum + s * kCatSiteBlock);
@@ -143,9 +144,11 @@ struct CatKernels4 {
       const double w = ctx.weights[s];
       first += w * t1;
       second += w * (t2 - t1 * t1);
+      if (ctx.want_lnl) lnl += w * std::log(l0);
     }
     ctx.out_first = first;
     ctx.out_second = second;
+    ctx.out_lnl = lnl;
   }
 
   static CatKernelOps ops() {
@@ -340,6 +343,7 @@ struct CatKernels8 {
     constexpr int kStride = kMaxCatCategories * kCatSiteBlock;
     double first = 0.0;
     double second = 0.0;
+    double lnl = 0.0;
     const auto site_epilogue = [&](std::int64_t site_index, double l0, double l1, double l2) {
       l0 = std::max(l0, kLikelihoodFloor);
       const double inv = 1.0 / l0;
@@ -348,6 +352,7 @@ struct CatKernels8 {
       const double w = ctx.weights[site_index];
       first += w * t1;
       second += w * (t2 - t1 * t1);
+      if (ctx.want_lnl) lnl += w * std::log(l0);
     };
     const auto scalar_site = [&](std::int64_t site_index) {
       const int cat = ctx.site_categories[site_index];
@@ -380,6 +385,7 @@ struct CatKernels8 {
     for (; s < ctx.end; ++s) scalar_site(s);
     ctx.out_first = first;
     ctx.out_second = second;
+    ctx.out_lnl = lnl;
   }
 
   static CatKernelOps ops() {

@@ -32,14 +32,13 @@ inline std::size_t next_pow2(std::size_t value) {
 LikelihoodEngine::LikelihoodEngine(const bio::PatternSet& patterns,
                                    const model::GtrModel& model, tree::Tree& tree,
                                    const Config& config)
-    : patterns_(patterns),
+    : EngineFamily(tree),
+      patterns_(patterns),
       model_(model),
       tree_(tree),
       ops_(get_kernel_ops(config.isa)),
       tuning_(config.tuning),
-      use_openmp_(config.use_openmp),
-      core_(*this, tree),
-      trace_(config.trace) {
+      use_openmp_(config.use_openmp) {
   const auto npat = static_cast<std::int64_t>(patterns.pattern_count());
   MINIPHI_CHECK(npat > 0, "engine: empty pattern set");
   MINIPHI_CHECK(static_cast<std::size_t>(tree.taxon_count()) == patterns.taxon_count(),
@@ -78,10 +77,7 @@ LikelihoodEngine::LikelihoodEngine(const bio::PatternSet& patterns,
   dtab_.resize(kDtabSize);
   sum_buffer_.resize(static_cast<std::size_t>(length_) * kSiteBlock);
 
-  if (core_.metrics()) {
-    metric_ids_ = register_engine_metrics(ops_.isa, site_repeats_ ? "repeats" : "dense");
-    pre_metric_ids_ = register_engine_metrics(ops_.isa, "preorder");
-  }
+  core_.register_kernel_metrics(ops_.isa, site_repeats_ ? "repeats" : "dense", "preorder");
   set_model(model);
 }
 
@@ -92,24 +88,12 @@ void LikelihoodEngine::set_model(const model::GtrModel& model) {
   // Repeat classes are a pure function of topology and tip states, so
   // α/GTR optimization recomputes only the unique classes.
   core_.invalidate_all();  // spilled copies are stale too
-  sum_prepared_ = false;
 }
 
 void LikelihoodEngine::set_alpha(double alpha) {
   model::GtrParams params = model_.params();
   params.alpha = alpha;
   set_model(model::GtrModel(params, model_.gamma_categories()));
-}
-
-void LikelihoodEngine::invalidate_node(int node_id) {
-  if (node_id < tree_.taxon_count()) return;  // tips have no CLA
-  core_.invalidate_node(node_id);
-  sum_prepared_ = false;
-}
-
-void LikelihoodEngine::invalidate_all() {
-  core_.invalidate_all();
-  sum_prepared_ = false;
 }
 
 std::uint64_t LikelihoodEngine::cla_checksum(const double* values, const std::int32_t* scales,
@@ -356,7 +340,6 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
   // unwinds below, the old contents are gone, so the node must not keep
   // advertising its previous commit as valid.
   core_.begin_overwrite(slot->node_id);
-  auto& stat = stats_.kernel(Kernel::kNewview);
   Timer timer;
   if (use_openmp_) {
 #if defined(_OPENMP)
@@ -392,21 +375,9 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
       if (sdc_checks) ops_.cla_checksum(parent_ck, ctx.parent_cla, ctx.parent_scale, b, e);
     }
   }
-  const double elapsed = timer.seconds();
-  // CLA traffic: one parent block written per computed site/class plus one
-  // block read per non-tip child (tips read the tiny per-code tables).
-  const std::int64_t cla_blocks =
-      work * (1 + (ctx.left.is_tip() ? 0 : 1) + (ctx.right.is_tip() ? 0 : 1));
-  const std::int64_t cla_bytes = cla_blocks * kSiteBlock * static_cast<std::int64_t>(sizeof(double));
-  stat.seconds += elapsed;
-  ++stat.calls;
-  stat.sites += work;  // cost-model honesty: only the classes actually computed
-  stat.sites_represented += length_;
-  stat.bytes += cla_bytes;
+  core_.account_kernel(Kernel::kNewview, /*preorder=*/false, work, timer.seconds(),
+                       left->is_tip(), right->is_tip());
   if (core_.metrics()) {
-    publish_kernel(metric_ids_.kernels[static_cast<std::size_t>(
-                       static_cast<int>(Kernel::kNewview))],
-                   work, length_, cla_bytes, elapsed);
     // Scaling events of *this* call: the kernel writes each parent scale as
     // the children's propagated counts plus 1 for a fresh underflow, so the
     // fresh count is the parent sum minus the gathered child sums.  Only
@@ -431,11 +402,7 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
       }
       fresh = parent_sum - inherited;
     }
-    stats_.scaling_events += fresh;
-    obs::Registry::instance().add(metric_ids_.scaling_events, fresh);
-  }
-  if (trace_ != nullptr) {
-    trace_->record(TraceKernel::kNewview, left->is_tip(), right->is_tip(), work, length_);
+    core_.account_scaling_events(fresh);
   }
 
   // Deferred input verification: a mismatch must unwind before the parent
@@ -444,23 +411,16 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
   if (check_right) core_.finish_deferred_verify(right, right_ck);
 
   core_.commit_cla(slot, work, &parent_ck);
-  sum_prepared_ = false;
 }
 
 
-double LikelihoodEngine::run_evaluate(tree::Slot* edge) {
-  tree::Slot* p = edge;
-  tree::Slot* q = edge->back;
-  MINIPHI_ASSERT(q != nullptr);
-  // The kernel requires the left side to be an inner CLA.
-  if (p->is_tip()) std::swap(p, q);
-  MINIPHI_CHECK(!p->is_tip(), "evaluate: both ends of the root edge are tips");
 
+double LikelihoodEngine::run_evaluate(tree::Slot* p, tree::Slot* q, double length) {
   EvaluateCtx ctx;
   core_.resident_input(p);  // both endpoints are pinned by validate_edge
   ctx.left_cla = core_.values(p->node_id);
   ctx.left_scale = core_.scales(p->node_id);
-  build_diag(model_, edge->length, diag_);
+  build_diag(model_, length, diag_);
   if (q->is_tip()) {
     build_evtab(diag_, tipvec16_, evtab_);
     ctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(q->node_id)].data() + offset_;
@@ -483,7 +443,6 @@ double LikelihoodEngine::run_evaluate(tree::Slot* edge) {
   }
   double (*evaluate_fn)(const EvaluateCtx&) = gather ? ops_.evaluate_gather : ops_.evaluate;
 
-  auto& stat = stats_.kernel(Kernel::kEvaluate);
   Timer timer;
   double result = 0.0;
   if (use_openmp_) {
@@ -503,41 +462,12 @@ double LikelihoodEngine::run_evaluate(tree::Slot* edge) {
   } else {
     result = evaluate_fn(ctx);
   }
-  const double elapsed = timer.seconds();
-  const std::int64_t cla_bytes = length_ * (q->is_tip() ? 1 : 2) * kSiteBlock *
-                                 static_cast<std::int64_t>(sizeof(double));
-  stat.seconds += elapsed;
-  ++stat.calls;
-  stat.sites += length_;
-  stat.sites_represented += length_;
-  stat.bytes += cla_bytes;
-  if (core_.metrics()) {
-    publish_kernel(
-        metric_ids_.kernels[static_cast<std::size_t>(static_cast<int>(Kernel::kEvaluate))],
-        length_, length_, cla_bytes, elapsed);
-  }
-  if (trace_ != nullptr) {
-    trace_->record(TraceKernel::kEvaluate, false, q->is_tip(), length_);
-  }
+  core_.account_kernel(Kernel::kEvaluate, /*preorder=*/false, length_, timer.seconds(),
+                       /*left_tip=*/false, q->is_tip());
   return result;
 }
 
-double LikelihoodEngine::log_likelihood(tree::Slot* edge) {
-  return core_.log_likelihood(edge, [this](tree::Slot* e) { return run_evaluate(e); });
-}
-
-void LikelihoodEngine::prepare_derivatives(tree::Slot* edge) {
-  core_.guarded([&] { run_prepare_derivatives(edge); });
-}
-
-void LikelihoodEngine::run_prepare_derivatives(tree::Slot* edge) {
-  tree::Slot* p = edge;
-  tree::Slot* q = edge->back;
-  if (p->is_tip()) std::swap(p, q);
-  MINIPHI_CHECK(!p->is_tip(), "derivatives: both ends of the branch are tips");
-
-  core_.validate_edge(edge);
-
+void LikelihoodEngine::run_derivative_sum(tree::Slot* p, tree::Slot* q) {
   SumCtx ctx;
   // Same arrangement as run_newview: a class-compressed endpoint is read
   // through its site → class map, and without one untrusted endpoint CLAs
@@ -573,7 +503,6 @@ void LikelihoodEngine::run_prepare_derivatives(tree::Slot* edge) {
   const bool check_p = chunk_verify && core_.wants_deferred_verify(p);
   const bool check_q = chunk_verify && !q->is_tip() && core_.wants_deferred_verify(q);
 
-  auto& stat = stats_.kernel(Kernel::kDerivSum);
   Timer timer;
   if (use_openmp_) {
 #if defined(_OPENMP)
@@ -604,42 +533,14 @@ void LikelihoodEngine::run_prepare_derivatives(tree::Slot* edge) {
       sum_fn(ctx);
     }
   }
-  {
-    const double elapsed = timer.seconds();
-    // Reads one block per non-tip endpoint, writes the site-indexed sum.
-    const std::int64_t cla_bytes = length_ * (q->is_tip() ? 2 : 3) * kSiteBlock *
-                                   static_cast<std::int64_t>(sizeof(double));
-    stat.seconds += elapsed;
-    ++stat.calls;
-    stat.sites += length_;
-    stat.sites_represented += length_;
-    stat.bytes += cla_bytes;
-    if (core_.metrics()) {
-      publish_kernel(
-          metric_ids_.kernels[static_cast<std::size_t>(static_cast<int>(Kernel::kDerivSum))],
-          length_, length_, cla_bytes, elapsed);
-    }
-  }
+  core_.account_kernel(Kernel::kDerivSum, /*preorder=*/false, length_, timer.seconds(),
+                       /*left_tip=*/false, q->is_tip());
   if (check_p) core_.finish_deferred_verify(p, p_sum);
   if (check_q) core_.finish_deferred_verify(q, q_sum);
-  core_.unpin(p->node_id);
-  core_.unpin(q->node_id);
-  sum_left_tip_ = false;
-  sum_right_tip_ = q->is_tip();
-  if (trace_ != nullptr) {
-    trace_->record(TraceKernel::kDerivSum, sum_left_tip_, sum_right_tip_, length_);
-  }
-  sum_prepared_ = true;
 }
 
-std::pair<double, double> LikelihoodEngine::derivatives(double z) {
-  double lnl_unused = 0.0;
-  return run_derivatives(z, /*want_lnl=*/false, lnl_unused);
-}
-
-std::pair<double, double> LikelihoodEngine::run_derivatives(double z, bool want_lnl,
-                                                            double& lnl_out) {
-  MINIPHI_CHECK(sum_prepared_, "derivatives() without prepare_derivatives()");
+std::pair<double, double> LikelihoodEngine::run_derivative_core(double z, bool want_lnl,
+                                                                double& lnl_out, bool descent) {
   build_dtab(model_, z, dtab_);
 
   DerivCtx ctx;
@@ -650,12 +551,11 @@ std::pair<double, double> LikelihoodEngine::run_derivatives(double z, bool want_
   ctx.end = length_;
   ctx.want_lnl = want_lnl;
 
-  auto& stat = stats_.kernel(Kernel::kDerivCore);
   Timer timer;
   double first = 0.0;
   double second = 0.0;
   double lnl = 0.0;
-  if (use_openmp_) {
+  if (use_openmp_ && !descent) {
 #if defined(_OPENMP)
 #pragma omp parallel firstprivate(ctx) reduction(+ : first, second, lnl)
     {
@@ -683,130 +583,15 @@ std::pair<double, double> LikelihoodEngine::run_derivatives(double z, bool want_
     second = ctx.out_second;
     lnl = ctx.out_lnl;
   }
+  core_.account_kernel(Kernel::kDerivCore, descent, length_, timer.seconds());
   lnl_out = lnl;
-  const double elapsed = timer.seconds();
-  const std::int64_t cla_bytes =
-      length_ * kSiteBlock * static_cast<std::int64_t>(sizeof(double));  // sum-buffer reads
-  stat.seconds += elapsed;
-  ++stat.calls;
-  stat.sites += length_;
-  stat.sites_represented += length_;
-  stat.bytes += cla_bytes;
-  if (core_.metrics()) {
-    publish_kernel(
-        metric_ids_.kernels[static_cast<std::size_t>(static_cast<int>(Kernel::kDerivCore))],
-        length_, length_, cla_bytes, elapsed);
-  }
-  if (trace_ != nullptr) {
-    trace_->record(TraceKernel::kDerivCore, sum_left_tip_, sum_right_tip_, length_);
-  }
-  if (core_.sdc_checks() && (!std::isfinite(first) || !std::isfinite(second))) {
-    // The sum buffer is not checksummed (it is transient); a non-finite
-    // derivative is the sentinel.  optimize_branch heals by re-preparing.
-    core_.report_corruption(-1, "sdc: non-finite derivative from derivativeCore");
-  }
   return {first, second};
 }
 
-double LikelihoodEngine::newton_step(double z, double first, double second) {
-  double next;
-  if (second < 0.0) {
-    next = z - first / second;
-  } else {
-    // Not locally concave: move in the uphill direction geometrically.
-    next = (first > 0.0) ? z * 4.0 : z * 0.25;
-  }
-  return std::clamp(next, kMinBranchLength, kMaxBranchLength);
-}
-
-double LikelihoodEngine::optimize_branch(tree::Slot* edge, int max_iterations) {
-  return core_.heal_loop([&] { prepare_derivatives(edge); }, [&] {
-    const double z0 = edge->length;
-    double z = z0;
-    double lnl0 = 0.0;
-    for (int iteration = 0; iteration < max_iterations; ++iteration) {
-      // Project the log-likelihood at the starting length on the first
-      // iteration: it is the baseline the final iterate must beat.
-      double lnl = 0.0;
-      const auto [first, second] = run_derivatives(z, /*want_lnl=*/iteration == 0, lnl);
-      if (iteration == 0) lnl0 = lnl;
-      const double next = newton_step(z, first, second);
-      const bool converged = std::abs(next - z) < 1e-10;
-      z = next;
-      if (converged) break;
-    }
-    if (z != z0) {
-      // The geometric fallback in newton_step (second ≥ 0) moves along the
-      // gradient's sign but has no step-size control, and a diverging
-      // Newton sequence can end anywhere: committing the final iterate
-      // unguarded could *lower* the likelihood.  The projection shares the
-      // prepared sum buffer, so the guard costs one derivativeCore call —
-      // no traversal.  `!(≥)` also rejects a NaN projection.
-      double lnl_final = 0.0;
-      run_derivatives(z, /*want_lnl=*/true, lnl_final);
-      if (!(lnl_final >= lnl0)) z = z0;
-    }
-    tree::Tree::set_length(edge, z);
-    invalidate_node(edge->node_id);
-    invalidate_node(edge->back->node_id);
-    return z;
-  });
-}
-
-double LikelihoodEngine::optimize_all_branches(tree::Slot* root_edge, int passes) {
-  for (int pass = 0; pass < passes; ++pass) {
-    for (tree::Slot* edge : tree_.edges()) {
-      core_.check_cancel();  // per-branch cancellation boundary
-      optimize_branch(edge);
-    }
-  }
-  return log_likelihood(root_edge);
-}
-
-bool LikelihoodEngine::gradient_all_branches(tree::Slot* root_edge,
-                                             std::vector<BranchGradient>& out) {
-  MINIPHI_ASSERT(root_edge != nullptr && root_edge->back != nullptr);
-  core_.guarded([&] { run_gradient_all_branches(root_edge, out); });
-  return true;
-}
-
-void LikelihoodEngine::run_gradient_all_branches(tree::Slot* root_edge,
-                                                 std::vector<BranchGradient>& out) {
-  out.clear();
-  out.reserve(static_cast<std::size_t>(tree_.edge_count()));
-  core_.ensure_preorder_tier();
-
-  // Root edge first: the classic two-endpoint protocol.  Its validate_edge
-  // also orients every postorder CLA toward the root edge — exactly the
-  // orientation the descent's sibling inputs need.
-  run_prepare_derivatives(root_edge);
-  double root_lnl_unused = 0.0;
-  const auto [root_first, root_second] =
-      run_derivatives(root_edge->length, /*want_lnl=*/false, root_lnl_unused);
-  out.push_back({root_edge, root_edge->length, root_first, root_second});
-
-  // Root-to-tips descent.  Ops are emitted parents-first, so emission order
-  // is a valid schedule; it is also the only schedule used — the pass is
-  // deliberately serial so the per-edge results are bit-identical no matter
-  // how the postorder CLAs were produced (level order, DFS order or
-  // distributed execution all commit the same buffers).
-  core_.run_preorder_descent(root_edge, [&](const TraversalPlan& plan, const PlfOp& op) {
-    run_preorder_op(plan, op, out);
-  });
-  // The descent reused the sum buffer for its per-edge contractions.
-  sum_prepared_ = false;
-}
-
-void LikelihoodEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
-                                       std::vector<BranchGradient>& out) {
-  const EngineCore::PreorderInputs in = core_.begin_preorder_op(plan, op);
-  tree::Slot* toward = op.slot;       // parent's half-edge toward the node
-  tree::Slot* v_slot = toward->back;  // the node's half-edge back up
-  const int v = in.node;
-
+void LikelihoodEngine::run_preorder_newview(const PreorderInputs& in) {
   NewviewCtx ctx;
-  ctx.parent_cla = core_.preorder_values(v);
-  ctx.parent_scale = core_.preorder_scales(v);
+  ctx.parent_cla = core_.preorder_values(in.node);
+  ctx.parent_scale = core_.preorder_scales(in.node);
   ctx.wtable = wtable_.data();
   ctx.begin = 0;
   ctx.end = length_;
@@ -825,132 +610,50 @@ void LikelihoodEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& o
     ctx.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length,
                                 /*verify=*/true);
   }
-  tree::Slot* sib = in.sibling;
-  ctx.right = make_child_input(sib, ptable_right_, ump_right_, op.sibling->length,
+  ctx.right = make_child_input(in.sibling, ptable_right_, ump_right_, in.sibling->length,
                                /*verify=*/true);
 
   // Gathers are only needed when a class-compressed postorder CLA
   // participates; preorder partials, identity CLAs and tip code rows stay
   // site-indexed.
-  const bool gather = (!left_dense && compressed(in.opposite)) || compressed(sib);
+  const bool gather = (!left_dense && compressed(in.opposite)) || compressed(in.sibling);
   if (gather) {
     ctx.left.gather =
         left_dense ? identity_gather_.data() : site_gather(in.opposite, code_gather_left_);
-    ctx.right.gather = site_gather(sib, code_gather_right_);
+    ctx.right.gather = site_gather(in.sibling, code_gather_right_);
   }
 
   void (*newview_fn)(NewviewCtx&) = gather ? ops_.newview_repeats : ops_.newview;
-  {
-    auto& stat = stats_.kernel(Kernel::kNewview);
-    Timer timer;
-    newview_fn(ctx);
-    const double elapsed = timer.seconds();
-    const std::int64_t cla_blocks =
-        length_ * (1 + (ctx.left.is_tip() ? 0 : 1) + (ctx.right.is_tip() ? 0 : 1));
-    const std::int64_t cla_bytes =
-        cla_blocks * kSiteBlock * static_cast<std::int64_t>(sizeof(double));
-    stat.seconds += elapsed;
-    ++stat.calls;
-    stat.sites += length_;
-    stat.sites_represented += length_;
-    stat.bytes += cla_bytes;
-    if (core_.metrics()) {
-      publish_kernel(
-          pre_metric_ids_.kernels[static_cast<std::size_t>(static_cast<int>(Kernel::kNewview))],
-          length_, length_, cla_bytes, elapsed);
-    }
-  }
-  if (trace_ != nullptr) {
-    trace_->record(TraceKernel::kNewview, ctx.left.is_tip(), ctx.right.is_tip(), length_,
-                   length_);
-  }
-  core_.end_preorder_newview(in);
+  Timer timer;
+  newview_fn(ctx);
+  core_.account_kernel(Kernel::kNewview, /*preorder=*/true, length_, timer.seconds(),
+                       ctx.left.is_tip(), ctx.right.is_tip());
+}
 
-  // Gradient of the edge above the node: derivativeSum contracts the fresh
-  // preorder partial against the node's own postorder side, derivativeCore
-  // evaluates ℓ'/ℓ'' at the edge's current length.
-  SumCtx sctx;
-  sctx.sum = sum_buffer_.data();
-  sctx.left_cla = ctx.parent_cla;
-  sctx.begin = 0;
-  sctx.end = length_;
-  sctx.tuning = tuning_;
+void LikelihoodEngine::run_preorder_sum(const PreorderInputs& in, const tree::Slot* node_slot) {
+  SumCtx ctx;
+  ctx.sum = sum_buffer_.data();
+  ctx.left_cla = core_.preorder_values(in.node);
+  ctx.begin = 0;
+  ctx.end = length_;
+  ctx.tuning = tuning_;
   void (*sum_fn)(SumCtx&) = ops_.derivative_sum;
-  bool right_tip = v_slot->is_tip();
+  const bool right_tip = node_slot->is_tip();
   if (right_tip) {
-    sctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(v)].data() + offset_;
-    sctx.tipvec16 = tipvec16_.data();
+    ctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(in.node)].data() + offset_;
+    ctx.tipvec16 = tipvec16_.data();
   } else {
-    // The node's own postorder CLA: reload or rebuild it like any other
-    // tight-budget input (pinned until the contraction is done).
-    core_.ready_preorder_node(v_slot);
-    sctx.right_cla = core_.values(v);
-    if (compressed(v_slot)) {
-      sctx.left_gather = identity_gather_.data();
-      sctx.right_gather = repeats_of(v_slot).class_of_site.data();
+    ctx.right_cla = core_.values(in.node);
+    if (compressed(node_slot)) {
+      ctx.left_gather = identity_gather_.data();
+      ctx.right_gather = repeats_of(node_slot).class_of_site.data();
       sum_fn = ops_.derivative_sum_gather;
     }
   }
-  {
-    auto& stat = stats_.kernel(Kernel::kDerivSum);
-    Timer timer;
-    sum_fn(sctx);
-    const double elapsed = timer.seconds();
-    const std::int64_t cla_bytes = length_ * (right_tip ? 2 : 3) * kSiteBlock *
-                                   static_cast<std::int64_t>(sizeof(double));
-    stat.seconds += elapsed;
-    ++stat.calls;
-    stat.sites += length_;
-    stat.sites_represented += length_;
-    stat.bytes += cla_bytes;
-    if (core_.metrics()) {
-      publish_kernel(
-          pre_metric_ids_.kernels[static_cast<std::size_t>(static_cast<int>(Kernel::kDerivSum))],
-          length_, length_, cla_bytes, elapsed);
-    }
-    if (trace_ != nullptr) {
-      trace_->record(TraceKernel::kDerivSum, false, right_tip, length_);
-    }
-  }
-  // The contraction is done with both CLAs; derivativeCore below reads only
-  // the sum buffer.
-  core_.end_preorder_op(in);
-
-  build_dtab(model_, toward->length, dtab_);
-  DerivCtx dctx;
-  dctx.sum = sum_buffer_.data();
-  dctx.weights = patterns_.weights.data() + offset_;
-  dctx.dtab = dtab_.data();
-  dctx.begin = 0;
-  dctx.end = length_;
-  {
-    auto& stat = stats_.kernel(Kernel::kDerivCore);
-    Timer timer;
-    ops_.derivative_core(dctx);
-    const double elapsed = timer.seconds();
-    const std::int64_t cla_bytes =
-        length_ * kSiteBlock * static_cast<std::int64_t>(sizeof(double));
-    stat.seconds += elapsed;
-    ++stat.calls;
-    stat.sites += length_;
-    stat.sites_represented += length_;
-    stat.bytes += cla_bytes;
-    if (core_.metrics()) {
-      publish_kernel(
-          pre_metric_ids_.kernels[static_cast<std::size_t>(static_cast<int>(Kernel::kDerivCore))],
-          length_, length_, cla_bytes, elapsed);
-    }
-    if (trace_ != nullptr) {
-      trace_->record(TraceKernel::kDerivCore, false, right_tip, length_);
-    }
-  }
-  if (core_.sdc_checks() &&
-      (!std::isfinite(dctx.out_first) || !std::isfinite(dctx.out_second))) {
-    core_.report_corruption(-1, "sdc: non-finite all-branch gradient from derivativeCore");
-  }
-  out.push_back({toward, toward->length, dctx.out_first, dctx.out_second});
+  Timer timer;
+  sum_fn(ctx);
+  core_.account_kernel(Kernel::kDerivSum, /*preorder=*/true, length_, timer.seconds(),
+                       /*left_tip=*/false, right_tip);
 }
-
-void LikelihoodEngine::reset_stats() { stats_ = EvalStats{}; }
 
 }  // namespace miniphi::core

@@ -39,9 +39,10 @@ struct EngineConfig {
   /// verify cost is a median +11.5% on a branch-optimization workload
   /// (bench_fig3_kernels part 4, EXPERIMENTS.md).
   bool sdc_checks = false;
-  /// Optional kernel-invocation recorder (dense DNA engine only; the other
-  /// engines accept and ignore it).  Not thread-safe: evaluators that
-  /// dispatch engines onto worker pools require trace == nullptr.
+  /// Optional kernel-invocation recorder: every engine family records each
+  /// kernel call through the same accounting call that feeds EvalStats and
+  /// the registry.  Not thread-safe: evaluators that dispatch engines onto
+  /// worker pools require trace == nullptr.
   KernelTrace* trace = nullptr;
   /// CLA memory budget as a count: at most this many CLA buffers held at
   /// once (-1 = one per inner node, the default), whatever their size.

@@ -17,6 +17,7 @@ void EngineCore::configure(const EngineConfig& config, std::int64_t length, std:
   sdc_checks_ = config.sdc_checks;
   cancel_ = config.cancel;
   spill_dir_ = config.cla_spill_dir;
+  trace_ = config.trace;
   if (obs::kMetricsCompiled && config.metrics == obs::MetricsMode::kOn) {
     metrics_ = true;
     plan_cache_.enable_metrics();
@@ -70,6 +71,52 @@ void EngineCore::configure(const EngineConfig& config, std::int64_t length, std:
   store_.configure(std::move(store_config));
 }
 
+void EngineCore::register_kernel_metrics(simd::Isa isa, const char* path,
+                                         const char* preorder_path) {
+  if (!metrics_) return;
+  metric_ids_ = register_engine_metrics(isa, path);
+  pre_metric_ids_ = register_engine_metrics(isa, preorder_path);
+}
+
+static_assert(static_cast<int>(TraceKernel::kNewview) == static_cast<int>(Kernel::kNewview) &&
+                  static_cast<int>(TraceKernel::kDerivCore) == static_cast<int>(Kernel::kDerivCore),
+              "TraceKernel is numbered like Kernel");
+
+void EngineCore::account_kernel(Kernel kernel, bool preorder, std::int64_t sites, double seconds,
+                                bool left_tip, bool right_tip) {
+  if (kernel == Kernel::kDerivSum) sum_right_tip_ = right_tip;
+  // CLA traffic per computed block: one block read per non-tip input (tips
+  // read the tiny per-code tables), plus the block newview writes and the
+  // sum-buffer block derivativeSum writes; derivativeCore reads the sum.
+  std::int64_t blocks = 1;
+  if (kernel == Kernel::kDerivCore) {
+    right_tip = sum_right_tip_;
+  } else {
+    blocks = (left_tip ? 0 : 1) + (right_tip ? 0 : 1) + (kernel == Kernel::kEvaluate ? 0 : 1);
+  }
+  const std::int64_t cla_bytes =
+      sites * blocks * block_ * static_cast<std::int64_t>(sizeof(double));
+  KernelStat& stat = stats_.kernel(kernel);
+  stat.seconds += seconds;
+  ++stat.calls;
+  stat.sites += sites;  // cost-model honesty: only the blocks actually computed
+  stat.sites_represented += length_;
+  stat.bytes += cla_bytes;
+  if (metrics_) {
+    const EngineMetricIds& ids = preorder ? pre_metric_ids_ : metric_ids_;
+    publish_kernel(ids.kernels[static_cast<std::size_t>(static_cast<int>(kernel))], sites,
+                   length_, cla_bytes, seconds);
+  }
+  if (trace_ != nullptr) {
+    trace_->record(static_cast<TraceKernel>(kernel), left_tip, right_tip, sites, length_);
+  }
+}
+
+void EngineCore::account_scaling_events(std::int64_t fresh) {
+  stats_.scaling_events += fresh;
+  obs::Registry::instance().add(metric_ids_.scaling_events, fresh);
+}
+
 void EngineCore::invalidate_node(int node_id) {
   if (node_id < taxa_) return;  // tips have no CLA
   clas_[inner(node_id)].valid = false;
@@ -77,12 +124,14 @@ void EngineCore::invalidate_node(int node_id) {
   // never waste a disk write on a CLA that is already dead.
   store_.drop(node_id - taxa_);
   note_cla_state_changed();
+  sum_prepared_ = false;
 }
 
 void EngineCore::invalidate_all() {
   for (auto& node : clas_) node.valid = false;
   store_.drop_all();  // spilled copies are stale too
   note_cla_state_changed();
+  sum_prepared_ = false;
 }
 
 void EngineCore::commit_cla(tree::Slot* slot, std::int64_t blocks, const sdc::ClaChecksum* sum) {
@@ -101,6 +150,7 @@ void EngineCore::commit_cla(tree::Slot* slot, std::int64_t blocks, const sdc::Cl
   // for the opposite direction — cached plans keyed on other edges must not
   // treat this node as a resident input anymore.
   note_cla_state_changed();
+  sum_prepared_ = false;
 }
 
 void EngineCore::ensure_resident_cla(int node_id) {
@@ -184,9 +234,9 @@ void EngineCore::heal_or_rethrow(const sdc::CorruptionDetected& fault, int attem
   // sentinels, preorder partials) sweep everything, which also forces a
   // fresh rescaling pass over every CLA.
   if (fault.node_id() >= 0) {
-    family_.invalidate_node(fault.node_id());
+    invalidate_node(fault.node_id());
   } else {
-    family_.invalidate_all();
+    invalidate_all();
   }
   ++sdc_counters_.heals;
   if (metrics_) obs::Registry::instance().add(sdc_ids_.heals, 1);
@@ -377,8 +427,7 @@ void EngineCore::ensure_preorder_tier() {
   pre_store_.configure(std::move(pre_config));
 }
 
-EngineCore::PreorderInputs EngineCore::begin_preorder_op(const TraversalPlan& plan,
-                                                         const PlfOp& op) {
+PreorderInputs EngineCore::begin_preorder_op(const TraversalPlan& plan, const PlfOp& op) {
   MINIPHI_ASSERT(op.kind == PlfOpKind::kPreorder);
   tree::Slot* toward = op.slot;  // the parent's half-edge toward the node
   PreorderInputs in;
@@ -461,6 +510,171 @@ void EngineCore::end_preorder_op(const PreorderInputs& in) {
   if (in.parent >= 0 && --pre_readers_[static_cast<std::size_t>(in.parent)] == 0) {
     pre_store_.drop(in.parent);
   }
+}
+
+double EngineCore::log_likelihood(tree::Slot* edge) {
+  MINIPHI_ASSERT(edge != nullptr && edge->back != nullptr);
+  return guarded([&] {
+    validate_edge(edge);
+    tree::Slot* p = edge;
+    tree::Slot* q = edge->back;
+    // The kernels take an inner CLA on the left.
+    if (p->is_tip()) std::swap(p, q);
+    MINIPHI_CHECK(!p->is_tip(), "evaluate: both ends of the root edge are tips");
+    const double result = family_.run_evaluate(p, q, edge->length);
+    unpin(edge->node_id);
+    unpin(edge->back->node_id);
+    if (sdc_checks_ && !std::isfinite(result)) {
+      report_corruption(-1, "sdc: non-finite log-likelihood from evaluate");
+    }
+    return result;
+  });
+}
+
+void EngineCore::prepare_derivatives(tree::Slot* edge) {
+  guarded([&] { run_prepare_derivatives(edge); });
+}
+
+void EngineCore::run_prepare_derivatives(tree::Slot* edge) {
+  tree::Slot* p = edge;
+  tree::Slot* q = edge->back;
+  if (p->is_tip()) std::swap(p, q);
+  MINIPHI_CHECK(!p->is_tip(), "derivatives: both ends of the branch are tips");
+  validate_edge(edge);
+  family_.run_derivative_sum(p, q);
+  unpin(p->node_id);
+  unpin(q->node_id);
+  sum_prepared_ = true;
+}
+
+std::pair<double, double> EngineCore::derivatives(double z) {
+  MINIPHI_CHECK(sum_prepared_, "derivatives() without prepare_derivatives()");
+  double lnl_unused = 0.0;
+  return run_derivative_core(z, /*want_lnl=*/false, lnl_unused, /*descent=*/false);
+}
+
+std::pair<double, double> EngineCore::run_derivative_core(double z, bool want_lnl, double& lnl,
+                                                          bool descent) {
+  const auto [first, second] = family_.run_derivative_core(z, want_lnl, lnl, descent);
+  if (sdc_checks_ && (!std::isfinite(first) || !std::isfinite(second))) {
+    // The sum buffer is not checksummed (it is transient); a non-finite
+    // derivative is the sentinel.  optimize_branch heals by re-preparing.
+    report_corruption(-1, descent ? "sdc: non-finite all-branch gradient from derivativeCore"
+                                  : "sdc: non-finite derivative from derivativeCore");
+  }
+  return {first, second};
+}
+
+double EngineFamily::newton_step(double z, double first, double second) {
+  double next;
+  if (second < 0.0) {
+    next = z - first / second;
+  } else {
+    // Not locally concave: move in the uphill direction geometrically.
+    next = (first > 0.0) ? z * 4.0 : z * 0.25;
+  }
+  return std::clamp(next, kMinBranchLength, kMaxBranchLength);
+}
+
+double EngineCore::optimize_branch(tree::Slot* edge, int max_iterations) {
+  // prepare_derivatives (itself guarded) runs outside the retry so its
+  // escalation propagates; a fault in the Newton loop heals and
+  // re-prepares.
+  for (int attempt = 0;; ++attempt) {
+    prepare_derivatives(edge);
+    try {
+      const double z0 = edge->length;
+      double z = z0;
+      double lnl0 = 0.0;
+      for (int iteration = 0; iteration < max_iterations; ++iteration) {
+        // Project the log-likelihood at the starting length on the first
+        // iteration: it is the baseline the final iterate must beat.
+        double lnl = 0.0;
+        const auto [first, second] =
+            run_derivative_core(z, /*want_lnl=*/iteration == 0, lnl, /*descent=*/false);
+        if (iteration == 0) lnl0 = lnl;
+        const double next = EngineFamily::newton_step(z, first, second);
+        const bool converged = std::abs(next - z) < 1e-10;
+        z = next;
+        if (converged) break;
+      }
+      if (z != z0) {
+        // The geometric fallback in newton_step (second ≥ 0) moves along the
+        // gradient's sign but has no step-size control, and a diverging
+        // Newton sequence can end anywhere: committing the final iterate
+        // unguarded could *lower* the likelihood.  The projection shares
+        // the prepared sum buffer, so the guard costs one derivativeCore
+        // call — no traversal.  `!(≥)` also rejects a NaN projection.
+        double lnl_final = 0.0;
+        run_derivative_core(z, /*want_lnl=*/true, lnl_final, /*descent=*/false);
+        if (!(lnl_final >= lnl0)) z = z0;
+      }
+      tree::Tree::set_length(edge, z);
+      invalidate_node(edge->node_id);
+      invalidate_node(edge->back->node_id);
+      return z;
+    } catch (const sdc::CorruptionDetected& fault) {
+      heal_or_rethrow(fault, attempt);
+    }
+  }
+}
+
+double EngineCore::optimize_all_branches(tree::Slot* root_edge, int passes) {
+  for (int pass = 0; pass < passes; ++pass) {
+    for (tree::Slot* edge : tree_.edges()) {
+      check_cancel();  // per-branch cancellation boundary
+      optimize_branch(edge, 32);  // Evaluator::optimize_branch's default
+    }
+  }
+  return log_likelihood(root_edge);
+}
+
+void EngineCore::gradient_all_branches(tree::Slot* root_edge, std::vector<BranchGradient>& out) {
+  MINIPHI_ASSERT(root_edge != nullptr && root_edge->back != nullptr);
+  guarded([&] {
+    out.clear();
+    out.reserve(static_cast<std::size_t>(tree_.edge_count()));
+    ensure_preorder_tier();
+
+    // Root edge first: the classic two-endpoint protocol.  Its validate_edge
+    // also orients every postorder CLA toward the root edge — exactly the
+    // orientation the descent's sibling inputs need.
+    run_prepare_derivatives(root_edge);
+    double lnl_unused = 0.0;
+    const auto [root_first, root_second] =
+        run_derivative_core(root_edge->length, /*want_lnl=*/false, lnl_unused, /*descent=*/false);
+    out.push_back({root_edge, root_edge->length, root_first, root_second});
+
+    // Root-to-tips descent.  Ops are emitted parents-first, so emission
+    // order is a valid schedule; it is also the only schedule used — the
+    // pass is deliberately serial so the per-edge results are bit-identical
+    // no matter how the postorder CLAs were produced (level order, DFS
+    // order or distributed execution all commit the same buffers).  Its
+    // reload pattern is not the postorder plan the store last saw: a fresh
+    // plan window keeps stale next-use hints out of eviction.
+    store_.begin_plan();
+    TraversalPlanner::build_preorder(root_edge, preorder_plan_);
+    for (const PlfOp& op : preorder_plan_.ops()) {
+      check_cancel();
+      tree::Slot* toward = op.slot;          // the parent's half-edge toward the node
+      tree::Slot* node_slot = toward->back;  // the node's half-edge back up
+      const PreorderInputs in = begin_preorder_op(preorder_plan_, op);
+      family_.run_preorder_newview(in);
+      end_preorder_newview(in);
+      // Gradient of the edge above the node: derivativeSum contracts the
+      // fresh preorder partial against the node's own postorder side,
+      // derivativeCore evaluates ℓ′/ℓ″ at the edge's current length.
+      if (!node_slot->is_tip()) ready_preorder_node(node_slot);
+      family_.run_preorder_sum(in, node_slot);
+      // The contraction is done with both CLAs; derivativeCore reads only
+      // the sum buffer.
+      end_preorder_op(in);
+      const auto [first, second] =
+          run_derivative_core(toward->length, /*want_lnl=*/false, lnl_unused, /*descent=*/true);
+      out.push_back({toward, toward->length, first, second});
+    }
+    sum_prepared_ = false;  // the sum buffer holds the last preorder edge's sums
+  });
 }
 
 }  // namespace miniphi::core

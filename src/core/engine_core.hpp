@@ -3,8 +3,9 @@
 // The dense DNA, CAT and general engines differ only in their kernels: the
 // table builders, the newview/evaluate/derivative/preorder kernel calls and
 // the CLA checksum.  Everything around those calls is one piece of code,
-// owned by an EngineCore member of each engine (BEAGLE 4.1's shape: one
-// library core, back-ends that differ in their kernels):
+// owned by the EngineCore member of each engine's EngineFamily base
+// (BEAGLE 4.1's shape: one library core, back-ends that differ in their
+// kernels):
 //
 //   * per-node CLA state — validity, orientation and the SDC trust pass;
 //   * the CLA budget and the tiered memory::ClaStore (eviction invalidates
@@ -13,21 +14,30 @@
 //   * the plan executors: level order on a full budget, Sethi–Ullman DFS
 //     order with next-use hints, prefetch, pins and nested-subplan
 //     recompute under a tight one (Izquierdo-Carrasco, paper §V-A);
-//   * the external plan API the batching evaluators drive;
+//   * the Evaluator entry points: evaluation, the derivative protocol, the
+//     Newton–Raphson branch optimizer with its uphill guard, smoothing
+//     sweeps and the linear-time all-branch gradient descent (Gangavarapu
+//     et al.);
+//   * kernel accounting: one call per kernel invocation feeds EvalStats, the
+//     plf.* registry counters and the optional KernelTrace;
 //   * cooperative cancellation and the guarded entry-point loop (trust pass,
 //     SDC heal, pin release on CancelledError).
 //
-// The engine plugs in through EngineFamily: its newview is the one hook the
-// executors call per plan op.
+// An engine derives from EngineFamily and overrides its kernel hooks; the
+// core calls each hook once per kernel invocation.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/engine_config.hpp"
+#include "src/core/engine_metrics.hpp"
+#include "src/core/evaluator.hpp"
 #include "src/core/sdc.hpp"
+#include "src/core/trace.hpp"
 #include "src/core/traversal_plan.hpp"
 #include "src/memory/cla_store.hpp"
 #include "src/tree/tree.hpp"
@@ -35,41 +45,26 @@
 
 namespace miniphi::core {
 
-/// What an engine family plugs into its EngineCore.
-class EngineFamily {
- public:
-  /// Computes the CLA toward `slot` from its two children (tips or valid,
-  /// resident CLAs) and commits it through EngineCore::commit_cla.
-  virtual void run_newview(tree::Slot* slot) = 0;
+/// Branch-length domain for Newton–Raphson optimization.
+inline constexpr double kMinBranchLength = 1e-8;
+inline constexpr double kMaxBranchLength = 50.0;
 
-  /// The family's checksum of the first `blocks` site blocks of a CLA.
-  [[nodiscard]] virtual std::uint64_t cla_checksum(const double* values,
-                                                   const std::int32_t* scales,
-                                                   std::int64_t blocks) = 0;
+class EngineFamily;
 
-  /// The family's invalidation of one inner node and of every CLA (the
-  /// heal loop's targeted and full sweeps); each also drops family state
-  /// derived from the CLAs.
-  virtual void invalidate_node(int node_id) = 0;
-  virtual void invalidate_all() = 0;
-
- protected:
-  ~EngineFamily() = default;
+/// Inputs of one preorder op, readied by the core before the family's
+/// preorder kernels run: the target node, and its left input — either the
+/// parent's preorder partial or, for a seed op, the opposite root-edge
+/// endpoint's postorder side.
+struct PreorderInputs {
+  int node = -1;                   ///< v, whose preorder partial the op computes
+  int parent = -1;                 ///< u (non-seed ops), left input's preorder partial
+  tree::Slot* opposite = nullptr;  ///< seed ops: the left input's postorder side
+  double left_length = 0.0;        ///< branch the left input crosses
+  tree::Slot* sibling = nullptr;   ///< right input: the sibling's postorder side
 };
 
 class EngineCore {
  public:
-  /// Inputs of one preorder op, readied by begin_preorder_op: the target
-  /// node, and its left input — either the parent's preorder partial or,
-  /// for a seed op, the opposite root-edge endpoint's postorder side.
-  struct PreorderInputs {
-    int node = -1;                   ///< v, whose preorder partial the op computes
-    int parent = -1;                 ///< u (non-seed ops), left input's preorder partial
-    tree::Slot* opposite = nullptr;  ///< seed ops: the left input's postorder side
-    double left_length = 0.0;        ///< branch the left input crosses
-    tree::Slot* sibling = nullptr;   ///< right input: the sibling's postorder side
-  };
-
   EngineCore(EngineFamily& family, tree::Tree& tree) : family_(family), tree_(tree) {}
   // The store's on_drop callback holds `this`.
   EngineCore(const EngineCore&) = delete;
@@ -84,6 +79,60 @@ class EngineCore {
   [[nodiscard]] bool metrics() const { return metrics_; }
   [[nodiscard]] bool sdc_checks() const { return sdc_checks_; }
 
+  // --- Evaluator entry points --------------------------------------------
+
+  /// Log-likelihood at (edge, edge->back): validates the edge, runs the
+  /// family's evaluate on the pinned endpoints and releases them; under SDC
+  /// checks a non-finite result is an unlocalized fault.
+  double log_likelihood(tree::Slot* edge);
+
+  /// Validates (edge, edge->back) and fills the family's sum buffer through
+  /// its derivativeSum; derivatives() then evaluates ℓ′/ℓ″ at any length.
+  void prepare_derivatives(tree::Slot* edge);
+  std::pair<double, double> derivatives(double z);
+
+  /// Newton–Raphson optimization of one branch.  Iteration 0 also projects
+  /// lnL at the starting length; a final iterate whose projection does not
+  /// beat it is rejected, so the likelihood never drops.  Sets the length
+  /// on the edge and returns it.
+  double optimize_branch(tree::Slot* edge, int max_iterations);
+
+  /// `passes` sweeps of optimize_branch over every edge; returns the final
+  /// log-likelihood at `root_edge`.
+  double optimize_all_branches(tree::Slot* root_edge, int passes);
+
+  /// All-branch derivatives in one postorder + preorder sweep: the root edge
+  /// through the two-endpoint protocol, then one preorder op per other edge
+  /// in emission order (parents first), serial so the result does not
+  /// depend on how the postorder CLAs were produced.  Each op computes the
+  /// node's preorder partial with the family's newview and contracts it
+  /// against the node's postorder side through derivativeSum and
+  /// derivativeCore.
+  void gradient_all_branches(tree::Slot* root_edge, std::vector<BranchGradient>& out);
+
+  // --- Kernel accounting -------------------------------------------------
+
+  /// Interns the per-kernel registry metrics "plf.<isa>.<path>.*" for the
+  /// postorder kernels and "plf.<isa>.<preorder_path>.*" for the gradient
+  /// descent's; a no-op with metrics off.
+  void register_kernel_metrics(simd::Isa isa, const char* path, const char* preorder_path);
+
+  /// The one accounting call per kernel invocation: adds to EvalStats,
+  /// publishes the registry counters when metrics are on and records the
+  /// KernelTrace entry when one is attached.  `sites` counts the blocks the
+  /// call computed (the whole slice stands for them); the CLA bytes follow
+  /// from the kernel and the tip-ness of its inputs.  derivativeCore reads
+  /// only the sum buffer, so it takes the tips of the derivativeSum that
+  /// filled it.
+  void account_kernel(Kernel kernel, bool preorder, std::int64_t sites, double seconds,
+                      bool left_tip = false, bool right_tip = false);
+
+  /// Rescaling events of one newview (metrics on only).
+  void account_scaling_events(std::int64_t fresh);
+
+  [[nodiscard]] const EvalStats& stats() const { return stats_; }
+  void reset_stats() { stats_ = EvalStats{}; }
+
   // --- CLA state ---------------------------------------------------------
 
   /// Whether the inner slot's CLA is valid *toward that slot*.  The planner
@@ -96,7 +145,8 @@ class EngineCore {
   [[nodiscard]] double* values(int node_id) { return store_.values(node_id - taxa_); }
   [[nodiscard]] std::int32_t* scales(int node_id) { return store_.scales(node_id - taxa_); }
 
-  /// Marks one inner node stale and frees its buffers (tips are ignored).
+  /// Marks one inner node stale and frees its buffers (tips are ignored);
+  /// either call also retires the prepared sum buffer.
   void invalidate_node(int node_id);
   void invalidate_all();
 
@@ -140,7 +190,42 @@ class EngineCore {
   /// verification memo; false when there is none.
   bool corrupt_cla_for_testing(int node_id, std::int64_t word, int bit);
 
-  // --- Guarded entry points ----------------------------------------------
+  /// Drops every pin in both tiers; safe when none are held.
+  void release_pins() {
+    store_.reset_pins();
+    if (pre_store_.is_configured()) pre_store_.reset_pins();
+  }
+
+  // --- Traversals --------------------------------------------------------
+
+  /// The plan for (edge, edge->back), or nullptr when the cached one is
+  /// satisfied — what DistributedEvaluator derives its CommPlan from.
+  const TraversalPlan* plan_traversal(tree::Slot* edge);
+
+  [[nodiscard]] const PlanCounters& plan_counters() const { return plan_cache_.counters(); }
+
+  // --- CLA storage -------------------------------------------------------
+
+  [[nodiscard]] const memory::ClaStore& store() const { return store_; }
+  [[nodiscard]] memory::ClaStore& store() { return store_; }
+
+  /// A node's preorder partial (site-indexed, tips included).
+  [[nodiscard]] double* preorder_values(int node_id) { return pre_store_.values(node_id); }
+  [[nodiscard]] std::int32_t* preorder_scales(int node_id) { return pre_store_.scales(node_id); }
+
+ private:
+  struct ClaState {
+    int orientation = -1;             ///< slot_index the CLA points toward
+    bool valid = false;               ///< logical validity; residency is the store's
+    std::uint64_t checksum = 0;       ///< SDC: checksum of the committed region
+    std::int64_t checked_blocks = 0;  ///< site blocks it covers (0 = none)
+    std::uint64_t verified_pass = 0;  ///< trust pass of the last verification
+  };
+
+  [[nodiscard]] std::size_t inner(int node_id) const {
+    MINIPHI_ASSERT(node_id >= taxa_);
+    return static_cast<std::size_t>(node_id - taxa_);
+  }
 
   /// Runs one top-level call: opens a trust pass, heals and retries on
   /// sdc::CorruptionDetected (bounded; then escalates), and releases every
@@ -160,126 +245,19 @@ class EngineCore {
     }
   }
 
-  /// log_likelihood() of every family: validates the edge, runs the family's
-  /// `evaluate(edge)` on the pinned endpoints and releases them; under SDC
-  /// checks a non-finite result is an unlocalized fault.
-  template <typename EvaluateFn>
-  double log_likelihood(tree::Slot* edge, EvaluateFn&& evaluate) {
-    MINIPHI_ASSERT(edge != nullptr && edge->back != nullptr);
-    return guarded([&] {
-      validate_edge(edge);
-      const double result = evaluate(edge);
-      unpin(edge->node_id);
-      unpin(edge->back->node_id);
-      if (sdc_checks_ && !std::isfinite(result)) {
-        report_corruption(-1, "sdc: non-finite log-likelihood from evaluate");
-      }
-      return result;
-    });
-  }
-
-  /// Branch optimization's loop: `prepare` (itself guarded) runs outside
-  /// the retry so its escalation propagates; a fault in `body` heals and
-  /// re-prepares.
-  template <typename Prepare, typename Body>
-  auto heal_loop(Prepare&& prepare, Body&& body) {
-    for (int attempt = 0;; ++attempt) {
-      prepare();
-      try {
-        return body();
-      } catch (const sdc::CorruptionDetected& fault) {
-        heal_or_rethrow(fault, attempt);
-      }
-    }
-  }
-
   /// Cancellation boundary (EngineConfig::cancel).
   void check_cancel() const {
     if (cancel_ != nullptr) cancel_->check();
   }
 
-  /// Drops every pin in both tiers; safe when none are held.
-  void release_pins() {
-    store_.reset_pins();
-    if (pre_store_.is_configured()) pre_store_.reset_pins();
-  }
+  /// The body of prepare_derivatives(), run inside a guarded call.
+  void run_prepare_derivatives(tree::Slot* edge);
 
-  // --- Traversals --------------------------------------------------------
-
-  /// Makes the CLAs at (edge, edge->back) valid through the plan cache and
-  /// leaves both inner endpoints pinned and resident; callers unpin after
-  /// the consuming root kernel.
-  void validate_edge(tree::Slot* edge);
-
-  void unpin(int node_id) {
-    if (node_id >= taxa_) store_.unpin(node_id - taxa_);
-  }
-
-  /// The plan for (edge, edge->back), or nullptr when the cached one is
-  /// satisfied — what DistributedEvaluator derives its CommPlan from.
-  const TraversalPlan* plan_traversal(tree::Slot* edge);
-
-  [[nodiscard]] const PlanCounters& plan_counters() const { return plan_cache_.counters(); }
-
-  // --- CLA storage -------------------------------------------------------
-
-  [[nodiscard]] const memory::ClaStore& store() const { return store_; }
-  [[nodiscard]] memory::ClaStore& store() { return store_; }
-
-  // --- Preorder descent (all-branch gradient) -----------------------------
-
-  /// Sizes the preorder tier on first use: one always-spilling slot per
-  /// node (an outer partial cannot be recomputed from a subtree).
-  void ensure_preorder_tier();
-
-  /// Runs `op_fn(plan, op)` for every op of the root-to-tips preorder plan
-  /// at `root_edge`, serially in emission order, with a cancellation check
-  /// per op.
-  template <typename OpFn>
-  void run_preorder_descent(tree::Slot* root_edge, OpFn&& op_fn) {
-    // The descent's reload pattern is not the postorder plan the store last
-    // saw: a fresh plan window keeps stale next-use hints out of eviction.
-    store_.begin_plan();
-    TraversalPlanner::build_preorder(root_edge, preorder_plan_);
-    for (const PlfOp& op : preorder_plan_.ops()) {
-      check_cancel();
-      op_fn(preorder_plan_, op);
-    }
-  }
-
-  /// Opens one preorder op: acquires and pins the node's preorder buffer,
-  /// pins and readies its postorder inputs (sibling; opposite endpoint for
-  /// a seed op), and reloads and verifies the parent's preorder partial.
-  PreorderInputs begin_preorder_op(const TraversalPlan& plan, const PlfOp& op);
-
-  /// After the preorder newview: releases the newview inputs and records
-  /// the fresh partial's checksum (trusted only at consumption).
-  void end_preorder_newview(const PreorderInputs& in);
-
-  /// Before the gradient contraction: pins, readies (reload or rebuild)
-  /// and verifies the inner node's own postorder CLA.
-  void ready_preorder_node(tree::Slot* node_slot);
-
-  /// After the gradient contraction: releases the node's postorder CLA and
-  /// its preorder partial, and drops the partials this op read last.
-  void end_preorder_op(const PreorderInputs& in);
-
-  [[nodiscard]] double* preorder_values(int node_id) { return pre_store_.values(node_id); }
-  [[nodiscard]] std::int32_t* preorder_scales(int node_id) { return pre_store_.scales(node_id); }
-
- private:
-  struct ClaState {
-    int orientation = -1;             ///< slot_index the CLA points toward
-    bool valid = false;               ///< logical validity; residency is the store's
-    std::uint64_t checksum = 0;       ///< SDC: checksum of the committed region
-    std::int64_t checked_blocks = 0;  ///< site blocks it covers (0 = none)
-    std::uint64_t verified_pass = 0;  ///< trust pass of the last verification
-  };
-
-  [[nodiscard]] std::size_t inner(int node_id) const {
-    MINIPHI_ASSERT(node_id >= taxa_);
-    return static_cast<std::size_t>(node_id - taxa_);
-  }
+  /// The family's derivativeCore at `z` over the prepared sum buffer, plus
+  /// the one non-finite sentinel (the sum buffer is transient and not
+  /// checksummed).  `descent` marks a gradient-descent op.
+  std::pair<double, double> run_derivative_core(double z, bool want_lnl, double& lnl,
+                                                bool descent);
 
   /// Every CLA state change bumps the plan-cache epoch.
   void note_cla_state_changed() { plan_cache_.note_cla_state_changed(); }
@@ -287,6 +265,14 @@ class EngineCore {
   void pin(int node_id) {
     if (node_id >= taxa_) store_.pin(node_id - taxa_);
   }
+  void unpin(int node_id) {
+    if (node_id >= taxa_) store_.unpin(node_id - taxa_);
+  }
+
+  /// Makes the CLAs at (edge, edge->back) valid through the plan cache and
+  /// leaves both inner endpoints pinned and resident; callers unpin after
+  /// the consuming root kernel.
+  void validate_edge(tree::Slot* edge);
 
   /// Reloads an evicted valid CLA; a reload restarts its trust pass.
   void ensure_resident_cla(int node_id);
@@ -319,6 +305,29 @@ class EngineCore {
   /// Without sdc_checks there is no heal: the fault propagates as is.
   void heal_or_rethrow(const sdc::CorruptionDetected& fault, int attempt);
 
+  // --- Preorder descent (all-branch gradient) -----------------------------
+
+  /// Sizes the preorder tier on first use: one always-spilling slot per
+  /// node (an outer partial cannot be recomputed from a subtree).
+  void ensure_preorder_tier();
+
+  /// Opens one preorder op: acquires and pins the node's preorder buffer,
+  /// pins and readies its postorder inputs (sibling; opposite endpoint for
+  /// a seed op), and reloads and verifies the parent's preorder partial.
+  PreorderInputs begin_preorder_op(const TraversalPlan& plan, const PlfOp& op);
+
+  /// After the preorder newview: releases the newview inputs and records
+  /// the fresh partial's checksum (trusted only at consumption).
+  void end_preorder_newview(const PreorderInputs& in);
+
+  /// Before the gradient contraction: pins, readies (reload or rebuild)
+  /// and verifies the inner node's own postorder CLA.
+  void ready_preorder_node(tree::Slot* node_slot);
+
+  /// After the gradient contraction: releases the node's postorder CLA and
+  /// its preorder partial, and drops the partials this op read last.
+  void end_preorder_op(const PreorderInputs& in);
+
   EngineFamily& family_;
   tree::Tree& tree_;
   int taxa_ = 0;
@@ -336,12 +345,148 @@ class EngineCore {
   std::vector<int> pre_readers_;  ///< child ops yet to read each partial
   TraversalPlan preorder_plan_;
 
+  // The family's sum buffer: filled by derivativeSum, read by
+  // derivativeCore until the next prepare, newview or invalidation.
+  bool sum_prepared_ = false;
+  bool sum_right_tip_ = false;  ///< tip-ness of the summed branch (for the trace)
+
+  EvalStats stats_;
+  EngineMetricIds metric_ids_;      ///< postorder kernels (metrics on)
+  EngineMetricIds pre_metric_ids_;  ///< gradient-descent kernels (metrics on)
+  KernelTrace* trace_ = nullptr;
+
   bool sdc_checks_ = false;
   std::uint64_t sdc_pass_ = 1;
   sdc::Counters sdc_counters_;
   sdc::MetricIds sdc_ids_;
 
   const CancelToken* cancel_ = nullptr;
+};
+
+/// The Evaluator every engine family is.  Each entry point forwards to the
+/// family's EngineCore, which runs the orchestration and calls back into
+/// the private kernel hooks below once per kernel invocation; a family
+/// supplies only those hooks, its tables and its kernels.
+class EngineFamily : public Evaluator {
+ public:
+  double log_likelihood(tree::Slot* edge) override { return core_.log_likelihood(edge); }
+  void prepare_derivatives(tree::Slot* edge) override { core_.prepare_derivatives(edge); }
+  std::pair<double, double> derivatives(double z) override { return core_.derivatives(z); }
+  double optimize_branch(tree::Slot* edge, int max_iterations) override {
+    return core_.optimize_branch(edge, max_iterations);
+  }
+  using Evaluator::optimize_branch;
+  double optimize_all_branches(tree::Slot* root_edge, int passes) override {
+    return core_.optimize_all_branches(root_edge, passes);
+  }
+  /// Works on every CLA budget: preorder partials live in their own
+  /// store-managed tier (spilled, never recomputed) and postorder inputs
+  /// the descent finds evicted are reloaded or rebuilt in place.
+  bool gradient_all_branches(tree::Slot* root_edge, std::vector<BranchGradient>& out) override {
+    core_.gradient_all_branches(root_edge, out);
+    return true;
+  }
+
+  /// Site-repeat class maps are not state to invalidate (each is
+  /// re-checked against its children on use), so the inherited
+  /// invalidate_branch() is the same call.
+  void invalidate_node(int node_id) override { core_.invalidate_node(node_id); }
+  void invalidate_all() { core_.invalidate_all(); }
+
+  [[nodiscard]] const EvalStats& stats() const override { return core_.stats(); }
+  [[nodiscard]] const KernelStat& stats(Kernel k) const { return core_.stats().kernel(k); }
+  void reset_stats() override { core_.reset_stats(); }
+
+  /// Full-width CLA buffers the budget holds (== inner node count unless
+  /// a smaller cla_buffers or cla_budget_bytes budget is in force).
+  [[nodiscard]] int cla_buffer_count() const { return core_.store().full_width_buffers(); }
+
+  /// The postorder CLA store (eviction/spill/reload counters and the spill
+  /// test hooks live there).
+  [[nodiscard]] const memory::ClaStore& cla_store() const { return core_.store(); }
+  [[nodiscard]] memory::ClaStore& cla_store_for_testing() { return core_.store(); }
+  [[nodiscard]] std::int64_t cla_bytes_granted() const override {
+    return core_.store().budget_bytes();
+  }
+
+  /// Plan for validating the CLAs at (edge, edge->back), or nullptr when the
+  /// cached plan is already satisfied.  The distributed evaluator derives
+  /// its communication plan from it; the pointer stays valid until the next
+  /// plan or invalidation call on this engine.
+  const TraversalPlan* plan_traversal(tree::Slot* edge) { return core_.plan_traversal(edge); }
+
+  /// Monotonic plan-cache statistics (builds, satisfied-plan cache hits,
+  /// executed ops/plans).
+  [[nodiscard]] const PlanCounters& plan_counters() const { return core_.plan_counters(); }
+
+  /// SDC verification/heal counters (EngineConfig::sdc_checks; DESIGN.md
+  /// §10), mirrored to the `sdc.*` registry family with metrics on.
+  [[nodiscard]] const sdc::Counters& sdc_counters() const { return core_.sdc_counters(); }
+
+  /// Test-only fault injection: XORs one bit into a committed CLA buffer
+  /// (word index taken modulo the blocks held) and clears the node's
+  /// verification memo, modelling corruption that struck *after* the last
+  /// check.  Returns false when the node has no resident valid CLA.
+  bool corrupt_cla_for_testing(int node_id, std::int64_t word, int bit) {
+    return core_.corrupt_cla_for_testing(node_id, word, bit);
+  }
+
+  /// Drops every pin in both CLA tiers.  Entry points do this themselves
+  /// when a cancellation unwinds; external executors (PartitionedEvaluator)
+  /// call it when the unwind starts outside any engine.  Safe when no pins
+  /// are held.
+  void release_pins() { core_.release_pins(); }
+
+  /// A Newton step with the standard safeguards: the geometric uphill move
+  /// where ℓ is not locally concave, clamped to the branch-length domain.
+  /// The aggregating evaluators' own Newton loops use it too.
+  static double newton_step(double z, double first, double second);
+
+ protected:
+  explicit EngineFamily(tree::Tree& tree) : core_(*this, tree) {}
+  ~EngineFamily() override = default;
+
+  // Validity, orientation, the tiered store, plans, executors, the entry
+  // points, kernel accounting, cancellation and the SDC heal loop.
+  EngineCore core_;
+
+ private:
+  friend class EngineCore;
+
+  // --- Kernel hooks (called by the core only) -----------------------------
+
+  /// Computes the CLA toward `slot` from its two children (tips or valid,
+  /// resident CLAs) and commits it through EngineCore::commit_cla.
+  virtual void run_newview(tree::Slot* slot) = 0;
+
+  /// The family's checksum of the first `blocks` site blocks of a CLA.
+  [[nodiscard]] virtual std::uint64_t cla_checksum(const double* values,
+                                                   const std::int32_t* scales,
+                                                   std::int64_t blocks) = 0;
+
+  /// evaluate across the branch (p, q) of length `length`: p is inner, both
+  /// endpoints valid and pinned.
+  virtual double run_evaluate(tree::Slot* p, tree::Slot* q, double length) = 0;
+
+  /// derivativeSum of the branch (p, q) into the family's sum buffer: p is
+  /// inner, both endpoints valid and pinned.
+  virtual void run_derivative_sum(tree::Slot* p, tree::Slot* q) = 0;
+
+  /// derivativeCore over the sum buffer at branch length `z`: returns
+  /// (ℓ′, ℓ″) and, with `want_lnl`, the projected lnL at `z` in `lnl` (ℓ′
+  /// and ℓ″ are the same bits either way).  `descent` marks a
+  /// gradient-descent op, which runs serially and is accounted as preorder
+  /// work.
+  virtual std::pair<double, double> run_derivative_core(double z, bool want_lnl, double& lnl,
+                                                        bool descent) = 0;
+
+  /// The preorder newview: computes in.node's preorder partial from its
+  /// left input and the sibling's postorder side (both readied).
+  virtual void run_preorder_newview(const PreorderInputs& in) = 0;
+
+  /// derivativeSum of in.node's fresh preorder partial against the node's
+  /// own postorder side (`node_slot`: tip codes, or a readied CLA).
+  virtual void run_preorder_sum(const PreorderInputs& in, const tree::Slot* node_slot) = 0;
 };
 
 }  // namespace miniphi::core

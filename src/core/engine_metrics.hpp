@@ -2,11 +2,11 @@
 //
 // Engines constructed with EngineConfig::metrics == kOn register one metric
 // family per kernel under the dotted names the obs report understands
-// ("plf.<isa>.<path>.<kernel>.{calls,sites,sites_rep,bytes,ns}") and call
-// publish_kernel() after every kernel invocation.  Registration happens
-// once at engine construction (it takes the registry lock); publication is
-// a handful of per-thread sharded adds.  With MINIPHI_METRICS_DISABLED the
-// publication body compiles out entirely.
+// ("plf.<isa>.<path>.<kernel>.{calls,sites,sites_rep,bytes,ns}"), and
+// EngineCore::account_kernel calls publish_kernel() after every kernel
+// invocation.  Registration happens once at engine construction (it takes
+// the registry lock); publication is a handful of per-thread sharded adds.
+// With MINIPHI_METRICS_DISABLED the publication body compiles out entirely.
 #pragma once
 
 #include <array>
@@ -66,8 +66,8 @@ struct EngineMetricIds {
   return ids;
 }
 
-/// One kernel invocation's worth of publication.  Callers guard with their
-/// own `if (metrics_)` so the metrics-off path is a single branch.
+/// One kernel invocation's worth of publication.  The caller guards with
+/// its own `if (metrics_)` so the metrics-off path is a single branch.
 inline void publish_kernel(const KernelMetricIds& ids, std::int64_t sites,
                            std::int64_t sites_represented, std::int64_t cla_bytes,
                            double seconds) {

@@ -15,15 +15,14 @@ namespace miniphi::core {
 GeneralEngine::GeneralEngine(const bio::PatternSet& patterns, const model::GeneralModel& model,
                              tree::Tree& tree, std::vector<std::uint32_t> code_masks,
                              const Config& config)
-    : patterns_(patterns),
+    : EngineFamily(tree),
+      patterns_(patterns),
       model_(model),
-      tree_(tree),
       code_masks_(std::move(code_masks)),
       dims_(general_dims(model)),
       ops_(get_general_kernel_ops(config.isa)),
       tuning_(config.tuning),
-      use_openmp_(config.use_openmp),
-      core_(*this, tree) {
+      use_openmp_(config.use_openmp) {
   const auto npat = static_cast<std::int64_t>(patterns.pattern_count());
   MINIPHI_CHECK(npat > 0, "general engine: empty pattern set");
   MINIPHI_CHECK(static_cast<std::size_t>(tree.taxon_count()) == patterns.taxon_count(),
@@ -46,7 +45,7 @@ GeneralEngine::GeneralEngine(const bio::PatternSet& patterns, const model::Gener
   MINIPHI_CHECK(offset_ >= 0 && length_ > 0 && offset_ + length_ <= npat,
                 "general engine: invalid pattern slice");
   core_.configure(config, length_, dims_.block(), "general engine");
-  if (core_.metrics()) metric_ids_ = register_engine_metrics(ops_.isa, "general");
+  core_.register_kernel_metrics(ops_.isa, "general", "general");
 
   const auto block = static_cast<std::size_t>(dims_.block());
   ptable_left_.resize(gptable_size(dims_));
@@ -68,17 +67,6 @@ void GeneralEngine::set_general_model(const model::GeneralModel& model) {
   tipvec_ = build_general_tipvec(model_, code_masks_);
   wtable_ = build_general_wtable(model_);
   invalidate_all();
-}
-
-void GeneralEngine::invalidate_node(int node_id) {
-  if (node_id < tree_.taxon_count()) return;
-  core_.invalidate_node(node_id);
-  sum_prepared_ = false;
-}
-
-void GeneralEngine::invalidate_all() {
-  core_.invalidate_all();
-  sum_prepared_ = false;
 }
 
 std::uint64_t GeneralEngine::cla_checksum(const double* values, const std::int32_t* scales,
@@ -141,41 +129,18 @@ void GeneralEngine::run_newview(tree::Slot* slot) {
   } else {
     ops_.newview(ctx);
   }
-  record_kernel(Kernel::kNewview,
-                length_ * (1 + (ctx.left.is_tip() ? 0 : 1) + (ctx.right.is_tip() ? 0 : 1)),
-                timer.seconds());
+  core_.account_kernel(Kernel::kNewview, /*preorder=*/false, length_, timer.seconds(),
+                       ctx.left.is_tip(), ctx.right.is_tip());
 
   core_.commit_cla(slot, length_);
-  sum_prepared_ = false;
 }
 
-void GeneralEngine::record_kernel(Kernel k, std::int64_t cla_blocks, double seconds) {
-  auto& stat = stats_.kernel(k);
-  const std::int64_t cla_bytes =
-      cla_blocks * dims_.block() * static_cast<std::int64_t>(sizeof(double));
-  stat.seconds += seconds;
-  ++stat.calls;
-  stat.sites += length_;
-  stat.sites_represented += length_;
-  stat.bytes += cla_bytes;
-  if (core_.metrics()) {
-    publish_kernel(metric_ids_.kernels[static_cast<std::size_t>(static_cast<int>(k))], length_,
-                   length_, cla_bytes, seconds);
-  }
-}
-
-double GeneralEngine::run_evaluate(tree::Slot* edge) {
-  tree::Slot* p = edge;
-  tree::Slot* q = edge->back;
-  MINIPHI_ASSERT(q != nullptr);
-  if (p->is_tip()) std::swap(p, q);
-  MINIPHI_CHECK(!p->is_tip(), "evaluate: both ends of the root edge are tips");
-
+double GeneralEngine::run_evaluate(tree::Slot* p, tree::Slot* q, double length) {
   GEvaluateCtx ctx;
   core_.resident_input(p);  // both endpoints are pinned by validate_edge
   ctx.left_cla = core_.values(p->node_id);
   ctx.left_scale = core_.scales(p->node_id);
-  build_general_diag(model_, edge->length, diag_);
+  build_general_diag(model_, length, diag_);
   if (q->is_tip()) {
     build_general_evtab(dims_, diag_, tipvec_, evtab_);
     ctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(q->node_id)].data() + offset_;
@@ -210,26 +175,12 @@ double GeneralEngine::run_evaluate(tree::Slot* edge) {
   } else {
     result = ops_.evaluate(ctx);
   }
-  record_kernel(Kernel::kEvaluate, length_ * (q->is_tip() ? 1 : 2), timer.seconds());
+  core_.account_kernel(Kernel::kEvaluate, /*preorder=*/false, length_, timer.seconds(),
+                       /*left_tip=*/false, q->is_tip());
   return result;
 }
 
-double GeneralEngine::log_likelihood(tree::Slot* edge) {
-  return core_.log_likelihood(edge, [this](tree::Slot* e) { return run_evaluate(e); });
-}
-
-void GeneralEngine::prepare_derivatives(tree::Slot* edge) {
-  core_.guarded([&] { run_prepare_derivatives(edge); });
-}
-
-void GeneralEngine::run_prepare_derivatives(tree::Slot* edge) {
-  tree::Slot* p = edge;
-  tree::Slot* q = edge->back;
-  if (p->is_tip()) std::swap(p, q);
-  MINIPHI_CHECK(!p->is_tip(), "derivatives: both ends of the branch are tips");
-
-  core_.validate_edge(edge);
-
+void GeneralEngine::run_derivative_sum(tree::Slot* p, tree::Slot* q) {
   GSumCtx ctx;
   ctx.sum = sum_buffer_.data();
   core_.resident_input(p);  // both endpoints are pinned by validate_edge
@@ -264,14 +215,12 @@ void GeneralEngine::run_prepare_derivatives(tree::Slot* edge) {
   } else {
     ops_.derivative_sum(ctx);
   }
-  record_kernel(Kernel::kDerivSum, length_ * (q->is_tip() ? 2 : 3), timer.seconds());
-  core_.unpin(p->node_id);
-  core_.unpin(q->node_id);
-  sum_prepared_ = true;
+  core_.account_kernel(Kernel::kDerivSum, /*preorder=*/false, length_, timer.seconds(),
+                       /*left_tip=*/false, q->is_tip());
 }
 
-std::pair<double, double> GeneralEngine::derivatives(double z) {
-  MINIPHI_CHECK(sum_prepared_, "derivatives() without prepare_derivatives()");
+std::pair<double, double> GeneralEngine::run_derivative_core(double z, bool want_lnl,
+                                                             double& lnl_out, bool descent) {
   build_general_dtab(model_, z, dtab_);
 
   GDerivCtx ctx;
@@ -281,13 +230,15 @@ std::pair<double, double> GeneralEngine::derivatives(double z) {
   ctx.dims = dims_;
   ctx.begin = 0;
   ctx.end = length_;
+  ctx.want_lnl = want_lnl;
 
   Timer timer;
   double first = 0.0;
   double second = 0.0;
-  if (use_openmp_) {
+  double lnl = 0.0;
+  if (use_openmp_ && !descent) {
 #if defined(_OPENMP)
-#pragma omp parallel firstprivate(ctx) reduction(+ : first, second)
+#pragma omp parallel firstprivate(ctx) reduction(+ : first, second, lnl)
     {
       const int nthreads = omp_get_num_threads();
       const int thread = omp_get_thread_num();
@@ -298,91 +249,32 @@ std::pair<double, double> GeneralEngine::derivatives(double z) {
         ops_.derivative_core(ctx);
         first += ctx.out_first;
         second += ctx.out_second;
+        lnl += ctx.out_lnl;
       }
     }
 #else
     ops_.derivative_core(ctx);
     first = ctx.out_first;
     second = ctx.out_second;
+    lnl = ctx.out_lnl;
 #endif
   } else {
     ops_.derivative_core(ctx);
     first = ctx.out_first;
     second = ctx.out_second;
+    lnl = ctx.out_lnl;
   }
-  record_kernel(Kernel::kDerivCore, length_, timer.seconds());
-  if (core_.sdc_checks() && (!std::isfinite(first) || !std::isfinite(second))) {
-    core_.report_corruption(-1, "sdc: non-finite derivative from general derivativeCore");
-  }
+  core_.account_kernel(Kernel::kDerivCore, descent, length_, timer.seconds());
+  lnl_out = lnl;
   return {first, second};
 }
 
-double GeneralEngine::optimize_branch(tree::Slot* edge, int max_iterations) {
-  return core_.heal_loop([&] { prepare_derivatives(edge); }, [&] {
-    double z = edge->length;
-    for (int iteration = 0; iteration < max_iterations; ++iteration) {
-      const auto [first, second] = derivatives(z);
-      const double next = LikelihoodEngine::newton_step(z, first, second);
-      const bool converged = std::abs(next - z) < 1e-10;
-      z = next;
-      if (converged) break;
-    }
-    tree::Tree::set_length(edge, z);
-    invalidate_node(edge->node_id);
-    invalidate_node(edge->back->node_id);
-    return z;
-  });
-}
-
-double GeneralEngine::optimize_all_branches(tree::Slot* root_edge, int passes) {
-  for (int pass = 0; pass < passes; ++pass) {
-    for (tree::Slot* edge : tree_.edges()) {
-      core_.check_cancel();  // per-branch cancellation boundary
-      optimize_branch(edge, 32);
-    }
-  }
-  return log_likelihood(root_edge);
-}
-
-bool GeneralEngine::gradient_all_branches(tree::Slot* root_edge,
-                                          std::vector<BranchGradient>& out) {
-  MINIPHI_ASSERT(root_edge != nullptr && root_edge->back != nullptr);
-  core_.guarded([&] { run_gradient_all_branches(root_edge, out); });
-  return true;
-}
-
-void GeneralEngine::run_gradient_all_branches(tree::Slot* root_edge,
-                                              std::vector<BranchGradient>& out) {
-  out.clear();
-  out.reserve(static_cast<std::size_t>(tree_.edge_count()));
-  core_.ensure_preorder_tier();
-
-  // Postorder pass + root-edge derivative via the classic protocol.  Its
-  // validate_edge also orients every postorder CLA toward the root edge —
-  // exactly the orientation the descent's sibling inputs need.
-  run_prepare_derivatives(root_edge);
-  const auto [root_first, root_second] = derivatives(root_edge->length);
-  out.push_back({root_edge, root_edge->length, root_first, root_second});
-
-  // Preorder pass, serial in emission order (parents precede children).
-  core_.run_preorder_descent(root_edge, [&](const TraversalPlan& plan, const PlfOp& op) {
-    run_preorder_op(plan, op, out);
-  });
-  sum_prepared_ = false;  // sum_buffer_ holds the last preorder edge's sums
-}
-
-void GeneralEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
-                                    std::vector<BranchGradient>& out) {
-  const EngineCore::PreorderInputs in = core_.begin_preorder_op(plan, op);
-  tree::Slot* toward = op.slot;       // u's slot pointing down at v
-  tree::Slot* v_slot = toward->back;  // v, the node this op's partial points at
-  const int v = in.node;
-
+void GeneralEngine::run_preorder_newview(const PreorderInputs& in) {
   // Preorder partial of v = newview(parent input across the edge above u,
   // sibling's postorder side across the sibling edge).
   GNewviewCtx ctx;
-  ctx.parent_cla = core_.preorder_values(v);
-  ctx.parent_scale = core_.preorder_scales(v);
+  ctx.parent_cla = core_.preorder_values(in.node);
+  ctx.parent_scale = core_.preorder_scales(in.node);
   if (in.parent >= 0) {
     build_general_ptable(model_, in.left_length, ptable_left_);
     ctx.left.ptable = ptable_left_.data();
@@ -391,7 +283,7 @@ void GeneralEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
   } else {
     ctx.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length);
   }
-  ctx.right = make_child_input(in.sibling, ptable_right_, ump_right_, op.sibling->length);
+  ctx.right = make_child_input(in.sibling, ptable_right_, ump_right_, in.sibling->length);
   ctx.wtable = wtable_.data();
   ctx.dims = dims_;
   ctx.begin = 0;
@@ -400,54 +292,31 @@ void GeneralEngine::run_preorder_op(const TraversalPlan& plan, const PlfOp& op,
 
   Timer timer;
   ops_.newview(ctx);
-  record_kernel(Kernel::kNewview,
-                length_ * (1 + (ctx.left.is_tip() ? 0 : 1) + (ctx.right.is_tip() ? 0 : 1)),
-                timer.seconds());
-  core_.end_preorder_newview(in);
+  core_.account_kernel(Kernel::kNewview, /*preorder=*/true, length_, timer.seconds(),
+                       ctx.left.is_tip(), ctx.right.is_tip());
+}
 
-  // Gradient of the edge (u, v): derivative sums of the preorder partial
-  // against v's own postorder side, then the derivative core at toward's
-  // length.  Scale factors cancel in the ℓ'/ℓ'' ratios.
-  GSumCtx sctx;
-  sctx.sum = sum_buffer_.data();
-  sctx.left_cla = ctx.parent_cla;
-  const bool right_tip = v_slot->is_tip();
+void GeneralEngine::run_preorder_sum(const PreorderInputs& in, const tree::Slot* node_slot) {
+  // Scale factors cancel in the ℓ′/ℓ″ ratios, so the contraction ignores
+  // them.
+  GSumCtx ctx;
+  ctx.sum = sum_buffer_.data();
+  ctx.left_cla = core_.preorder_values(in.node);
+  const bool right_tip = node_slot->is_tip();
   if (right_tip) {
-    sctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(v)].data() + offset_;
-    sctx.tipvec = tipvec_.data();
+    ctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(in.node)].data() + offset_;
+    ctx.tipvec = tipvec_.data();
   } else {
-    // The node's own postorder CLA: reload or rebuild it like any other
-    // tight-budget input (pinned until the contraction is done).
-    core_.ready_preorder_node(v_slot);
-    sctx.right_cla = core_.values(v);
+    ctx.right_cla = core_.values(in.node);
   }
-  sctx.dims = dims_;
-  sctx.begin = 0;
-  sctx.end = length_;
-  sctx.tuning = tuning_;
-  Timer sum_timer;
-  ops_.derivative_sum(sctx);
-  record_kernel(Kernel::kDerivSum, length_ * (right_tip ? 2 : 3), sum_timer.seconds());
-  // The contraction is done with both CLAs; derivativeCore below reads only
-  // the sum buffer.
-  core_.end_preorder_op(in);
-
-  build_general_dtab(model_, toward->length, dtab_);
-  GDerivCtx dctx;
-  dctx.sum = sum_buffer_.data();
-  dctx.weights = patterns_.weights.data() + offset_;
-  dctx.dtab = dtab_.data();
-  dctx.dims = dims_;
-  dctx.begin = 0;
-  dctx.end = length_;
-  Timer core_timer;
-  ops_.derivative_core(dctx);
-  record_kernel(Kernel::kDerivCore, length_, core_timer.seconds());
-  if (core_.sdc_checks() &&
-      (!std::isfinite(dctx.out_first) || !std::isfinite(dctx.out_second))) {
-    core_.report_corruption(-1, "sdc: non-finite all-branch gradient from general derivativeCore");
-  }
-  out.push_back({toward, toward->length, dctx.out_first, dctx.out_second});
+  ctx.dims = dims_;
+  ctx.begin = 0;
+  ctx.end = length_;
+  ctx.tuning = tuning_;
+  Timer timer;
+  ops_.derivative_sum(ctx);
+  core_.account_kernel(Kernel::kDerivSum, /*preorder=*/true, length_, timer.seconds(),
+                       /*left_tip=*/false, right_tip);
 }
 
 }  // namespace miniphi::core

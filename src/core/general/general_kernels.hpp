@@ -99,6 +99,11 @@ struct GDerivCtx {
   std::int64_t end = 0;
   double out_first = 0.0;
   double out_second = 0.0;
+  /// Optional projected log-likelihood Σ_s w_s log(ℓ_s) at the dtab's
+  /// branch length (see DerivCtx::want_lnl), in its own accumulator so
+  /// out_first/out_second are the same bits either way.
+  bool want_lnl = false;
+  double out_lnl = 0.0;
 };
 
 struct GeneralKernelOps {

@@ -186,6 +186,7 @@ struct GeneralSimdKernels {
     const double* d2 = ctx.dtab + 2 * block;
     double first = 0.0;
     double second = 0.0;
+    double lnl = 0.0;
     for (std::int64_t s = ctx.begin; s < ctx.end; ++s) {
       const double* sb = ctx.sum + s * block;
       P a0 = P::zero();
@@ -204,9 +205,11 @@ struct GeneralSimdKernels {
       const double w = ctx.weights[s];
       first += w * t1;
       second += w * (t2 - t1 * t1);
+      if (ctx.want_lnl) lnl += w * std::log(l0);
     }
     ctx.out_first = first;
     ctx.out_second = second;
+    ctx.out_lnl = lnl;
   }
 
   static GeneralKernelOps ops(simd::Isa isa) {

@@ -31,6 +31,10 @@ bio::Alignment slice_alignment(const bio::Alignment& alignment, const PartitionS
 StreamPlan normalize_stream_plan(const StreamPlan& plan, std::size_t partitions) {
   StreamPlan out = plan;
   MINIPHI_CHECK(out.stream_count >= 1, "stream plan: stream_count must be >= 1");
+  // An empty assignment puts every partition on stream 0, which would
+  // leave the other streams' tasks empty.
+  MINIPHI_CHECK(out.stream_count == 1 || !out.partition_stream.empty(),
+                "stream plan: stream_count > 1 needs a partition_stream assignment");
   if (out.partition_stream.empty()) out.partition_stream.assign(partitions, 0);
   MINIPHI_CHECK(out.partition_stream.size() == partitions,
                 "stream plan: partition_stream size does not match the partition count");

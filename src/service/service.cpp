@@ -11,6 +11,8 @@
 #include "src/core/partitioned.hpp"
 #include "src/core/sdc.hpp"
 #include "src/parallel/evaluator_factory.hpp"
+#include "src/parallel/pool_parallel_for.hpp"
+#include "src/platform/cost_model.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 
@@ -411,15 +413,27 @@ void EvaluationService::run_job_attempt(parallel::WorkerPool& pool, Job& job,
   config.cla_spill = options.cla_spill && grant > 0;
   config.cla_spill_dir = options.cla_spill_dir;
 
+  // Declared first: a partitioned evaluator dispatches its streams through
+  // it until the evaluator is gone.
+  parallel::PoolParallelFor parallel_for(pool);
   std::unique_ptr<core::Evaluator> evaluator;
   std::vector<core::PartitionSpec> specs;
   if (options.partitions > 1) {
     specs = core::even_partitions(static_cast<std::int64_t>(request.alignment->site_count()),
                                   options.partitions);
+    // Pack the partitions onto the pool's threads by LPT over their
+    // compressed pattern counts, as the C API does.  One thread runs one
+    // stream, which needs no plan and no extra compression pass.
     core::StreamPlan streams;
-    streams.stream_count = std::clamp(config_.pool_threads, 1, options.partitions);
-    evaluator = parallel::make_stream_evaluator(pool, *request.alignment, specs, model, tree,
-                                                config, streams);
+    if (config_.pool_threads > 1) {
+      streams = platform::plan_partition_streams(
+          core::partition_pattern_counts(*request.alignment, specs), config_.pool_threads,
+          config.isa);
+    }
+    auto partitioned = std::make_unique<core::PartitionedEvaluator>(
+        *request.alignment, specs, model, tree, config, streams);
+    partitioned->set_parallel_for(&parallel_for);
+    evaluator = std::move(partitioned);
   } else if (config_.pool_threads > 1) {
     evaluator = parallel::make_fork_join_evaluator(pool, *request.patterns, model, tree, config);
   } else {

@@ -10,6 +10,7 @@
 
 #include "src/bio/aa.hpp"
 #include "src/bio/protein_alignment.hpp"
+#include "src/core/engine.hpp"
 #include "src/core/general/general_engine.hpp"
 #include "src/model/general.hpp"
 #include "src/search/model_optimizer.hpp"

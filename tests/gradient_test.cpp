@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <sstream>
 #include <vector>
 
 #include "src/bio/aa.hpp"
@@ -292,31 +294,82 @@ TEST(BranchOptimizerRegression, OptimizeAllBranchesReturnsFreshLikelihood) {
   EXPECT_NEAR(returned, fresh, std::abs(fresh) * 1e-12 + 1e-9);
 }
 
-// Satellite regression: optimize_branch must never *lower* the likelihood.
-// The geometric uphill fallback (second ≥ 0) used to be committed unguarded;
-// extreme starting lengths push Newton through exactly that path.
-TEST(BranchOptimizerRegression, OptimizeBranchIsMonotone) {
-  Rng rng(4242);
+// Satellite regression: optimize_branch must never *lower* the likelihood,
+// on any engine family.  The geometric uphill fallback (second ≥ 0) used to
+// be committed unguarded; extreme starting lengths push Newton through
+// exactly that path.  Seed 4533 is a case where the 4-category CAT engine
+// lowered lnL before the one Newton optimizer gave every family the guard.
+enum class EngineKind { kDense, kCat, kGeneral };
+
+struct MonotoneCase {
+  EngineKind family = EngineKind::kDense;
+  int seed = 0;
+};
+
+void PrintTo(const MonotoneCase& c, std::ostream* os) {
+  constexpr const char* kNames[] = {"dense", "cat", "general"};
+  *os << kNames[static_cast<int>(c.family)] << "_" << c.seed;
+}
+
+std::string monotone_name(const ::testing::TestParamInfo<MonotoneCase>& info) {
+  std::ostringstream name;
+  PrintTo(info.param, &name);
+  return name.str();
+}
+
+class BranchOptimizerMonotone : public ::testing::TestWithParam<MonotoneCase> {};
+
+TEST_P(BranchOptimizerMonotone, OptimizeBranchIsMonotone) {
+  Rng rng(static_cast<std::uint64_t>(GetParam().seed));
   const auto alignment = random_alignment(12, 150, rng);
   const auto patterns = bio::compress_patterns(alignment);
-  const model::GtrModel model(random_gtr_params(rng));
+  const auto params = random_gtr_params(rng);
   tree::Tree tree = tree::Tree::random(12, rng);
 
-  LikelihoodEngine engine(patterns, model, tree);
+  std::unique_ptr<Evaluator> engine;
+  switch (GetParam().family) {
+    case EngineKind::kDense:
+      engine = std::make_unique<LikelihoodEngine>(patterns, model::GtrModel(params), tree);
+      break;
+    case EngineKind::kCat:
+      engine = std::make_unique<CatEngine>(patterns, model::GtrModel(params), tree,
+                                           /*categories=*/4);
+      break;
+    case EngineKind::kGeneral:
+      engine = std::make_unique<GeneralEngine>(
+          patterns,
+          model::GeneralModel(
+              4,
+              std::vector<double>(params.exchangeabilities.begin(),
+                                  params.exchangeabilities.end()),
+              std::vector<double>(params.frequencies.begin(), params.frequencies.end()),
+              params.alpha),
+          tree, bio::dna_code_masks());
+      break;
+  }
   tree::Slot* root = tree.tip(0);
   const double starts[] = {1e-8, 1e-5, 0.3, 5.0, 49.0};
   int which = 0;
   for (tree::Slot* edge : tree.edges()) {
     tree::Tree::set_length(edge, starts[which++ % 5]);
-    engine.invalidate_branch(edge->node_id);
-    engine.invalidate_branch(edge->back->node_id);
-    const double before = engine.log_likelihood(root);
-    engine.optimize_branch(edge);
-    const double after = engine.log_likelihood(root);
+    engine->invalidate_branch(edge->node_id);
+    engine->invalidate_branch(edge->back->node_id);
+    const double before = engine->log_likelihood(root);
+    engine->optimize_branch(edge);
+    const double after = engine->log_likelihood(root);
     EXPECT_GE(after, before - std::abs(before) * 1e-10 - 1e-8)
         << "edge node " << edge->node_id << " start " << starts[(which - 1) % 5];
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Families, BranchOptimizerMonotone,
+                         ::testing::Values(MonotoneCase{EngineKind::kDense, 4242},
+                                           MonotoneCase{EngineKind::kDense, 4533},
+                                           MonotoneCase{EngineKind::kCat, 4242},
+                                           MonotoneCase{EngineKind::kCat, 4533},
+                                           MonotoneCase{EngineKind::kGeneral, 4242},
+                                           MonotoneCase{EngineKind::kGeneral, 4533}),
+                         monotone_name);
 
 INSTANTIATE_TEST_SUITE_P(Cases, AllBranchGradient, ::testing::ValuesIn(gradient_cases()),
                          case_name);

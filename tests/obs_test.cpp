@@ -7,15 +7,20 @@
 // order.
 #include <atomic>
 #include <cctype>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/bio/aa.hpp"
 #include "src/bio/patterns.hpp"
+#include "src/core/cat/cat_engine.hpp"
 #include "src/core/engine.hpp"
 #include "src/core/eval_stats.hpp"
+#include "src/core/general/general_engine.hpp"
+#include "src/core/trace.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/report.hpp"
 #include "src/obs/span_trace.hpp"
@@ -435,6 +440,84 @@ TEST(EngineMetrics, RegistryCountersMatchEvalStats) {
   engine.reset_stats();
   EXPECT_EQ(engine.stats().kernel(core::Kernel::kNewview).calls, 0);
 }
+
+// Every engine family accounts for kernel work through one call: with
+// metrics on and a KernelTrace attached, a mixed workload (evaluate, the
+// all-branch gradient descent, one smoothing pass) must leave the trace,
+// EvalStats and the plf.* registry counters in agreement, kernel by kernel.
+// The dense engine publishes its descent under the "preorder" path; CAT and
+// general publish both under their own path.
+class KernelAccounting : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(KernelAccounting, TraceRegistryAndEvalStatsAgree) {
+  auto& registry = obs::Registry::instance();
+  const auto alignment = simulate::paper_dataset(400, 10, 21);
+  const auto patterns = bio::compress_patterns(alignment);
+  Rng rng(3);
+  tree::Tree tree = tree::parsimony_starting_tree(patterns, rng);
+  const model::GtrModel gtr(model::GtrParams::jc69(0.8));
+  core::KernelTrace trace;
+  core::EngineConfig config;
+  config.metrics = obs::MetricsMode::kOn;
+  config.trace = &trace;
+  const std::string family = GetParam();
+  std::unique_ptr<core::Evaluator> engine;
+  std::vector<std::string> paths;
+  if (family == "dense") {
+    engine = std::make_unique<core::LikelihoodEngine>(patterns, gtr, tree, config);
+    paths = {"repeats", "preorder"};
+  } else if (family == "cat") {
+    engine = std::make_unique<core::CatEngine>(patterns, gtr, tree, 4, config);
+    paths = {"cat"};
+  } else {
+    const model::GeneralModel general(4, std::vector<double>(6, 1.0),
+                                      std::vector<double>(4, 0.25), 0.8);
+    engine = std::make_unique<core::GeneralEngine>(patterns, general, tree,
+                                                   bio::dna_code_masks(), config);
+    paths = {"general"};
+  }
+  registry.reset();  // after construction: registration is setup-time
+  (void)engine->log_likelihood(tree.tip(0));
+  std::vector<core::BranchGradient> gradient;
+  ASSERT_TRUE(engine->gradient_all_branches(tree.tip(0), gradient));
+  (void)engine->optimize_all_branches(tree.tip(0), 1);
+
+  const core::EvalStats& stats = engine->stats();
+  const std::string isa = simd::to_string(engine->isa());
+  const struct {
+    core::Kernel kernel;
+    core::TraceKernel traced;
+    const char* name;
+  } rows[] = {{core::Kernel::kNewview, core::TraceKernel::kNewview, "newview"},
+              {core::Kernel::kEvaluate, core::TraceKernel::kEvaluate, "evaluate"},
+              {core::Kernel::kDerivSum, core::TraceKernel::kDerivSum, "derivative_sum"},
+              {core::Kernel::kDerivCore, core::TraceKernel::kDerivCore, "derivative_core"}};
+  for (const auto& row : rows) {
+    const core::KernelStat& stat = stats.kernel(row.kernel);
+    EXPECT_GT(stat.calls, 0) << row.name;
+    EXPECT_EQ(trace.call_count(row.traced), stat.calls) << row.name;
+    EXPECT_EQ(trace.total_sites(row.traced), stat.sites) << row.name;
+    EXPECT_EQ(trace.total_sites_represented(row.traced), stat.sites_represented) << row.name;
+    std::int64_t calls = 0;
+    std::int64_t sites = 0;
+    std::int64_t bytes = 0;
+    for (const std::string& path : paths) {
+      const std::string prefix = "plf." + isa + "." + path + "." + row.name;
+      calls += registry.value(registry.counter(prefix + ".calls"));
+      sites += registry.value(registry.counter(prefix + ".sites"));
+      bytes += registry.value(registry.counter(prefix + ".bytes"));
+    }
+    EXPECT_EQ(calls, stat.calls) << row.name;
+    EXPECT_EQ(sites, stat.sites) << row.name;
+    EXPECT_EQ(bytes, stat.bytes) << row.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, KernelAccounting,
+                         ::testing::Values("dense", "cat", "general"),
+                         [](const ::testing::TestParamInfo<const char*>& param) {
+                           return std::string(param.param);
+                         });
 
 TEST(Report, GroupsKernelMetricsIntoRows) {
   auto& registry = obs::Registry::instance();

@@ -203,11 +203,12 @@ TEST_F(PartitionedFixture, SearchRunsOnPartitionedEvaluator) {
 }
 
 TEST_F(PartitionedFixture, StreamScheduleVariantsAreBitIdentical) {
-  // The stream executor must produce bit-identical likelihoods under every
-  // stream count and pool size: the kernels run on the same inputs and
-  // every reduction sums in fixed partition order, so no tolerance applies.
-  // 25 partitions: enough terms that a sum in stream order instead of
-  // partition order changes the last bits.
+  // The stream executor must produce bit-identical likelihoods, per-edge
+  // gradients and branch derivatives under every stream count and pool
+  // size: the kernels run on the same inputs and every reduction sums in
+  // fixed partition order, so no tolerance applies.  25 partitions: enough
+  // terms that a sum in stream order instead of partition order changes the
+  // last bits of each of the three reductions.
   const auto specs =
       even_partitions(static_cast<std::int64_t>(alignment_->site_count()), 25);
   PartitionedEvaluator reference(*alignment_, specs, *model_, *tree_);
@@ -216,6 +217,12 @@ TEST_F(PartitionedFixture, StreamScheduleVariantsAreBitIdentical) {
   EXPECT_EQ(reference.stream_counters().calls, 1);
   EXPECT_EQ(reference.stream_counters().tasks, 1);
   EXPECT_EQ(reference.stream_counters().regions, 0);  // no ParallelFor
+  std::vector<BranchGradient> expected_gradient;
+  ASSERT_TRUE(reference.gradient_all_branches(tree_->tip(0), expected_gradient));
+  tree::Slot* branch = tree_->edges()[static_cast<std::size_t>(tree_->edge_count() / 2)];
+  const double z = branch->length * 1.5;
+  reference.prepare_derivatives(branch);
+  const auto expected_derivatives = reference.derivatives(z);
 
   const auto patterns = partition_pattern_counts(*alignment_, specs);
   for (const int streams : {1, 2, 4}) {
@@ -231,6 +238,19 @@ TEST_F(PartitionedFixture, StreamScheduleVariantsAreBitIdentical) {
       const StreamCounters& counters = evaluator.stream_counters();
       EXPECT_EQ(counters.regions, 1);
       EXPECT_EQ(counters.tasks, streams);
+
+      std::vector<BranchGradient> gradient;
+      ASSERT_TRUE(evaluator.gradient_all_branches(tree_->tip(0), gradient));
+      ASSERT_EQ(gradient.size(), expected_gradient.size());
+      for (std::size_t i = 0; i < gradient.size(); ++i) {
+        EXPECT_EQ(gradient[i].first, expected_gradient[i].first)
+            << streams << " streams, " << workers << " workers, entry " << i;
+        EXPECT_EQ(gradient[i].second, expected_gradient[i].second)
+            << streams << " streams, " << workers << " workers, entry " << i;
+      }
+      evaluator.prepare_derivatives(branch);
+      EXPECT_EQ(evaluator.derivatives(z), expected_derivatives)
+          << streams << " streams, " << workers << " workers";
     }
   }
 }

@@ -19,6 +19,7 @@
 #include "src/core/kernels.hpp"
 #include "src/core/make_evaluator.hpp"
 #include "src/core/partition_spec.hpp"
+#include "src/core/partitioned.hpp"
 #include "src/core/sdc.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/report.hpp"
@@ -410,6 +411,36 @@ TEST_F(ServiceTest, PoolThreadsDispatchMatchesForkJoinBaseline) {
   parallel::WorkerPool pool(2);
   auto baseline = parallel::make_fork_join_evaluator(pool, patterns_, model, tree, {});
   EXPECT_EQ(result.log_likelihood, baseline->log_likelihood(tree.edges().front()));
+}
+
+// A partitioned job on a multi-thread pool spreads its partitions over the
+// pool's streams (LPT over the compressed pattern counts), instead of
+// running them all on stream 0 while the other stream tasks idle.
+TEST_F(ServiceTest, PartitionedJobPacksPartitionsOntoEveryStream) {
+  ServiceConfig config;
+  config.pool_threads = 2;
+  EvaluationService service(config);
+  service.register_tenant("acme", {});
+
+  JobRequest request = make_request("acme", JobKind::kEvaluate);
+  request.options.partitions = 3;
+  core::StreamPlan plan;
+  request.fault_injector = [&](core::Evaluator& evaluator) {
+    auto* partitioned = dynamic_cast<core::PartitionedEvaluator*>(&evaluator);
+    ASSERT_NE(partitioned, nullptr);
+    plan = partitioned->stream_plan();
+  };
+  const JobResult result = service.wait(service.submit(request));
+  ASSERT_EQ(result.status, JobStatus::kOk) << result.error;
+  EXPECT_EQ(plan.stream_count, 2);
+  ASSERT_EQ(plan.partition_stream.size(), 3U);
+  std::vector<int> per_stream(2, 0);
+  for (const int stream : plan.partition_stream) ++per_stream[static_cast<std::size_t>(stream)];
+  EXPECT_GT(per_stream[0], 0);
+  EXPECT_GT(per_stream[1], 0);
+  // Reductions fold in partition order, so the packing leaves the answer
+  // bit-identical to the one-stream baseline.
+  EXPECT_EQ(result.log_likelihood, solo(JobKind::kEvaluate, 3));
 }
 
 // --- The chaos soak ---------------------------------------------------------

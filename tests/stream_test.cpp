@@ -199,6 +199,10 @@ TEST_F(StreamFixture, RejectsMalformedStreamPlans) {
   StreamPlan bad_size;
   bad_size.partition_stream = {0};  // 1 entry for 4 partitions
   EXPECT_THROW(PartitionedEvaluator(*alignment_, specs_, *model_, *tree_, {}, bad_size), Error);
+
+  StreamPlan unassigned;
+  unassigned.stream_count = 2;  // no assignment: every partition would sit on stream 0
+  EXPECT_THROW(PartitionedEvaluator(*alignment_, specs_, *model_, *tree_, {}, unassigned), Error);
 }
 
 /// Serial core::make_evaluator against pooled parallel::make_stream_evaluator
