@@ -58,6 +58,7 @@ CatEngine::CatEngine(const bio::PatternSet& patterns, const model::GtrModel& mod
   evtab_.resize(static_cast<std::size_t>(kMaxCatCategories) * 16 * kS);
   dtab_.resize(3 * static_cast<std::size_t>(kMaxCatCategories) * kS);
   sum_buffer_.resize(static_cast<std::size_t>(length_) * kS);
+  slab_sum_.resize(static_cast<std::size_t>(std::min(length_, kSdcChunkSites)) * kS);
   tipvec_.resize(16 * kS);
   wtable_.resize(16);
 
@@ -157,9 +158,9 @@ void CatEngine::build_dtab(double z, std::span<double> out) const {
   }
 }
 
-std::uint64_t CatEngine::cla_checksum(const double* values, const std::int32_t* scales,
-                                      std::int64_t blocks) {
-  return sdc::checksum_cla(values, blocks * kS, scales, blocks);
+void CatEngine::fold_checksum(sdc::ClaChecksum& sum, const double* values,
+                              const std::int32_t* scales, std::int64_t begin, std::int64_t end) {
+  sum.update(values, scales, begin, end, kS);
 }
 
 void CatEngine::set_alpha(double) {
@@ -273,8 +274,7 @@ void CatEngine::run_derivative_sum(tree::Slot* p, tree::Slot* q) {
                        /*left_tip=*/false, q->is_tip());
 }
 
-std::pair<double, double> CatEngine::run_derivative_core(double z, bool want_lnl, double& lnl,
-                                                         bool descent) {
+std::pair<double, double> CatEngine::run_derivative_core(double z, bool want_lnl, double& lnl) {
   build_dtab(z, dtab_);
   CatDerivCtx ctx;
   ctx.sum = sum_buffer_.data();
@@ -287,58 +287,79 @@ std::pair<double, double> CatEngine::run_derivative_core(double z, bool want_lnl
 
   Timer timer;
   ops_.derivative_core(ctx);
-  core_.account_kernel(Kernel::kDerivCore, descent, length_, timer.seconds());
+  core_.account_kernel(Kernel::kDerivCore, /*preorder=*/false, length_, timer.seconds());
   lnl = ctx.out_lnl;
   return {ctx.out_first, ctx.out_second};
 }
 
-void CatEngine::run_preorder_newview(const PreorderInputs& in) {
+void CatEngine::begin_descent_op(const PreorderInputs& in) {
   // Preorder partial of v = newview(parent input across the edge above u,
   // sibling's postorder CLA across the sibling edge).
-  CatNewviewCtx ctx;
-  ctx.parent_cla = core_.preorder_values(in.node);
-  ctx.parent_scale = core_.preorder_scales(in.node);
+  CatNewviewCtx& nv = descent_newview_;
+  nv = CatNewviewCtx{};
+  nv.parent_cla = core_.preorder_values(in.node);
+  nv.parent_scale = core_.preorder_scales(in.node);
   if (in.parent >= 0) {
     build_ptable(in.left_length, ptable_left_);
-    ctx.left.ptable = ptable_left_.data();
-    ctx.left.cla = core_.preorder_values(in.parent);
-    ctx.left.scale = core_.preorder_scales(in.parent);
+    nv.left.ptable = ptable_left_.data();
+    nv.left.cla = core_.preorder_values(in.parent);
+    nv.left.scale = core_.preorder_scales(in.parent);
   } else {
-    ctx.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length);
+    nv.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length);
   }
-  ctx.right = make_child_input(in.sibling, ptable_right_, ump_right_, in.sibling->length);
-  ctx.wtable = wtable_.data();
-  ctx.site_categories = site_categories_.data();
-  ctx.begin = 0;
-  ctx.end = length_;
-  ctx.tuning = tuning_;
+  nv.right = make_child_input(in.sibling, ptable_right_, ump_right_, in.sibling->length);
+  nv.wtable = wtable_.data();
+  nv.site_categories = site_categories_.data();
+  nv.tuning = tuning_;
 
-  Timer timer;
-  ops_.newview(ctx);
-  core_.account_kernel(Kernel::kNewview, /*preorder=*/true, length_, timer.seconds(),
-                       ctx.left.is_tip(), ctx.right.is_tip());
-}
-
-void CatEngine::run_preorder_sum(const PreorderInputs& in, const tree::Slot* node_slot) {
   // Scale factors cancel in the ℓ′/ℓ″ ratios, so the contraction ignores
   // them.
-  CatSumCtx ctx;
-  ctx.sum = sum_buffer_.data();
-  ctx.left_cla = core_.preorder_values(in.node);
-  const bool right_tip = node_slot->is_tip();
-  if (right_tip) {
-    ctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(in.node)].data() + offset_;
-    ctx.tipvec = tipvec_.data();
+  CatSumCtx& sum = descent_sum_;
+  sum = CatSumCtx{};
+  sum.left_cla = core_.preorder_values(in.node);
+  if (in.own->is_tip()) {
+    sum.right_codes = patterns_.tip_rows[static_cast<std::size_t>(in.node)].data() + offset_;
+    sum.tipvec = tipvec_.data();
   } else {
-    ctx.right_cla = core_.values(in.node);
+    sum.right_cla = core_.values(in.node);
   }
+  sum.tuning = tuning_;
+
+  build_dtab(in.own->length, dtab_);
+  descent_core_ = CatDerivCtx{};
+  descent_core_.dtab = dtab_.data();
+}
+
+void CatEngine::run_preorder_newview(std::int64_t begin, std::int64_t end) {
+  descent_newview_.begin = begin;
+  descent_newview_.end = end;
+  ops_.newview(descent_newview_);
+}
+
+void CatEngine::run_preorder_sum(std::int64_t begin, std::int64_t end) {
+  // The slab runs as sites [0, end - begin) of inputs rebased to `begin`,
+  // so the kernel's site-indexed stores fill the slab scratch.
+  CatSumCtx ctx = descent_sum_;
+  ctx.sum = slab_sum_.data();
   ctx.begin = 0;
-  ctx.end = length_;
-  ctx.tuning = tuning_;
-  Timer timer;
+  ctx.end = end - begin;
+  ctx.left_cla += begin * kS;
+  if (ctx.right_codes != nullptr) {
+    ctx.right_codes += begin;
+  } else {
+    ctx.right_cla += begin * kS;
+  }
   ops_.derivative_sum(ctx);
-  core_.account_kernel(Kernel::kDerivSum, /*preorder=*/true, length_, timer.seconds(),
-                       /*left_tip=*/false, right_tip);
+}
+
+std::pair<double, double> CatEngine::run_descent_core(std::int64_t begin, std::int64_t end) {
+  descent_core_.sum = slab_sum_.data();
+  descent_core_.weights = patterns_.weights.data() + offset_ + begin;
+  descent_core_.site_categories = site_categories_.data() + begin;
+  descent_core_.begin = 0;
+  descent_core_.end = end - begin;
+  ops_.derivative_core(descent_core_);
+  return {descent_core_.out_first, descent_core_.out_second};
 }
 
 std::vector<double> CatEngine::single_rate_site_log_likelihoods(tree::Slot* root_edge,

@@ -74,14 +74,15 @@ class CatEngine final : public EngineFamily {
  private:
   // Kernel hooks (see engine_core.hpp).
   void run_newview(tree::Slot* slot) override;
-  [[nodiscard]] std::uint64_t cla_checksum(const double* values, const std::int32_t* scales,
-                                           std::int64_t blocks) override;
+  void fold_checksum(sdc::ClaChecksum& sum, const double* values, const std::int32_t* scales,
+                     std::int64_t begin, std::int64_t end) override;
   double run_evaluate(tree::Slot* p, tree::Slot* q, double length) override;
   void run_derivative_sum(tree::Slot* p, tree::Slot* q) override;
-  std::pair<double, double> run_derivative_core(double z, bool want_lnl, double& lnl,
-                                                bool descent) override;
-  void run_preorder_newview(const PreorderInputs& in) override;
-  void run_preorder_sum(const PreorderInputs& in, const tree::Slot* node_slot) override;
+  std::pair<double, double> run_derivative_core(double z, bool want_lnl, double& lnl) override;
+  void begin_descent_op(const PreorderInputs& in) override;
+  void run_preorder_newview(std::int64_t begin, std::int64_t end) override;
+  void run_preorder_sum(std::int64_t begin, std::int64_t end) override;
+  std::pair<double, double> run_descent_core(std::int64_t begin, std::int64_t end) override;
 
   CatChildInput make_child_input(tree::Slot* child, std::span<double> ptable,
                                  std::span<double> ump, double branch_length);
@@ -112,7 +113,14 @@ class CatEngine final : public EngineFamily {
   AlignedDoubles diag_;
   AlignedDoubles evtab_;
   AlignedDoubles dtab_;
-  AlignedDoubles sum_buffer_;
+  AlignedDoubles sum_buffer_;  ///< full width: the Newton protocol's
+
+  // The open descent op: begin_descent_op binds the contexts once per op,
+  // the range hooks point them at each slab.
+  CatNewviewCtx descent_newview_;
+  CatSumCtx descent_sum_;
+  CatDerivCtx descent_core_;
+  AlignedDoubles slab_sum_;  ///< one slab's sum blocks
 };
 
 }  // namespace miniphi::core

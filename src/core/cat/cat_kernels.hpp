@@ -95,6 +95,9 @@ struct CatDerivCtx {
   const std::uint8_t* site_categories = nullptr;
   std::int64_t begin = 0;
   std::int64_t end = 0;
+  /// Running sums (DerivCarry's contract; CAT uses only the scalar
+  /// chains, which accumulate site by site, so any slab split is exact).
+  DerivCarry carry;
   double out_first = 0.0;
   double out_second = 0.0;
   /// Optional projected log-likelihood Σ_s w_s log(ℓ_s) at the dtab's

@@ -105,9 +105,9 @@ void cat_derivative_sum_scalar(CatSumCtx& ctx) {
 
 void cat_derivative_core_scalar(CatDerivCtx& ctx) {
   constexpr int kStride = kMaxCatCategories * kS;
-  double first = 0.0;
-  double second = 0.0;
-  double lnl = 0.0;
+  double first = ctx.carry.first;
+  double second = ctx.carry.second;
+  double lnl = ctx.carry.lnl;
   for (std::int64_t s = ctx.begin; s < ctx.end; ++s) {
     const int cat = ctx.site_categories[s];
     const double* sb = ctx.sum + s * kS;
@@ -129,9 +129,9 @@ void cat_derivative_core_scalar(CatDerivCtx& ctx) {
     second += w * (t2 - t1 * t1);
     if (ctx.want_lnl) lnl += w * std::log(l0);
   }
-  ctx.out_first = first;
-  ctx.out_second = second;
-  ctx.out_lnl = lnl;
+  ctx.carry.first = ctx.out_first = first;
+  ctx.carry.second = ctx.out_second = second;
+  ctx.carry.lnl = ctx.out_lnl = lnl;
 }
 
 }  // namespace

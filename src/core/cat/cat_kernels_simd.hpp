@@ -126,9 +126,9 @@ struct CatKernels4 {
     using P4 = simd::Pack<4>;
     constexpr double kLikelihoodFloor = 1e-300;
     constexpr int kStride = kMaxCatCategories * kCatSiteBlock;
-    double first = 0.0;
-    double second = 0.0;
-    double lnl = 0.0;
+    double first = ctx.carry.first;
+    double second = ctx.carry.second;
+    double lnl = ctx.carry.lnl;
     for (std::int64_t s = ctx.begin; s < ctx.end; ++s) {
       const int cat = ctx.site_categories[s];
       const P4 sb = P4::load(ctx.sum + s * kCatSiteBlock);
@@ -146,9 +146,9 @@ struct CatKernels4 {
       second += w * (t2 - t1 * t1);
       if (ctx.want_lnl) lnl += w * std::log(l0);
     }
-    ctx.out_first = first;
-    ctx.out_second = second;
-    ctx.out_lnl = lnl;
+    ctx.carry.first = ctx.out_first = first;
+    ctx.carry.second = ctx.out_second = second;
+    ctx.carry.lnl = ctx.out_lnl = lnl;
   }
 
   static CatKernelOps ops() {
@@ -341,9 +341,9 @@ struct CatKernels8 {
   static void derivative_core(CatDerivCtx& ctx) {
     constexpr double kLikelihoodFloor = 1e-300;
     constexpr int kStride = kMaxCatCategories * kCatSiteBlock;
-    double first = 0.0;
-    double second = 0.0;
-    double lnl = 0.0;
+    double first = ctx.carry.first;
+    double second = ctx.carry.second;
+    double lnl = ctx.carry.lnl;
     const auto site_epilogue = [&](std::int64_t site_index, double l0, double l1, double l2) {
       l0 = std::max(l0, kLikelihoodFloor);
       const double inv = 1.0 / l0;
@@ -383,9 +383,9 @@ struct CatKernels8 {
                     p2.upper_half().horizontal_sum());
     }
     for (; s < ctx.end; ++s) scalar_site(s);
-    ctx.out_first = first;
-    ctx.out_second = second;
-    ctx.out_lnl = lnl;
+    ctx.carry.first = ctx.out_first = first;
+    ctx.carry.second = ctx.out_second = second;
+    ctx.carry.lnl = ctx.out_lnl = lnl;
   }
 
   static CatKernelOps ops() {

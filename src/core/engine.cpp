@@ -76,6 +76,7 @@ LikelihoodEngine::LikelihoodEngine(const bio::PatternSet& patterns,
   evtab_.resize(kEvtabSize);
   dtab_.resize(kDtabSize);
   sum_buffer_.resize(static_cast<std::size_t>(length_) * kSiteBlock);
+  slab_sum_.resize(static_cast<std::size_t>(std::min(length_, kSdcChunkSites)) * kSiteBlock);
 
   core_.register_kernel_metrics(ops_.isa, site_repeats_ ? "repeats" : "dense", "preorder");
   set_model(model);
@@ -96,12 +97,11 @@ void LikelihoodEngine::set_alpha(double alpha) {
   set_model(model::GtrModel(params, model_.gamma_categories()));
 }
 
-std::uint64_t LikelihoodEngine::cla_checksum(const double* values, const std::int32_t* scales,
-                                             std::int64_t blocks) {
+void LikelihoodEngine::fold_checksum(sdc::ClaChecksum& sum, const double* values,
+                                     const std::int32_t* scales, std::int64_t begin,
+                                     std::int64_t end) {
   // Lane-structured, via the ISA-matched KernelOps::cla_checksum back-end.
-  sdc::ClaChecksum sum;
-  ops_.cla_checksum(sum, values, scales, 0, blocks);
-  return sum.finish();
+  ops_.cla_checksum(sum, values, scales, begin, end);
 }
 
 ChildInput LikelihoodEngine::make_child_input(tree::Slot* child, std::span<double> ptable,
@@ -540,7 +540,7 @@ void LikelihoodEngine::run_derivative_sum(tree::Slot* p, tree::Slot* q) {
 }
 
 std::pair<double, double> LikelihoodEngine::run_derivative_core(double z, bool want_lnl,
-                                                                double& lnl_out, bool descent) {
+                                                                double& lnl_out) {
   build_dtab(model_, z, dtab_);
 
   DerivCtx ctx;
@@ -555,7 +555,7 @@ std::pair<double, double> LikelihoodEngine::run_derivative_core(double z, bool w
   double first = 0.0;
   double second = 0.0;
   double lnl = 0.0;
-  if (use_openmp_ && !descent) {
+  if (use_openmp_) {
 #if defined(_OPENMP)
 #pragma omp parallel firstprivate(ctx) reduction(+ : first, second, lnl)
     {
@@ -583,77 +583,108 @@ std::pair<double, double> LikelihoodEngine::run_derivative_core(double z, bool w
     second = ctx.out_second;
     lnl = ctx.out_lnl;
   }
-  core_.account_kernel(Kernel::kDerivCore, descent, length_, timer.seconds());
+  core_.account_kernel(Kernel::kDerivCore, /*preorder=*/false, length_, timer.seconds());
   lnl_out = lnl;
   return {first, second};
 }
 
-void LikelihoodEngine::run_preorder_newview(const PreorderInputs& in) {
-  NewviewCtx ctx;
-  ctx.parent_cla = core_.preorder_values(in.node);
-  ctx.parent_scale = core_.preorder_scales(in.node);
-  ctx.wtable = wtable_.data();
-  ctx.begin = 0;
-  ctx.end = length_;
-  ctx.tuning = tuning_;
-
+void LikelihoodEngine::begin_descent_op(const PreorderInputs& in) {
+  NewviewCtx& nv = descent_newview_;
+  nv = NewviewCtx{};
+  nv.parent_cla = core_.preorder_values(in.node);
+  nv.parent_scale = core_.preorder_scales(in.node);
+  nv.wtable = wtable_.data();
+  nv.tuning = tuning_;
   // Left input: the context flowing down from above — the parent's preorder
   // partial across the parent's own parent edge, or (seed op) the opposite
   // root-edge endpoint across the root edge.
   const bool left_dense = in.parent >= 0;  // left CLA is site-indexed (a preorder partial)
   if (left_dense) {
     build_ptable(model_, in.left_length, ptable_left_);
-    ctx.left.ptable = ptable_left_.data();
-    ctx.left.cla = core_.preorder_values(in.parent);
-    ctx.left.scale = core_.preorder_scales(in.parent);
+    nv.left.ptable = ptable_left_.data();
+    nv.left.cla = core_.preorder_values(in.parent);
+    nv.left.scale = core_.preorder_scales(in.parent);
   } else {
-    ctx.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length,
-                                /*verify=*/true);
-  }
-  ctx.right = make_child_input(in.sibling, ptable_right_, ump_right_, in.sibling->length,
+    nv.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length,
                                /*verify=*/true);
-
+  }
+  nv.right = make_child_input(in.sibling, ptable_right_, ump_right_, in.sibling->length,
+                              /*verify=*/true);
   // Gathers are only needed when a class-compressed postorder CLA
   // participates; preorder partials, identity CLAs and tip code rows stay
-  // site-indexed.
+  // site-indexed, and so do the gathers, so any slab reads its own sites.
   const bool gather = (!left_dense && compressed(in.opposite)) || compressed(in.sibling);
   if (gather) {
-    ctx.left.gather =
+    nv.left.gather =
         left_dense ? identity_gather_.data() : site_gather(in.opposite, code_gather_left_);
-    ctx.right.gather = site_gather(in.sibling, code_gather_right_);
+    nv.right.gather = site_gather(in.sibling, code_gather_right_);
   }
+  descent_newview_fn_ = gather ? ops_.newview_repeats : ops_.newview;
 
-  void (*newview_fn)(NewviewCtx&) = gather ? ops_.newview_repeats : ops_.newview;
-  Timer timer;
-  newview_fn(ctx);
-  core_.account_kernel(Kernel::kNewview, /*preorder=*/true, length_, timer.seconds(),
-                       ctx.left.is_tip(), ctx.right.is_tip());
-}
-
-void LikelihoodEngine::run_preorder_sum(const PreorderInputs& in, const tree::Slot* node_slot) {
-  SumCtx ctx;
-  ctx.sum = sum_buffer_.data();
-  ctx.left_cla = core_.preorder_values(in.node);
-  ctx.begin = 0;
-  ctx.end = length_;
-  ctx.tuning = tuning_;
-  void (*sum_fn)(SumCtx&) = ops_.derivative_sum;
-  const bool right_tip = node_slot->is_tip();
-  if (right_tip) {
-    ctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(in.node)].data() + offset_;
-    ctx.tipvec16 = tipvec16_.data();
+  // The contraction of the fresh partial against the node's own postorder
+  // side: tip codes, a site-indexed CLA, or a compressed one read through
+  // its site → class map.
+  SumCtx& sum = descent_sum_;
+  sum = SumCtx{};
+  sum.left_cla = core_.preorder_values(in.node);
+  sum.tuning = tuning_;
+  descent_sum_fn_ = ops_.derivative_sum;
+  if (in.own->is_tip()) {
+    sum.right_codes = patterns_.tip_rows[static_cast<std::size_t>(in.node)].data() + offset_;
+    sum.tipvec16 = tipvec16_.data();
   } else {
-    ctx.right_cla = core_.values(in.node);
-    if (compressed(node_slot)) {
-      ctx.left_gather = identity_gather_.data();
-      ctx.right_gather = repeats_of(node_slot).class_of_site.data();
-      sum_fn = ops_.derivative_sum_gather;
+    sum.right_cla = core_.values(in.node);
+    if (compressed(in.own)) {
+      sum.left_gather = identity_gather_.data();
+      sum.right_gather = repeats_of(in.own).class_of_site.data();
+      descent_sum_fn_ = ops_.derivative_sum_gather;
     }
   }
-  Timer timer;
-  sum_fn(ctx);
-  core_.account_kernel(Kernel::kDerivSum, /*preorder=*/true, length_, timer.seconds(),
-                       /*left_tip=*/false, right_tip);
+
+  build_dtab(model_, in.own->length, dtab_);
+  descent_core_ = DerivCtx{};
+  descent_core_.dtab = dtab_.data();
+}
+
+void LikelihoodEngine::run_preorder_newview(std::int64_t begin, std::int64_t end) {
+  descent_newview_.begin = begin;
+  descent_newview_.end = end;
+  descent_newview_fn_(descent_newview_);
+}
+
+void LikelihoodEngine::run_preorder_sum(std::int64_t begin, std::int64_t end) {
+  // The slab runs as sites [0, end - begin) of inputs rebased to `begin`,
+  // so the kernel's site-indexed stores fill the slab scratch.  A gathered
+  // side rebases its site map and keeps its class-indexed CLA.
+  SumCtx ctx = descent_sum_;
+  ctx.sum = slab_sum_.data();
+  ctx.begin = 0;
+  ctx.end = end - begin;
+  if (ctx.left_gather != nullptr) {
+    ctx.left_gather += begin;
+  } else {
+    ctx.left_cla += begin * kSiteBlock;
+  }
+  if (ctx.right_codes != nullptr) {
+    ctx.right_codes += begin;
+  } else if (ctx.right_gather != nullptr) {
+    ctx.right_gather += begin;
+  } else {
+    ctx.right_cla += begin * kSiteBlock;
+  }
+  descent_sum_fn_(ctx);
+}
+
+std::pair<double, double> LikelihoodEngine::run_descent_core(std::int64_t begin,
+                                                             std::int64_t end) {
+  // Rebased like the sum; the slab starts on a site group, so the carried
+  // sums see the groups of one full-range call.
+  descent_core_.sum = slab_sum_.data();
+  descent_core_.weights = patterns_.weights.data() + offset_ + begin;
+  descent_core_.begin = 0;
+  descent_core_.end = end - begin;
+  ops_.derivative_core(descent_core_);
+  return {descent_core_.out_first, descent_core_.out_second};
 }
 
 }  // namespace miniphi::core

@@ -109,28 +109,21 @@ class LikelihoodEngine final : public EngineFamily {
  private:
   // Kernel hooks (see engine_core.hpp).
   void run_newview(tree::Slot* slot) override;
-  [[nodiscard]] std::uint64_t cla_checksum(const double* values, const std::int32_t* scales,
-                                           std::int64_t blocks) override;
+  void fold_checksum(sdc::ClaChecksum& sum, const double* values, const std::int32_t* scales,
+                     std::int64_t begin, std::int64_t end) override;
   double run_evaluate(tree::Slot* p, tree::Slot* q, double length) override;
   void run_derivative_sum(tree::Slot* p, tree::Slot* q) override;
-  std::pair<double, double> run_derivative_core(double z, bool want_lnl, double& lnl,
-                                                bool descent) override;
-  void run_preorder_newview(const PreorderInputs& in) override;
-  void run_preorder_sum(const PreorderInputs& in, const tree::Slot* node_slot) override;
+  std::pair<double, double> run_derivative_core(double z, bool want_lnl, double& lnl) override;
+  void begin_descent_op(const PreorderInputs& in) override;
+  void run_preorder_newview(std::int64_t begin, std::int64_t end) override;
+  void run_preorder_sum(std::int64_t begin, std::int64_t end) override;
+  std::pair<double, double> run_descent_core(std::int64_t begin, std::int64_t end) override;
 
   /// `verify` = false defers the input-CLA verification to the caller (the
   /// chunk loop in run_newview verifies interleaved with kernel execution
   /// instead of paying an up-front cold sweep).
   ChildInput make_child_input(tree::Slot* child, std::span<double> ptable,
                               std::span<double> ump, double branch_length, bool verify);
-
-  /// Site blocks per chunk of the serial newview/derivativeSum loop: the
-  /// dense kernels have no cross-site state, so they split bit-identically
-  /// at any boundary; 512 blocks (64 KiB of values) keep each chunk cache
-  /// resident between the kernel touching it and the SDC checksum
-  /// re-reading it, which turns the checksum sweeps from DRAM traffic into
-  /// register work.
-  static constexpr std::int64_t kSdcChunkSites = 512;
 
   // Preorder partials (all-branch gradient) are always dense (site-indexed)
   // even on the site-repeats path, because the outer context of a site is
@@ -257,7 +250,16 @@ class LikelihoodEngine final : public EngineFamily {
   AlignedDoubles diag_;
   AlignedDoubles evtab_;
   AlignedDoubles dtab_;
-  AlignedDoubles sum_buffer_;
+  AlignedDoubles sum_buffer_;  ///< full width: the Newton protocol's
+
+  // The open descent op: begin_descent_op binds the contexts once per op,
+  // the range hooks point them at each slab.
+  NewviewCtx descent_newview_;
+  void (*descent_newview_fn_)(NewviewCtx&) = nullptr;
+  SumCtx descent_sum_;
+  void (*descent_sum_fn_)(SumCtx&) = nullptr;
+  DerivCtx descent_core_;
+  AlignedDoubles slab_sum_;  ///< one slab's sum blocks
 };
 
 }  // namespace miniphi::core

@@ -141,7 +141,7 @@ void EngineCore::commit_cla(tree::Slot* slot, std::int64_t blocks, const sdc::Cl
   if (sdc_checks_) {
     node.checksum = (sum != nullptr)
                         ? sum->finish()
-                        : family_.cla_checksum(values(slot->node_id), scales(slot->node_id), blocks);
+                        : checksum_of(values(slot->node_id), scales(slot->node_id), blocks);
     node.checked_blocks = blocks;
     // Freshly computed ⇒ trusted for the rest of this pass.
     node.verified_pass = sdc_pass_;
@@ -170,11 +170,18 @@ void EngineCore::resident_input(const tree::Slot* slot, bool verify) {
   if (verify) verify_cla(slot);
 }
 
+std::uint64_t EngineCore::checksum_of(const double* values, const std::int32_t* scales,
+                                      std::int64_t blocks) {
+  sdc::ClaChecksum sum;
+  family_.fold_checksum(sum, values, scales, 0, blocks);
+  return sum.finish();
+}
+
 void EngineCore::verify_against(ClaState& state, const double* values,
                                 const std::int32_t* scales, int fault_node,
                                 const std::string& what) {
   Timer timer;
-  const std::uint64_t actual = family_.cla_checksum(values, scales, state.checked_blocks);
+  const std::uint64_t actual = checksum_of(values, scales, state.checked_blocks);
   ++sdc_counters_.checks;
   if (metrics_) {
     obs::Registry& registry = obs::Registry::instance();
@@ -433,28 +440,33 @@ PreorderInputs EngineCore::begin_preorder_op(const TraversalPlan& plan, const Pl
   PreorderInputs in;
   in.node = op.node_id;
   in.sibling = op.sibling->back;
+  in.own = toward->back;
   MINIPHI_ASSERT(in.node == toward->back->node_id);
   // The node's preorder partial lives in the preorder tier (slot == node
-  // id).  Write-acquire and pin it for the whole op: newview fills it and
-  // the gradient contraction reads it back.
+  // id).  Write-acquire and pin it for the whole op: the newview fills it
+  // slab by slab and the gradient contraction reads each slab back.
   pre_store_.acquire(in.node, length_);
   pre_store_.pin(in.node);
   pre_readers_[static_cast<std::size_t>(in.node)] = 2;  // its children's ops
-  tree::Slot* root_slot = nullptr;
   if (op.left_op < 0) {
     // Seed op: the left input is the *opposite* endpoint of the root edge,
     // across the root slot — the ring slot that is neither the op's own
     // slot nor the sibling.
-    root_slot = (toward->next == op.sibling) ? toward->next->next : toward->next;
+    tree::Slot* root_slot = (toward->next == op.sibling) ? toward->next->next : toward->next;
     in.opposite = root_slot->back;
     in.left_length = root_slot->length;
   }
   // Ready (pin + reload or rebuild) every postorder input *before* the
-  // engine builds any kernel context: under a tight budget ready_child may
+  // family builds any kernel context: under a tight budget ready_child may
   // recompute a dropped CLA through run_newview, which rebuilds through the
-  // very table workspaces those contexts point into.
+  // very table workspaces those contexts point into.  Every slab reads all
+  // of them, so they stay pinned for the whole op.
   if (in.opposite != nullptr) ready_child(in.opposite, /*computed_in_plan=*/false);
   ready_child(in.sibling, /*computed_in_plan=*/false);
+  if (!in.own->is_tip()) {
+    ready_child(in.own, /*computed_in_plan=*/false);
+    verify_cla(in.own);
+  }
   if (op.left_op >= 0) {
     in.parent = toward->node_id;
     in.left_length = plan.ops()[static_cast<std::size_t>(op.left_op)].slot->length;
@@ -462,45 +474,45 @@ PreorderInputs EngineCore::begin_preorder_op(const TraversalPlan& plan, const Pl
     // since it was computed; pin before the reload so the sibling's own
     // residency work cannot displace it.
     pre_store_.pin(in.parent);
-    ClaState& parent = pre_[static_cast<std::size_t>(in.parent)];
     if (pre_store_.ensure_resident(in.parent) == memory::Residency::kReloaded) {
-      parent.verified_pass = 0;
-    }
-    // Unlike postorder CLAs, a preorder buffer is never read on a later
-    // pass, so computing it does NOT mark it trusted: the exposure window
-    // is precisely compute → first consumption within one descent.
-    // Preorder partials are transient (rebuilt every descent), so no
-    // committed CLA is implicated: a mismatch heals with the full sweep.
-    if (sdc_checks_ && parent.verified_pass != sdc_pass_ && parent.checked_blocks > 0) {
-      verify_against(parent, preorder_values(in.parent), preorder_scales(in.parent), -1,
-                     "sdc: preorder partial checksum mismatch at node " +
-                         std::to_string(in.parent));
+      pre_[static_cast<std::size_t>(in.parent)].verified_pass = 0;
     }
   }
   return in;
 }
 
-void EngineCore::end_preorder_newview(const PreorderInputs& in) {
-  // The newview inputs are consumed; release their pins before the gradient
-  // contraction pulls in the node's own postorder side.
-  if (in.parent >= 0) pre_store_.unpin(in.parent);
-  if (in.opposite != nullptr) unpin(in.opposite->node_id);
-  unpin(in.sibling->node_id);
-  if (sdc_checks_) {
+bool EngineCore::wants_parent_verify(const PreorderInputs& in) const {
+  // Unlike postorder CLAs, a preorder buffer is never read on a later pass,
+  // so computing it does NOT mark it trusted: the exposure window is
+  // precisely compute → first consumption within one descent.
+  if (!sdc_checks_ || in.parent < 0) return false;
+  const ClaState& parent = pre_[static_cast<std::size_t>(in.parent)];
+  return parent.verified_pass != sdc_pass_ && parent.checked_blocks > 0;
+}
+
+void EngineCore::end_preorder_op(const PreorderInputs& in, const sdc::ClaChecksum* parent_sum,
+                                 const sdc::ClaChecksum& fresh_sum) {
+  if (parent_sum != nullptr) {
+    ClaState& parent = pre_[static_cast<std::size_t>(in.parent)];
+    ++sdc_counters_.checks;
+    if (metrics_) obs::Registry::instance().add(sdc_ids_.checks, 1);
+    // Preorder partials are transient (rebuilt every descent), so no
+    // committed CLA is implicated: a mismatch heals with the full sweep.
+    if (parent_sum->finish() != parent.checksum) {
+      report_corruption(-1, "sdc: preorder partial checksum mismatch at node " +
+                                std::to_string(in.parent));
+    }
+    parent.verified_pass = sdc_pass_;
+  }
+  if (sdc_checks_ && in.node >= taxa_) {
     ClaState& pre = pre_[static_cast<std::size_t>(in.node)];
-    pre.checksum =
-        family_.cla_checksum(preorder_values(in.node), preorder_scales(in.node), length_);
+    pre.checksum = fresh_sum.finish();
     pre.checked_blocks = length_;
     pre.verified_pass = 0;  // trust is earned at consumption, not at compute
   }
-}
-
-void EngineCore::ready_preorder_node(tree::Slot* node_slot) {
-  ready_child(node_slot, /*computed_in_plan=*/false);
-  verify_cla(node_slot);
-}
-
-void EngineCore::end_preorder_op(const PreorderInputs& in) {
+  if (in.parent >= 0) pre_store_.unpin(in.parent);
+  if (in.opposite != nullptr) unpin(in.opposite->node_id);
+  unpin(in.sibling->node_id);
   unpin(in.node);  // no-op for a tip
   pre_store_.unpin(in.node);
   // A preorder partial is read by its own gradient contraction and by its
@@ -550,17 +562,15 @@ void EngineCore::run_prepare_derivatives(tree::Slot* edge) {
 std::pair<double, double> EngineCore::derivatives(double z) {
   MINIPHI_CHECK(sum_prepared_, "derivatives() without prepare_derivatives()");
   double lnl_unused = 0.0;
-  return run_derivative_core(z, /*want_lnl=*/false, lnl_unused, /*descent=*/false);
+  return run_derivative_core(z, /*want_lnl=*/false, lnl_unused);
 }
 
-std::pair<double, double> EngineCore::run_derivative_core(double z, bool want_lnl, double& lnl,
-                                                          bool descent) {
-  const auto [first, second] = family_.run_derivative_core(z, want_lnl, lnl, descent);
+std::pair<double, double> EngineCore::run_derivative_core(double z, bool want_lnl, double& lnl) {
+  const auto [first, second] = family_.run_derivative_core(z, want_lnl, lnl);
   if (sdc_checks_ && (!std::isfinite(first) || !std::isfinite(second))) {
     // The sum buffer is not checksummed (it is transient); a non-finite
     // derivative is the sentinel.  optimize_branch heals by re-preparing.
-    report_corruption(-1, descent ? "sdc: non-finite all-branch gradient from derivativeCore"
-                                  : "sdc: non-finite derivative from derivativeCore");
+    report_corruption(-1, "sdc: non-finite derivative from derivativeCore");
   }
   return {first, second};
 }
@@ -590,8 +600,7 @@ double EngineCore::optimize_branch(tree::Slot* edge, int max_iterations) {
         // Project the log-likelihood at the starting length on the first
         // iteration: it is the baseline the final iterate must beat.
         double lnl = 0.0;
-        const auto [first, second] =
-            run_derivative_core(z, /*want_lnl=*/iteration == 0, lnl, /*descent=*/false);
+        const auto [first, second] = run_derivative_core(z, /*want_lnl=*/iteration == 0, lnl);
         if (iteration == 0) lnl0 = lnl;
         const double next = EngineFamily::newton_step(z, first, second);
         const bool converged = std::abs(next - z) < 1e-10;
@@ -606,7 +615,7 @@ double EngineCore::optimize_branch(tree::Slot* edge, int max_iterations) {
         // the prepared sum buffer, so the guard costs one derivativeCore
         // call — no traversal.  `!(≥)` also rejects a NaN projection.
         double lnl_final = 0.0;
-        run_derivative_core(z, /*want_lnl=*/true, lnl_final, /*descent=*/false);
+        run_derivative_core(z, /*want_lnl=*/true, lnl_final);
         if (!(lnl_final >= lnl0)) z = z0;
       }
       tree::Tree::set_length(edge, z);
@@ -642,7 +651,7 @@ void EngineCore::gradient_all_branches(tree::Slot* root_edge, std::vector<Branch
     run_prepare_derivatives(root_edge);
     double lnl_unused = 0.0;
     const auto [root_first, root_second] =
-        run_derivative_core(root_edge->length, /*want_lnl=*/false, lnl_unused, /*descent=*/false);
+        run_derivative_core(root_edge->length, /*want_lnl=*/false, lnl_unused);
     out.push_back({root_edge, root_edge->length, root_first, root_second});
 
     // Root-to-tips descent.  Ops are emitted parents-first, so emission
@@ -656,24 +665,58 @@ void EngineCore::gradient_all_branches(tree::Slot* root_edge, std::vector<Branch
     TraversalPlanner::build_preorder(root_edge, preorder_plan_);
     for (const PlfOp& op : preorder_plan_.ops()) {
       check_cancel();
-      tree::Slot* toward = op.slot;          // the parent's half-edge toward the node
-      tree::Slot* node_slot = toward->back;  // the node's half-edge back up
       const PreorderInputs in = begin_preorder_op(preorder_plan_, op);
-      family_.run_preorder_newview(in);
-      end_preorder_newview(in);
-      // Gradient of the edge above the node: derivativeSum contracts the
-      // fresh preorder partial against the node's own postorder side,
-      // derivativeCore evaluates ℓ′/ℓ″ at the edge's current length.
-      if (!node_slot->is_tip()) ready_preorder_node(node_slot);
-      family_.run_preorder_sum(in, node_slot);
-      // The contraction is done with both CLAs; derivativeCore reads only
-      // the sum buffer.
-      end_preorder_op(in);
-      const auto [first, second] =
-          run_derivative_core(toward->length, /*want_lnl=*/false, lnl_unused, /*descent=*/true);
-      out.push_back({toward, toward->length, first, second});
+      family_.begin_descent_op(in);
+      // One pass over the width, slab by slab, so each slab of the fresh
+      // partial and of its sum is consumed while still in cache: the
+      // preorder newview writes the slab, derivativeSum contracts it
+      // against the node's postorder side, derivativeCore carries its sums
+      // on.  Under SDC checks the parent partial's slab is folded just
+      // before the newview pulls it (a deferred verification, compared
+      // after the loop) and the fresh slab just after the newview stores it.
+      const bool verify_parent = wants_parent_verify(in);
+      const bool fold_fresh = sdc_checks_ && in.node >= taxa_;  // a tip's partial has no reader
+      sdc::ClaChecksum parent_sum;
+      sdc::ClaChecksum fresh_sum;
+      double seconds[3] = {0.0, 0.0, 0.0};  // newview, derivativeSum, derivativeCore
+      std::pair<double, double> gradient;
+      // One clock read per kernel boundary, chained across slabs; the SDC
+      // folds restart the clock so they stay out of the kernel times.
+      Timer timer;
+      for (std::int64_t b = 0; b < length_; b += kSdcChunkSites) {
+        const std::int64_t e = std::min(length_, b + kSdcChunkSites);
+        if (verify_parent) {
+          family_.fold_checksum(parent_sum, preorder_values(in.parent),
+                                preorder_scales(in.parent), b, e);
+          timer.start();
+        }
+        family_.run_preorder_newview(b, e);
+        seconds[0] += timer.lap();
+        if (fold_fresh) {
+          family_.fold_checksum(fresh_sum, preorder_values(in.node), preorder_scales(in.node), b, e);
+          timer.start();
+        }
+        family_.run_preorder_sum(b, e);
+        seconds[1] += timer.lap();
+        gradient = family_.run_descent_core(b, e);
+        seconds[2] += timer.lap();
+      }
+      const bool left_tip = in.parent < 0 && in.opposite->is_tip();
+      account_kernel(Kernel::kNewview, /*preorder=*/true, length_, seconds[0], left_tip,
+                     in.sibling->is_tip());
+      account_kernel(Kernel::kDerivSum, /*preorder=*/true, length_, seconds[1],
+                     /*left_tip=*/false, in.own->is_tip());
+      account_kernel(Kernel::kDerivCore, /*preorder=*/true, length_, seconds[2]);
+      end_preorder_op(in, verify_parent ? &parent_sum : nullptr, fresh_sum);
+      const auto [first, second] = gradient;
+      if (sdc_checks_ && (!std::isfinite(first) || !std::isfinite(second))) {
+        // The slab scratch is transient and not checksummed; a non-finite
+        // gradient is the sentinel.
+        report_corruption(-1, "sdc: non-finite all-branch gradient from derivativeCore");
+      }
+      out.push_back({op.slot, op.slot->length, first, second});
     }
-    sum_prepared_ = false;  // the sum buffer holds the last preorder edge's sums
+    sum_prepared_ = false;  // a gradient ends the prepared-derivatives window
   });
 }
 

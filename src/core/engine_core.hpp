@@ -24,7 +24,9 @@
 //     SDC heal, pin release on CancelledError).
 //
 // An engine derives from EngineFamily and overrides its kernel hooks; the
-// core calls each hook once per kernel invocation.
+// core calls each hook once per kernel invocation, except in the gradient
+// descent, where it runs every op slab by slab (kSdcChunkSites sites) and
+// still accounts one call per kernel per op.
 #pragma once
 
 #include <cmath>
@@ -36,6 +38,7 @@
 #include "src/core/engine_config.hpp"
 #include "src/core/engine_metrics.hpp"
 #include "src/core/evaluator.hpp"
+#include "src/core/kernels.hpp"
 #include "src/core/sdc.hpp"
 #include "src/core/trace.hpp"
 #include "src/core/traversal_plan.hpp"
@@ -49,18 +52,29 @@ namespace miniphi::core {
 inline constexpr double kMinBranchLength = 1e-8;
 inline constexpr double kMaxBranchLength = 50.0;
 
+/// Site blocks per chunk of the serial kernel loops: the dense newview and
+/// derivativeSum with their fused SDC checksums, and the slabs of every
+/// family's gradient descent.  512 blocks (64 KiB of dense values) keep a
+/// chunk cache resident between the kernel that writes it and the kernel or
+/// checksum that reads it next.  A multiple of kDerivSiteGroup, so a
+/// derivativeCore carried across slabs is bit-identical to one call.
+inline constexpr std::int64_t kSdcChunkSites = 512;
+static_assert(kSdcChunkSites % kDerivSiteGroup == 0);
+
 class EngineFamily;
 
-/// Inputs of one preorder op, readied by the core before the family's
-/// preorder kernels run: the target node, and its left input — either the
-/// parent's preorder partial or, for a seed op, the opposite root-edge
-/// endpoint's postorder side.
+/// Inputs of one preorder op, all readied (pinned and resident) by the core
+/// before the family's descent kernels run: the target node, its left input
+/// — either the parent's preorder partial or, for a seed op, the opposite
+/// root-edge endpoint's postorder side — the sibling, and the node's own
+/// postorder side the gradient contracts against.
 struct PreorderInputs {
   int node = -1;                   ///< v, whose preorder partial the op computes
   int parent = -1;                 ///< u (non-seed ops), left input's preorder partial
   tree::Slot* opposite = nullptr;  ///< seed ops: the left input's postorder side
   double left_length = 0.0;        ///< branch the left input crosses
   tree::Slot* sibling = nullptr;   ///< right input: the sibling's postorder side
+  tree::Slot* own = nullptr;       ///< v's half-edge up the gradient's edge: tip codes or a CLA
 };
 
 class EngineCore {
@@ -104,10 +118,13 @@ class EngineCore {
   /// All-branch derivatives in one postorder + preorder sweep: the root edge
   /// through the two-endpoint protocol, then one preorder op per other edge
   /// in emission order (parents first), serial so the result does not
-  /// depend on how the postorder CLAs were produced.  Each op computes the
-  /// node's preorder partial with the family's newview and contracts it
-  /// against the node's postorder side through derivativeSum and
-  /// derivativeCore.
+  /// depend on how the postorder CLAs were produced.  Each op readies its
+  /// inputs once, then runs one loop over kSdcChunkSites-site slabs: the
+  /// family's preorder newview writes the slab of the node's partial,
+  /// derivativeSum contracts it against the node's postorder side into a
+  /// slab-sized scratch, and derivativeCore folds that scratch into sums
+  /// carried from slab to slab (DerivCarry) — bit-identical to running
+  /// each kernel over the full width, with the slab still in cache.
   void gradient_all_branches(tree::Slot* root_edge, std::vector<BranchGradient>& out);
 
   // --- Kernel accounting -------------------------------------------------
@@ -123,7 +140,8 @@ class EngineCore {
   /// call computed (the whole slice stands for them); the CLA bytes follow
   /// from the kernel and the tip-ness of its inputs.  derivativeCore reads
   /// only the sum buffer, so it takes the tips of the derivativeSum that
-  /// filled it.
+  /// filled it.  A descent op counts as one call per kernel over the whole
+  /// slice, with its slab times summed.
   void account_kernel(Kernel kernel, bool preorder, std::int64_t sites, double seconds,
                       bool left_tip = false, bool right_tip = false);
 
@@ -255,9 +273,12 @@ class EngineCore {
 
   /// The family's derivativeCore at `z` over the prepared sum buffer, plus
   /// the one non-finite sentinel (the sum buffer is transient and not
-  /// checksummed).  `descent` marks a gradient-descent op.
-  std::pair<double, double> run_derivative_core(double z, bool want_lnl, double& lnl,
-                                                bool descent);
+  /// checksummed).
+  std::pair<double, double> run_derivative_core(double z, bool want_lnl, double& lnl);
+
+  /// Checksum of a whole CLA: one family fold over blocks [0, blocks).
+  [[nodiscard]] std::uint64_t checksum_of(const double* values, const std::int32_t* scales,
+                                          std::int64_t blocks);
 
   /// Every CLA state change bumps the plan-cache epoch.
   void note_cla_state_changed() { plan_cache_.note_cla_state_changed(); }
@@ -312,21 +333,22 @@ class EngineCore {
   void ensure_preorder_tier();
 
   /// Opens one preorder op: acquires and pins the node's preorder buffer,
-  /// pins and readies its postorder inputs (sibling; opposite endpoint for
-  /// a seed op), and reloads and verifies the parent's preorder partial.
+  /// pins and readies (reload or rebuild) its postorder inputs — sibling,
+  /// opposite endpoint for a seed op, and the node's own CLA, which is
+  /// verified up front — and pins and reloads the parent's preorder partial.
   PreorderInputs begin_preorder_op(const TraversalPlan& plan, const PlfOp& op);
 
-  /// After the preorder newview: releases the newview inputs and records
-  /// the fresh partial's checksum (trusted only at consumption).
-  void end_preorder_newview(const PreorderInputs& in);
+  /// Whether the op must verify the parent's preorder partial: folded slab
+  /// by slab just before the newview reads it, compared in end_preorder_op.
+  [[nodiscard]] bool wants_parent_verify(const PreorderInputs& in) const;
 
-  /// Before the gradient contraction: pins, readies (reload or rebuild)
-  /// and verifies the inner node's own postorder CLA.
-  void ready_preorder_node(tree::Slot* node_slot);
-
-  /// After the gradient contraction: releases the node's postorder CLA and
-  /// its preorder partial, and drops the partials this op read last.
-  void end_preorder_op(const PreorderInputs& in);
+  /// Closes one preorder op after its last slab: compares the parent
+  /// partial's folded checksum (`parent_sum`, when verified; a mismatch
+  /// throws before the edge's entry exists), records the fresh partial's
+  /// (`fresh_sum`; trusted only at consumption), releases every pin and
+  /// drops the partials this op read last.
+  void end_preorder_op(const PreorderInputs& in, const sdc::ClaChecksum* parent_sum,
+                       const sdc::ClaChecksum& fresh_sum);
 
   EngineFamily& family_;
   tree::Tree& tree_;
@@ -345,7 +367,8 @@ class EngineCore {
   std::vector<int> pre_readers_;  ///< child ops yet to read each partial
   TraversalPlan preorder_plan_;
 
-  // The family's sum buffer: filled by derivativeSum, read by
+  // The family's sum buffer (Newton protocol only; the descent sums slab by
+  // slab into its own scratch): filled by derivativeSum, read by
   // derivativeCore until the next prepare, newview or invalidation.
   bool sum_prepared_ = false;
   bool sum_right_tip_ = false;  ///< tip-ness of the summed branch (for the trace)
@@ -459,10 +482,12 @@ class EngineFamily : public Evaluator {
   /// resident CLAs) and commits it through EngineCore::commit_cla.
   virtual void run_newview(tree::Slot* slot) = 0;
 
-  /// The family's checksum of the first `blocks` site blocks of a CLA.
-  [[nodiscard]] virtual std::uint64_t cla_checksum(const double* values,
-                                                   const std::int32_t* scales,
-                                                   std::int64_t blocks) = 0;
+  /// Folds site blocks [begin, end) of a CLA — values and scale counts —
+  /// into `sum`; folding a range in ascending slabs gives the same state as
+  /// one fold.  A CLA's checksum is the fold of its blocks [0, n).
+  virtual void fold_checksum(sdc::ClaChecksum& sum, const double* values,
+                             const std::int32_t* scales, std::int64_t begin,
+                             std::int64_t end) = 0;
 
   /// evaluate across the branch (p, q) of length `length`: p is inner, both
   /// endpoints valid and pinned.
@@ -474,19 +499,35 @@ class EngineFamily : public Evaluator {
 
   /// derivativeCore over the sum buffer at branch length `z`: returns
   /// (ℓ′, ℓ″) and, with `want_lnl`, the projected lnL at `z` in `lnl` (ℓ′
-  /// and ℓ″ are the same bits either way).  `descent` marks a
-  /// gradient-descent op, which runs serially and is accounted as preorder
-  /// work.
-  virtual std::pair<double, double> run_derivative_core(double z, bool want_lnl, double& lnl,
-                                                        bool descent) = 0;
+  /// and ℓ″ are the same bits either way).
+  virtual std::pair<double, double> run_derivative_core(double z, bool want_lnl,
+                                                        double& lnl) = 0;
 
-  /// The preorder newview: computes in.node's preorder partial from its
-  /// left input and the sibling's postorder side (both readied).
-  virtual void run_preorder_newview(const PreorderInputs& in) = 0;
+  // --- The gradient descent's kernels: one op, slab by slab ---------------
+  //
+  // The core opens each op once, then calls the three range hooks on
+  // ascending slabs [begin, end) of at most kSdcChunkSites sites that tile
+  // [0, slice) (every slab but the last a multiple of kDerivSiteGroup
+  // sites), serially and in kernel order.  The range hooks neither time
+  // nor account: the core does both.
 
-  /// derivativeSum of in.node's fresh preorder partial against the node's
-  /// own postorder side (`node_slot`: tip codes, or a readied CLA).
-  virtual void run_preorder_sum(const PreorderInputs& in, const tree::Slot* node_slot) = 0;
+  /// Opens one descent op on readied inputs: builds the op's P-tables (and
+  /// tip lookups) and its derivative table at in.own->length once, binds the
+  /// preorder newview, derivativeSum and derivativeCore contexts, and
+  /// zeroes the derivativeCore carry.
+  virtual void begin_descent_op(const PreorderInputs& in) = 0;
+
+  /// The preorder newview on one slab: in.node's partial from its left
+  /// input and the sibling's postorder side.
+  virtual void run_preorder_newview(std::int64_t begin, std::int64_t end) = 0;
+
+  /// derivativeSum of the partial's slab against the node's own postorder
+  /// side, into the family's slab-sized scratch.
+  virtual void run_preorder_sum(std::int64_t begin, std::int64_t end) = 0;
+
+  /// derivativeCore over the slab scratch with the op's carry; returns the
+  /// running (ℓ′, ℓ″), which after the last slab are the edge's.
+  virtual std::pair<double, double> run_descent_core(std::int64_t begin, std::int64_t end) = 0;
 };
 
 }  // namespace miniphi::core

@@ -56,6 +56,7 @@ GeneralEngine::GeneralEngine(const bio::PatternSet& patterns, const model::Gener
   evtab_.resize(gblock_table_size(dims_, code_masks_.size()));
   dtab_.resize(3 * block);
   sum_buffer_.resize(static_cast<std::size_t>(length_) * block);
+  slab_sum_.resize(static_cast<std::size_t>(std::min(length_, kSdcChunkSites)) * block);
 
   set_general_model(model);
 }
@@ -69,9 +70,10 @@ void GeneralEngine::set_general_model(const model::GeneralModel& model) {
   invalidate_all();
 }
 
-std::uint64_t GeneralEngine::cla_checksum(const double* values, const std::int32_t* scales,
-                                          std::int64_t blocks) {
-  return sdc::checksum_cla(values, blocks * dims_.block(), scales, blocks);
+void GeneralEngine::fold_checksum(sdc::ClaChecksum& sum, const double* values,
+                                  const std::int32_t* scales, std::int64_t begin,
+                                  std::int64_t end) {
+  sum.update(values, scales, begin, end, dims_.block());
 }
 
 GChildInput GeneralEngine::make_child_input(tree::Slot* child, std::span<double> ptable,
@@ -220,7 +222,7 @@ void GeneralEngine::run_derivative_sum(tree::Slot* p, tree::Slot* q) {
 }
 
 std::pair<double, double> GeneralEngine::run_derivative_core(double z, bool want_lnl,
-                                                             double& lnl_out, bool descent) {
+                                                             double& lnl_out) {
   build_general_dtab(model_, z, dtab_);
 
   GDerivCtx ctx;
@@ -236,7 +238,7 @@ std::pair<double, double> GeneralEngine::run_derivative_core(double z, bool want
   double first = 0.0;
   double second = 0.0;
   double lnl = 0.0;
-  if (use_openmp_ && !descent) {
+  if (use_openmp_) {
 #if defined(_OPENMP)
 #pragma omp parallel firstprivate(ctx) reduction(+ : first, second, lnl)
     {
@@ -264,59 +266,81 @@ std::pair<double, double> GeneralEngine::run_derivative_core(double z, bool want
     second = ctx.out_second;
     lnl = ctx.out_lnl;
   }
-  core_.account_kernel(Kernel::kDerivCore, descent, length_, timer.seconds());
+  core_.account_kernel(Kernel::kDerivCore, /*preorder=*/false, length_, timer.seconds());
   lnl_out = lnl;
   return {first, second};
 }
 
-void GeneralEngine::run_preorder_newview(const PreorderInputs& in) {
+void GeneralEngine::begin_descent_op(const PreorderInputs& in) {
   // Preorder partial of v = newview(parent input across the edge above u,
   // sibling's postorder side across the sibling edge).
-  GNewviewCtx ctx;
-  ctx.parent_cla = core_.preorder_values(in.node);
-  ctx.parent_scale = core_.preorder_scales(in.node);
+  GNewviewCtx& nv = descent_newview_;
+  nv = GNewviewCtx{};
+  nv.parent_cla = core_.preorder_values(in.node);
+  nv.parent_scale = core_.preorder_scales(in.node);
   if (in.parent >= 0) {
     build_general_ptable(model_, in.left_length, ptable_left_);
-    ctx.left.ptable = ptable_left_.data();
-    ctx.left.cla = core_.preorder_values(in.parent);
-    ctx.left.scale = core_.preorder_scales(in.parent);
+    nv.left.ptable = ptable_left_.data();
+    nv.left.cla = core_.preorder_values(in.parent);
+    nv.left.scale = core_.preorder_scales(in.parent);
   } else {
-    ctx.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length);
+    nv.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length);
   }
-  ctx.right = make_child_input(in.sibling, ptable_right_, ump_right_, in.sibling->length);
-  ctx.wtable = wtable_.data();
-  ctx.dims = dims_;
-  ctx.begin = 0;
-  ctx.end = length_;
-  ctx.tuning = tuning_;
+  nv.right = make_child_input(in.sibling, ptable_right_, ump_right_, in.sibling->length);
+  nv.wtable = wtable_.data();
+  nv.dims = dims_;
+  nv.tuning = tuning_;
 
-  Timer timer;
-  ops_.newview(ctx);
-  core_.account_kernel(Kernel::kNewview, /*preorder=*/true, length_, timer.seconds(),
-                       ctx.left.is_tip(), ctx.right.is_tip());
-}
-
-void GeneralEngine::run_preorder_sum(const PreorderInputs& in, const tree::Slot* node_slot) {
   // Scale factors cancel in the ℓ′/ℓ″ ratios, so the contraction ignores
   // them.
-  GSumCtx ctx;
-  ctx.sum = sum_buffer_.data();
-  ctx.left_cla = core_.preorder_values(in.node);
-  const bool right_tip = node_slot->is_tip();
-  if (right_tip) {
-    ctx.right_codes = patterns_.tip_rows[static_cast<std::size_t>(in.node)].data() + offset_;
-    ctx.tipvec = tipvec_.data();
+  GSumCtx& sum = descent_sum_;
+  sum = GSumCtx{};
+  sum.left_cla = core_.preorder_values(in.node);
+  if (in.own->is_tip()) {
+    sum.right_codes = patterns_.tip_rows[static_cast<std::size_t>(in.node)].data() + offset_;
+    sum.tipvec = tipvec_.data();
   } else {
-    ctx.right_cla = core_.values(in.node);
+    sum.right_cla = core_.values(in.node);
   }
-  ctx.dims = dims_;
+  sum.dims = dims_;
+  sum.tuning = tuning_;
+
+  build_general_dtab(model_, in.own->length, dtab_);
+  descent_core_ = GDerivCtx{};
+  descent_core_.dtab = dtab_.data();
+  descent_core_.dims = dims_;
+}
+
+void GeneralEngine::run_preorder_newview(std::int64_t begin, std::int64_t end) {
+  descent_newview_.begin = begin;
+  descent_newview_.end = end;
+  ops_.newview(descent_newview_);
+}
+
+void GeneralEngine::run_preorder_sum(std::int64_t begin, std::int64_t end) {
+  // The slab runs as sites [0, end - begin) of inputs rebased to `begin`,
+  // so the kernel's site-indexed stores fill the slab scratch.
+  GSumCtx ctx = descent_sum_;
+  ctx.sum = slab_sum_.data();
   ctx.begin = 0;
-  ctx.end = length_;
-  ctx.tuning = tuning_;
-  Timer timer;
+  ctx.end = end - begin;
+  ctx.left_cla += begin * dims_.block();
+  if (ctx.right_codes != nullptr) {
+    ctx.right_codes += begin;
+  } else {
+    ctx.right_cla += begin * dims_.block();
+  }
   ops_.derivative_sum(ctx);
-  core_.account_kernel(Kernel::kDerivSum, /*preorder=*/true, length_, timer.seconds(),
-                       /*left_tip=*/false, right_tip);
+}
+
+std::pair<double, double> GeneralEngine::run_descent_core(std::int64_t begin,
+                                                          std::int64_t end) {
+  descent_core_.sum = slab_sum_.data();
+  descent_core_.weights = patterns_.weights.data() + offset_ + begin;
+  descent_core_.begin = 0;
+  descent_core_.end = end - begin;
+  ops_.derivative_core(descent_core_);
+  return {descent_core_.out_first, descent_core_.out_second};
 }
 
 }  // namespace miniphi::core

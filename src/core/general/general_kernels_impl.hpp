@@ -184,9 +184,9 @@ struct GeneralSimdKernels {
     const double* d0 = ctx.dtab;
     const double* d1 = ctx.dtab + block;
     const double* d2 = ctx.dtab + 2 * block;
-    double first = 0.0;
-    double second = 0.0;
-    double lnl = 0.0;
+    double first = ctx.carry.first;
+    double second = ctx.carry.second;
+    double lnl = ctx.carry.lnl;
     for (std::int64_t s = ctx.begin; s < ctx.end; ++s) {
       const double* sb = ctx.sum + s * block;
       P a0 = P::zero();
@@ -207,9 +207,9 @@ struct GeneralSimdKernels {
       second += w * (t2 - t1 * t1);
       if (ctx.want_lnl) lnl += w * std::log(l0);
     }
-    ctx.out_first = first;
-    ctx.out_second = second;
-    ctx.out_lnl = lnl;
+    ctx.carry.first = ctx.out_first = first;
+    ctx.carry.second = ctx.out_second = second;
+    ctx.carry.lnl = ctx.out_lnl = lnl;
   }
 
   static GeneralKernelOps ops(simd::Isa isa) {

@@ -135,6 +135,30 @@ struct SumCtx {
   KernelTuning tuning;
 };
 
+/// Sites per group of the vectorized derivativeCore (paper Section V-B4):
+/// the unit of the carry contract below.
+inline constexpr int kDerivSiteGroup = 8;
+
+/// derivativeCore's running sums: the carry/finish contract every
+/// derivative context (DerivCtx, CatDerivCtx, GDerivCtx) shares on every
+/// back-end.  A call starts from the carry it finds, leaves its own sums
+/// behind, and finishes them into out_first/out_second/out_lnl, so those
+/// always hold the totals of every range carried so far.  Running [b, e)
+/// as consecutive slabs [b, m₁), [m₁, m₂), …, [m_k, e) with one carry —
+/// every slab but the last a multiple of kDerivSiteGroup sites — gives the
+/// same bits as one call over [b, e): each site group lands in the same
+/// lane of the same accumulator in the same order, and only the last slab
+/// has a tail.  A default (zero) carry starts a fresh range.
+struct DerivCarry {
+  /// Per-lane site-group accumulators of the dense vector back-ends (the
+  /// first W lanes are live); unused by the scalar chains.
+  alignas(64) double first_lanes[kDerivSiteGroup] = {};
+  alignas(64) double second_lanes[kDerivSiteGroup] = {};
+  double first = 0.0;  ///< scalar chain: the dense tail, every site for CAT/general
+  double second = 0.0;
+  double lnl = 0.0;    ///< the want_lnl projection's chain
+};
+
 /// Arguments for derivativeCore(): first and second log-likelihood
 /// derivatives with respect to the branch length.
 struct DerivCtx {
@@ -144,6 +168,7 @@ struct DerivCtx {
   const double* dtab = nullptr;
   std::int64_t begin = 0;
   std::int64_t end = 0;
+  DerivCarry carry;         ///< see DerivCarry; zero for a one-call range
   double out_first = 0.0;   ///< Σ_s w_s ℓ'_s/ℓ_s
   double out_second = 0.0;  ///< Σ_s w_s (ℓ''_s/ℓ_s − (ℓ'_s/ℓ_s)²)
   /// Optional projected log-likelihood at the dtab's branch length:

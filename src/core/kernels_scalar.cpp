@@ -143,9 +143,9 @@ void derivative_core_scalar(DerivCtx& ctx) {
   const double* d0 = ctx.dtab;
   const double* d1 = ctx.dtab + kSiteBlock;
   const double* d2 = ctx.dtab + 2 * kSiteBlock;
-  double first = 0.0;
-  double second = 0.0;
-  double lnl = 0.0;
+  double first = ctx.carry.first;
+  double second = ctx.carry.second;
+  double lnl = ctx.carry.lnl;
   for (std::int64_t s = ctx.begin; s < ctx.end; ++s) {
     const double* sb = ctx.sum + s * kSiteBlock;
     double l0 = 0.0, l1 = 0.0, l2 = 0.0;
@@ -163,9 +163,9 @@ void derivative_core_scalar(DerivCtx& ctx) {
     second += w * (t2 - t1 * t1);
     if (ctx.want_lnl) lnl += w * std::log(l0);
   }
-  ctx.out_first = first;
-  ctx.out_second = second;
-  ctx.out_lnl = lnl;
+  ctx.carry.first = ctx.out_first = first;
+  ctx.carry.second = ctx.out_second = second;
+  ctx.carry.lnl = ctx.out_lnl = lnl;
 }
 
 void cla_checksum_scalar(sdc::ClaChecksum& sum, const double* cla, const std::int32_t* scale,

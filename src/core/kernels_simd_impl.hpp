@@ -190,16 +190,19 @@ struct SimdKernels {
 
   static void derivative_core(DerivCtx& ctx) {
     constexpr double kLikelihoodFloor = 1e-300;
-    constexpr int kSiteGroup = 8;  // paper Section V-B4: blocks of 8 sites
+    constexpr int kSiteGroup = kDerivSiteGroup;  // paper Section V-B4: blocks of 8 sites
+    static_assert(W <= kSiteGroup);
     const double* d0 = ctx.dtab;
     const double* d1 = ctx.dtab + kSiteBlock;
     const double* d2 = ctx.dtab + 2 * kSiteBlock;
 
-    P first_acc = P::zero();
-    P second_acc = P::zero();
-    double first_tail = 0.0;
-    double second_tail = 0.0;
-    double lnl = 0.0;
+    // Continue from the carry (DerivCarry): the group sums live in their
+    // vector lanes, the tail and the projection in their scalar chains.
+    P first_acc = P::load(ctx.carry.first_lanes);
+    P second_acc = P::load(ctx.carry.second_lanes);
+    double first_tail = ctx.carry.first;
+    double second_tail = ctx.carry.second;
+    double lnl = ctx.carry.lnl;
 
     std::int64_t s = ctx.begin;
     for (; s + kSiteGroup <= ctx.end; s += kSiteGroup) {
@@ -259,6 +262,11 @@ struct SimdKernels {
       second_tail += w * (t2 - t1 * t1);
       if (ctx.want_lnl) lnl += w * std::log(a0);
     }
+    first_acc.store(ctx.carry.first_lanes);
+    second_acc.store(ctx.carry.second_lanes);
+    ctx.carry.first = first_tail;
+    ctx.carry.second = second_tail;
+    ctx.carry.lnl = lnl;
     ctx.out_first = first_acc.horizontal_sum() + first_tail;
     ctx.out_second = second_acc.horizontal_sum() + second_tail;
     ctx.out_lnl = lnl;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 
 #include "src/core/sdc_checksum.hpp"
@@ -49,9 +48,8 @@ class CorruptionDetected : public Error {
 inline constexpr int kHealRetryBudget = 3;
 
 // detail::rotl comes from sdc_checksum.hpp, which also defines the
-// lane-structured ClaChecksum the dense engine fuses into chunked kernel
-// execution.  The word-stream functions below remain the whole-buffer
-// scheme used by the CAT and general engines (whose per-site widths vary).
+// lane-structured ClaChecksum every engine family folds its CLAs with.  The
+// word-stream checksum below guards the spill tier's records.
 
 /// Word-wise checksum over raw 64-bit patterns.  Seeded accumulators keep a
 /// buffer of zeros from hashing to zero; the tail (buffers are multiples of
@@ -72,25 +70,6 @@ inline std::uint64_t checksum_words(const std::uint64_t* words, std::size_t coun
   }
   for (; i < count; ++i) h0 = detail::rotl(h0, 9) ^ words[i];
   return h0 ^ detail::rotl(h1, 1) ^ detail::rotl(h2, 2) ^ detail::rotl(h3, 3);
-}
-
-/// Checksum of a committed CLA region: `doubles` entries of the value buffer
-/// plus `scales` entries of the per-site scale-count array (scale corruption
-/// is just as fatal as value corruption — evaluate folds it into log space).
-inline std::uint64_t checksum_cla(const double* cla, std::int64_t doubles,
-                                  const std::int32_t* scale, std::int64_t scales) {
-  std::uint64_t h = checksum_words(reinterpret_cast<const std::uint64_t*>(cla),
-                                   static_cast<std::size_t>(doubles));
-  if (scale != nullptr && scales > 0) {
-    const auto bytes = static_cast<std::size_t>(scales) * sizeof(std::int32_t);
-    h = checksum_words(reinterpret_cast<const std::uint64_t*>(scale), bytes / 8, h);
-    if (bytes % 8 != 0) {
-      std::uint32_t tail;
-      std::memcpy(&tail, scale + (scales - 1), sizeof(tail));
-      h = detail::rotl(h, 9) ^ tail;
-    }
-  }
-  return h;
 }
 
 /// Monotonic detection/heal counters, kept per engine so tests can assert on

@@ -1,7 +1,8 @@
-// Lane-structured CLA checksum for the dense (16 doubles/site) kernels.
+// Lane-structured CLA checksum of every engine family (the dense 16
+// doubles/site blocks, and any block width through the `block` overload).
 //
-// The original whole-buffer checksum (sdc.hpp, still used by the CAT and
-// general engines) walks words in a 4-way rotate-xor chain — fine for a cold
+// The whole-buffer word checksum (sdc.hpp, which guards spill records) walks
+// words in a 4-way rotate-xor chain — fine for a cold
 // standalone sweep, but far too slow to sit next to the AVX-512 PLF kernels:
 // on the branch-optimization workload the separate DRAM sweeps cost tens of
 // percent.  This variant restructures the same rotate-xor chains so the state
@@ -69,6 +70,26 @@ struct ClaChecksum {
         std::uint64_t bits;
         std::memcpy(&bits, block + l, sizeof(bits));
         value[l] = detail::rotl(value[l], 9) ^ bits;
+      }
+      const int j = static_cast<int>(s & (kScaleLanes - 1));
+      scale[j] = detail::rotl(scale[j], 9) ^ static_cast<std::uint32_t>(scales[s]);
+    }
+  }
+
+  /// The same fold over site blocks of any width `block` (the CAT and
+  /// general CLAs): word w = s·block + l of the region folds into value
+  /// lane w mod 16, so block == 16 is exactly update() above, and a split
+  /// at any site boundary is exact.
+  void update(const double* cla, const std::int32_t* scales, std::int64_t begin,
+              std::int64_t end, int block) {
+    for (std::int64_t s = begin; s < end; ++s) {
+      const double* words = cla + s * block;
+      const std::int64_t first_word = s * block;
+      for (int l = 0; l < block; ++l) {
+        std::uint64_t bits;
+        std::memcpy(&bits, words + l, sizeof(bits));
+        std::uint64_t& lane = value[(first_word + l) & (kValueLanes - 1)];
+        lane = detail::rotl(lane, 9) ^ bits;
       }
       const int j = static_cast<int>(s & (kScaleLanes - 1));
       scale[j] = detail::rotl(scale[j], 9) ^ static_cast<std::uint32_t>(scales[s]);

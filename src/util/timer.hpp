@@ -18,6 +18,15 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - t0_).count();
   }
 
+  /// Seconds since the last start() or lap(), restarting the stopwatch:
+  /// back-to-back intervals from one clock read each.
+  double lap() {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - t0_).count();
+    t0_ = now;
+    return seconds;
+  }
+
   [[nodiscard]] std::int64_t nanoseconds() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0_).count();
   }

@@ -1,10 +1,12 @@
 // Kernel-level tests: every vectorized back-end must agree with the scalar
 // reference on randomized inputs, for all child-type combinations and tuning
-// variants (streaming stores on/off, prefetching on/off); chunked execution
-// and both store modes must be bitwise invisible in every kernel family.
+// variants (streaming stores on/off, prefetching on/off); chunked execution,
+// both store modes and derivativeCore's carried slabs must be bitwise
+// invisible in every kernel family.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -555,6 +557,126 @@ TEST(GeneralKernelStoreModes, NewviewAndDerivativeSumAreBitIdentical) {
         derivative_sum(true, streamed);
         EXPECT_EQ(0, std::memcmp(plain.data(), streamed.data(), plain.size() * sizeof(double)))
             << "derivativeSum " << where;
+      }
+    }
+  }
+}
+
+// --- The derivativeCore carry contract (DerivCarry) ----------------------
+//
+// The gradient descent runs derivativeCore slab by slab with its sums
+// carried from one slab to the next.  Every family and back-end must give
+// the same bits for ℓ′, ℓ″ and the lnL projection whether [0, n) runs as
+// one call or as carried slabs of 8 or 512 sites (the engine's slab is
+// kSdcChunkSites); the widths straddle a slab, a site group and the tail.
+
+const std::int64_t kCarryWidths[] = {1, 7, 8, 511, 512, 513, 1031};
+const std::int64_t kCarrySlabs[] = {8, 512};
+
+AlignedDoubles random_positive(std::size_t count, Rng& rng) {
+  AlignedDoubles values(count);
+  for (auto& value : values) value = rng.uniform(0.01, 1.0);
+  return values;
+}
+
+/// Runs `ctx` (a DerivCtx, CatDerivCtx or GDerivCtx with its buffers bound)
+/// through `derivative_core` over [0, n) once and as carried `slab`-site
+/// slabs, and expects the same bits.
+template <typename Ctx>
+void expect_carried_slabs_identical(Ctx ctx, void (*derivative_core)(Ctx&), std::int64_t n,
+                                    std::int64_t slab, const std::string& where) {
+  ctx.want_lnl = true;
+  Ctx whole = ctx;
+  whole.begin = 0;
+  whole.end = n;
+  derivative_core(whole);
+  Ctx carried = ctx;
+  run_chunked(n, slab, [&](std::int64_t b, std::int64_t e) {
+    carried.begin = b;
+    carried.end = e;
+    derivative_core(carried);
+  });
+  const std::string at = where + " n=" + std::to_string(n) + " slab=" + std::to_string(slab);
+  EXPECT_NE(whole.out_lnl, 0.0) << at;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(whole.out_first),
+            std::bit_cast<std::uint64_t>(carried.out_first)) << at;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(whole.out_second),
+            std::bit_cast<std::uint64_t>(carried.out_second)) << at;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(whole.out_lnl),
+            std::bit_cast<std::uint64_t>(carried.out_lnl)) << at;
+}
+
+std::vector<std::uint32_t> random_weights(std::size_t count, Rng& rng) {
+  std::vector<std::uint32_t> weights(count);
+  for (auto& weight : weights) weight = static_cast<std::uint32_t>(1 + rng.below(5));
+  return weights;
+}
+
+TEST(DerivativeCoreCarry, DenseSlabsAreBitIdentical) {
+  Rng rng(7301);
+  const model::GtrModel model(testutil::random_gtr_params(rng));
+  AlignedDoubles dtab(kDtabSize);
+  build_dtab(model, 0.17, dtab);
+  for (const std::int64_t n : kCarryWidths) {
+    const auto sites = static_cast<std::size_t>(n);
+    const AlignedDoubles sum = random_positive(sites * kSiteBlock, rng);
+    const auto weights = random_weights(sites, rng);
+    for (const auto isa : supported_isas()) {
+      DerivCtx ctx;
+      ctx.sum = sum.data();
+      ctx.weights = weights.data();
+      ctx.dtab = dtab.data();
+      for (const std::int64_t slab : kCarrySlabs) {
+        expect_carried_slabs_identical(ctx, get_kernel_ops(isa).derivative_core, n, slab,
+                                       "dense " + simd::to_string(isa));
+      }
+    }
+  }
+}
+
+TEST(DerivativeCoreCarry, CatSlabsAreBitIdentical) {
+  Rng rng(7302);
+  constexpr int kCategories = 5;
+  const AlignedDoubles dtab = random_positive(3 * kMaxCatCategories * kCatSiteBlock, rng);
+  for (const std::int64_t n : kCarryWidths) {
+    const auto sites = static_cast<std::size_t>(n);
+    const AlignedDoubles sum = random_positive(sites * kCatSiteBlock, rng);
+    const auto weights = random_weights(sites, rng);
+    const auto categories = random_codes(sites, kCategories, rng);
+    for (const auto isa : supported_isas()) {
+      CatDerivCtx ctx;
+      ctx.sum = sum.data();
+      ctx.weights = weights.data();
+      ctx.dtab = dtab.data();
+      ctx.site_categories = categories.data();
+      for (const std::int64_t slab : kCarrySlabs) {
+        expect_carried_slabs_identical(ctx, get_cat_kernel_ops(isa).derivative_core, n, slab,
+                                       "cat " + simd::to_string(isa));
+      }
+    }
+  }
+}
+
+TEST(DerivativeCoreCarry, GeneralSlabsAreBitIdentical) {
+  Rng rng(7303);
+  GeneralDims dims;
+  dims.states = 20;
+  dims.padded = 24;
+  const auto block = static_cast<std::size_t>(dims.block());
+  const AlignedDoubles dtab = random_positive(3 * block, rng);
+  for (const std::int64_t n : kCarryWidths) {
+    const auto sites = static_cast<std::size_t>(n);
+    const AlignedDoubles sum = random_positive(sites * block, rng);
+    const auto weights = random_weights(sites, rng);
+    for (const auto isa : supported_isas()) {
+      GDerivCtx ctx;
+      ctx.sum = sum.data();
+      ctx.weights = weights.data();
+      ctx.dtab = dtab.data();
+      ctx.dims = dims;
+      for (const std::int64_t slab : kCarrySlabs) {
+        expect_carried_slabs_identical(ctx, get_general_kernel_ops(isa).derivative_core, n, slab,
+                                       "general " + simd::to_string(isa));
       }
     }
   }

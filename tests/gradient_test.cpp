@@ -5,6 +5,8 @@
 //    (prepare_derivatives + derivatives) analytically, per ISA, with the
 //    site-repeats path on and off;
 //  * first derivatives match central finite differences of log_likelihood;
+//  * pattern counts around the descent's slab width agree on every family,
+//    budget and SDC setting;
 //  * deep trees exercise the scaling path of the preorder partials;
 //  * optimize_all_branches returns the log-likelihood of the tree it leaves
 //    behind, and optimize_branch never commits an uphill-in-z,
@@ -373,6 +375,148 @@ INSTANTIATE_TEST_SUITE_P(Families, BranchOptimizerMonotone,
 
 INSTANTIATE_TEST_SUITE_P(Cases, AllBranchGradient, ::testing::ValuesIn(gradient_cases()),
                          case_name);
+
+// Slab boundaries: the descent runs each op over kSdcChunkSites-site slabs
+// with derivativeCore's sums carried across them, so pattern counts one
+// below, at, one above and two slabs past the slab width must still give
+// the per-branch protocol's derivatives and central differences, on every
+// family, on the full budget and on the minimum one with spill, with and
+// without SDC checks (which fold the partials slab by slab).
+enum class SlabFamily { kDense, kRepeats, kCat, kGeneral };
+
+struct SlabCase {
+  SlabFamily family = SlabFamily::kDense;
+  int patterns = 0;
+  bool minimum_budget = false;  ///< cla_buffers = 3 with the spill tier on
+  bool sdc = false;
+};
+
+void PrintTo(const SlabCase& c, std::ostream* os) {
+  constexpr const char* kNames[] = {"dense", "repeats", "cat", "general"};
+  *os << kNames[static_cast<int>(c.family)] << "_" << c.patterns
+      << (c.minimum_budget ? "_minspill" : "_full") << (c.sdc ? "_sdc" : "");
+}
+
+std::string slab_name(const ::testing::TestParamInfo<SlabCase>& info) {
+  std::ostringstream name;
+  PrintTo(info.param, &name);
+  return name.str();
+}
+
+std::vector<SlabCase> slab_cases() {
+  std::vector<SlabCase> cases;
+  for (const SlabFamily family :
+       {SlabFamily::kDense, SlabFamily::kRepeats, SlabFamily::kCat, SlabFamily::kGeneral}) {
+    for (const int patterns : {511, 512, 513, 1031}) {
+      for (const bool minimum_budget : {false, true}) {
+        for (const bool sdc : {false, true}) cases.push_back({family, patterns, minimum_budget, sdc});
+      }
+    }
+  }
+  return cases;
+}
+
+class SlabBoundaryGradient : public ::testing::TestWithParam<SlabCase> {
+ protected:
+  static constexpr int kTaxa = 10;
+
+  // Exactly GetParam().patterns patterns: the first ones of a compressed
+  // random alignment, with their multiplicities.
+  void SetUp() override {
+    const SlabCase& c = GetParam();
+    Rng rng(static_cast<std::uint64_t>(9100 + c.patterns));
+    patterns_ = bio::compress_patterns(random_alignment(kTaxa, c.patterns + 64, rng, 0.05));
+    ASSERT_GE(patterns_.pattern_count(), static_cast<std::size_t>(c.patterns));
+    for (auto& row : patterns_.tip_rows) row.resize(static_cast<std::size_t>(c.patterns));
+    patterns_.weights.resize(static_cast<std::size_t>(c.patterns));
+    patterns_.site_to_pattern.clear();
+    params_ = random_gtr_params(rng);
+    tree_ = std::make_unique<tree::Tree>(tree::Tree::random(kTaxa, rng));
+    for (tree::Slot* edge : tree_->edges()) {
+      tree::Tree::set_length(edge, rng.uniform(0.05, 1.0));
+    }
+
+    engine_ = make_engine(c.minimum_budget);
+    ASSERT_TRUE(engine_->gradient_all_branches(tree_->tip(0), gradient_));
+    ASSERT_EQ(gradient_.size(), static_cast<std::size_t>(tree_->edge_count()));
+  }
+
+  std::unique_ptr<Evaluator> make_engine(bool minimum_budget) {
+    const SlabCase& c = GetParam();
+    EngineConfig config;
+    config.site_repeats = c.family == SlabFamily::kRepeats;
+    config.sdc_checks = c.sdc;
+    if (minimum_budget) {
+      config.cla_buffers = 3;
+      config.cla_spill = true;
+    }
+    switch (c.family) {
+      case SlabFamily::kDense:
+      case SlabFamily::kRepeats:
+        return std::make_unique<LikelihoodEngine>(patterns_, model::GtrModel(params_), *tree_,
+                                                  config);
+      case SlabFamily::kCat:
+        return std::make_unique<CatEngine>(patterns_, model::GtrModel(params_), *tree_,
+                                           /*categories=*/4, config);
+      case SlabFamily::kGeneral:
+        break;
+    }
+    return std::make_unique<GeneralEngine>(
+        patterns_,
+        model::GeneralModel(4,
+                            std::vector<double>(params_.exchangeabilities.begin(),
+                                                params_.exchangeabilities.end()),
+                            std::vector<double>(params_.frequencies.begin(),
+                                                params_.frequencies.end()),
+                            params_.alpha),
+        *tree_, bio::dna_code_masks(), config);
+  }
+
+  bio::PatternSet patterns_;
+  model::GtrParams params_;
+  std::unique_ptr<tree::Tree> tree_;
+  std::unique_ptr<Evaluator> engine_;
+  std::vector<BranchGradient> gradient_;
+};
+
+// The protocol side runs on a full-budget twin: at cla_buffers = 3,
+// validating an edge between two inner nodes can need a fourth buffer.
+TEST_P(SlabBoundaryGradient, MatchesPerBranchDerivativeProtocol) {
+  const std::unique_ptr<Evaluator> reference =
+      GetParam().minimum_budget ? make_engine(/*minimum_budget=*/false) : nullptr;
+  Evaluator& protocol = reference != nullptr ? *reference : *engine_;
+  for (const BranchGradient& g : gradient_) {
+    protocol.prepare_derivatives(g.edge);
+    const auto [first, second] = protocol.derivatives(g.edge->length);
+    const double ftol = std::abs(first) * 1e-8 + 1e-7;
+    const double stol = std::abs(second) * 1e-8 + 1e-7;
+    EXPECT_NEAR(g.first, first, ftol) << "edge node " << g.edge->node_id;
+    EXPECT_NEAR(g.second, second, stol) << "edge node " << g.edge->node_id;
+  }
+}
+
+TEST_P(SlabBoundaryGradient, FirstDerivativeMatchesCentralDifferences) {
+  tree::Slot* root = tree_->tip(0);
+  const double h = 1e-4;
+  const auto lnl_at = [&](tree::Slot* edge, double z) {
+    tree::Tree::set_length(edge, z);
+    engine_->invalidate_branch(edge->node_id);
+    engine_->invalidate_branch(edge->back->node_id);
+    return engine_->log_likelihood(root);
+  };
+  for (const BranchGradient& g : gradient_) {
+    const double z = g.length;
+    const double up = lnl_at(g.edge, z + h);
+    const double down = lnl_at(g.edge, z - h);
+    lnl_at(g.edge, z);
+    const double fd = (up - down) / (2.0 * h);
+    EXPECT_NEAR(g.first, fd, std::abs(fd) * 1e-6 + 1e-6)
+        << "edge node " << g.edge->node_id << " z=" << z;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, SlabBoundaryGradient, ::testing::ValuesIn(slab_cases()),
+                         slab_name);
 
 // The CAT engine keeps one CLA per inner node, so its sweep never declines;
 // its gradient must match the per-branch protocol like the dense engine's.

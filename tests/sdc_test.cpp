@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -261,6 +262,91 @@ TEST(GeneralSdc, HealsCorruptionAtEveryNode) {
                              "general " + simd::to_string(isa) + " node " +
                                  std::to_string(edge->node_id));
     }
+  }
+}
+
+// The gradient descent reads every inner node's postorder CLA as some op's
+// sibling input.  Corrupting one after a log_likelihood must be caught when
+// the descent readies it, healed by a retry of the whole gradient, and give
+// gradients bitwise equal to a clean engine's.  700 patterns span two of
+// the descent's slabs.
+template <typename MakeEngine>
+void expect_gradient_heals_sibling(const MakeEngine& make_engine, const std::string& family) {
+  Rng rng(9);
+  const auto alignment = testutil::random_alignment(10, 760, rng, 0.05);
+  const auto patterns = bio::compress_patterns(alignment);
+  const auto params = testutil::random_gtr_params(rng);
+  tree::Tree tree = tree::Tree::random(10, rng);
+  tree::Slot* root = tree.tip(0);
+
+  const auto clean = make_engine(patterns, params, tree, /*sdc=*/false);
+  std::vector<BranchGradient> expected;
+  ASSERT_TRUE(clean->gradient_all_branches(root, expected));
+
+  const auto engine = make_engine(patterns, params, tree, /*sdc=*/true);
+  for (int node = tree.taxon_count(); node < tree.node_count(); ++node) {
+    if (node == root->back->node_id) continue;  // the root edge's endpoint is no sibling
+    const std::string context = family + " node " + std::to_string(node);
+    (void)engine->log_likelihood(root);
+    ASSERT_TRUE(engine->corrupt_cla_for_testing(node, 13 * node, 7)) << context;
+    const sdc::Counters before = engine->sdc_counters();
+    std::vector<BranchGradient> actual;
+    ASSERT_TRUE(engine->gradient_all_branches(root, actual)) << context;
+    const sdc::Counters after = engine->sdc_counters();
+    EXPECT_EQ(after.hits, before.hits + 1) << context;
+    EXPECT_EQ(after.heals, before.heals + 1) << context;
+    EXPECT_EQ(after.escalations, before.escalations) << context;
+    ASSERT_EQ(actual.size(), expected.size()) << context;
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i].edge, expected[i].edge) << context;
+      EXPECT_EQ(actual[i].first, expected[i].first) << context << " edge " << i;
+      EXPECT_EQ(actual[i].second, expected[i].second) << context << " edge " << i;
+    }
+  }
+}
+
+TEST(GradientSdc, HealsCorruptedSiblingInputOnEveryFamily) {
+  for (const auto isa : supported_isas()) {
+    for (const bool repeats : {false, true}) {
+      expect_gradient_heals_sibling(
+          [&](const bio::PatternSet& patterns, const model::GtrParams& params, tree::Tree& tree,
+              bool sdc) {
+            LikelihoodEngine::Config config;
+            config.isa = isa;
+            config.site_repeats = repeats;
+            config.sdc_checks = sdc;
+            return std::make_unique<LikelihoodEngine>(patterns, model::GtrModel(params), tree,
+                                                      config);
+          },
+          (repeats ? "repeats " : "dense ") + simd::to_string(isa));
+    }
+    expect_gradient_heals_sibling(
+        [&](const bio::PatternSet& patterns, const model::GtrParams& params, tree::Tree& tree,
+            bool sdc) {
+          CatEngine::Config config;
+          config.isa = isa;
+          config.sdc_checks = sdc;
+          return std::make_unique<CatEngine>(patterns, model::GtrModel(params), tree,
+                                             /*categories=*/4, config);
+        },
+        "cat " + simd::to_string(isa));
+    expect_gradient_heals_sibling(
+        [&](const bio::PatternSet& patterns, const model::GtrParams& params, tree::Tree& tree,
+            bool sdc) {
+          GeneralEngine::Config config;
+          config.isa = isa;
+          config.sdc_checks = sdc;
+          return std::make_unique<GeneralEngine>(
+              patterns,
+              model::GeneralModel(4,
+                                  std::vector<double>(params.exchangeabilities.begin(),
+                                                      params.exchangeabilities.end()),
+                                  std::vector<double>(params.frequencies.begin(),
+                                                      params.frequencies.end()),
+                                  params.alpha),
+              tree, bio::dna_code_masks(), config);
+        },
+        "general " + simd::to_string(isa));
   }
 }
 
