@@ -8,23 +8,26 @@
 //   tiered     evictions above the rebuild-cost threshold spill to a
 //              checksummed temp file and reload on demand
 //
-// and in two budget units: a count of CLA buffers (cla_buffers) and a cap
-// on the bytes the store holds (cla_budget_bytes).  Site-repeats buffers
-// hold only their class count of blocks, so a byte budget keeps far more
-// CLAs resident than the same bytes counted as full-width buffers.  Each
-// row reports the budget, the bytes held at the end, extra newview
-// (recomputation) work, evictions, spill traffic, and wall time.  The
-// recompute-vs-reload crossover is the store's spill_min_registers policy;
-// the measured curve (EXPERIMENTS.md) puts the default at 0 — always spill
-// — because a drop's real price is the validity cascade it seeds, not the
-// one newview it saves.
+// under byte budgets (cla_budget_bytes, the one budget unit).  Site-repeats
+// buffers hold only their class count of blocks, so a byte budget keeps far
+// more CLAs resident than the same bytes of full-width buffers.  Each row
+// reports the budget, the bytes held at the end, extra newview
+// (recomputation) work, evictions, spill traffic, wall time, and the peak
+// bytes of the preorder stack one all-branch gradient after the timed
+// optimization holds (the depth-first descent's partials, outside the cap).
+// The recompute-vs-reload crossover is the store's spill_min_registers
+// policy; the measured curve (EXPERIMENTS.md) puts the default at 0 —
+// always spill — because a drop's real price is the validity cascade it
+// seeds, not the one newview it saves.
 // The paper notes the 4 M-site dataset already exhausts the Phi's 8 GB —
 // this is the technique that would lift that limit.
 //
 // MINIPHI_BENCH_REQUIRE_MEMORY=1 (CI) gates two acceptance criteria: lnL at
 // every budget×mode is bit-identical to the full-budget run, and the median
-// tiered quarter-budget run finishes within 2x the median full-budget run
+// tiered gate-budget run — half the bytes a quarter-budget run holds, which
+// still evicts and spills — finishes within 2x the median full-budget run
 // (medians of kGateRuns interleaved runs each).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -56,14 +59,10 @@ int main() {
   tree::Tree base_tree = tree::parsimony_starting_tree(patterns, rng);
   const model::GtrModel model(model::GtrParams::jc69(0.8));
 
-  // The quarter budget for the acceptance gate: 1/4 of the inner-node count
-  // (the full footprint), floored at the minimum working set.  The quarter
-  // byte budget is a quarter of the full-width bytes of every inner node.
-  const int quarter = std::max(3, base_tree.inner_count() / 4);
-  const std::int64_t full_width_bytes =
-      static_cast<std::int64_t>(patterns.pattern_count()) *
-      (core::kSiteBlock * static_cast<std::int64_t>(sizeof(double)) +
-       static_cast<std::int64_t>(sizeof(std::int32_t)));
+  const std::int64_t full_width_bytes = core::full_width_cla_bytes(
+      static_cast<std::int64_t>(patterns.pattern_count()), core::kSiteBlock);
+  const std::int64_t floor_bytes =
+      core::min_cla_buffers(base_tree.inner_count()) * full_width_bytes;
   const std::int64_t quarter_bytes = base_tree.inner_count() * full_width_bytes / 4;
 
   struct Row {
@@ -76,13 +75,13 @@ int main() {
     std::int64_t spills = 0;
     std::int64_t spill_bytes = 0;
     std::int64_t reloads = 0;
+    double stack_mb = 0.0;
     double seconds = 0.0;
     double lnl = 0.0;
   };
-  const auto run = [&](int buffers, std::int64_t bytes, bool spill) {
+  const auto run = [&](const std::string& label, std::int64_t bytes, bool spill) {
     tree::Tree tree(base_tree);
     core::LikelihoodEngine::Config config;
-    config.cla_buffers = buffers;
     config.cla_budget_bytes = bytes;
     config.cla_spill = spill;
     core::LikelihoodEngine engine(patterns, model, tree, config);
@@ -90,9 +89,8 @@ int main() {
     Row row;
     row.lnl = engine.optimize_all_branches(tree.tip(0), 3);
     row.seconds = timer.seconds();
-    row.mode = (buffers < 0 && bytes == 0) ? "full" : (spill ? "tiered" : "recompute");
-    row.budget = bytes > 0 ? "1/4 bytes"
-                           : (buffers < 0 ? "all" : std::to_string(buffers) + " bufs");
+    row.mode = bytes == 0 ? "full" : (spill ? "tiered" : "recompute");
+    row.budget = label;
     row.calls = engine.stats(core::Kernel::kNewview).calls;
     const memory::ClaStore& store = engine.cla_store();
     row.budget_mb = static_cast<double>(store.budget_bytes()) / 1e6;
@@ -102,49 +100,64 @@ int main() {
     row.spills = counters.spills;
     row.spill_bytes = counters.spill_bytes;
     row.reloads = counters.reloads;
+    // One untimed gradient fills the preorder stack to its plan's peak.
+    std::vector<core::BranchGradient> gradient;
+    (void)engine.gradient_all_branches(tree.tip(0), gradient);
+    row.stack_mb = static_cast<double>(engine.preorder_stack_bytes()) / 1e6;
     return row;
   };
+
+  // The gate budget: half of what a quarter-bytes run holds, floored at the
+  // minimum working set.  Under a cap buffers shrink to their class counts,
+  // so a quarter of the full-width bytes (or of the bytes an uncapped run
+  // holds, its buffers grown to their widest orientation) may never evict;
+  // half of the capped working set must, so the gate keeps measuring the
+  // tiering.
+  const Row quarter_tiered = run("1/4 bytes", quarter_bytes, true);
+  const std::int64_t gate_bytes =
+      std::max(floor_bytes, static_cast<std::int64_t>(quarter_tiered.held_mb * 1e6) / 2);
 
   // The gate pair runs first, interleaved, so both medians see the same
   // machine state; the other rows are single runs.
   Row full;
-  Row quarter_tiered;
+  Row gate_tiered;
   const std::vector<double> medians = bench::median_seconds(
       kGateRuns, {[&] {
-                    full = run(-1, 0, false);
+                    full = run("all", 0, false);
                     return full.seconds;
                   },
                   [&] {
-                    quarter_tiered = run(quarter, 0, true);
-                    return quarter_tiered.seconds;
+                    gate_tiered = run("gate", gate_bytes, true);
+                    return gate_tiered.seconds;
                   }});
   full.seconds = medians[0];
-  quarter_tiered.seconds = medians[1];
+  gate_tiered.seconds = medians[1];
 
   std::vector<Row> rows{full};
-  for (const int budget : {32, 16, quarter, 8, 6}) {
-    rows.push_back(run(budget, 0, false));
-    rows.push_back(budget == quarter ? quarter_tiered : run(budget, 0, true));
-  }
-  rows.push_back(run(-1, quarter_bytes, false));
-  rows.push_back(run(-1, quarter_bytes, true));
+  rows.push_back(run("1/4 bytes", quarter_bytes, false));
+  rows.push_back(quarter_tiered);
+  rows.push_back(run("gate", gate_bytes, false));
+  rows.push_back(gate_tiered);
+  rows.push_back(run("8 x full", 8 * full_width_bytes, false));
+  rows.push_back(run("8 x full", 8 * full_width_bytes, true));
 
   bool lnl_identical = true;
-  std::printf("%10s %10s %9s %8s  %14s %9s %9s %9s %9s %8s  %14s\n", "mode", "budget",
+  std::printf("%10s %10s %9s %8s  %14s %9s %9s %9s %9s %8s %8s  %14s\n", "mode", "budget",
               "budget MB", "held MB", "newview calls", "evictions", "spills", "spill MB",
-              "reloads", "wall[s]", "lnL");
+              "reloads", "stack MB", "wall[s]", "lnL");
   for (const Row& row : rows) {
     if (row.lnl != full.lnl) lnl_identical = false;
-    std::printf("%10s %10s %9.1f %8.1f  %8lld (%.2fx) %9lld %9lld %9.1f %9lld %8.2f  %14.2f\n",
+    std::printf("%10s %10s %9.1f %8.1f  %8lld (%.2fx) %9lld %9lld %9.1f %9lld %8.1f %8.2f  %14.2f\n",
                 row.mode.c_str(), row.budget.c_str(), row.budget_mb, row.held_mb,
                 static_cast<long long>(row.calls),
                 static_cast<double>(row.calls) / static_cast<double>(full.calls),
                 static_cast<long long>(row.evictions), static_cast<long long>(row.spills),
                 static_cast<double>(row.spill_bytes) / 1e6, static_cast<long long>(row.reloads),
-                row.seconds, row.lnl);
+                row.stack_mb, row.seconds, row.lnl);
   }
-  std::printf("\nwall[s] of the full row and the tiered %d-buffer row: median of %d runs.\n",
-              quarter, kGateRuns);
+  std::printf("\nwall[s] of the full row and the tiered gate row (%.1f MB): median of %d "
+              "runs.\n",
+              static_cast<double>(gate_bytes) / 1e6, kGateRuns);
   std::printf("lnL is identical across budgets and modes (identical math; only the\n");
   std::printf("eviction response differs).  recompute re-derives evicted CLAs from\n");
   std::printf("their subtrees, and each drop invalidates state that later rebuilds\n");
@@ -152,22 +165,29 @@ int main() {
   std::printf("tiered reloads evicted CLAs from the checksummed spill file at memcpy\n");
   std::printf("cost, keeping the newview count at the full-budget floor.  A byte\n");
   std::printf("budget counts the class-sized buffers site repeats actually hold, so\n");
-  std::printf("the same bytes as the quarter count budget evict far less.\n");
+  std::printf("a quarter of the full-width bytes may not evict at all.  stack MB is\n");
+  std::printf("the gradient's depth-first preorder stack, the same at every budget.\n");
 
   if (require) {
     if (!lnl_identical) {
       std::printf("\nFAIL: lnL diverged from the full-budget run\n");
       return 1;
     }
-    if (quarter_tiered.seconds > 2.0 * full.seconds) {
-      std::printf("\nFAIL: median tiered quarter-budget wall time %.2fs exceeds 2x the median "
-                  "full budget %.2fs\n",
-                  quarter_tiered.seconds, full.seconds);
+    if (gate_tiered.evictions == 0 || gate_tiered.spills == 0) {
+      std::printf("\nFAIL: the gate budget (%.1f MB) never evicted or spilled\n",
+                  static_cast<double>(gate_bytes) / 1e6);
       return 1;
     }
-    std::printf("\nPASS: bit-identical lnL; median quarter-budget tiered run %.2fs <= 2x "
-                "median full %.2fs\n",
-                quarter_tiered.seconds, full.seconds);
+    if (gate_tiered.seconds > 2.0 * full.seconds) {
+      std::printf("\nFAIL: median tiered gate-budget wall time %.2fs exceeds 2x the median "
+                  "full budget %.2fs\n",
+                  gate_tiered.seconds, full.seconds);
+      return 1;
+    }
+    std::printf("\nPASS: bit-identical lnL; median tiered gate-budget run %.2fs (%lld "
+                "evictions) <= 2x median full %.2fs\n",
+                gate_tiered.seconds, static_cast<long long>(gate_tiered.evictions),
+                full.seconds);
   }
   return 0;
 }

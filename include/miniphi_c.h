@@ -94,7 +94,8 @@ typedef struct miniphi_resource_request {
    * pool; the library carves the budget across partitions, evicted CLAs
    * are recomputed or spilled to checksummed temp files, and results stay
    * bit-identical to the unlimited run.  If the budget cannot fit the
-   * minimum working set (3 buffers per partition),
+   * minimum working set (5 full-width CLA buffers per partition, or one
+   * per inner node on trees with fewer than 5; core::min_cla_buffers),
    * miniphi_create_instance fails with MINIPHI_ERROR_INSUFFICIENT_MEMORY. */
   int64_t cla_budget_bytes;
 } miniphi_resource_request;

@@ -463,12 +463,15 @@ miniphi_error miniphi_create_instance(const miniphi_alignment* alignment,
       // spreads them across streams.
       std::vector<double> budget_fraction;
       if (req.cla_budget_bytes > 0) {
-        const auto counts = miniphi::core::carve_cla_budgets(
-            req.cla_budget_bytes, patterns, instance->tree.inner_count());
-        budget_fraction.reserve(counts.size());
-        for (const int count : counts) {
-          budget_fraction.push_back(static_cast<double>(count) /
-                                    static_cast<double>(instance->tree.inner_count()));
+        // Carved bytes over the partition's full bytes (every inner node
+        // at full width).
+        const int inner = instance->tree.inner_count();
+        const auto caps = miniphi::core::carve_cla_budgets(req.cla_budget_bytes, patterns, inner);
+        for (std::size_t p = 0; p < caps.size(); ++p) {
+          budget_fraction.push_back(
+              static_cast<double>(caps[p]) /
+              static_cast<double>(inner * miniphi::core::full_width_cla_bytes(
+                                              patterns[p], miniphi::core::kSiteBlock)));
         }
       }
       const auto plan = miniphi::platform::plan_partition_streams(patterns, streams, widest,

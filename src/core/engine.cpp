@@ -591,19 +591,19 @@ std::pair<double, double> LikelihoodEngine::run_derivative_core(double z, bool w
 void LikelihoodEngine::begin_descent_op(const PreorderInputs& in) {
   NewviewCtx& nv = descent_newview_;
   nv = NewviewCtx{};
-  nv.parent_cla = core_.preorder_values(in.node);
-  nv.parent_scale = core_.preorder_scales(in.node);
+  nv.parent_cla = core_.preorder_values(in.buffer);
+  nv.parent_scale = core_.preorder_scales(in.buffer);
   nv.wtable = wtable_.data();
   nv.tuning = tuning_;
   // Left input: the context flowing down from above — the parent's preorder
   // partial across the parent's own parent edge, or (seed op) the opposite
   // root-edge endpoint across the root edge.
-  const bool left_dense = in.parent >= 0;  // left CLA is site-indexed (a preorder partial)
+  const bool left_dense = in.parent_buffer >= 0;  // left CLA is site-indexed (a preorder partial)
   if (left_dense) {
     build_ptable(model_, in.left_length, ptable_left_);
     nv.left.ptable = ptable_left_.data();
-    nv.left.cla = core_.preorder_values(in.parent);
-    nv.left.scale = core_.preorder_scales(in.parent);
+    nv.left.cla = core_.preorder_values(in.parent_buffer);
+    nv.left.scale = core_.preorder_scales(in.parent_buffer);
   } else {
     nv.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length,
                                /*verify=*/true);
@@ -626,7 +626,7 @@ void LikelihoodEngine::begin_descent_op(const PreorderInputs& in) {
   // its site → class map.
   SumCtx& sum = descent_sum_;
   sum = SumCtx{};
-  sum.left_cla = core_.preorder_values(in.node);
+  sum.left_cla = core_.preorder_values(in.buffer);
   sum.tuning = tuning_;
   descent_sum_fn_ = ops_.derivative_sum;
   if (in.own->is_tip()) {

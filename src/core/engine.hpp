@@ -56,8 +56,8 @@ namespace miniphi::core {
 class LikelihoodEngine final : public EngineFamily {
  public:
   /// All knobs are the shared core::EngineConfig set (the former DNA
-  /// fast-path extras — trace, cla_buffers, site_repeats — moved up in PR 8
-  /// so the factory seam configures every engine with one type).
+  /// fast-path extras — trace, the CLA budget, site_repeats — moved up so
+  /// the factory seam configures every engine with one type).
   using Config = EngineConfig;
 
   /// The engine keeps references to patterns and tree; both must outlive it.

@@ -44,23 +44,23 @@ struct EngineConfig {
   /// the registry.  Not thread-safe: evaluators that dispatch engines onto
   /// worker pools require trace == nullptr.
   KernelTrace* trace = nullptr;
-  /// CLA memory budget as a count: at most this many CLA buffers held at
-  /// once (-1 = one per inner node, the default), whatever their size.
+  /// CLA memory budget in bytes (0 = unlimited), the one budget unit.
   /// Smaller budgets trade running time for memory by evicting CLAs
   /// through the tiered memory::ClaStore — the recompute technique of
   /// Izquierdo-Carrasco et al. (Section V-A) plus an optional checksummed
-  /// spill tier (DESIGN.md §14).  At least 3; a traversal that cannot fit
-  /// its working set throws.  Honored by every engine family (dense, CAT,
-  /// general) and takes precedence over cla_budget_bytes.
-  int cla_buffers = -1;
-  /// CLA memory budget in *bytes* (0 = unlimited), used when cla_buffers
-  /// is -1.  The store caps the bytes of the buffers it holds, and buffers
-  /// are sized by what newview writes: a site-repeats slot holds its class
-  /// count of blocks, so the same bytes keep more CLAs resident than a
-  /// count of full-width buffers would.  The C-API resource negotiation
-  /// speaks bytes and cla_bytes_granted() reports the cap.  Construction
-  /// throws when three full-width buffers do not fit (the minimum working
-  /// set of the count budget).
+  /// spill tier (DESIGN.md §14).  The store caps the bytes of the postorder
+  /// buffers it holds, and buffers are sized by what newview writes: a
+  /// site-repeats slot holds its class count of blocks, so a byte budget
+  /// keeps more CLAs resident than the same bytes of full-width buffers
+  /// would.  The C-API resource negotiation speaks bytes and
+  /// cla_bytes_granted() reports the cap.  Construction throws (naming the
+  /// "minimum working set") below min_cla_buffers() full-width buffers.
+  /// Honored by every engine family (dense, CAT, general).
+  ///
+  /// The gradient descent's preorder partials sit outside the cap, on a
+  /// stack of full-width buffers sized by the depth-first plan
+  /// (TraversalPlanner::build_preorder): smaller subtree first, so at most
+  /// ⌈log2 n⌉ + 2 partials are live for n taxa.
   std::int64_t cla_budget_bytes = 0;
   /// Enables the ClaStore spill tier: evicted CLAs whose subtree is
   /// expensive to rebuild are written to disk (asynchronously, checksummed)
@@ -104,5 +104,22 @@ struct EngineConfig {
   /// paper's per-site kernels everywhere.  Dense DNA engine only.
   bool site_repeats = true;
 };
+
+/// Bytes of one full-width CLA buffer: `length` site blocks of `block`
+/// doubles, plus one int32 scale count per block.
+[[nodiscard]] constexpr std::int64_t full_width_cla_bytes(std::int64_t length,
+                                                          std::int64_t block) {
+  return length * (block * static_cast<std::int64_t>(sizeof(double)) +
+                   static_cast<std::int64_t>(sizeof(std::int32_t)));
+}
+
+/// The smallest CLA budget, in full-width buffers, over a tree with
+/// `inner_count` inner nodes: the one floor of the engines' budget check,
+/// the partitioned carve and so the C API's "minimum working set" refusal.
+/// Five: the smallest at which every family smooths branches, with and
+/// without spill (EXPERIMENTS.md "One budget unit").
+[[nodiscard]] constexpr int min_cla_buffers(int inner_count) {
+  return inner_count < 5 ? inner_count : 5;
+}
 
 }  // namespace miniphi::core

@@ -16,7 +16,6 @@ void EngineCore::configure(const EngineConfig& config, std::int64_t length, std:
   block_ = block;
   sdc_checks_ = config.sdc_checks;
   cancel_ = config.cancel;
-  spill_dir_ = config.cla_spill_dir;
   trace_ = config.trace;
   if (obs::kMetricsCompiled && config.metrics == obs::MetricsMode::kOn) {
     metrics_ = true;
@@ -25,24 +24,13 @@ void EngineCore::configure(const EngineConfig& config, std::int64_t length, std:
   }
 
   const int inner_count = tree_.inner_count();
-  const int floor_buffers = std::min(inner_count, 3);
   memory::ClaStoreConfig store_config;
-  if (config.cla_buffers >= 0) {
-    // Count budget: at most this many CLA buffers at once, whatever their
-    // size.
-    const int budget = std::min(config.cla_buffers, inner_count);
-    MINIPHI_CHECK(budget >= floor_buffers, who + ": cla_buffers budget must be at least 3 (got " +
-                                               std::to_string(budget) + ")");
-    store_config.resident = budget;
-  } else if (config.cla_budget_bytes > 0) {
-    // Byte budget (the C-API resource negotiation speaks bytes): the store
-    // caps the bytes it holds, so class-sized buffers fit far more CLAs
-    // than full-width ones.  The floor is still three full-width buffers,
-    // so every traversal that runs under the minimum count budget runs
-    // here too.
-    const std::int64_t full_width_bytes =
-        length * block * static_cast<std::int64_t>(sizeof(double)) +
-        length * static_cast<std::int64_t>(sizeof(std::int32_t));
+  if (config.cla_budget_bytes > 0) {
+    // The store caps the bytes it holds, so class-sized buffers fit far
+    // more CLAs than full-width ones; the floor is counted in full-width
+    // buffers, the widest a traversal may need at once.
+    const std::int64_t full_width_bytes = full_width_cla_bytes(length, block);
+    const int floor_buffers = min_cla_buffers(inner_count);
     MINIPHI_CHECK(config.cla_budget_bytes >= floor_buffers * full_width_bytes,
                   who + ": cla_budget_bytes cannot fit the minimum working set (" +
                       std::to_string(floor_buffers) + " CLA buffers of " +
@@ -409,45 +397,15 @@ const TraversalPlan* EngineCore::plan_traversal(tree::Slot* edge) {
   return &plan_cache_.prepare(entry, [this](const tree::Slot* s) { return slot_valid(s); });
 }
 
-void EngineCore::ensure_preorder_tier() {
-  if (pre_store_.is_configured()) return;
-  pre_.resize(static_cast<std::size_t>(tree_.node_count()));
-  pre_readers_.resize(static_cast<std::size_t>(tree_.node_count()));
-  // One slot per node, tips included (the branch *above* a tip still needs
-  // its gradient).  This tier *always* spills on eviction — an outer
-  // partial, unlike a postorder CLA, cannot be recomputed from a subtree —
-  // which is what lets the descent run on any CLA budget.  On the full
-  // budget every partial stays resident and the spill file is never created.
-  memory::ClaStoreConfig pre_config;
-  pre_config.slots = tree_.node_count();
-  pre_config.resident =
-      store_.full_resident()
-          ? tree_.node_count()
-          : std::min(tree_.node_count(), std::max(4, store_.full_width_buffers()));
-  pre_config.values = length_ * block_;
-  pre_config.scales = length_;
-  pre_config.spill = true;
-  pre_config.spill_min_registers = 0;  // rebuild is impossible: always spill
-  pre_config.spill_dir = spill_dir_;
-  pre_config.node_id_base = 0;  // preorder slots are node ids already
-  pre_config.metrics = metrics_ ? obs::MetricsMode::kOn : obs::MetricsMode::kOff;
-  pre_store_.configure(std::move(pre_config));
-}
-
 PreorderInputs EngineCore::begin_preorder_op(const TraversalPlan& plan, const PlfOp& op) {
   MINIPHI_ASSERT(op.kind == PlfOpKind::kPreorder);
   tree::Slot* toward = op.slot;  // the parent's half-edge toward the node
   PreorderInputs in;
   in.node = op.node_id;
+  in.buffer = op.buffer;
   in.sibling = op.sibling->back;
   in.own = toward->back;
   MINIPHI_ASSERT(in.node == toward->back->node_id);
-  // The node's preorder partial lives in the preorder tier (slot == node
-  // id).  Write-acquire and pin it for the whole op: the newview fills it
-  // slab by slab and the gradient contraction reads each slab back.
-  pre_store_.acquire(in.node, length_);
-  pre_store_.pin(in.node);
-  pre_readers_[static_cast<std::size_t>(in.node)] = 2;  // its children's ops
   if (op.left_op < 0) {
     // Seed op: the left input is the *opposite* endpoint of the root edge,
     // across the root slot — the ring slot that is neither the op's own
@@ -468,15 +426,9 @@ PreorderInputs EngineCore::begin_preorder_op(const TraversalPlan& plan, const Pl
     verify_cla(in.own);
   }
   if (op.left_op >= 0) {
-    in.parent = toward->node_id;
-    in.left_length = plan.ops()[static_cast<std::size_t>(op.left_op)].slot->length;
-    // The parent's preorder partial may have been evicted to the spill tier
-    // since it was computed; pin before the reload so the sibling's own
-    // residency work cannot displace it.
-    pre_store_.pin(in.parent);
-    if (pre_store_.ensure_resident(in.parent) == memory::Residency::kReloaded) {
-      pre_[static_cast<std::size_t>(in.parent)].verified_pass = 0;
-    }
+    const PlfOp& parent = plan.ops()[static_cast<std::size_t>(op.left_op)];
+    in.parent_buffer = parent.buffer;
+    in.left_length = parent.slot->length;
   }
   return in;
 }
@@ -485,43 +437,34 @@ bool EngineCore::wants_parent_verify(const PreorderInputs& in) const {
   // Unlike postorder CLAs, a preorder buffer is never read on a later pass,
   // so computing it does NOT mark it trusted: the exposure window is
   // precisely compute → first consumption within one descent.
-  if (!sdc_checks_ || in.parent < 0) return false;
-  const ClaState& parent = pre_[static_cast<std::size_t>(in.parent)];
+  if (!sdc_checks_ || in.parent_buffer < 0) return false;
+  const ClaState& parent = partials_[static_cast<std::size_t>(in.parent_buffer)].sdc;
   return parent.verified_pass != sdc_pass_ && parent.checked_blocks > 0;
 }
 
 void EngineCore::end_preorder_op(const PreorderInputs& in, const sdc::ClaChecksum* parent_sum,
                                  const sdc::ClaChecksum& fresh_sum) {
   if (parent_sum != nullptr) {
-    ClaState& parent = pre_[static_cast<std::size_t>(in.parent)];
+    ClaState& parent = partials_[static_cast<std::size_t>(in.parent_buffer)].sdc;
     ++sdc_counters_.checks;
     if (metrics_) obs::Registry::instance().add(sdc_ids_.checks, 1);
     // Preorder partials are transient (rebuilt every descent), so no
     // committed CLA is implicated: a mismatch heals with the full sweep.
     if (parent_sum->finish() != parent.checksum) {
       report_corruption(-1, "sdc: preorder partial checksum mismatch at node " +
-                                std::to_string(in.parent));
+                                std::to_string(in.own->back->node_id));
     }
     parent.verified_pass = sdc_pass_;
   }
   if (sdc_checks_ && in.node >= taxa_) {
-    ClaState& pre = pre_[static_cast<std::size_t>(in.node)];
+    ClaState& pre = partials_[static_cast<std::size_t>(in.buffer)].sdc;
     pre.checksum = fresh_sum.finish();
     pre.checked_blocks = length_;
     pre.verified_pass = 0;  // trust is earned at consumption, not at compute
   }
-  if (in.parent >= 0) pre_store_.unpin(in.parent);
   if (in.opposite != nullptr) unpin(in.opposite->node_id);
   unpin(in.sibling->node_id);
   unpin(in.node);  // no-op for a tip
-  pre_store_.unpin(in.node);
-  // A preorder partial is read by its own gradient contraction and by its
-  // children's preorder ops, never again in this descent: drop it after
-  // its last reader, so a tight budget never spills a dead partial.
-  if (in.node < taxa_) pre_store_.drop(in.node);
-  if (in.parent >= 0 && --pre_readers_[static_cast<std::size_t>(in.parent)] == 0) {
-    pre_store_.drop(in.parent);
-  }
 }
 
 double EngineCore::log_likelihood(tree::Slot* edge) {
@@ -643,7 +586,6 @@ void EngineCore::gradient_all_branches(tree::Slot* root_edge, std::vector<Branch
   guarded([&] {
     out.clear();
     out.reserve(static_cast<std::size_t>(tree_.edge_count()));
-    ensure_preorder_tier();
 
     // Root edge first: the classic two-endpoint protocol.  Its validate_edge
     // also orients every postorder CLA toward the root edge — exactly the
@@ -663,6 +605,13 @@ void EngineCore::gradient_all_branches(tree::Slot* root_edge, std::vector<Branch
     // plan window keeps stale next-use hints out of eviction.
     store_.begin_plan();
     TraversalPlanner::build_preorder(root_edge, preorder_plan_);
+    // The plan's buffer indices address a stack of full-width partials,
+    // grown to its peak (never shrunk: the next descent needs as many).
+    while (partials_.size() < static_cast<std::size_t>(preorder_plan_.buffers())) {
+      Partial& partial = partials_.emplace_back();
+      partial.values.resize(static_cast<std::size_t>(length_ * block_));
+      partial.scales.resize(static_cast<std::size_t>(length_));
+    }
     for (const PlfOp& op : preorder_plan_.ops()) {
       check_cancel();
       const PreorderInputs in = begin_preorder_op(preorder_plan_, op);
@@ -686,14 +635,15 @@ void EngineCore::gradient_all_branches(tree::Slot* root_edge, std::vector<Branch
       for (std::int64_t b = 0; b < length_; b += kSdcChunkSites) {
         const std::int64_t e = std::min(length_, b + kSdcChunkSites);
         if (verify_parent) {
-          family_.fold_checksum(parent_sum, preorder_values(in.parent),
-                                preorder_scales(in.parent), b, e);
+          family_.fold_checksum(parent_sum, preorder_values(in.parent_buffer),
+                                preorder_scales(in.parent_buffer), b, e);
           timer.start();
         }
         family_.run_preorder_newview(b, e);
         seconds[0] += timer.lap();
         if (fold_fresh) {
-          family_.fold_checksum(fresh_sum, preorder_values(in.node), preorder_scales(in.node), b, e);
+          family_.fold_checksum(fresh_sum, preorder_values(in.buffer), preorder_scales(in.buffer), b,
+                                e);
           timer.start();
         }
         family_.run_preorder_sum(b, e);
@@ -701,7 +651,7 @@ void EngineCore::gradient_all_branches(tree::Slot* root_edge, std::vector<Branch
         gradient = family_.run_descent_core(b, e);
         seconds[2] += timer.lap();
       }
-      const bool left_tip = in.parent < 0 && in.opposite->is_tip();
+      const bool left_tip = in.parent_buffer < 0 && in.opposite->is_tip();
       account_kernel(Kernel::kNewview, /*preorder=*/true, length_, seconds[0], left_tip,
                      in.sibling->is_tip());
       account_kernel(Kernel::kDerivSum, /*preorder=*/true, length_, seconds[1],

@@ -8,8 +8,9 @@
 // kernels):
 //
 //   * per-node CLA state — validity, orientation and the SDC trust pass;
-//   * the CLA budget and the tiered memory::ClaStore (eviction invalidates
-//     through on_drop), plus the lazily configured preorder tier;
+//   * the CLA byte budget and the tiered memory::ClaStore (eviction
+//     invalidates through on_drop), plus the gradient descent's stack of
+//     preorder partials, sized by its plan;
 //   * the PlanCache and its epoch protocol;
 //   * the plan executors: level order on a full budget, Sethi–Ullman DFS
 //     order with next-use hints, prefetch, pins and nested-subplan
@@ -44,6 +45,7 @@
 #include "src/core/traversal_plan.hpp"
 #include "src/memory/cla_store.hpp"
 #include "src/tree/tree.hpp"
+#include "src/util/aligned.hpp"
 #include "src/util/cancellation.hpp"
 
 namespace miniphi::core {
@@ -63,14 +65,16 @@ static_assert(kSdcChunkSites % kDerivSiteGroup == 0);
 
 class EngineFamily;
 
-/// Inputs of one preorder op, all readied (pinned and resident) by the core
-/// before the family's descent kernels run: the target node, its left input
-/// — either the parent's preorder partial or, for a seed op, the opposite
-/// root-edge endpoint's postorder side — the sibling, and the node's own
-/// postorder side the gradient contracts against.
+/// Inputs of one preorder op, all readied (postorder inputs pinned and
+/// resident) by the core before the family's descent kernels run: the
+/// target node and the stack buffer of its partial, its left input — either
+/// the parent's preorder partial or, for a seed op, the opposite root-edge
+/// endpoint's postorder side — the sibling, and the node's own postorder
+/// side the gradient contracts against.
 struct PreorderInputs {
   int node = -1;                   ///< v, whose preorder partial the op computes
-  int parent = -1;                 ///< u (non-seed ops), left input's preorder partial
+  int buffer = -1;                 ///< stack buffer of v's partial
+  int parent_buffer = -1;          ///< non-seed ops: stack buffer of the parent's partial
   tree::Slot* opposite = nullptr;  ///< seed ops: the left input's postorder side
   double left_length = 0.0;        ///< branch the left input crosses
   tree::Slot* sibling = nullptr;   ///< right input: the sibling's postorder side
@@ -117,8 +121,11 @@ class EngineCore {
 
   /// All-branch derivatives in one postorder + preorder sweep: the root edge
   /// through the two-endpoint protocol, then one preorder op per other edge
-  /// in emission order (parents first), serial so the result does not
-  /// depend on how the postorder CLAs were produced.  Each op readies its
+  /// in the depth-first plan's emission order (parents first, smaller
+  /// subtree first), serial so the result does not depend on how the
+  /// postorder CLAs were produced.  The partials live on a stack of
+  /// full-width buffers grown to the plan's peak (at most ⌈log2 n⌉ + 2),
+  /// indexed by each op's buffer.  Each op readies its
   /// inputs once, then runs one loop over kSdcChunkSites-site slabs: the
   /// family's preorder newview writes the slab of the node's partial,
   /// derivativeSum contracts it against the node's postorder side into a
@@ -208,11 +215,8 @@ class EngineCore {
   /// verification memo; false when there is none.
   bool corrupt_cla_for_testing(int node_id, std::int64_t word, int bit);
 
-  /// Drops every pin in both tiers; safe when none are held.
-  void release_pins() {
-    store_.reset_pins();
-    if (pre_store_.is_configured()) pre_store_.reset_pins();
-  }
+  /// Drops every pin in the CLA store; safe when none are held.
+  void release_pins() { store_.reset_pins(); }
 
   // --- Traversals --------------------------------------------------------
 
@@ -227,9 +231,19 @@ class EngineCore {
   [[nodiscard]] const memory::ClaStore& store() const { return store_; }
   [[nodiscard]] memory::ClaStore& store() { return store_; }
 
-  /// A node's preorder partial (site-indexed, tips included).
-  [[nodiscard]] double* preorder_values(int node_id) { return pre_store_.values(node_id); }
-  [[nodiscard]] std::int32_t* preorder_scales(int node_id) { return pre_store_.scales(node_id); }
+  /// A preorder partial (full width, site-indexed) on the descent's stack.
+  [[nodiscard]] double* preorder_values(int buffer) {
+    return partials_[static_cast<std::size_t>(buffer)].values.data();
+  }
+  [[nodiscard]] std::int32_t* preorder_scales(int buffer) {
+    return partials_[static_cast<std::size_t>(buffer)].scales.data();
+  }
+
+  /// Bytes held by the stack of preorder partials: the peak of the largest
+  /// descent plan run so far, in full-width buffers (outside the cap).
+  [[nodiscard]] std::int64_t preorder_stack_bytes() const {
+    return static_cast<std::int64_t>(partials_.size()) * full_width_cla_bytes(length_, block_);
+  }
 
  private:
   struct ClaState {
@@ -328,14 +342,10 @@ class EngineCore {
 
   // --- Preorder descent (all-branch gradient) -----------------------------
 
-  /// Sizes the preorder tier on first use: one always-spilling slot per
-  /// node (an outer partial cannot be recomputed from a subtree).
-  void ensure_preorder_tier();
-
-  /// Opens one preorder op: acquires and pins the node's preorder buffer,
-  /// pins and readies (reload or rebuild) its postorder inputs — sibling,
-  /// opposite endpoint for a seed op, and the node's own CLA, which is
-  /// verified up front — and pins and reloads the parent's preorder partial.
+  /// Opens one preorder op: names its partial's and the parent's stack
+  /// buffers, and pins and readies (reload or rebuild) its postorder inputs
+  /// — sibling, opposite endpoint for a seed op, and the node's own CLA,
+  /// which is verified up front.
   PreorderInputs begin_preorder_op(const TraversalPlan& plan, const PlfOp& op);
 
   /// Whether the op must verify the parent's preorder partial: folded slab
@@ -345,8 +355,7 @@ class EngineCore {
   /// Closes one preorder op after its last slab: compares the parent
   /// partial's folded checksum (`parent_sum`, when verified; a mismatch
   /// throws before the edge's entry exists), records the fresh partial's
-  /// (`fresh_sum`; trusted only at consumption), releases every pin and
-  /// drops the partials this op read last.
+  /// (`fresh_sum`; trusted only at consumption) and releases every pin.
   void end_preorder_op(const PreorderInputs& in, const sdc::ClaChecksum* parent_sum,
                        const sdc::ClaChecksum& fresh_sum);
 
@@ -359,12 +368,15 @@ class EngineCore {
 
   std::vector<ClaState> clas_;  ///< indexed by inner index
   memory::ClaStore store_;
-  std::string spill_dir_;       ///< for the lazily configured preorder tier
   PlanCache plan_cache_;
 
-  memory::ClaStore pre_store_;   ///< slot == node_id (tips too)
-  std::vector<ClaState> pre_;    ///< indexed by node_id; only the SDC fields
-  std::vector<int> pre_readers_;  ///< child ops yet to read each partial
+  /// One full-width preorder partial of the descent's stack.
+  struct Partial {
+    AlignedDoubles values;
+    std::vector<std::int32_t, AlignedAllocator<std::int32_t>> scales;
+    ClaState sdc;  ///< only the SDC fields
+  };
+  std::vector<Partial> partials_;  ///< indexed by PlfOp::buffer; grown to the plan's peak
   TraversalPlan preorder_plan_;
 
   // The family's sum buffer (Newton protocol only; the descent sums slab by
@@ -402,9 +414,10 @@ class EngineFamily : public Evaluator {
   double optimize_all_branches(tree::Slot* root_edge, int passes) override {
     return core_.optimize_all_branches(root_edge, passes);
   }
-  /// Works on every CLA budget: preorder partials live in their own
-  /// store-managed tier (spilled, never recomputed) and postorder inputs
-  /// the descent finds evicted are reloaded or rebuilt in place.
+  /// Works on every CLA budget: preorder partials live on a stack of
+  /// full-width buffers sized by the depth-first plan (at most
+  /// ⌈log2 n⌉ + 2, outside the cap), and postorder inputs the descent finds
+  /// evicted are reloaded or rebuilt in place.
   bool gradient_all_branches(tree::Slot* root_edge, std::vector<BranchGradient>& out) override {
     core_.gradient_all_branches(root_edge, out);
     return true;
@@ -420,10 +433,6 @@ class EngineFamily : public Evaluator {
   [[nodiscard]] const KernelStat& stats(Kernel k) const { return core_.stats().kernel(k); }
   void reset_stats() override { core_.reset_stats(); }
 
-  /// Full-width CLA buffers the budget holds (== inner node count unless
-  /// a smaller cla_buffers or cla_budget_bytes budget is in force).
-  [[nodiscard]] int cla_buffer_count() const { return core_.store().full_width_buffers(); }
-
   /// The postorder CLA store (eviction/spill/reload counters and the spill
   /// test hooks live there).
   [[nodiscard]] const memory::ClaStore& cla_store() const { return core_.store(); }
@@ -431,6 +440,8 @@ class EngineFamily : public Evaluator {
   [[nodiscard]] std::int64_t cla_bytes_granted() const override {
     return core_.store().budget_bytes();
   }
+  /// Bytes of the gradient descent's preorder stack (EngineCore).
+  [[nodiscard]] std::int64_t preorder_stack_bytes() const { return core_.preorder_stack_bytes(); }
 
   /// Plan for validating the CLAs at (edge, edge->back), or nullptr when the
   /// cached plan is already satisfied.  The distributed evaluator derives
@@ -454,7 +465,7 @@ class EngineFamily : public Evaluator {
     return core_.corrupt_cla_for_testing(node_id, word, bit);
   }
 
-  /// Drops every pin in both CLA tiers.  Entry points do this themselves
+  /// Drops every pin in the CLA store.  Entry points do this themselves
   /// when a cancellation unwinds; external executors (PartitionedEvaluator)
   /// call it when the unwind starts outside any engine.  Safe when no pins
   /// are held.

@@ -276,13 +276,13 @@ void GeneralEngine::begin_descent_op(const PreorderInputs& in) {
   // sibling's postorder side across the sibling edge).
   GNewviewCtx& nv = descent_newview_;
   nv = GNewviewCtx{};
-  nv.parent_cla = core_.preorder_values(in.node);
-  nv.parent_scale = core_.preorder_scales(in.node);
-  if (in.parent >= 0) {
+  nv.parent_cla = core_.preorder_values(in.buffer);
+  nv.parent_scale = core_.preorder_scales(in.buffer);
+  if (in.parent_buffer >= 0) {
     build_general_ptable(model_, in.left_length, ptable_left_);
     nv.left.ptable = ptable_left_.data();
-    nv.left.cla = core_.preorder_values(in.parent);
-    nv.left.scale = core_.preorder_scales(in.parent);
+    nv.left.cla = core_.preorder_values(in.parent_buffer);
+    nv.left.scale = core_.preorder_scales(in.parent_buffer);
   } else {
     nv.left = make_child_input(in.opposite, ptable_left_, ump_left_, in.left_length);
   }
@@ -295,7 +295,7 @@ void GeneralEngine::begin_descent_op(const PreorderInputs& in) {
   // them.
   GSumCtx& sum = descent_sum_;
   sum = GSumCtx{};
-  sum.left_cla = core_.preorder_values(in.node);
+  sum.left_cla = core_.preorder_values(in.buffer);
   if (in.own->is_tip()) {
     sum.right_codes = patterns_.tip_rows[static_cast<std::size_t>(in.node)].data() + offset_;
     sum.tipvec = tipvec_.data();

@@ -47,19 +47,17 @@ StreamPlan normalize_stream_plan(const StreamPlan& plan, std::size_t partitions)
 
 }  // namespace
 
-std::vector<int> carve_cla_budgets(std::int64_t budget_bytes,
-                                   std::span<const std::int64_t> partition_lengths,
-                                   int inner_count) {
+std::vector<std::int64_t> carve_cla_budgets(std::int64_t budget_bytes,
+                                            std::span<const std::int64_t> partition_lengths,
+                                            int inner_count) {
   MINIPHI_CHECK(budget_bytes > 0, "carve_cla_budgets: budget must be positive");
   const auto n = partition_lengths.size();
-  const int floor_buffers = std::min(inner_count, 3);
+  const int floor_buffers = min_cla_buffers(inner_count);
   std::vector<std::int64_t> bytes_per_buffer(n);
   std::vector<int> counts(n, floor_buffers);
   std::int64_t need = 0;
   for (std::size_t p = 0; p < n; ++p) {
-    bytes_per_buffer[p] =
-        partition_lengths[p] * (kSiteBlock * static_cast<std::int64_t>(sizeof(double)) +
-                                static_cast<std::int64_t>(sizeof(std::int32_t)));
+    bytes_per_buffer[p] = full_width_cla_bytes(partition_lengths[p], kSiteBlock);
     need += floor_buffers * bytes_per_buffer[p];
   }
   MINIPHI_CHECK(budget_bytes >= need,
@@ -87,7 +85,9 @@ std::vector<int> carve_cla_budgets(std::int64_t budget_bytes,
       }
     }
   }
-  return counts;
+  std::vector<std::int64_t> caps(n);
+  for (std::size_t p = 0; p < n; ++p) caps[p] = counts[p] * bytes_per_buffer[p];
+  return caps;
 }
 
 std::vector<std::int64_t> partition_pattern_counts(const bio::Alignment& alignment,
@@ -136,10 +136,10 @@ PartitionedEvaluator::PartitionedEvaluator(const bio::Alignment& alignment,
         static_cast<int>(p));
   }
   // Per-partition budget carve (DESIGN.md §14): a global cla_budget_bytes is
-  // split into per-partition buffer counts so the sum of the partitions'
-  // full-width buffer caps honors the one budget the caller negotiated.
-  std::vector<int> carved;
-  if (engine_config.cla_buffers < 0 && engine_config.cla_budget_bytes > 0) {
+  // split into per-partition byte caps whose sum honors the one budget the
+  // caller negotiated.
+  std::vector<std::int64_t> carved;
+  if (engine_config.cla_budget_bytes > 0) {
     std::vector<std::int64_t> lengths;
     lengths.reserve(patterns_.size());
     for (const auto& patterns : patterns_) {
@@ -151,12 +151,9 @@ PartitionedEvaluator::PartitionedEvaluator(const bio::Alignment& alignment,
     EngineConfig config = engine_config;
     config.begin = 0;
     config.end = -1;
-    if (!carved.empty()) {
-      // The engine gets its carved buffer count directly; a full grant maps
-      // back to the unconstrained default so the store runs level-order.
-      config.cla_budget_bytes = 0;
-      config.cla_buffers = (carved[p] >= tree.inner_count()) ? -1 : carved[p];
-    }
+    // A full grant (every inner node at full width) leaves the store
+    // uncapped, so it runs level order.
+    if (!carved.empty()) config.cla_budget_bytes = carved[p];
     engines_.push_back(
         std::make_unique<LikelihoodEngine>(*patterns_[p], initial_model, tree, config));
   }
@@ -235,11 +232,6 @@ const bio::PatternSet& PartitionedEvaluator::partition_patterns(int p) const {
 LikelihoodEngine& PartitionedEvaluator::partition_engine(int p) {
   MINIPHI_ASSERT(p >= 0 && p < partition_count());
   return *engines_[static_cast<std::size_t>(p)];
-}
-
-int PartitionedEvaluator::partition_cla_buffers(int p) const {
-  MINIPHI_ASSERT(p >= 0 && p < partition_count());
-  return engines_[static_cast<std::size_t>(p)]->cla_buffer_count();
 }
 
 double PartitionedEvaluator::log_likelihood(tree::Slot* edge) {

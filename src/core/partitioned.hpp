@@ -41,16 +41,18 @@
 namespace miniphi::core {
 
 /// Carves a global CLA byte budget (EngineConfig::cla_budget_bytes) into
-/// per-partition buffer counts.  Every partition is floored at its minimum
-/// working set (min(inner_count, 3) buffers — the deepest live set of the
-/// Sethi–Ullman DFS executor); throws miniphi::Error mentioning the
-/// "minimum working set" when the floors alone exceed the budget (the C API
-/// maps that message to MINIPHI_ERROR_INSUFFICIENT_MEMORY).  Slack is dealt
-/// one buffer per round, largest partitions first: a big partition pays the
-/// most recompute per evicted buffer, so it gets the spare residency.
-/// `partition_lengths` are compressed pattern counts (the dense engine's
-/// per-buffer footprint is kSiteBlock doubles + one scale int per pattern).
-std::vector<int> carve_cla_budgets(std::int64_t budget_bytes,
+/// per-partition byte caps, each a whole number of the partition's
+/// full-width buffers.  Every partition is floored at its minimum working
+/// set (min_cla_buffers(inner_count) buffers); throws miniphi::Error
+/// mentioning the "minimum working set" when the floors alone exceed the
+/// budget (the C API maps that message to
+/// MINIPHI_ERROR_INSUFFICIENT_MEMORY).  Slack is dealt one buffer per
+/// round, largest partitions first: a big partition pays the most recompute
+/// per evicted buffer, so it gets the spare residency; no partition gets
+/// more than inner_count buffers.  `partition_lengths` are compressed
+/// pattern counts (the dense engine's per-buffer footprint is kSiteBlock
+/// doubles + one scale int per pattern).
+std::vector<std::int64_t> carve_cla_budgets(std::int64_t budget_bytes,
                                    std::span<const std::int64_t> partition_lengths,
                                    int inner_count);
 
@@ -81,11 +83,6 @@ class PartitionedEvaluator final : public Evaluator {
   /// (search::optimize_model works on the returned engine unchanged).
   [[nodiscard]] LikelihoodEngine& partition_engine(int p);
 
-  /// Resident CLA buffers granted to partition `p` — the carve of a global
-  /// EngineConfig::cla_budget_bytes (see carve_cla_budgets), or the full
-  /// inner-node count when no byte budget is in force.
-  [[nodiscard]] int partition_cla_buffers(int p) const;
-
   /// Attaches (or detaches, with nullptr) the parallel-for executor that
   /// runs the stream tasks.  Requires engines built without a KernelTrace
   /// (the trace recorder is not thread-safe).  With no executor attached
@@ -113,9 +110,9 @@ class PartitionedEvaluator final : public Evaluator {
   /// per-edge derivatives are summed in fixed partition order (bit-identical
   /// across stream counts and thread counts like every other
   /// reduction here).  Works on every CLA budget — each engine's preorder
-  /// partials live in their own spilling memory::ClaStore tier — and only
-  /// declines (false) if some partition's engine declines for another
-  /// reason.
+  /// partials live on its own stack sized by the shared depth-first plan —
+  /// and only declines (false) if some partition's engine declines for
+  /// another reason.
   bool gradient_all_branches(tree::Slot* root_edge, std::vector<BranchGradient>& out) override;
   void invalidate_node(int node_id) override;
   void invalidate_branch(int node_id) override;

@@ -82,48 +82,76 @@ void TraversalPlanner::emit(tree::Slot* goal, TraversalPlan& out) {
 
 void TraversalPlanner::build_preorder(tree::Slot* root_edge, TraversalPlan& out) {
   out.clear();
-  // Seed one op per child edge of each non-tip root-edge endpoint.  A seed
-  // op's parent input is not a preorder partial but the *opposite* endpoint
-  // of the root edge (its postorder CLA or tip row across root_edge->length),
-  // signalled by left_op = -1.
-  const auto seed = [&out](tree::Slot* endpoint) {
-    if (endpoint->is_tip()) return;
-    tree::Slot* first = endpoint->next;
-    tree::Slot* second = endpoint->next->next;
+  // Tips below each node, by node id: every node's root-facing slot in
+  // breadth-first order (explicit, no recursion on deep caterpillars), then
+  // summed children-first in reverse.
+  std::vector<tree::Slot*> order = {root_edge, root_edge->back};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (order[i]->is_tip()) continue;
+    order.push_back(order[i]->child1());
+    order.push_back(order[i]->child2());
+  }
+  std::vector<std::int32_t> tips(order.size());  // node ids are dense in [0, node count)
+  const auto tips_of = [&tips](const tree::Slot* up) -> std::int32_t& {
+    return tips[static_cast<std::size_t>(up->node_id)];
+  };
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    tips_of(*it) = (*it)->is_tip() ? 1 : tips_of((*it)->child1()) + tips_of((*it)->child2());
+  }
+
+  // Partial buffers come from a free list, like Sethi–Ullman registers.
+  std::vector<std::int32_t> free_buffers;
+  int live = 0;
+  const auto take = [&]() -> std::int32_t {
+    out.buffers_ = std::max(out.buffers_, ++live);
+    if (free_buffers.empty()) return static_cast<std::int32_t>(out.buffers_ - 1);
+    const std::int32_t buffer = free_buffers.back();
+    free_buffers.pop_back();
+    return buffer;
+  };
+  const auto give = [&](std::int32_t buffer) {
+    --live;
+    free_buffers.push_back(buffer);
+  };
+
+  // Emits the ops of both children of the node whose root-facing slot is
+  // `up`, reading `parent_op`'s partial (-1 = a root-edge endpoint: its
+  // seed ops read the *opposite* endpoint across root_edge->length), and
+  // queues the inner children on `pending`, the smaller subtree on top.
+  std::vector<std::int32_t> pending;
+  const auto expand = [&](tree::Slot* up, std::int32_t parent_op) {
+    tree::Slot* first = up->next;
+    tree::Slot* second = up->next->next;
+    if (tips_of(first->back) < tips_of(second->back)) std::swap(first, second);
     for (auto [toward, other] : {std::pair{first, second}, std::pair{second, first}}) {
       PlfOp op;
       op.kind = PlfOpKind::kPreorder;
       op.slot = toward;
       op.node_id = toward->back->node_id;
       op.sibling = other;
-      op.left_op = -1;
-      op.level = 1;
+      op.left_op = parent_op;
+      op.buffer = take();
+      // A tip's partial is read only by its own op's gradient contraction.
+      if (toward->back->is_tip()) {
+        give(op.buffer);
+      } else {
+        pending.push_back(static_cast<std::int32_t>(out.ops_.size()));
+      }
       out.ops_.push_back(op);
     }
+    // Both readers of the parent's partial are emitted.
+    if (parent_op >= 0) give(out.ops_[static_cast<std::size_t>(parent_op)].buffer);
   };
-  seed(root_edge);
-  seed(root_edge->back);
 
-  // BFS root-to-tips: iterate ops as they are appended.  Copy the parent op
-  // out before push_back — the vector may reallocate under it.
-  for (std::size_t i = 0; i < out.ops_.size(); ++i) {
-    const PlfOp parent = out.ops_[i];
-    tree::Slot* v = parent.slot->back;  // the node this op's partial points at
-    if (v->is_tip()) continue;
-    tree::Slot* first = v->next;
-    tree::Slot* second = v->next->next;
-    for (auto [toward, other] : {std::pair{first, second}, std::pair{second, first}}) {
-      PlfOp op;
-      op.kind = PlfOpKind::kPreorder;
-      op.slot = toward;
-      op.node_id = toward->back->node_id;
-      op.sibling = other;
-      op.left_op = static_cast<std::int32_t>(i);
-      op.level = parent.level + 1;
-      out.ops_.push_back(op);
+  for (tree::Slot* endpoint : {root_edge, root_edge->back}) {
+    if (endpoint->is_tip()) continue;
+    expand(endpoint, -1);
+    while (!pending.empty()) {
+      const std::int32_t index = pending.back();
+      pending.pop_back();
+      expand(out.ops_[static_cast<std::size_t>(index)].slot->back, index);
     }
   }
-  out.finalize_levels();
 }
 
 PlanMetricIds register_plan_metrics() {

@@ -16,7 +16,7 @@
 //    already valid, i.e. plan *inputs*).
 //  * TraversalPlan — the ops in Sethi-Ullman DFS post-order (the order that
 //    keeps the live-buffer working set ~log2(n), required by tight
-//    Config::cla_buffers budgets), plus a by-level grouping (every op of
+//    cla_budget_bytes budgets), plus a by-level grouping (every op of
 //    level L depends only on levels < L, so same-level ops are independent
 //    and may run concurrently), plus the goal slots ("roots").
 //  * TraversalPlanner — the iterative planner.  Explicit stacks, no
@@ -58,12 +58,13 @@ enum class PlfOpKind : std::int8_t { kNewview, kPreorder };
 /// postorder CLA), `left_op` is the index of the parent's own preorder op
 /// (-1 = the parent is a root-edge endpoint, seeded from the virtual root),
 /// `sibling` is the parent's half-edge toward v's sibling (whose *postorder*
-/// CLA feeds the update), and `node_id` is v.  By reversibility the update
-/// itself is a plain newview: z_v = W[(U e^{Λ t_u} z_u) ∘ (U e^{Λ t_w} y_w)].
+/// CLA feeds the update), `node_id` is v and `buffer` the stack buffer v's
+/// partial is written to.  By reversibility the update itself is a plain
+/// newview: z_v = W[(U e^{Λ t_u} z_u) ∘ (U e^{Λ t_w} y_w)].
 struct PlfOp {
   tree::Slot* slot = nullptr;
   int node_id = -1;
-  std::int32_t level = 0;      ///< 1-based dependency level within the plan
+  std::int32_t level = 0;      ///< 1-based dependency level (0 for preorder ops)
   std::int32_t left_op = -1;   ///< op computing child1's CLA, -1 = plan input
   std::int32_t right_op = -1;  ///< op computing child2's CLA, -1 = plan input
   std::int32_t partition = 0;  ///< tag used by multi-partition executors
@@ -73,6 +74,9 @@ struct PlfOp {
   /// the recompute-vs-spill score of DESIGN.md §14.
   std::int32_t registers = 0;
   tree::Slot* sibling = nullptr;  ///< preorder only: parent's half-edge to the sibling
+  /// Preorder only: index of the partial buffer this op writes, in
+  /// [0, TraversalPlan::buffers()); the parent's is ops()[left_op].buffer.
+  std::int32_t buffer = -1;
   PlfOpKind kind = PlfOpKind::kNewview;
 };
 
@@ -91,8 +95,11 @@ class TraversalPlan {
   [[nodiscard]] bool empty() const { return ops_.empty(); }
   [[nodiscard]] std::int64_t op_count() const { return static_cast<std::int64_t>(ops_.size()); }
 
-  /// Number of dependency levels (0 for an empty plan).
-  [[nodiscard]] int levels() const { return static_cast<int>(level_begin_.size()) - 1; }
+  /// Number of dependency levels (0 for an empty or a preorder plan, which
+  /// runs in emission order).
+  [[nodiscard]] int levels() const {
+    return level_begin_.empty() ? 0 : static_cast<int>(level_begin_.size()) - 1;
+  }
 
   /// Op indices of one 1-based level, in DFS emission order.  All ops of a
   /// level are mutually independent.
@@ -106,7 +113,12 @@ class TraversalPlan {
   /// Widest level (0 for an empty plan) — the plan's available parallelism.
   [[nodiscard]] std::int64_t max_level_width() const;
 
+  /// Preorder plans: partial buffers live at once at the plan's peak, the
+  /// size of the stack its ops' `buffer` indices address (0 otherwise).
+  [[nodiscard]] int buffers() const { return buffers_; }
+
   void clear() {
+    buffers_ = 0;
     ops_.clear();
     roots_.clear();
     level_order_.clear();
@@ -124,6 +136,7 @@ class TraversalPlan {
   std::vector<PlanRoot> roots_;
   std::vector<std::int32_t> level_order_;  ///< op indices grouped by level
   std::vector<std::int32_t> level_begin_;  ///< [levels + 1] offsets into level_order_
+  int buffers_ = 0;
 };
 
 /// Iterative traversal planner.  One instance per engine; the per-slot
@@ -220,9 +233,16 @@ class TraversalPlanner {
  public:
   /// Builds the root-to-tips preorder plan for the gradient pass: one
   /// kPreorder op per non-root edge (2n-4 ops — tips included, since the
-  /// branch *above* a tip still needs its gradient), leveled top-down so
-  /// level L depends only on levels < L.  Requires every postorder CLA to be
-  /// valid toward `root_edge` (run validate_edge first); needs no scratch
+  /// branch *above* a tip still needs its gradient), emitted depth first.
+  /// At each node both children's ops are emitted, then the descent enters
+  /// the subtree with fewer tips first; each op's partial gets a buffer
+  /// index from a free list, Sethi–Ullman register style, held from its op
+  /// until both of its children's ops are emitted (a tip's only by its own
+  /// op).  A partial left waiting is always the larger sibling's, so at
+  /// most ⌈log2 n⌉ + 2 buffers are live for n taxa; buffers() records the
+  /// plan's peak.  Parents precede children, so emission order is the
+  /// schedule (the plan has no levels).  Requires every postorder CLA to be
+  /// valid toward `root_edge` (run validate_edge first); needs no planner
   /// state, hence static.
   static void build_preorder(tree::Slot* root_edge, TraversalPlan& out);
 

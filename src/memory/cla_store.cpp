@@ -507,8 +507,6 @@ void ClaStore::configure(ClaStoreConfig config) {
   MINIPHI_ASSERT(!configured_);
   MINIPHI_ASSERT(config.slots > 0 && config.scales > 0 && config.values > 0 &&
                  config.values % config.scales == 0);
-  config.resident = config.resident < 0 ? config.slots : std::min(config.resident, config.slots);
-  MINIPHI_CHECK(config.resident >= 1, "ClaStore: resident budget must be at least 1");
   config_ = std::move(config);
   const std::int64_t full = static_cast<std::int64_t>(config_.slots) * full_width_bytes();
   byte_cap_ = config_.budget_bytes > 0 ? std::min(config_.budget_bytes, full) : full;
@@ -532,10 +530,6 @@ void ClaStore::configure(ClaStoreConfig config) {
     ids_.prefetch_hits = registry.counter("mem.prefetch_hit");
   }
   configured_ = true;
-}
-
-std::int64_t ClaStore::budget_bytes() const {
-  return std::min(byte_cap_, static_cast<std::int64_t>(config_.resident) * full_width_bytes());
 }
 
 int ClaStore::at(int slot) const {
@@ -708,8 +702,7 @@ void ClaStore::reserve(int slot, std::int64_t blocks) {
     // The slot's own buffer is replaced, so room is made as if it were
     // already gone; it is released only once room exists, so a working set
     // that cannot fit throws with the slot untouched.
-    const bool room = held_count_ - (s.capacity > 0 ? 1 : 0) < config_.resident &&
-                      held_bytes_ - bytes_for(s.capacity) + bytes_for(blocks) <= byte_cap_;
+    const bool room = held_bytes_ - bytes_for(s.capacity) + bytes_for(blocks) <= byte_cap_;
     if (room) break;
     // Buffers without contents cost nothing to take back; only live
     // contents count as an eviction.
@@ -723,7 +716,7 @@ void ClaStore::reserve(int slot, std::int64_t blocks) {
   release(s);
   // Uninitialized on purpose: every writer fills the blocks it commits and
   // every reader stays within them.  Under a cap the arena places it (the
-  // caps leave room, so only fragmentation can fail it); the general
+  // cap leaves room, so only fragmentation can fail it); the general
   // allocator takes the rest.
   const auto bytes = static_cast<std::size_t>(bytes_for(blocks));
   if (arena_ != nullptr) {
@@ -738,7 +731,6 @@ void ClaStore::reserve(int slot, std::int64_t blocks) {
         static_cast<unsigned char*>(::operator new(bytes, std::align_val_t(kVectorAlignment)));
   }
   s.capacity = blocks;
-  ++held_count_;
   held_bytes_ += bytes_for(blocks);
 }
 
@@ -782,7 +774,6 @@ void ClaStore::release(Slot& s) {
   }
   s.buffer = nullptr;
   held_bytes_ -= bytes_for(s.capacity);
-  --held_count_;
   s.capacity = 0;
   s.live = false;
 }

@@ -14,10 +14,9 @@
 //    width).  Without a cap a buffer is regrown only when a write needs
 //    more than it holds; under a cap it is also resized when it holds more
 //    than an eighth beyond the write, so slack never costs an eviction.
-//    Two caps bound what the slots hold together: a buffer count (the
-//    engines' cla_buffers) and a byte cap on held capacity (their
-//    cla_budget_bytes).  Under a cap, buffers are carved from one arena of
-//    the cap's size, compacted when fragmentation leaves no hole, so the
+//    One cap bounds what the slots hold together: the bytes of their held
+//    capacity (the engines' cla_budget_bytes).  Under the cap, buffers are
+//    carved from one arena of the cap's size, compacted when fragmentation leaves no hole, so the
 //    constant resizing never grows the process heap.  Pins protect
 //    in-flight kernel inputs (a pinned buffer is never moved); touch stamps
 //    come from one monotonic epoch that never resets (so a heal-retry loop
@@ -27,7 +26,7 @@
 //    Sethi–Ullman rebuild first when spilling is off); otherwise the CLA
 //    whose next use is farthest in the plan goes, exactly the
 //    register-allocation heuristic the planner's `registers` numbering was
-//    built for.  Victims are taken until the new buffer fits both caps.
+//    built for.  Victims are taken until the new buffer fits the cap.
 //  * Spill tier: evicted CLAs whose subtree is expensive to rebuild
 //    (registers > spill_min_registers) are written to an anonymous temp file
 //    asynchronously — the caller only pays a memcpy into one of two staging
@@ -67,8 +66,6 @@ class SpillFile;
 
 struct ClaStoreConfig {
   int slots = 0;  ///< logical CLAs (one per inner node, typically)
-  /// Cap on the buffers held at once; -1 = one per slot.
-  int resident = -1;
   /// Cap on the bytes of buffer capacity held at once (values + scales);
   /// 0 = no byte cap.  Must fit at least one full-width buffer.
   std::int64_t budget_bytes = 0;
@@ -124,22 +121,16 @@ class ClaStore {
   /// geometry is known).  Allocates nothing: buffers come with the first
   /// write-acquire of each slot.
   void configure(ClaStoreConfig config);
-  [[nodiscard]] bool is_configured() const { return configured_; }
 
   [[nodiscard]] int slot_count() const { return static_cast<int>(slots_.size()); }
-  /// True when the caps can hold a full-width buffer for every slot, so
+  /// True when the cap can hold a full-width buffer for every slot, so
   /// nothing is ever evicted.
   [[nodiscard]] bool full_resident() const {
-    return budget_bytes() >= static_cast<std::int64_t>(slot_count()) * full_width_bytes();
+    return byte_cap_ >= static_cast<std::int64_t>(slot_count()) * full_width_bytes();
   }
-  /// The bytes the caps let the store hold: the byte cap, or the buffer
-  /// cap at full width, whichever is smaller — the granted side of the
-  /// C-API resource negotiation (miniphi_resource_grant).
-  [[nodiscard]] std::int64_t budget_bytes() const;
-  /// Full-width buffers that fit under the caps.
-  [[nodiscard]] int full_width_buffers() const {
-    return static_cast<int>(budget_bytes() / full_width_bytes());
-  }
+  /// The byte cap (every slot at full width without one) — the granted side
+  /// of the C-API resource negotiation (miniphi_resource_grant).
+  [[nodiscard]] std::int64_t budget_bytes() const { return byte_cap_; }
   /// Bytes of buffer capacity held right now (never above budget_bytes()).
   [[nodiscard]] std::int64_t held_bytes() const { return held_bytes_; }
 
@@ -165,7 +156,7 @@ class ClaStore {
   /// Write acquisition: make the slot resident with room for `blocks`
   /// blocks (-1 = full width) and undefined contents (the caller is about
   /// to overwrite them).  Any stale spill copy is discarded.  May evict
-  /// unpinned victims until the buffer fits the caps.
+  /// unpinned victims until the buffer fits the cap.
   void acquire(int slot, std::int64_t blocks = -1);
 
   /// Read acquisition: make the slot's *existing* contents resident,
@@ -252,7 +243,7 @@ class ClaStore {
   [[nodiscard]] bool fits(std::int64_t capacity, std::int64_t blocks) const;
   /// Gives `slot` a buffer that fits `blocks` blocks: its own, a buffer
   /// without contents that fits, or a new one once freeing buffers without
-  /// contents and then evicting victims makes room under the caps.
+  /// contents and then evicting victims makes room under the cap.
   void reserve(int slot, std::int64_t blocks);
   /// Frees the slot's buffer (back to the arena when it came from there).
   void release(Slot& s);
@@ -271,7 +262,6 @@ class ClaStore {
   ClaStoreConfig config_;
   bool configured_ = false;
   std::vector<Slot> slots_;
-  int held_count_ = 0;          ///< slots holding a buffer
   std::int64_t held_bytes_ = 0;  ///< their summed capacity in bytes
   std::int64_t byte_cap_ = 0;   ///< effective byte cap (no cap = slots at full width)
   std::uint64_t touch_epoch_ = 0;

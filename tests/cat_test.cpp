@@ -221,8 +221,10 @@ TEST(CatEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
   auto instance = make_instance(12, 140, 4, 43);
   CancelToken token;
   token.arm_trip_after(3);
+  const int inner = instance.tree->inner_count();
+  CatEngine fresh(instance.patterns, instance.model, *instance.tree, 4);
   CatEngine::Config config;
-  config.cla_buffers = 3;
+  config.cla_budget_bytes = min_cla_buffers(inner) * (fresh.cla_bytes_granted() / inner);
   config.cla_spill = true;
   config.cancel = &token;
   CatEngine engine(instance.patterns, instance.model, *instance.tree, 4, config);
@@ -234,7 +236,6 @@ TEST(CatEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
   }
 
   token.reset();
-  CatEngine fresh(instance.patterns, instance.model, *instance.tree, 4);
   EXPECT_EQ(engine.log_likelihood(edge), fresh.log_likelihood(edge));
 }
 

@@ -418,15 +418,19 @@ TEST_P(EngineInvariants, RecomputationModeMatchesFullBudget) {
 
   LikelihoodEngine::Config full_config;
   full_config.isa = GetParam();
+  // Per-site buffers, so a byte budget of k full-width buffers holds k CLAs.
+  full_config.site_repeats = false;
+  const std::int64_t buffer_bytes = full_width_cla_bytes(
+      static_cast<std::int64_t>(patterns.pattern_count()), kSiteBlock);
 
   for (const int budget : {6, 10, 15}) {
     // Fresh engines so kernel-call counters compare identical workloads.
     LikelihoodEngine full(patterns, model, tree, full_config);
     LikelihoodEngine::Config tight_config = full_config;
-    tight_config.cla_buffers = budget;
+    tight_config.cla_budget_bytes = budget * buffer_bytes;
     LikelihoodEngine tight(patterns, model, tree, tight_config);
-    EXPECT_EQ(tight.cla_buffer_count(), budget);
-    EXPECT_EQ(full.cla_buffer_count(), tree.inner_count());
+    EXPECT_EQ(tight.cla_bytes_granted(), budget * buffer_bytes);
+    EXPECT_EQ(full.cla_bytes_granted(), tree.inner_count() * buffer_bytes);
 
     // Evaluate at several scattered edges: identical likelihoods...
     const auto edges = tree.edges();
@@ -456,9 +460,11 @@ TEST_P(EngineInvariants, RecomputationSurvivesBranchOptimization) {
 
   LikelihoodEngine::Config config;
   config.isa = GetParam();
+  config.site_repeats = false;
   LikelihoodEngine full(patterns, model, tree_full, config);
   LikelihoodEngine::Config tight_config = config;
-  tight_config.cla_buffers = 6;
+  tight_config.cla_budget_bytes =
+      6 * full_width_cla_bytes(static_cast<std::int64_t>(patterns.pattern_count()), kSiteBlock);
   LikelihoodEngine tight(patterns, model, tree_tight, tight_config);
 
   const double lnl_full = full.optimize_all_branches(tree_full.tip(0), 2);
@@ -476,8 +482,12 @@ TEST(EngineBudget, RejectsBudgetBelowMinimum) {
   const model::GtrModel model(random_gtr_params(rng));
   tree::Tree tree = tree::Tree::random(10, rng);
   LikelihoodEngine::Config config;
-  config.cla_buffers = 2;
+  const std::int64_t buffer_bytes =
+      full_width_cla_bytes(static_cast<std::int64_t>(patterns.pattern_count()), kSiteBlock);
+  config.cla_budget_bytes = (min_cla_buffers(tree.inner_count()) - 1) * buffer_bytes;
   EXPECT_THROW(LikelihoodEngine(patterns, model, tree, config), Error);
+  config.cla_budget_bytes += buffer_bytes;
+  EXPECT_NO_THROW(LikelihoodEngine(patterns, model, tree, config));
 }
 
 INSTANTIATE_TEST_SUITE_P(Isas, EngineInvariants,
@@ -548,16 +558,18 @@ TEST(StoreModes, DenseEngineIsBitIdentical) {
     const char* name;
     bool repeats;
     bool sdc;
-    int budget;
+    int budget;  ///< full-width CLA buffers; 0 = the full budget
   };
-  for (const Variant variant : {Variant{"plain", false, false, -1},
-                                Variant{"site_repeats", true, false, -1},
-                                Variant{"sdc_checks", false, true, -1},
+  const std::int64_t buffer_bytes =
+      full_width_cla_bytes(static_cast<std::int64_t>(data.patterns.pattern_count()), kSiteBlock);
+  for (const Variant variant : {Variant{"plain", false, false, 0},
+                                Variant{"site_repeats", true, false, 0},
+                                Variant{"sdc_checks", false, true, 0},
                                 Variant{"tight_budget", false, false, 6}}) {
     const auto make = [&](tree::Tree& tree, EngineConfig config) {
       config.site_repeats = variant.repeats;
       config.sdc_checks = variant.sdc;
-      config.cla_buffers = variant.budget;
+      config.cla_budget_bytes = variant.budget * buffer_bytes;
       config.cla_spill = variant.budget > 0;
       return std::make_unique<LikelihoodEngine>(data.patterns, data.model, tree, config);
     };

@@ -548,8 +548,10 @@ TEST(GeneralEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
   tree::Tree tree = tree::Tree::random(12, rng);
   CancelToken token;
   token.arm_trip_after(3);
+  const int inner = tree.inner_count();
+  GeneralEngine fresh(patterns, model, tree, bio::aa_code_masks());
   GeneralEngine::Config config;
-  config.cla_buffers = 3;
+  config.cla_budget_bytes = core::min_cla_buffers(inner) * (fresh.cla_bytes_granted() / inner);
   config.cla_spill = true;
   config.cancel = &token;
   GeneralEngine engine(patterns, model, tree, bio::aa_code_masks(), config);
@@ -560,7 +562,6 @@ TEST(GeneralEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
   }
 
   token.reset();
-  GeneralEngine fresh(patterns, model, tree, bio::aa_code_masks());
   EXPECT_EQ(engine.log_likelihood(tree.tip(0)), fresh.log_likelihood(tree.tip(0)));
 }
 

@@ -194,10 +194,9 @@ TEST_P(AllBranchGradient, TinyBranchesAndDeepScaling) {
 }
 
 // A tight CLA budget used to decline the descent (every postorder CLA is
-// consumed after one up-front validation).  With the tiered ClaStore the
-// preorder partials live in their own always-spilling tier and evicted
-// postorder inputs are reloaded or rebuilt in place, so the sweep now
-// *succeeds* on a tight budget and matches the full-budget gradient exactly
+// consumed after one up-front validation).  The preorder partials live on
+// the descent's own stack and evicted postorder inputs are reloaded or
+// rebuilt in place, so the sweep *succeeds* on a tight budget and matches the full-budget gradient exactly
 // (recompute reruns identical kernels; spill reloads are byte-exact).
 TEST(AllBranchGradientBudget, TightBudgetMatchesFullBudget) {
   Rng rng(31);
@@ -212,9 +211,12 @@ TEST(AllBranchGradientBudget, TightBudgetMatchesFullBudget) {
   std::vector<BranchGradient> reference;
   ASSERT_TRUE(full.gradient_all_branches(tree.tip(0), reference));
 
+  // Six full-width buffers of per-site CLAs: a third of the inner nodes.
   LikelihoodEngine::Config config;
   config.isa = simd::Isa::kScalar;
-  config.cla_buffers = 6;
+  config.site_repeats = false;
+  config.cla_budget_bytes =
+      6 * full_width_cla_bytes(static_cast<std::int64_t>(patterns.pattern_count()), kSiteBlock);
   LikelihoodEngine engine(patterns, model, tree, config);
   std::vector<BranchGradient> gradient;
   ASSERT_TRUE(engine.gradient_all_branches(tree.tip(0), gradient));
@@ -226,8 +228,8 @@ TEST(AllBranchGradientBudget, TightBudgetMatchesFullBudget) {
     EXPECT_EQ(gradient[i].second, reference[i].second)
         << "edge node " << gradient[i].edge->node_id;
   }
-  // The tight path really ran: preorder partials were evicted to the spill
-  // tier and read back.
+  // The tight path really ran: the descent's postorder inputs were evicted
+  // and rebuilt.
   EXPECT_GT(engine.cla_store().counters().evictions, 0);
 }
 
@@ -247,7 +249,9 @@ TEST(AllBranchGradientBudget, MinimumBudgetFirstDerivativeMatchesFD) {
 
   LikelihoodEngine::Config config;
   config.isa = simd::Isa::kScalar;
-  config.cla_buffers = 3;  // the floor
+  config.cla_budget_bytes =  // the floor
+      min_cla_buffers(tree.inner_count()) *
+      full_width_cla_bytes(static_cast<std::int64_t>(patterns.pattern_count()), kSiteBlock);
   config.cla_spill = true;
   LikelihoodEngine engine(patterns, model, tree, config);
   tree::Slot* root = tree.tip(0);
@@ -387,7 +391,7 @@ enum class SlabFamily { kDense, kRepeats, kCat, kGeneral };
 struct SlabCase {
   SlabFamily family = SlabFamily::kDense;
   int patterns = 0;
-  bool minimum_budget = false;  ///< cla_buffers = 3 with the spill tier on
+  bool minimum_budget = false;  ///< the floor budget with the spill tier on
   bool sdc = false;
 };
 
@@ -436,20 +440,25 @@ class SlabBoundaryGradient : public ::testing::TestWithParam<SlabCase> {
       tree::Tree::set_length(edge, rng.uniform(0.05, 1.0));
     }
 
-    engine_ = make_engine(c.minimum_budget);
+    std::int64_t budget_bytes = 0;
+    if (c.minimum_budget) {
+      // The floor in this family's full-width buffers (a full-budget
+      // engine's grant is one per inner node).
+      const int inner = tree_->inner_count();
+      budget_bytes = min_cla_buffers(inner) * (make_engine(0)->cla_bytes_granted() / inner);
+    }
+    engine_ = make_engine(budget_bytes);
     ASSERT_TRUE(engine_->gradient_all_branches(tree_->tip(0), gradient_));
     ASSERT_EQ(gradient_.size(), static_cast<std::size_t>(tree_->edge_count()));
   }
 
-  std::unique_ptr<Evaluator> make_engine(bool minimum_budget) {
+  std::unique_ptr<Evaluator> make_engine(std::int64_t budget_bytes) {
     const SlabCase& c = GetParam();
     EngineConfig config;
     config.site_repeats = c.family == SlabFamily::kRepeats;
     config.sdc_checks = c.sdc;
-    if (minimum_budget) {
-      config.cla_buffers = 3;
-      config.cla_spill = true;
-    }
+    config.cla_budget_bytes = budget_bytes;
+    config.cla_spill = budget_bytes > 0;
     switch (c.family) {
       case SlabFamily::kDense:
       case SlabFamily::kRepeats:
@@ -479,15 +488,10 @@ class SlabBoundaryGradient : public ::testing::TestWithParam<SlabCase> {
   std::vector<BranchGradient> gradient_;
 };
 
-// The protocol side runs on a full-budget twin: at cla_buffers = 3,
-// validating an edge between two inner nodes can need a fourth buffer.
 TEST_P(SlabBoundaryGradient, MatchesPerBranchDerivativeProtocol) {
-  const std::unique_ptr<Evaluator> reference =
-      GetParam().minimum_budget ? make_engine(/*minimum_budget=*/false) : nullptr;
-  Evaluator& protocol = reference != nullptr ? *reference : *engine_;
   for (const BranchGradient& g : gradient_) {
-    protocol.prepare_derivatives(g.edge);
-    const auto [first, second] = protocol.derivatives(g.edge->length);
+    engine_->prepare_derivatives(g.edge);
+    const auto [first, second] = engine_->derivatives(g.edge->length);
     const double ftol = std::abs(first) * 1e-8 + 1e-7;
     const double stol = std::abs(second) * 1e-8 + 1e-7;
     EXPECT_NEAR(g.first, first, ftol) << "edge node " << g.edge->node_id;

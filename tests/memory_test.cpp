@@ -1,9 +1,10 @@
 // Tests for the tiered CLA store (DESIGN.md §14): ClaStore unit behavior
 // (spill/reload byte-exactness, checksummed-reload corruption detection,
 // plan-aware eviction order, the monotonic LRU epoch), the tight-budget
-// bit-identity matrix across all three engine families, the engine-level
-// heal of a corrupted spill record, per-partition budget carving, and
-// budget-aware stream packing.
+// bit-identity matrix across all three engine families, every entry point
+// at the budget floor, the engine-level budget contract (postorder cap and
+// preorder stack bound), the engine-level heal of a corrupted spill record,
+// per-partition budget carving, and budget-aware stream packing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -50,11 +51,16 @@ std::vector<simd::Isa> supported_isas() {
 
 constexpr std::int64_t kValues = 64;
 constexpr std::int64_t kScales = 8;
+constexpr std::int64_t kBlockDoubles = kValues / kScales;
+constexpr std::int64_t kBlockBytes = kBlockDoubles * static_cast<std::int64_t>(sizeof(double)) +
+                                     static_cast<std::int64_t>(sizeof(std::int32_t));
+constexpr std::int64_t kFullBytes = kScales * kBlockBytes;
 
-ClaStoreConfig small_config(int slots, int resident, bool spill) {
+/// A store whose byte cap holds `buffers` full-width buffers (0 = no cap).
+ClaStoreConfig small_config(int slots, int buffers, bool spill) {
   ClaStoreConfig config;
   config.slots = slots;
-  config.resident = resident;
+  config.budget_bytes = buffers * kFullBytes;
   config.values = kValues;
   config.scales = kScales;
   config.spill = spill;
@@ -238,9 +244,7 @@ TEST(ClaStore, ResidentBytesReportsThePool) {
   store.configure(small_config(4, 2, /*spill=*/false));
   // The granted side is the cap: two full-width buffers.  Nothing is held
   // before the first write.
-  EXPECT_EQ(store.budget_bytes(),
-            2 * (kValues * static_cast<std::int64_t>(sizeof(double)) +
-                 kScales * static_cast<std::int64_t>(sizeof(std::int32_t))));
+  EXPECT_EQ(store.budget_bytes(), 2 * kFullBytes);
   EXPECT_EQ(store.held_bytes(), 0);
 }
 
@@ -260,13 +264,8 @@ TEST(ClaStore, ThrowsWhenEveryBufferIsPinned) {
 // byte cap bounds the capacity held, and spill records carry only the
 // blocks a slot holds.
 
-constexpr std::int64_t kBlockDoubles = kValues / kScales;
-constexpr std::int64_t kBlockBytes = kBlockDoubles * static_cast<std::int64_t>(sizeof(double)) +
-                                     static_cast<std::int64_t>(sizeof(std::int32_t));
-constexpr std::int64_t kFullBytes = kScales * kBlockBytes;
-
 ClaStoreConfig byte_config(int slots, std::int64_t budget_bytes, bool spill) {
-  ClaStoreConfig config = small_config(slots, /*resident=*/-1, spill);
+  ClaStoreConfig config = small_config(slots, /*buffers=*/0, spill);
   config.budget_bytes = budget_bytes;
   return config;
 }
@@ -296,7 +295,7 @@ void expect_blocks(ClaStore& store, int slot, std::int64_t blocks, double seed) 
 }
 
 /// Writes class-sized slots 0 (3 blocks) and 1 (5 blocks), then forces both
-/// out to the spill tier through the two-buffer count cap.
+/// out to the spill tier through a two-buffer byte cap.
 void spill_class_sized(ClaStore& store) {
   store.acquire(0, 3);
   fill_blocks(store, 0, 3, 1000.0);
@@ -312,7 +311,7 @@ void spill_class_sized(ClaStore& store) {
 
 TEST(ClaStore, AllocatesNothingUntilTheFirstWrite) {
   ClaStore store;
-  store.configure(small_config(4, -1, /*spill=*/false));
+  store.configure(small_config(4, 0, /*spill=*/false));
   EXPECT_EQ(store.held_bytes(), 0);
   EXPECT_TRUE(store.full_resident());
   store.acquire(2, 3);
@@ -330,7 +329,7 @@ TEST(ClaStore, DroppedBufferIsReusedWithoutAnEviction) {
   store.configure(small_config(3, 1, /*spill=*/false));
   store.acquire(0);
   store.drop(0);
-  // The one buffer the count cap allows changes hands: nothing live was
+  // The one buffer the cap allows changes hands: nothing live was
   // displaced, so nothing was evicted.
   store.acquire(1);
   EXPECT_EQ(store.counters().evictions, 0);
@@ -425,7 +424,7 @@ void run_mixed_size_walk(bool spill, std::uint64_t seed) {
   constexpr int kSlots = 10;
   constexpr std::int64_t kWalkBlocks = 64;
   std::vector<int> dropped_by_store;
-  ClaStoreConfig config = small_config(kSlots, /*resident=*/-1, spill);
+  ClaStoreConfig config = small_config(kSlots, /*buffers=*/0, spill);
   config.values = kWalkBlocks * kBlockDoubles;
   config.scales = kWalkBlocks;
   config.budget_bytes = 7 * kWalkBlocks * kBlockBytes / 2;
@@ -502,28 +501,36 @@ TEST(ClaStore, MixedSizeWalkKeepsHeldBytesUnderTheCap) {
 // --- Tight-budget bit-identity matrices ------------------------------------
 //
 // For every engine family: lnL and the full branch-length optimization must
-// be bit-identical between the full CLA budget and tight budgets {min,
-// min+2}, in both eviction modes (recompute-only and the spill tier), with
-// the store's counters proving the tight path actually ran.
+// be bit-identical between the full CLA budget and tight byte budgets of
+// {min, min+2} full-width buffers, in both eviction modes (recompute-only
+// and the spill tier), with the store's counters proving the tight path
+// actually ran.
 
-constexpr std::int64_t kDenseBytesPerPattern =
-    core::kSiteBlock * static_cast<std::int64_t>(sizeof(double)) +
-    static_cast<std::int64_t>(sizeof(std::int32_t));
+constexpr std::int64_t kDenseBytesPerPattern = core::full_width_cla_bytes(1, core::kSiteBlock);
 
 struct RunResult {
   double initial = 0.0;
   double optimized = 0.0;
 };
 
+/// Bytes of one full-width CLA buffer of the engines `make_engine` builds
+/// (`make_engine(tree, budget_bytes, spill)`): a full-budget engine's grant
+/// is one such buffer per inner node.
+template <typename MakeEngine>
+std::int64_t buffer_bytes_of(const tree::Tree& base_tree, const MakeEngine& make_engine) {
+  tree::Tree tree(base_tree);
+  return make_engine(tree, 0, false)->cla_bytes_granted() / base_tree.inner_count();
+}
+
 template <typename MakeEngine>
 RunResult run_matrix_case(const tree::Tree& base_tree, const MakeEngine& make_engine,
-                          int budget, bool spill) {
+                          std::int64_t budget_bytes, bool spill) {
   tree::Tree tree(base_tree);
-  auto engine = make_engine(tree, budget, spill);
+  auto engine = make_engine(tree, budget_bytes, spill);
   RunResult result;
   result.initial = engine->log_likelihood(tree.tip(0));
   result.optimized = engine->optimize_all_branches(tree.tip(0), 2);
-  if (budget > 0) {
+  if (budget_bytes > 0) {
     const auto& counters = engine->cla_store().counters();
     EXPECT_GT(counters.evictions, 0) << "tight budget never evicted";
     if (spill) {
@@ -536,15 +543,18 @@ RunResult run_matrix_case(const tree::Tree& base_tree, const MakeEngine& make_en
   return result;
 }
 
-/// The smallest cla_buffers this tree shape can run with: the DFS executor
-/// floors at 3, but a bushy topology's Sethi–Ullman working set (plus the
-/// kernel pins) can need more, so probe upward from the floor.
+/// The smallest budget, in full-width buffers, this tree shape can run
+/// with: the construction floor is core::min_cla_buffers, but a bushy
+/// topology's Sethi–Ullman working set (plus the kernel pins) can need
+/// more, so probe upward from the floor.
 template <typename MakeEngine>
-int minimum_feasible_budget(const tree::Tree& base_tree, const MakeEngine& make_engine) {
-  for (int budget = 3; budget < base_tree.inner_count(); ++budget) {
+int minimum_feasible_budget(const tree::Tree& base_tree, const MakeEngine& make_engine,
+                            std::int64_t buffer_bytes) {
+  for (int budget = core::min_cla_buffers(base_tree.inner_count());
+       budget < base_tree.inner_count(); ++budget) {
     try {
       tree::Tree tree(base_tree);
-      auto engine = make_engine(tree, budget, /*spill=*/false);
+      auto engine = make_engine(tree, budget * buffer_bytes, /*spill=*/false);
       (void)engine->log_likelihood(tree.tip(0));
       (void)engine->optimize_all_branches(tree.tip(0), 2);
       return budget;
@@ -558,12 +568,13 @@ int minimum_feasible_budget(const tree::Tree& base_tree, const MakeEngine& make_
 template <typename MakeEngine>
 void expect_budget_bit_identity(const tree::Tree& base_tree, const MakeEngine& make_engine,
                                 const std::string& context) {
-  const RunResult full = run_matrix_case(base_tree, make_engine, -1, false);
-  const int minimum = minimum_feasible_budget(base_tree, make_engine);
+  const RunResult full = run_matrix_case(base_tree, make_engine, 0, false);
+  const std::int64_t buffer_bytes = buffer_bytes_of(base_tree, make_engine);
+  const int minimum = minimum_feasible_budget(base_tree, make_engine, buffer_bytes);
   ASSERT_LT(minimum + 2, base_tree.inner_count()) << context << ": tree too small";
   for (const int budget : {minimum, minimum + 2}) {
     for (const bool spill : {false, true}) {
-      const RunResult tight = run_matrix_case(base_tree, make_engine, budget, spill);
+      const RunResult tight = run_matrix_case(base_tree, make_engine, budget * buffer_bytes, spill);
       EXPECT_EQ(tight.initial, full.initial)
           << context << ": budget " << budget << " spill " << spill;
       EXPECT_EQ(tight.optimized, full.optimized)
@@ -574,17 +585,17 @@ void expect_budget_bit_identity(const tree::Tree& base_tree, const MakeEngine& m
 
 TEST(TightBudget, DenseBitIdenticalAcrossIsasAndRepeats) {
   Rng rng(31);
-  const auto alignment = testutil::random_alignment(10, 160, rng, 0.05);
+  const auto alignment = testutil::random_alignment(12, 160, rng, 0.05);
   const auto patterns = bio::compress_patterns(alignment);
   const model::GtrModel model(testutil::random_gtr_params(rng));
-  const tree::Tree base_tree = tree::Tree::random(10, rng);
+  const tree::Tree base_tree = tree::Tree::random(12, rng);
   for (const auto isa : supported_isas()) {
     for (const bool repeats : {false, true}) {
-      const auto make_engine = [&](tree::Tree& tree, int budget, bool spill) {
+      const auto make_engine = [&](tree::Tree& tree, std::int64_t bytes, bool spill) {
         core::LikelihoodEngine::Config config;
         config.isa = isa;
         config.site_repeats = repeats;
-        config.cla_buffers = budget;
+        config.cla_budget_bytes = bytes;
         config.cla_spill = spill;
         return std::make_unique<core::LikelihoodEngine>(patterns, model, tree, config);
       };
@@ -597,7 +608,7 @@ TEST(TightBudget, DenseBitIdenticalAcrossIsasAndRepeats) {
 
 // Byte budgets cap the bytes the store holds, and a site-repeats slot
 // holds only its class count of blocks: the same bytes keep more CLAs
-// resident than the equivalent count of full-width buffers.
+// resident than full-width (per-site) buffers would.
 TEST(TightBudget, DenseRepeatsByteBudgetsBitIdenticalAndEvictLess) {
   Rng rng(39);
   const auto patterns = bio::compress_patterns(simulate::paper_dataset(900, 41, 24));
@@ -606,7 +617,6 @@ TEST(TightBudget, DenseRepeatsByteBudgetsBitIdenticalAndEvictLess) {
   const std::int64_t full_width = static_cast<std::int64_t>(patterns.pattern_count()) *
                                   kDenseBytesPerPattern;
   const std::int64_t full_bytes = base_tree.inner_count() * full_width;
-  const int quarter_count = base_tree.inner_count() / 4;
 
   for (const auto isa : supported_isas()) {
     struct Run {
@@ -614,11 +624,11 @@ TEST(TightBudget, DenseRepeatsByteBudgetsBitIdenticalAndEvictLess) {
       double optimized = 0.0;
       std::int64_t evictions = 0;
     };
-    const auto run = [&](int buffers, std::int64_t bytes, bool spill) {
+    const auto run = [&](std::int64_t bytes, bool spill, bool repeats) {
       tree::Tree tree(base_tree);
       core::LikelihoodEngine::Config config;
       config.isa = isa;
-      config.cla_buffers = buffers;
+      config.site_repeats = repeats;
       config.cla_budget_bytes = bytes;
       config.cla_spill = spill;
       core::LikelihoodEngine engine(patterns, model, tree, config);
@@ -633,15 +643,15 @@ TEST(TightBudget, DenseRepeatsByteBudgetsBitIdenticalAndEvictLess) {
       return result;
     };
     const std::string context = "dense repeats " + simd::to_string(isa);
-    const Run full = run(-1, 0, false);
+    const Run full = run(0, false, /*repeats=*/true);
 
     // The smallest byte budget this shape runs with, probed upward from the
-    // construction floor of three full-width buffers.
-    std::int64_t minimum = 3 * full_width;
+    // construction floor.
+    std::int64_t minimum = core::min_cla_buffers(base_tree.inner_count()) * full_width;
     for (;; minimum += full_width) {
       ASSERT_LT(minimum, full_bytes) << context << ": no tight byte budget fits";
       try {
-        (void)run(-1, minimum, false);
+        (void)run(minimum, false, /*repeats=*/true);
         break;
       } catch (const Error&) {
         // working set does not fit; try one more full-width buffer
@@ -651,16 +661,16 @@ TEST(TightBudget, DenseRepeatsByteBudgetsBitIdenticalAndEvictLess) {
     ASSERT_LT(minimum, quarter) << context;
     for (const std::int64_t bytes : {minimum, quarter}) {
       for (const bool spill : {false, true}) {
-        const Run tight = run(-1, bytes, spill);
+        const Run tight = run(bytes, spill, /*repeats=*/true);
         EXPECT_EQ(tight.initial, full.initial) << context << ": bytes " << bytes << " spill " << spill;
         EXPECT_EQ(tight.optimized, full.optimized)
             << context << ": bytes " << bytes << " spill " << spill;
         if (bytes == minimum) {
           EXPECT_GT(tight.evictions, 0) << context << ": minimum byte budget never evicted";
         } else {
-          const Run counted = run(quarter_count, 0, spill);
-          EXPECT_GT(counted.evictions, 0) << context;
-          EXPECT_LT(tight.evictions, counted.evictions) << context << ": spill " << spill;
+          const Run per_site = run(quarter, spill, /*repeats=*/false);
+          EXPECT_GT(per_site.evictions, 0) << context;
+          EXPECT_LT(tight.evictions, per_site.evictions) << context << ": spill " << spill;
         }
       }
     }
@@ -669,10 +679,10 @@ TEST(TightBudget, DenseRepeatsByteBudgetsBitIdenticalAndEvictLess) {
 
 TEST(TightBudget, CatBitIdenticalAcrossIsas) {
   Rng rng(32);
-  const auto alignment = testutil::random_alignment(10, 140, rng, 0.05);
+  const auto alignment = testutil::random_alignment(12, 140, rng, 0.05);
   const auto patterns = bio::compress_patterns(alignment);
   const model::GtrModel model(testutil::random_gtr_params(rng));
-  const tree::Tree base_tree = tree::Tree::random(10, rng);
+  const tree::Tree base_tree = tree::Tree::random(12, rng);
   const int categories = 5;
   std::vector<double> rates;
   for (int c = 0; c < categories; ++c) rates.push_back(rng.uniform(0.05, 4.0));
@@ -681,10 +691,10 @@ TEST(TightBudget, CatBitIdenticalAcrossIsas) {
     a = static_cast<std::uint8_t>(rng.below(static_cast<std::uint64_t>(categories)));
   }
   for (const auto isa : supported_isas()) {
-    const auto make_engine = [&](tree::Tree& tree, int budget, bool spill) {
+    const auto make_engine = [&](tree::Tree& tree, std::int64_t bytes, bool spill) {
       core::CatEngine::Config config;
       config.isa = isa;
-      config.cla_buffers = budget;
+      config.cla_budget_bytes = bytes;
       config.cla_spill = spill;
       auto engine =
           std::make_unique<core::CatEngine>(patterns, model, tree, categories, config);
@@ -697,9 +707,9 @@ TEST(TightBudget, CatBitIdenticalAcrossIsas) {
 
 TEST(TightBudget, GeneralBitIdenticalAcrossIsas) {
   Rng rng(33);
-  const auto alignment = testutil::random_alignment(10, 120, rng, 0.05);
+  const auto alignment = testutil::random_alignment(12, 120, rng, 0.05);
   const auto patterns = bio::compress_patterns(alignment);
-  const tree::Tree base_tree = tree::Tree::random(10, rng);
+  const tree::Tree base_tree = tree::Tree::random(12, rng);
   // A random reversible 4-state model over the DNA codes exercises the
   // general engine's padded-block path without needing protein data.
   std::vector<double> exchangeabilities(6);
@@ -707,10 +717,10 @@ TEST(TightBudget, GeneralBitIdenticalAcrossIsas) {
   std::vector<double> freqs{0.3, 0.25, 0.25, 0.2};
   const model::GeneralModel model(4, std::move(exchangeabilities), std::move(freqs), 0.9);
   for (const auto isa : supported_isas()) {
-    const auto make_engine = [&](tree::Tree& tree, int budget, bool spill) {
+    const auto make_engine = [&](tree::Tree& tree, std::int64_t bytes, bool spill) {
       core::GeneralEngine::Config config;
       config.isa = isa;
-      config.cla_buffers = budget;
+      config.cla_budget_bytes = bytes;
       config.cla_spill = spill;
       return std::make_unique<core::GeneralEngine>(patterns, model, tree,
                                                    bio::dna_code_masks(), config);
@@ -725,9 +735,204 @@ TEST(TightBudget, MinimumWorkingSetIsEnforced) {
   const auto patterns = bio::compress_patterns(alignment);
   const model::GtrModel model(testutil::random_gtr_params(rng));
   tree::Tree tree = tree::Tree::random(8, rng);
+  const std::int64_t buffer_bytes =
+      static_cast<std::int64_t>(patterns.pattern_count()) * kDenseBytesPerPattern;
   core::LikelihoodEngine::Config config;
-  config.cla_buffers = 2;  // below the DFS executor's floor of 3
-  EXPECT_THROW(core::LikelihoodEngine(patterns, model, tree, config), Error);
+  config.cla_budget_bytes = (core::min_cla_buffers(tree.inner_count()) - 1) * buffer_bytes;
+  try {
+    core::LikelihoodEngine engine(patterns, model, tree, config);
+    FAIL() << "a budget below the floor was accepted";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("minimum working set"), std::string::npos);
+  }
+  config.cla_budget_bytes += buffer_bytes;
+  EXPECT_NO_THROW(core::LikelihoodEngine(patterns, model, tree, config));
+}
+
+// --- Every family at exactly the floor ---------------------------------------
+//
+// The floor (core::min_cla_buffers full-width buffers) is honest: every
+// entry point — evaluation, the per-branch Newton sweep, which validates
+// edges between inner nodes, and the all-branch gradient — runs there on
+// every family, with the spill tier on and off, and matches the full
+// budget bit for bit.
+
+enum class Family { kDense, kRepeats, kCat, kGeneral };
+constexpr const char* kFamilyNames[] = {"dense", "repeats", "cat", "general"};
+
+/// One family's engine over shared data; `bytes` = 0 is the full budget.
+struct FamilyData {
+  bio::PatternSet patterns;
+  model::GtrParams params;
+
+  std::unique_ptr<core::Evaluator> make(Family family, tree::Tree& tree, std::int64_t bytes,
+                                        bool spill) const {
+    core::EngineConfig config;
+    config.site_repeats = family == Family::kRepeats;
+    config.cla_budget_bytes = bytes;
+    config.cla_spill = spill;
+    switch (family) {
+      case Family::kDense:
+      case Family::kRepeats:
+        return std::make_unique<core::LikelihoodEngine>(patterns, model::GtrModel(params), tree,
+                                                        config);
+      case Family::kCat:
+        return std::make_unique<core::CatEngine>(patterns, model::GtrModel(params), tree,
+                                                 /*categories=*/4, config);
+      case Family::kGeneral:
+        break;
+    }
+    return std::make_unique<core::GeneralEngine>(
+        patterns,
+        model::GeneralModel(
+            4, std::vector<double>(params.exchangeabilities.begin(), params.exchangeabilities.end()),
+            std::vector<double>(params.frequencies.begin(), params.frequencies.end()),
+            params.alpha),
+        tree, bio::dna_code_masks(), config);
+  }
+
+  /// Bytes of one full-width buffer of `family`'s engines over `tree`.
+  std::int64_t buffer_bytes(Family family, const tree::Tree& base_tree) const {
+    tree::Tree tree(base_tree);
+    return make(family, tree, 0, false)->cla_bytes_granted() / base_tree.inner_count();
+  }
+};
+
+FamilyData family_data(int ntaxa, int nsites, Rng& rng) {
+  return {bio::compress_patterns(testutil::random_alignment(ntaxa, nsites, rng, 0.05)),
+          testutil::random_gtr_params(rng)};
+}
+
+struct EntryPoints {
+  double lnl = 0.0;
+  double optimized = 0.0;
+  std::vector<core::BranchGradient> gradient;
+};
+
+/// The store and stack accessors every family shares.
+core::EngineFamily& family_of(core::Evaluator& engine) {
+  return dynamic_cast<core::EngineFamily&>(engine);
+}
+
+EntryPoints run_entry_points(core::Evaluator& engine, tree::Tree& tree) {
+  EntryPoints run;
+  run.lnl = engine.log_likelihood(tree.tip(0));
+  run.optimized = engine.optimize_all_branches(tree.tip(0), 1);
+  EXPECT_TRUE(engine.gradient_all_branches(tree.tip(0), run.gradient));
+  return run;
+}
+
+TEST(TightBudget, FloorRunsEveryEntryPointOnEveryFamily) {
+  for (const std::uint64_t seed : {1u, 5u, 11u}) {
+    Rng rng(seed);
+    const FamilyData data = family_data(14, 300, rng);
+    const tree::Tree base_tree = tree::Tree::random(14, rng);
+    const int floor = core::min_cla_buffers(base_tree.inner_count());
+    for (const Family family : {Family::kDense, Family::kRepeats, Family::kCat, Family::kGeneral}) {
+      tree::Tree full_tree(base_tree);
+      const EntryPoints full = run_entry_points(*data.make(family, full_tree, 0, false), full_tree);
+      const std::int64_t floor_bytes = floor * data.buffer_bytes(family, base_tree);
+      for (const bool spill : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " "
+                                          << kFamilyNames[static_cast<int>(family)] << " spill "
+                                          << spill);
+        tree::Tree tree(base_tree);
+        auto engine = data.make(family, tree, floor_bytes, spill);
+        EXPECT_EQ(engine->cla_bytes_granted(), floor_bytes);
+        EntryPoints tight;
+        ASSERT_NO_THROW(tight = run_entry_points(*engine, tree));
+        EXPECT_EQ(tight.lnl, full.lnl);
+        EXPECT_EQ(tight.optimized, full.optimized);
+        ASSERT_EQ(tight.gradient.size(), full.gradient.size());
+        for (std::size_t i = 0; i < full.gradient.size(); ++i) {
+          EXPECT_EQ(tight.gradient[i].first, full.gradient[i].first) << "edge " << i;
+          EXPECT_EQ(tight.gradient[i].second, full.gradient[i].second) << "edge " << i;
+        }
+      }
+    }
+  }
+}
+
+// --- Engine-level budget contract --------------------------------------------
+//
+// The engine version of ClaStore.MixedSizeWalkKeepsHeldBytesUnderTheCap: a
+// smoothing run driven by all-branch gradients, on every family, with the
+// spill tier on and off, at byte budgets of the floor, the floor plus two
+// full-width buffers and a quarter of the full budget.  After every engine
+// call the postorder store holds no more than its cap and the preorder
+// stack no more than the planner's ⌈log2 n⌉ + 2 full-width buffers; every
+// gradient equals the full-budget engine's bit for bit.
+
+/// Applies one clamped Newton step per branch, simultaneously, and
+/// invalidates the touched CLAs (search::smooth_branches' update).
+void apply_gradient_step(core::Evaluator& engine,
+                         const std::vector<core::BranchGradient>& gradient) {
+  for (const core::BranchGradient& g : gradient) {
+    tree::Tree::set_length(g.edge, core::EngineFamily::newton_step(g.length, g.first, g.second));
+    engine.invalidate_branch(g.edge->node_id);
+    engine.invalidate_branch(g.edge->back->node_id);
+  }
+}
+
+TEST(EngineBudget, GradientSmoothingKeepsHeldBytesUnderTheCap) {
+  constexpr int kTaxa = 32;
+  Rng rng(4100);
+  const FamilyData data = family_data(kTaxa, 200, rng);
+  const tree::Tree base_tree = tree::Tree::random(kTaxa, rng);
+  const int inner = base_tree.inner_count();
+  const int stack_bound =
+      static_cast<int>(std::ceil(std::log2(static_cast<double>(kTaxa)))) + 2;
+  for (const Family family : {Family::kDense, Family::kRepeats, Family::kCat, Family::kGeneral}) {
+    const std::int64_t buffer_bytes = data.buffer_bytes(family, base_tree);
+    const int floor = core::min_cla_buffers(inner);
+    // The full-budget reference trajectory: gradients of three steps.
+    // Its tree outlives the entries' edge pointers.
+    tree::Tree reference_tree(base_tree);
+    std::vector<std::vector<core::BranchGradient>> reference;
+    {
+      auto engine = data.make(family, reference_tree, 0, false);
+      for (int step = 0; step < 3; ++step) {
+        ASSERT_TRUE(engine->gradient_all_branches(reference_tree.tip(0), reference.emplace_back()));
+        apply_gradient_step(*engine, reference.back());
+        (void)engine->optimize_branch(reference_tree.edges()[static_cast<std::size_t>(5 * step)], 4);
+      }
+    }
+    for (const std::int64_t bytes :
+         {floor * buffer_bytes, (floor + 2) * buffer_bytes, inner * buffer_bytes / 4}) {
+      for (const bool spill : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << kFamilyNames[static_cast<int>(family)] << " budget "
+                                          << bytes << " spill " << spill);
+        tree::Tree tree(base_tree);
+        auto engine = data.make(family, tree, bytes, spill);
+        const core::EngineFamily& budgeted = family_of(*engine);
+        const auto expect_within_budget = [&](const char* call) {
+          EXPECT_LE(budgeted.cla_store().held_bytes(), bytes) << call;
+          EXPECT_LE(budgeted.preorder_stack_bytes(), stack_bound * buffer_bytes) << call;
+        };
+        for (int step = 0; step < 3; ++step) {
+          std::vector<core::BranchGradient> gradient;
+          ASSERT_TRUE(engine->gradient_all_branches(tree.tip(0), gradient));
+          expect_within_budget("gradient_all_branches");
+          const auto& want = reference[static_cast<std::size_t>(step)];
+          ASSERT_EQ(gradient.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(gradient[i].edge->slot_index, want[i].edge->slot_index) << "edge " << i;
+            EXPECT_EQ(gradient[i].first, want[i].first) << "step " << step << " edge " << i;
+            EXPECT_EQ(gradient[i].second, want[i].second) << "step " << step << " edge " << i;
+          }
+          apply_gradient_step(*engine, gradient);
+          (void)engine->log_likelihood(tree.tip(0));
+          expect_within_budget("log_likelihood");
+          (void)engine->optimize_branch(tree.edges()[static_cast<std::size_t>(5 * step)], 4);
+          expect_within_budget("optimize_branch");
+        }
+        EXPECT_GT(budgeted.preorder_stack_bytes(), 0);
+        if (family != Family::kRepeats) {
+          EXPECT_GT(budgeted.cla_store().counters().evictions, 0) << "the budget never evicted";
+        }
+      }
+    }
+  }
 }
 
 // --- Engine-level heal of a corrupted spill record --------------------------
@@ -740,7 +945,10 @@ TEST(SpillHeal, DenseReloadCorruptionDetectsAndHeals) {
   tree::Tree tree = tree::Tree::random(10, rng);
   core::LikelihoodEngine::Config config;
   config.sdc_checks = true;
-  config.cla_buffers = 3;
+  config.site_repeats = false;
+  config.cla_budget_bytes = core::min_cla_buffers(tree.inner_count()) *
+                            static_cast<std::int64_t>(patterns.pattern_count()) *
+                            kDenseBytesPerPattern;
   config.cla_spill = true;
   core::LikelihoodEngine engine(patterns, model, tree, config);
   (void)engine.log_likelihood(tree.tip(0));
@@ -794,34 +1002,45 @@ TEST(SpillHeal, DenseReloadCorruptionDetectsAndHeals) {
 
 // --- Per-partition budget carving -------------------------------------------
 
+/// Byte caps of `buffers[p]` full-width buffers of partitions of `lengths`.
+std::vector<std::int64_t> caps_of(const std::vector<std::int64_t>& lengths,
+                                  const std::vector<int>& buffers) {
+  std::vector<std::int64_t> caps;
+  for (std::size_t p = 0; p < lengths.size(); ++p) {
+    caps.push_back(buffers[p] * lengths[p] * kDenseBytesPerPattern);
+  }
+  return caps;
+}
+
 TEST(CarveClaBudgets, FloorsEveryPartitionAtTheMinimumWorkingSet) {
   const std::vector<std::int64_t> lengths{100, 50};
-  const std::int64_t need = 3 * 100 * kDenseBytesPerPattern + 3 * 50 * kDenseBytesPerPattern;
-  const auto counts = core::carve_cla_budgets(need, lengths, /*inner_count=*/10);
-  EXPECT_EQ(counts, (std::vector<int>{3, 3}));
+  const int floor = core::min_cla_buffers(10);
+  const std::int64_t need = floor * (100 + 50) * kDenseBytesPerPattern;
+  const auto caps = core::carve_cla_budgets(need, lengths, /*inner_count=*/10);
+  EXPECT_EQ(caps, caps_of(lengths, {floor, floor}));
 }
 
 TEST(CarveClaBudgets, DealsSlackLargestPartitionFirst) {
   const std::vector<std::int64_t> lengths{100, 50};
-  const std::int64_t need = (3 * 100 + 3 * 50) * kDenseBytesPerPattern;
+  const int floor = core::min_cla_buffers(10);
+  const std::int64_t need = floor * (100 + 50) * kDenseBytesPerPattern;
   // Slack for rounds {p0, p1}, {p0}: big partition ends two buffers ahead.
   const std::int64_t slack = (100 + 50 + 100) * kDenseBytesPerPattern;
-  const auto counts = core::carve_cla_budgets(need + slack, lengths, /*inner_count=*/10);
-  EXPECT_EQ(counts, (std::vector<int>{5, 4}));
+  const auto caps = core::carve_cla_budgets(need + slack, lengths, /*inner_count=*/10);
+  EXPECT_EQ(caps, caps_of(lengths, {floor + 2, floor + 1}));
 }
 
 TEST(CarveClaBudgets, CapsAtTheInnerNodeCount) {
   const std::vector<std::int64_t> lengths{10, 10};
-  const auto counts =
-      core::carve_cla_budgets(1'000'000'000, lengths, /*inner_count=*/6);
-  EXPECT_EQ(counts, (std::vector<int>{6, 6}));
+  const auto caps = core::carve_cla_budgets(1'000'000'000, lengths, /*inner_count=*/6);
+  EXPECT_EQ(caps, caps_of(lengths, {6, 6}));
 }
 
 TEST(CarveClaBudgets, SmallTreesFloorBelowThree) {
   const std::vector<std::int64_t> lengths{40};
-  const auto counts = core::carve_cla_budgets(2 * 40 * kDenseBytesPerPattern, lengths,
-                                              /*inner_count=*/2);
-  EXPECT_EQ(counts, (std::vector<int>{2}));
+  const auto caps = core::carve_cla_budgets(2 * 40 * kDenseBytesPerPattern, lengths,
+                                            /*inner_count=*/2);
+  EXPECT_EQ(caps, caps_of(lengths, {2}));
 }
 
 TEST(CarveClaBudgets, ThrowsNamingTheMinimumWorkingSet) {
@@ -836,10 +1055,11 @@ TEST(CarveClaBudgets, ThrowsNamingTheMinimumWorkingSet) {
 
 TEST(PartitionedBudget, GlobalBudgetCarvesAndStaysBitIdentical) {
   Rng rng(36);
-  const auto alignment = testutil::random_alignment(8, 200, rng, 0.05);
+  const auto alignment = testutil::random_alignment(12, 200, rng, 0.05);
   const model::GtrModel model(testutil::random_gtr_params(rng));
   const auto specs = core::even_partitions(alignment.site_count(), 2);
-  const tree::Tree base_tree = tree::Tree::random(8, rng);
+  const tree::Tree base_tree = tree::Tree::random(12, rng);
+  const int floor = core::min_cla_buffers(base_tree.inner_count());
 
   tree::Tree full_tree(base_tree);
   core::PartitionedEvaluator full(alignment, specs, model, full_tree);
@@ -849,7 +1069,7 @@ TEST(PartitionedBudget, GlobalBudgetCarvesAndStaysBitIdentical) {
   std::int64_t largest = 0;
   for (int p = 0; p < full.partition_count(); ++p) {
     const std::int64_t len = full.partition_patterns(p).pattern_count();
-    floors += 3 * len * kDenseBytesPerPattern;
+    floors += floor * len * kDenseBytesPerPattern;
     largest = std::max(largest, len * kDenseBytesPerPattern);
   }
 
@@ -859,8 +1079,12 @@ TEST(PartitionedBudget, GlobalBudgetCarvesAndStaysBitIdentical) {
   config.cla_spill = true;
   core::PartitionedEvaluator tight(alignment, specs, model, tight_tree, config);
   for (int p = 0; p < tight.partition_count(); ++p) {
-    EXPECT_GE(tight.partition_cla_buffers(p), 3) << "partition " << p;
-    EXPECT_LT(tight.partition_cla_buffers(p), tight_tree.inner_count()) << "partition " << p;
+    const std::int64_t buffer_bytes =
+        static_cast<std::int64_t>(tight.partition_patterns(p).pattern_count()) *
+        kDenseBytesPerPattern;
+    const std::int64_t granted = tight.partition_engine(p).cla_bytes_granted();
+    EXPECT_GE(granted, floor * buffer_bytes) << "partition " << p;
+    EXPECT_LT(granted, tight_tree.inner_count() * buffer_bytes) << "partition " << p;
   }
   EXPECT_GT(tight.cla_bytes_granted(), 0);
   EXPECT_LE(tight.cla_bytes_granted(), config.cla_budget_bytes);
@@ -936,7 +1160,10 @@ TEST(SpillLifecycle, CancelledJobsLeakNoSpillFileDescriptors) {
   const auto spill_run = [&](const CancelToken* token) {
     tree::Tree tree(base_tree);
     core::LikelihoodEngine::Config config;
-    config.cla_buffers = 3;  // minimum working set: every traversal spills
+    config.site_repeats = false;
+    config.cla_budget_bytes =  // minimum working set: every traversal spills
+        core::min_cla_buffers(tree.inner_count()) *
+        static_cast<std::int64_t>(patterns.pattern_count()) * kDenseBytesPerPattern;
     config.cla_spill = true;
     config.cancel = token;
     core::LikelihoodEngine engine(patterns, model, tree, config);

@@ -105,6 +105,9 @@ class ServiceTest : public ::testing::Test {
     return static_cast<std::int64_t>(patterns_.pattern_count()) * kBytesPerPattern;
   }
 
+  /// The smallest grant an engine over the base tree accepts, in buffers.
+  int floor_buffers() const { return core::min_cla_buffers(base_tree_.inner_count()); }
+
   mutable Rng rng_;
   bio::Alignment alignment_;
   bio::PatternSet patterns_;
@@ -323,8 +326,8 @@ TEST_F(ServiceTest, MemoryPressureDegradesTheGrantNotTheAnswer) {
   const std::int64_t want = static_cast<std::int64_t>(base_tree_.inner_count()) * buffer;
   ServiceConfig config;
   config.executors = 2;
-  config.cla_budget_bytes = want + 4 * buffer;
-  config.degrade_floor_bytes = 4 * buffer;
+  config.cla_budget_bytes = want + floor_buffers() * buffer;
+  config.degrade_floor_bytes = floor_buffers() * buffer;
   EvaluationService service(config);
   service.register_tenant("acme", TenantQuota{.max_in_flight = 8});
 
@@ -342,7 +345,7 @@ TEST_F(ServiceTest, MemoryPressureDegradesTheGrantNotTheAnswer) {
   const JobResult degraded = service.wait(service.submit(squeezed));
   ASSERT_EQ(degraded.status, JobStatus::kOk) << degraded.error;
   EXPECT_TRUE(degraded.degraded);
-  EXPECT_EQ(degraded.cla_bytes_granted, 4 * buffer);
+  EXPECT_EQ(degraded.cla_bytes_granted, floor_buffers() * buffer);
   EXPECT_EQ(degraded.log_likelihood, solo(JobKind::kEvaluate));
 
   gate.release.set_value();
@@ -462,7 +465,7 @@ TEST_F(ServiceTest, ChaosSoakSurvivesKillsExpiriesAndCorruption) {
   config.executors = 3;
   config.queue_limit = 8;
   config.cla_budget_bytes = 12 * buffer;
-  config.degrade_floor_bytes = 4 * buffer;
+  config.degrade_floor_bytes = floor_buffers() * buffer;
   config.metrics = obs::MetricsMode::kOn;
   config.chaos.enabled = true;
   config.chaos.seed = 2026;

@@ -335,22 +335,26 @@ class RepeatMapReuse : public ::testing::TestWithParam<ReuseCase> {
     config.sdc_checks = GetParam().sdc_checks;
     if (GetParam().tight_budget) {
       config.cla_spill = true;
-      // The smallest budget that still runs a smoothing pass.
-      for (int budget = 3; budget < base_tree.inner_count(); ++budget) {
+      // The smallest budget, in full-width buffers, that still runs a
+      // smoothing pass.
+      const std::int64_t buffer_bytes = core::full_width_cla_bytes(
+          static_cast<std::int64_t>(patterns.pattern_count()), core::kSiteBlock);
+      for (int budget = core::min_cla_buffers(base_tree.inner_count());
+           budget < base_tree.inner_count(); ++budget) {
         try {
           tree::Tree tree(base_tree);
           LikelihoodEngine::Config probe = config;
-          probe.cla_buffers = budget;
+          probe.cla_budget_bytes = budget * buffer_bytes;
           LikelihoodEngine engine(patterns, model, tree, probe);
           (void)engine.optimize_all_branches(tree.tip(0), 1);
-          config.cla_buffers = budget;
+          config.cla_budget_bytes = probe.cla_budget_bytes;
           break;
         } catch (const Error&) {
           // working set does not fit; try one more buffer
         }
       }
-      EXPECT_GT(config.cla_buffers, 0);
-      EXPECT_LT(config.cla_buffers, base_tree.inner_count());
+      EXPECT_GT(config.cla_budget_bytes, 0);
+      EXPECT_LT(config.cla_budget_bytes, base_tree.inner_count() * buffer_bytes);
     }
     return config;
   }

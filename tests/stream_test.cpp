@@ -181,8 +181,11 @@ TEST_F(StreamFixture, StreamsWorkUnderTightClaBudget) {
   PartitionedEvaluator full(*alignment_, specs_, *model_, *tree_, {}, plan);
   const double expected = full.log_likelihood(tree_->tip(0));
 
+  // Five full-width buffers per partition, carved from one global budget.
   EngineConfig tight;
-  tight.cla_buffers = 4;
+  for (const std::int64_t patterns : counts) {
+    tight.cla_budget_bytes += 5 * full_width_cla_bytes(patterns, kSiteBlock);
+  }
   parallel::WorkerPool pool(2);
   parallel::PoolParallelFor parallel_for(pool);
   PartitionedEvaluator budgeted(*alignment_, specs_, *model_, *tree_, tight, plan);

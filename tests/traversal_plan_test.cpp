@@ -1,5 +1,6 @@
 // Tests for the flat traversal-plan layer (src/core/traversal_plan): planner
-// invariants, iterative planning on pathologically deep trees, the dense
+// invariants, iterative planning on pathologically deep trees, the
+// depth-first preorder plan and its partial-buffer stack, the dense
 // engine's external plan protocol, epoch-based plan caching under
 // randomized topology and branch-length changes, and plan/store-count
 // parity across the engine families that share one orchestration core.
@@ -7,13 +8,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/bio/aa.hpp"
 #include "src/core/cat/cat_engine.hpp"
 #include "src/core/engine.hpp"
 #include "src/core/general/general_engine.hpp"
+#include "src/io/newick.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/tree/moves.hpp"
 #include "tests/testutil.hpp"
@@ -186,6 +190,96 @@ TEST(TraversalPlanner, CaterpillarLikelihoodRunsEndToEnd) {
   EXPECT_TRUE(std::isfinite(value));
   EXPECT_LT(value, 0.0);
   EXPECT_EQ(engine.plan_counters().executed_ops, ntaxa - 2);
+}
+
+/// Perfectly split tree: each subtree's tips halved, as Newick.
+std::string balanced_newick(int begin, int end) {
+  if (end - begin == 1) return "t" + std::to_string(begin);
+  const int mid = begin + (end - begin) / 2;
+  return "(" + balanced_newick(begin, mid) + "," + balanced_newick(mid, end) + ")";
+}
+
+tree::Tree balanced(int ntaxa) {
+  return tree::Tree::from_newick(*io::parse_newick(balanced_newick(0, ntaxa) + ";"),
+                                 testutil::taxon_names(ntaxa));
+}
+
+/// The depth-first preorder plan's contract: parents first, every non-root
+/// edge exactly once, no buffer handed out while another live partial holds
+/// it, and at most ⌈log2 n⌉ + 2 buffers.  A partial is live from its op
+/// until its last reader — its children's ops, or its own op for a tip.
+void check_preorder_plan(tree::Tree& tree, tree::Slot* root_edge) {
+  const int ntaxa = tree.taxon_count();
+  SCOPED_TRACE(::testing::Message() << ntaxa << " taxa, root edge at slot "
+                                    << root_edge->slot_index);
+  TraversalPlan plan;
+  TraversalPlanner::build_preorder(root_edge, plan);
+  const auto ops = plan.ops();
+  ASSERT_EQ(plan.op_count(), 2 * ntaxa - 4);
+
+  std::vector<std::int64_t> last_reader(ops.size());
+  std::set<const tree::Slot*> edges;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const PlfOp& op = ops[i];
+    EXPECT_EQ(op.kind, PlfOpKind::kPreorder);
+    EXPECT_EQ(op.node_id, op.slot->back->node_id);
+    last_reader[i] = static_cast<std::int64_t>(i);
+    if (op.left_op >= 0) {
+      ASSERT_LT(op.left_op, static_cast<std::int32_t>(i)) << "parents first";
+      const PlfOp& parent = ops[static_cast<std::size_t>(op.left_op)];
+      EXPECT_EQ(op.slot->node_id, parent.node_id) << "op " << i;
+      auto& reader = last_reader[static_cast<std::size_t>(op.left_op)];
+      reader = std::max(reader, static_cast<std::int64_t>(i));
+    } else {
+      // A seed op hangs off a root-edge endpoint.
+      EXPECT_TRUE(op.slot->node_id == root_edge->node_id ||
+                  op.slot->node_id == root_edge->back->node_id);
+    }
+    EXPECT_TRUE(edges.insert(std::min(op.slot, op.slot->back)).second) << "edge twice, op " << i;
+    ASSERT_GE(op.buffer, 0);
+    ASSERT_LT(op.buffer, plan.buffers());
+  }
+  EXPECT_EQ(edges.count(std::min(root_edge, root_edge->back)), 0u) << "root edge has no op";
+  EXPECT_EQ(static_cast<int>(edges.size()), tree.edge_count() - 1);
+
+  // Replay the schedule: an op's buffer must be free when it runs.
+  std::vector<std::int64_t> held_until(static_cast<std::size_t>(plan.buffers()), -1);
+  int peak = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    auto& until = held_until[static_cast<std::size_t>(ops[i].buffer)];
+    EXPECT_LT(until, static_cast<std::int64_t>(i)) << "op " << i << " buffer " << ops[i].buffer;
+    until = last_reader[i];
+    int live = 0;
+    for (const std::int64_t end : held_until) live += end >= static_cast<std::int64_t>(i) ? 1 : 0;
+    peak = std::max(peak, live);
+  }
+  EXPECT_EQ(peak, plan.buffers());
+  const int bound = static_cast<int>(std::ceil(std::log2(static_cast<double>(ntaxa)))) + 2;
+  EXPECT_LE(plan.buffers(), bound);
+}
+
+TEST(PreorderPlan, DepthFirstStackStaysUnderLogBound) {
+  Rng rng(2025);
+  for (const int ntaxa : {4, 15, 48, 128, 256}) {
+    for (int trial = 0; trial < 5; ++trial) {
+      tree::Tree tree = tree::Tree::random(ntaxa, rng);
+      // Root at a tip's edge and at a random (often inner) edge.
+      check_preorder_plan(tree, tree.tip(0));
+      const auto edges = tree.edges();
+      check_preorder_plan(tree, edges[rng.below(edges.size())]);
+    }
+    tree::Tree chain = caterpillar(ntaxa);
+    check_preorder_plan(chain, chain.tip(0));
+    check_preorder_plan(chain, chain.edges()[chain.edges().size() / 2]);
+    tree::Tree even = balanced(ntaxa);
+    check_preorder_plan(even, even.tip(0));
+    for (tree::Slot* edge : even.edges()) {
+      if (!edge->is_tip() && !edge->back->is_tip()) {
+        check_preorder_plan(even, edge);  // an inner root edge
+        break;
+      }
+    }
+  }
 }
 
 TEST(DensePlanProtocol, ExternalExecutionMatchesInternalTraversal) {
@@ -362,7 +456,7 @@ FamilyCounts run_family_sequence(Engine& engine, tree::Tree& tree) {
 
 void expect_same_counts(const FamilyCounts& expected, const FamilyCounts& actual,
                         const char* family, int budget) {
-  SCOPED_TRACE(::testing::Message() << family << " at cla_buffers " << budget);
+  SCOPED_TRACE(::testing::Message() << family << " at " << budget << " full-width CLA buffers");
   EXPECT_EQ(actual.plan.builds, expected.plan.builds);
   EXPECT_EQ(actual.plan.cache_hits, expected.plan.cache_hits);
   EXPECT_EQ(actual.plan.reuses, expected.plan.reuses);
@@ -389,15 +483,28 @@ TEST(PlanCache, PlanAndStoreCountsMatchAcrossEngineFamilies) {
       std::vector<double>(params.frequencies.begin(), params.frequencies.end()), params.alpha);
   const tree::Tree base = tree::Tree::random(12, rng);
 
-  for (const int budget : {-1, 3}) {
+  // A budget of k full-width buffers in each family's own buffer bytes
+  // (per-site buffers, so it holds exactly k CLAs): 0 = the full budget.
+  const auto budget_config = [&](int buffers, const Evaluator& full_engine) {
     EngineConfig config;
-    config.cla_buffers = budget;
+    config.site_repeats = false;
+    config.cla_budget_bytes = buffers * full_engine.cla_bytes_granted() / base.inner_count();
+    return config;
+  };
+  for (const int budget : {0, min_cla_buffers(base.inner_count())}) {
     tree::Tree dense_tree(base);
     tree::Tree cat_tree(base);
     tree::Tree general_tree(base);
-    LikelihoodEngine dense(patterns, dna_model, dense_tree, config);
-    CatEngine cat(patterns, dna_model, cat_tree, 4, config);
-    GeneralEngine general(patterns, general_model, general_tree, bio::dna_code_masks(), config);
+    EngineConfig full_config;
+    full_config.site_repeats = false;
+    LikelihoodEngine dense_full(patterns, dna_model, dense_tree, full_config);
+    CatEngine cat_full(patterns, dna_model, cat_tree, 4, full_config);
+    GeneralEngine general_full(patterns, general_model, general_tree, bio::dna_code_masks(),
+                               full_config);
+    LikelihoodEngine dense(patterns, dna_model, dense_tree, budget_config(budget, dense_full));
+    CatEngine cat(patterns, dna_model, cat_tree, 4, budget_config(budget, cat_full));
+    GeneralEngine general(patterns, general_model, general_tree, bio::dna_code_masks(),
+                          budget_config(budget, general_full));
 
     const FamilyCounts expected = run_family_sequence(dense, dense_tree);
     EXPECT_GT(expected.plan.builds, 0);
