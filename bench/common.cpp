@@ -79,17 +79,19 @@ std::vector<double> median_seconds(int runs, const std::vector<std::function<dou
   medians.reserve(trials.size());
   if (iqrs != nullptr) iqrs->clear();
   for (auto& samples : seconds) {
-    if (iqrs != nullptr) {
-      // Lower and upper halves (the median itself excluded for odd counts).
-      std::sort(samples.begin(), samples.end());
-      const auto half = static_cast<std::ptrdiff_t>(samples.size() / 2);
-      const std::vector<double> low(samples.begin(), samples.begin() + half);
-      const std::vector<double> high(samples.end() - half, samples.end());
-      iqrs->push_back(median(high) - median(low));
-    }
+    if (iqrs != nullptr) iqrs->push_back(iqr(samples));
     medians.push_back(median(std::move(samples)));
   }
   return medians;
+}
+
+double iqr(std::vector<double> samples) {
+  // Lower and upper halves (the median itself excluded for odd counts).
+  std::sort(samples.begin(), samples.end());
+  const auto half = static_cast<std::ptrdiff_t>(samples.size() / 2);
+  const std::vector<double> low(samples.begin(), samples.begin() + half);
+  const std::vector<double> high(samples.end() - half, samples.end());
+  return median(high) - median(low);
 }
 
 std::string format_seconds(double seconds) {

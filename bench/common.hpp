@@ -58,6 +58,10 @@ double simulated_seconds(const platform::ExecConfig& config, std::int64_t size);
 /// Median of `samples` (0 when empty).
 double median(std::vector<double> samples);
 
+/// Interquartile range q3 - q1 of `samples`: the medians of the upper and
+/// lower halves, the median itself excluded for odd counts.
+double iqr(std::vector<double> samples);
+
 /// Wall-clock gates compare medians, never one sample: the host is shared
 /// and one run swings by about ±20 %.  Runs every trial `runs` times
 /// (at least 5), round-robin so slow drift hits every trial alike, and

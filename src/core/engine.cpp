@@ -27,6 +27,87 @@ inline std::size_t next_pow2(std::size_t value) {
   return result;
 }
 
+/// Calls fn(left_row, right_row) with each child's per-site classes typed
+/// as stored — a tip's DnaCode row or an inner slot's uint32 map — so each
+/// dedup loop compiles once per child-kind combination.
+template <typename Fn>
+std::int64_t with_class_rows(const bio::DnaCode* left_codes, const std::uint32_t* left_map,
+                             const bio::DnaCode* right_codes, const std::uint32_t* right_map,
+                             Fn&& fn) {
+  if (left_codes != nullptr) {
+    return right_codes != nullptr ? fn(left_codes, right_codes) : fn(left_codes, right_map);
+  }
+  return right_codes != nullptr ? fn(left_map, right_codes) : fn(left_map, right_map);
+}
+
+/// Direct-indexed dedup of the pairs (left[s], right[s]): table[lc·uR + rc]
+/// holds class + 1, 0 for a pair not seen yet.  Writes each site's class
+/// and each new class's pair, then zeroes the table through those pairs.
+/// Returns the class count, or -1 once a class past `max_classes` appears.
+template <typename L, typename R>
+std::int64_t dedup_direct(const L* left, const R* right, std::int64_t length,
+                          std::uint32_t right_count, std::uint32_t max_classes,
+                          std::uint32_t* table, std::uint32_t* classes,
+                          std::uint32_t* class_left, std::uint32_t* class_right) {
+  std::uint32_t unique = 0;
+  bool identity = false;
+  for (std::int64_t s = 0; s < length; ++s) {
+    const std::uint32_t lc = left[s];
+    const std::uint32_t rc = right[s];
+    std::uint32_t& entry = table[static_cast<std::size_t>(lc) * right_count + rc];
+    if (entry == 0) {
+      if (unique == max_classes) {  // past the cutoff: the slot runs site-indexed
+        identity = true;
+        break;
+      }
+      class_left[unique] = lc;
+      class_right[unique] = rc;
+      entry = ++unique;  // class ids in first-appearance order: deterministic
+    }
+    classes[s] = entry - 1;
+  }
+  for (std::uint32_t c = 0; c < unique; ++c) {
+    table[static_cast<std::size_t>(class_left[c]) * right_count + class_right[c]] = 0;
+  }
+  return identity ? -1 : static_cast<std::int64_t>(unique);
+}
+
+/// The same dedup through an open-addressing table with epoch stamps: one
+/// epoch per build, so the table is never cleared.
+template <typename L, typename R, typename Entry>
+std::int64_t dedup_hashed(const L* left, const R* right, std::int64_t length,
+                          std::uint32_t max_classes, Entry* table, std::size_t mask,
+                          std::uint32_t epoch, std::uint32_t* classes,
+                          std::uint32_t* class_left, std::uint32_t* class_right) {
+  std::uint32_t unique = 0;
+  for (std::int64_t s = 0; s < length; ++s) {
+    const std::uint32_t lc = left[s];
+    const std::uint32_t rc = right[s];
+    const std::uint64_t key = (static_cast<std::uint64_t>(lc) << 32) | rc;
+    std::size_t probe = static_cast<std::size_t>(mix64(key)) & mask;
+    for (;;) {
+      Entry& entry = table[probe];
+      if (entry.epoch != epoch) {
+        if (unique == max_classes) return -1;
+        entry.key = key;
+        entry.cls = unique;
+        entry.epoch = epoch;
+        class_left[unique] = lc;
+        class_right[unique] = rc;
+        classes[s] = unique;
+        ++unique;
+        break;
+      }
+      if (entry.key == key) {
+        classes[s] = entry.cls;
+        break;
+      }
+      probe = (probe + 1) & mask;
+    }
+  }
+  return unique;
+}
+
 }  // namespace
 
 LikelihoodEngine::LikelihoodEngine(const bio::PatternSet& patterns,
@@ -55,13 +136,15 @@ LikelihoodEngine::LikelihoodEngine(const bio::PatternSet& patterns,
                   "engine: site_repeats needs 32-bit class ids; slice too wide");
     repeats_.resize(3 * static_cast<std::size_t>(tree.inner_count()));
     max_classes_ = static_cast<std::int64_t>(kIdentityFraction * static_cast<double>(length_));
-    // A build stops at max_classes_ + 1 classes, so the table never runs
-    // above half full.
-    repeat_table_.resize(
-        std::max<std::size_t>(16, next_pow2(2 * static_cast<std::size_t>(max_classes_ + 1))));
-    build_first_.resize(static_cast<std::size_t>(max_classes_ + 1));
-    class_left_.resize(static_cast<std::size_t>(max_classes_ + 1));
-    class_right_.resize(static_cast<std::size_t>(max_classes_ + 1));
+    // The dedup tables are sized on first use: a build stops at
+    // max_classes_ classes, and only spans it actually meets touch pages.
+    build_left_.resize(static_cast<std::size_t>(max_classes_));
+    build_right_.resize(static_cast<std::size_t>(max_classes_));
+    direct_span_ = std::min<std::uint64_t>(
+        kDirectSpan, kDirectSpanPerSite * static_cast<std::uint64_t>(length_));
+    leaf_words_ = (static_cast<std::size_t>(tree.taxon_count()) + 63) / 64;
+    leaf_sets_.resize(repeats_.size() * leaf_words_);
+    if (core_.metrics()) map_metric_ids_ = register_repeat_map_metrics();
     identity_gather_.resize(static_cast<std::size_t>(length_));
     for (std::int64_t s = 0; s < length_; ++s) {
       identity_gather_[static_cast<std::size_t>(s)] = static_cast<std::uint32_t>(s);
@@ -142,18 +225,52 @@ const LikelihoodEngine::SlotRepeats& LikelihoodEngine::ensure_repeat_classes(tre
   if (rep.unique > 0 && rep.left_seen == lsig && rep.right_seen == rsig) {
     return rep;  // nothing changed below this slot: full reuse
   }
-  ++repeat_map_builds_;
+  Timer timer;
+  ++map_stats_.builds;
   rep.left_seen = lsig;
   rep.right_seen = rsig;
-  const auto become_identity = [&]() -> const SlotRepeats& {
+  std::int64_t unique = -1;  // identity unless the dedup stays under the cutoff
+  bool by_subset = false;
+  bool direct = false;
+  bool hashed = false;
+  if (lsig != kIdentitySignature && rsig != kIdentitySignature) {
+    build_leaf_set(slot);
+    by_subset = holds_identity_set(slot);
+    if (!by_subset) {
+      unique = dedup_classes(left, right, direct);
+      hashed = !direct;
+      if (unique < 0) add_identity_set(slot);
+    }
+  }
+  if (unique < 0) {
     rep.unique = length_;
     rep.signature = kIdentitySignature;
     std::vector<std::uint32_t>().swap(rep.class_of_site);
-    std::vector<std::uint32_t>().swap(rep.first_site);
-    return rep;
-  };
-  if (lsig == kIdentitySignature || rsig == kIdentitySignature) return become_identity();
+    std::vector<std::uint32_t>().swap(rep.left);
+    std::vector<std::uint32_t>().swap(rep.right);
+  } else {
+    rep.class_of_site.swap(build_classes_);
+    rep.left.assign(build_left_.begin(), build_left_.begin() + unique);
+    rep.right.assign(build_right_.begin(), build_right_.begin() + unique);
+    rep.unique = unique;
+    rep.signature = ++repeat_version_counter_;  // parents must rebuild against us
+  }
+  const std::int64_t ns = timer.nanoseconds();
+  map_stats_.identity_by_subset += by_subset ? 1 : 0;
+  if (direct) {
+    ++map_stats_.direct;
+    map_stats_.direct_ns += ns;
+  }
+  if (hashed) {
+    ++map_stats_.hashed;
+    map_stats_.hashed_ns += ns;
+  }
+  if (core_.metrics()) publish_repeat_map_build(map_metric_ids_, direct, hashed, by_subset, ns);
+  return rep;
+}
 
+std::int64_t LikelihoodEngine::dedup_classes(const tree::Slot* left, const tree::Slot* right,
+                                             bool& direct) {
   // A site's class is the deduplicated pair (left class, right class), with
   // tip codes standing in for tip children — the LvD subtree-pattern
   // identity.  Children's records are current: newview runs bottom-up and
@@ -162,81 +279,109 @@ const LikelihoodEngine::SlotRepeats& LikelihoodEngine::ensure_repeat_classes(tre
   const std::uint32_t* left_map = nullptr;
   const bio::DnaCode* right_codes = nullptr;
   const std::uint32_t* right_map = nullptr;
-  child_classes(left, left_codes, left_map);
-  child_classes(right, right_codes, right_map);
+  std::uint32_t left_count = kTipClasses;
+  std::uint32_t right_count = kTipClasses;
+  if (left->is_tip()) {
+    left_codes = patterns_.tip_rows[static_cast<std::size_t>(left->node_id)].data() + offset_;
+  } else {
+    left_map = repeats_of(left).class_of_site.data();
+    left_count = static_cast<std::uint32_t>(repeats_of(left).unique);
+  }
+  if (right->is_tip()) {
+    right_codes = patterns_.tip_rows[static_cast<std::size_t>(right->node_id)].data() + offset_;
+  } else {
+    right_map = repeats_of(right).class_of_site.data();
+    right_count = static_cast<std::uint32_t>(repeats_of(right).unique);
+  }
 
-  // Open-addressing dedup with epoch stamps: one epoch per build, so the
-  // table is never cleared on the hot path.  On the (astronomically rare)
-  // 32-bit epoch wraparound, sweep the stamps once.
+  build_classes_.resize(static_cast<std::size_t>(length_));
+  std::uint32_t* classes = build_classes_.data();
+  const auto max_classes = static_cast<std::uint32_t>(max_classes_);
+  const std::uint64_t span = static_cast<std::uint64_t>(left_count) * right_count;
+  if (span <= direct_span_) {
+    // Every pair has its own slot: no hashing, no probing.
+    if (direct_table_.size() < span) {
+      direct_table_.resize(std::min<std::uint64_t>(next_pow2(span), direct_span_));
+    }
+    direct = true;
+    return with_class_rows(left_codes, left_map, right_codes, right_map,
+                           [&](const auto* lrow, const auto* rrow) {
+                             return dedup_direct(lrow, rrow, length_, right_count, max_classes,
+                                                 direct_table_.data(), classes,
+                                                 build_left_.data(), build_right_.data());
+                           });
+  }
+  direct = false;
+  if (repeat_table_.empty()) {
+    // A build stops past max_classes_ classes, so the table never runs
+    // above half full.
+    repeat_table_.resize(
+        std::max<std::size_t>(16, next_pow2(2 * static_cast<std::size_t>(max_classes_ + 1))));
+  }
+  // On the (astronomically rare) 32-bit epoch wraparound, sweep the stamps
+  // once.
   if (++repeat_epoch_ == 0) {
     for (auto& entry : repeat_table_) entry.epoch = 0;
     repeat_epoch_ = 1;
   }
-  build_classes_.resize(static_cast<std::size_t>(length_));
-  std::uint32_t* classes = build_classes_.data();
-  const auto max_classes = static_cast<std::uint32_t>(max_classes_);
-  const std::size_t mask = repeat_table_.size() - 1;
-  std::uint32_t unique = 0;
-  for (std::int64_t s = 0; s < length_; ++s) {
-    const std::uint32_t lc = (left_codes != nullptr) ? static_cast<std::uint32_t>(left_codes[s])
-                                                     : left_map[s];
-    const std::uint32_t rc = (right_codes != nullptr)
-                                 ? static_cast<std::uint32_t>(right_codes[s])
-                                 : right_map[s];
-    const std::uint64_t key = (static_cast<std::uint64_t>(lc) << 32) | rc;
-    std::size_t probe = static_cast<std::size_t>(mix64(key)) & mask;
-    for (;;) {
-      RepeatHashEntry& entry = repeat_table_[probe];
-      if (entry.epoch != repeat_epoch_) {
-        // Past the cutoff: stop hashing, the slot runs site-indexed.
-        if (unique == max_classes) return become_identity();
-        entry.key = key;
-        entry.cls = unique;
-        entry.epoch = repeat_epoch_;
-        build_first_[unique] = static_cast<std::uint32_t>(s);
-        classes[s] = unique;
-        ++unique;  // class ids in first-appearance order: deterministic
-        break;
-      }
-      if (entry.key == key) {
-        classes[s] = entry.cls;
-        break;
-      }
-      probe = (probe + 1) & mask;
-    }
-  }
-  rep.class_of_site.swap(build_classes_);
-  rep.first_site.assign(build_first_.begin(), build_first_.begin() + unique);
-  rep.unique = unique;
-  rep.signature = ++repeat_version_counter_;  // parents must rebuild against us
-  return rep;
+  return with_class_rows(left_codes, left_map, right_codes, right_map,
+                         [&](const auto* lrow, const auto* rrow) {
+                           return dedup_hashed(lrow, rrow, length_, max_classes,
+                                               repeat_table_.data(), repeat_table_.size() - 1,
+                                               repeat_epoch_, classes, build_left_.data(),
+                                               build_right_.data());
+                         });
 }
 
-void LikelihoodEngine::child_classes(const tree::Slot* child, const bio::DnaCode*& codes,
-                                     const std::uint32_t*& map) const {
-  if (child->is_tip()) {
-    codes = patterns_.tip_rows[static_cast<std::size_t>(child->node_id)].data() + offset_;
-  } else {
-    map = repeats_of(child).class_of_site.data();
+void LikelihoodEngine::build_leaf_set(const tree::Slot* slot) {
+  std::uint64_t* out = leaf_sets_.data() + record_index(slot) * leaf_words_;
+  std::fill_n(out, leaf_words_, 0);
+  for (const tree::Slot* child : {slot->child1(), slot->child2()}) {
+    if (child->is_tip()) {
+      const auto taxon = static_cast<std::size_t>(child->node_id);
+      out[taxon / 64] |= std::uint64_t{1} << (taxon % 64);
+    } else {
+      const std::uint64_t* in = leaf_set(child);
+      for (std::size_t w = 0; w < leaf_words_; ++w) out[w] |= in[w];
+    }
   }
 }
 
-void LikelihoodEngine::fill_class_children(tree::Slot* slot, const SlotRepeats& rep) {
-  // A class's child indices are the children's classes at any one of its
-  // sites: O(classes), cheaper than keeping two more arrays per slot.
-  const auto fill = [&](const tree::Slot* child, std::vector<std::uint32_t>& out) {
-    const bio::DnaCode* codes = nullptr;
-    const std::uint32_t* map = nullptr;
-    child_classes(child, codes, map);
-    const std::uint32_t* first = rep.first_site.data();
-    for (std::int64_t c = 0; c < rep.unique; ++c) {
-      const std::uint32_t s = first[c];
-      out[static_cast<std::size_t>(c)] =
-          codes != nullptr ? static_cast<std::uint32_t>(codes[s]) : map[s];
+bool LikelihoodEngine::holds_identity_set(const tree::Slot* slot) const {
+  const std::uint64_t* set = leaf_set(slot);
+  for (std::size_t m = 0; m < identity_sets_.size(); m += leaf_words_) {
+    bool subset = true;
+    for (std::size_t w = 0; w < leaf_words_ && subset; ++w) {
+      subset = (identity_sets_[m + w] & ~set[w]) == 0;
     }
-  };
-  fill(slot->child1(), class_left_);
-  fill(slot->child2(), class_right_);
+    if (subset) return true;
+  }
+  return false;
+}
+
+void LikelihoodEngine::add_identity_set(const tree::Slot* slot) {
+  // The new set holds no member (holds_identity_set said so), so it is
+  // minimal; members that hold it are not any more.
+  const std::uint64_t* set = leaf_set(slot);
+  std::size_t kept = 0;
+  for (std::size_t m = 0; m < identity_sets_.size(); m += leaf_words_) {
+    bool superset = true;
+    for (std::size_t w = 0; w < leaf_words_ && superset; ++w) {
+      superset = (set[w] & ~identity_sets_[m + w]) == 0;
+    }
+    if (superset) continue;
+    std::copy_n(identity_sets_.begin() + static_cast<std::ptrdiff_t>(m), leaf_words_,
+                identity_sets_.begin() + static_cast<std::ptrdiff_t>(kept));
+    kept += leaf_words_;
+  }
+  identity_sets_.resize(kept);
+  identity_sets_.insert(identity_sets_.end(), set, set + leaf_words_);
+}
+
+LikelihoodEngine::ClassRecordView LikelihoodEngine::class_record(const tree::Slot* slot) const {
+  if (!site_repeats_ || slot->is_tip()) return {};
+  const SlotRepeats& rep = repeats_of(slot);
+  return {rep.class_of_site, rep.left, rep.right};
 }
 
 const std::uint32_t* LikelihoodEngine::site_gather(const tree::Slot* slot,
@@ -299,9 +444,8 @@ void LikelihoodEngine::run_newview(tree::Slot* slot) {
     const SlotRepeats& rep = ensure_repeat_classes(slot);
     if (!rep.identity()) {
       work = rep.unique;
-      fill_class_children(slot, rep);
-      left_gather = class_left_.data();
-      right_gather = class_right_.data();
+      left_gather = rep.left.data();
+      right_gather = rep.right.data();
     } else if (compressed(left) || compressed(right)) {
       left_gather = site_gather(left, code_gather_left_);
       right_gather = site_gather(right, code_gather_right_);

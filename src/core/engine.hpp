@@ -32,6 +32,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -104,7 +105,43 @@ class LikelihoodEngine final : public EngineFamily {
   /// Monotonic count of class-record (re)builds: one per slot whose
   /// children's class structure changed since its last build, hashed or
   /// marked identity (0 on the dense path).
-  [[nodiscard]] std::int64_t repeat_map_builds() const { return repeat_map_builds_; }
+  [[nodiscard]] std::int64_t repeat_map_builds() const { return map_stats_.builds; }
+
+  /// Class-record builds by how they were decided (all 0 on the dense path).
+  struct RepeatMapStats {
+    std::int64_t builds = 0;              ///< as repeat_map_builds()
+    std::int64_t direct = 0;              ///< deduplicated through the direct table
+    std::int64_t hashed = 0;              ///< deduplicated through the hash table
+    std::int64_t identity_by_subset = 0;  ///< identity: holds a known identity leaf set
+    std::int64_t direct_ns = 0;           ///< time in the direct dedup loops
+    std::int64_t hashed_ns = 0;           ///< time in the hashed dedup loops
+  };
+  [[nodiscard]] const RepeatMapStats& repeat_map_stats() const { return map_stats_; }
+
+  /// Read-only view of an inner slot's class record: the site → class map
+  /// and each class's child pair (a tip child's pair entry is its code).
+  /// All empty for identity and unbuilt records and on the dense path.
+  struct ClassRecordView {
+    std::span<const std::uint32_t> class_of_site;
+    std::span<const std::uint32_t> left;
+    std::span<const std::uint32_t> right;
+  };
+  [[nodiscard]] ClassRecordView class_record(const tree::Slot* slot) const;
+
+  /// Largest class span (left classes × right classes, a tip counting
+  /// kTipClasses) a build deduplicates through the direct-indexed table;
+  /// wider builds hash.  Both paths build identical records, so this is an
+  /// ablation hook for tests and benches: 0 hashes every build, and a span
+  /// above kDirectSpan lets the table grow past its 1 MiB cap.
+  void set_repeat_direct_span(std::uint64_t span) { direct_span_ = span; }
+
+  /// Default direct-table span: 2^18 uint32 slots, 1 MiB per engine, and
+  /// at most kDirectSpanPerSite slots per site of the slice (128 B a site,
+  /// about one full-width CLA), so narrow engines keep small tables.
+  static constexpr std::uint64_t kDirectSpan = std::uint64_t{1} << 18;
+  static constexpr std::uint64_t kDirectSpanPerSite = 32;
+  /// Classes a tip child contributes to the span: its 4-bit code range.
+  static constexpr std::uint32_t kTipClasses = 16;
 
  private:
   // Kernel hooks (see engine_core.hpp).
@@ -138,21 +175,22 @@ class LikelihoodEngine final : public EngineFamily {
   // dense in [0, 3(n-2))): a site → class map for the subtree behind the
   // slot (two sites share a class iff their tip-state pattern inside that
   // subtree is identical, the LvD subtree-pattern identity) and each
-  // class's first site, from which newview derives the per-class child
-  // indices the repeat kernel consumes.  A slot's classes are the
-  // deduplicated pairs of its children's classes (tip codes for tips),
-  // built bottom-up where newview runs.  Records are a memo checked on
-  // use, never invalidated: each remembers the signatures its children
-  // had when it was built (a constant per-taxon tag for tips, a per-build
-  // version or the shared identity signature for inner slots) and rebuilds
-  // only when they differ.  Re-orienting a node therefore reuses that
-  // orientation's record, and branch-length, model and heal invalidations
-  // never touch them.
+  // class's child pair, the per-class child indices the repeat kernel
+  // consumes.  A slot's classes are the deduplicated pairs of its children's
+  // classes (tip codes for tips), built bottom-up where newview runs.
+  // Records are a memo checked on use, never invalidated: each remembers
+  // the signatures its children had when it was built (a constant
+  // per-taxon tag for tips, a per-build version or the shared identity
+  // signature for inner slots) and rebuilds only when they differ.
+  // Re-orienting a node therefore reuses that orientation's record, and
+  // branch-length, model and heal invalidations never touch them.
   //
   // Identity cutoff: a slot whose classes would exceed kIdentityFraction of
   // the slice keeps no map and computes site-indexed like the dense path.
-  // Class counts only grow toward the root, so a slot with an identity
-  // child is identity without hashing.
+  // Restricting a site's pattern to fewer taxa maps classes onto classes,
+  // so a leaf set's class count never falls when taxa are added: a slot
+  // with an identity child, or whose leaf set holds one that hashing found
+  // identity, is identity without hashing.
 
   /// Signature shared by every identity slot: a parent over an identity
   /// child is identity whatever that child's subtree, so it need not
@@ -161,7 +199,8 @@ class LikelihoodEngine final : public EngineFamily {
 
   struct SlotRepeats {
     std::vector<std::uint32_t> class_of_site;  ///< [length_] site → class; empty if identity
-    std::vector<std::uint32_t> first_site;     ///< [unique] class → its first site
+    std::vector<std::uint32_t> left;           ///< [unique] class → left child's class
+    std::vector<std::uint32_t> right;          ///< [unique] class → right child's class
     std::int64_t unique = 0;        ///< computed blocks (length_ if identity); 0 = never built
     std::uint64_t signature = 0;    ///< what parents see: build version or kIdentitySignature
     std::uint64_t left_seen = 0;    ///< child signatures at build time
@@ -182,11 +221,14 @@ class LikelihoodEngine final : public EngineFamily {
     std::uint32_t epoch = 0;
   };
 
+  [[nodiscard]] std::size_t record_index(const tree::Slot* slot) const {
+    return static_cast<std::size_t>(slot->slot_index - tree_.taxon_count());
+  }
   [[nodiscard]] SlotRepeats& repeats_of(const tree::Slot* slot) {
-    return repeats_[static_cast<std::size_t>(slot->slot_index - tree_.taxon_count())];
+    return repeats_[record_index(slot)];
   }
   [[nodiscard]] const SlotRepeats& repeats_of(const tree::Slot* slot) const {
-    return repeats_[static_cast<std::size_t>(slot->slot_index - tree_.taxon_count())];
+    return repeats_[record_index(slot)];
   }
 
   /// Signature identifying a child's current class structure.
@@ -196,13 +238,28 @@ class LikelihoodEngine final : public EngineFamily {
   /// changed since its last build.
   const SlotRepeats& ensure_repeat_classes(tree::Slot* slot);
 
-  /// Where `child`'s per-site classes live: its tip code row or its map.
-  void child_classes(const tree::Slot* child, const bio::DnaCode*& codes,
-                     const std::uint32_t*& map) const;
+  /// Deduplicates the children's class pairs into build_classes_ and the
+  /// build_left_/build_right_ pairs; returns the class count, or -1 past
+  /// the identity cutoff.  The class span picks the path: `direct` says
+  /// whether the direct table served the build.
+  std::int64_t dedup_classes(const tree::Slot* left, const tree::Slot* right, bool& direct);
 
-  /// Fills class_left_/class_right_ with a compressed slot's per-class
-  /// child indices (block index or tip code) for newview_repeats.
-  void fill_class_children(tree::Slot* slot, const SlotRepeats& rep);
+  /// Writes `slot`'s leaf bitset (its record's words of leaf_sets_) as the
+  /// OR of its children's.  Only records with two compressed children keep
+  /// one: an identity record's parents are identity by the child rule and
+  /// never read it.
+  void build_leaf_set(const tree::Slot* slot);
+
+  [[nodiscard]] const std::uint64_t* leaf_set(const tree::Slot* slot) const {
+    return leaf_sets_.data() + record_index(slot) * leaf_words_;
+  }
+
+  /// Whether `slot`'s leaf set holds one of identity_sets_.
+  [[nodiscard]] bool holds_identity_set(const tree::Slot* slot) const;
+
+  /// Adds `slot`'s leaf set, found identity by hashing, to identity_sets_,
+  /// dropping the members it is a subset of.
+  void add_identity_set(const tree::Slot* slot);
 
   /// Whether `slot` is an inner slot whose CLA is class-compressed.
   [[nodiscard]] bool compressed(const tree::Slot* slot) const {
@@ -226,14 +283,19 @@ class LikelihoodEngine final : public EngineFamily {
   bool site_repeats_ = false;
   std::vector<SlotRepeats> repeats_;           ///< indexed by slot_index - ntaxa
   std::vector<RepeatHashEntry> repeat_table_;  ///< open-addressing dedup table
+  std::vector<std::uint32_t> direct_table_;    ///< class + 1 at lc·uR + rc; zero between builds
+  std::uint64_t direct_span_ = kDirectSpan;
   std::vector<std::uint32_t> build_classes_;   ///< build scratch, swapped into the record
-  std::vector<std::uint32_t> build_first_;
-  std::vector<std::uint32_t> class_left_;      ///< per-class child indices of one newview
-  std::vector<std::uint32_t> class_right_;
+  std::vector<std::uint32_t> build_left_;      ///< build scratch: each new class's pair
+  std::vector<std::uint32_t> build_right_;
   std::int64_t max_classes_ = 0;               ///< identity above this many classes
   std::uint32_t repeat_epoch_ = 0;
   std::uint64_t repeat_version_counter_ = 0;
-  std::int64_t repeat_map_builds_ = 0;
+  RepeatMapStats map_stats_;
+  RepeatMapMetricIds map_metric_ids_;          ///< registered when metrics are on
+  std::size_t leaf_words_ = 0;                 ///< 64-bit words of one leaf bitset
+  std::vector<std::uint64_t> leaf_sets_;       ///< [records × leaf_words_]
+  std::vector<std::uint64_t> identity_sets_;   ///< antichain of minimal identity leaf sets
   std::vector<std::uint32_t> identity_gather_;    ///< 0..length_-1 (site-indexed side of a gather)
   std::vector<std::uint32_t> code_gather_left_;   ///< tip codes widened for newview_repeats
   std::vector<std::uint32_t> code_gather_right_;

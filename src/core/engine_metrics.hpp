@@ -1,5 +1,8 @@
 // Metrics publication helpers shared by the three likelihood engines.
 //
+// The dense engine's site-repeats path also registers the class-map build
+// family ("core.repeat_map.*").
+//
 // Engines constructed with EngineConfig::metrics == kOn register one metric
 // family per kernel under the dotted names the obs report understands
 // ("plf.<isa>.<path>.<kernel>.{calls,sites,sites_rep,bytes,ns}"), and
@@ -64,6 +67,45 @@ struct EngineMetricIds {
   }
   ids.scaling_events = registry.counter("plf.scaling_events");
   return ids;
+}
+
+/// Class-map builds of the site-repeats path ("core.repeat_map.*"): every
+/// build, the dedup path it took or the identity it was decided by without
+/// one, and its latency.
+struct RepeatMapMetricIds {
+  obs::MetricId builds = 0;
+  obs::MetricId direct = 0;
+  obs::MetricId hashed = 0;
+  obs::MetricId identity_by_subset = 0;
+  obs::MetricId ns = 0;  ///< per-build latency histogram, nanoseconds
+};
+
+[[nodiscard]] inline RepeatMapMetricIds register_repeat_map_metrics() {
+  obs::Registry& registry = obs::Registry::instance();
+  RepeatMapMetricIds ids;
+  ids.builds = registry.counter("core.repeat_map.builds");
+  ids.direct = registry.counter("core.repeat_map.direct");
+  ids.hashed = registry.counter("core.repeat_map.hashed");
+  ids.identity_by_subset = registry.counter("core.repeat_map.identity_by_subset");
+  ids.ns = registry.histogram("core.repeat_map.build_ns");
+  return ids;
+}
+
+/// One class-map build: which dedup path it took, if any, or whether a
+/// known identity leaf set decided it.
+inline void publish_repeat_map_build(const RepeatMapMetricIds& ids, bool direct, bool hashed,
+                                     bool identity_by_subset, std::int64_t ns) {
+  if constexpr (!obs::kMetricsCompiled) {
+    (void)ids, (void)direct, (void)hashed, (void)identity_by_subset, (void)ns;
+    return;
+  } else {
+    obs::Registry& registry = obs::Registry::instance();
+    registry.add(ids.builds, 1);
+    if (direct) registry.add(ids.direct, 1);
+    if (hashed) registry.add(ids.hashed, 1);
+    if (identity_by_subset) registry.add(ids.identity_by_subset, 1);
+    registry.observe(ids.ns, ns);
+  }
 }
 
 /// One kernel invocation's worth of publication.  The caller guards with

@@ -128,6 +128,25 @@ struct Gate {
       release_future.wait();
     };
   }
+
+  /// Releases the parked job; later calls do nothing.
+  void open() {
+    if (!opened) {
+      opened = true;
+      release.set_value();
+    }
+  }
+  bool opened = false;
+};
+
+/// Opens a gate when the test body unwinds.  An assertion that returns
+/// before the gate opens would otherwise leave the gated job parked, and
+/// the service's destructor would wait for it until the test times out.
+/// Declare the gate before the service and this guard after it: the guard
+/// opens the gate, the service joins the job, then the gate goes.
+struct OpenOnExit {
+  Gate& gate;
+  ~OpenOnExit() { gate.open(); }
 };
 
 TEST_F(ServiceTest, JobKindsMatchSoloRunsBitForBit) {
@@ -180,13 +199,14 @@ TEST_F(ServiceTest, AdmissionShedsQueueFullAndTenantQuotaSeparately) {
   ServiceConfig config;
   config.executors = 1;
   config.queue_limit = 3;
+  Gate gate;  // outlives the service, which joins the gated job
   EvaluationService service(config);
   service.register_tenant("roomy", TenantQuota{.max_in_flight = 10});
   service.register_tenant("capped", TenantQuota{.max_in_flight = 2});
 
   // Park the single executor inside a gated job; everything submitted from
   // here on stays queued, making admission decisions deterministic.
-  Gate gate;
+  const OpenOnExit open_on_exit{gate};
   JobRequest blocker = make_request("roomy", JobKind::kEvaluate);
   blocker.fault_injector = gate.injector();
   const std::int64_t blocker_id = service.submit(blocker);
@@ -211,7 +231,7 @@ TEST_F(ServiceTest, AdmissionShedsQueueFullAndTenantQuotaSeparately) {
 
   // Release the executor; the shed condition clears and the retry helper
   // gets the previously-rejected job admitted.
-  gate.release.set_value();
+  gate.open();
   RetryPolicy policy;
   policy.max_attempts = 200;
   policy.initial_delay = 200us;
@@ -252,10 +272,11 @@ TEST(RetryHelper, BacksOffUntilAdmittedAndGivesUpAtTheCap) {
 TEST_F(ServiceTest, DeadlineExpiresInQueueWithoutTouchingAnEngine) {
   ServiceConfig config;
   config.executors = 1;
+  Gate gate;  // outlives the service, which joins the gated job
   EvaluationService service(config);
   service.register_tenant("acme", {});
 
-  Gate gate;
+  const OpenOnExit open_on_exit{gate};
   JobRequest blocker = make_request("acme", JobKind::kEvaluate);
   blocker.fault_injector = gate.injector();
   const std::int64_t blocker_id = service.submit(blocker);
@@ -266,7 +287,7 @@ TEST_F(ServiceTest, DeadlineExpiresInQueueWithoutTouchingAnEngine) {
   const std::int64_t doomed_id = service.submit(doomed);
   ASSERT_GE(doomed_id, 0);
   std::this_thread::sleep_for(30ms);
-  gate.release.set_value();
+  gate.open();
 
   const JobResult result = service.wait(doomed_id);
   EXPECT_EQ(result.status, JobStatus::kDeadlineExceeded);
@@ -296,17 +317,18 @@ TEST_F(ServiceTest, DeadlineExpiresMidTraversalAndServiceStaysHealthy) {
 TEST_F(ServiceTest, CancelUnwindsTheJobAndLeavesSharedStateClean) {
   ServiceConfig config;
   config.executors = 1;
+  Gate gate;  // outlives the service, which joins the gated job
   EvaluationService service(config);
   service.register_tenant("acme", {});
 
-  Gate gate;
+  const OpenOnExit open_on_exit{gate};
   JobRequest victim = make_request("acme", JobKind::kBranchSmooth);
   victim.options.smoothing_passes = 4;
   victim.fault_injector = gate.injector();
   const std::int64_t id = service.submit(victim);
   gate.entered.get_future().wait();
   EXPECT_TRUE(service.cancel(id));
-  gate.release.set_value();
+  gate.open();
 
   const JobResult result = service.wait(id);
   EXPECT_EQ(result.status, JobStatus::kCancelled);
@@ -328,12 +350,13 @@ TEST_F(ServiceTest, MemoryPressureDegradesTheGrantNotTheAnswer) {
   config.executors = 2;
   config.cla_budget_bytes = want + floor_buffers() * buffer;
   config.degrade_floor_bytes = floor_buffers() * buffer;
+  Gate gate;  // outlives the service, which joins the gated job
   EvaluationService service(config);
   service.register_tenant("acme", TenantQuota{.max_in_flight = 8});
 
   // The holder reserves its full request, then parks; the budget it holds
   // forces the second job into the degradation path.
-  Gate gate;
+  const OpenOnExit open_on_exit{gate};
   JobRequest holder = make_request("acme", JobKind::kEvaluate);
   holder.options.cla_budget_bytes = want;
   holder.fault_injector = gate.injector();
@@ -348,7 +371,7 @@ TEST_F(ServiceTest, MemoryPressureDegradesTheGrantNotTheAnswer) {
   EXPECT_EQ(degraded.cla_bytes_granted, floor_buffers() * buffer);
   EXPECT_EQ(degraded.log_likelihood, solo(JobKind::kEvaluate));
 
-  gate.release.set_value();
+  gate.open();
   const JobResult held = service.wait(holder_id);
   ASSERT_EQ(held.status, JobStatus::kOk) << held.error;
   EXPECT_FALSE(held.degraded);

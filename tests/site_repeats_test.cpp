@@ -9,12 +9,15 @@
 // tests pin down that nothing but a changed subtree rebuilds a map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/engine.hpp"
+#include "src/io/newick.hpp"
 #include "src/tree/moves.hpp"
 #include "src/util/error.hpp"
 #include "tests/testutil.hpp"
@@ -459,6 +462,201 @@ INSTANTIATE_TEST_SUITE_P(Configs, RepeatMapReuse,
                                            ReuseCase{"min_budget_spill", true, false},
                                            ReuseCase{"sdc_checks", false, true}),
                          [](const auto& param_info) { return std::string(param_info.param.name); });
+
+// --- Dedup paths and identity by leaf-set subset ---------------------------
+
+/// Whether two engines hold the same class record for every slot of `a`'s
+/// tree (the trees are copies, so slot indices match).
+void expect_same_records(const LikelihoodEngine& a, tree::Tree& tree_a,
+                         const LikelihoodEngine& b, tree::Tree& tree_b,
+                         const std::string& what) {
+  for (int inner = 0; inner < tree_a.inner_count(); ++inner) {
+    for (int k = 0; k < 3; ++k) {
+      const auto ra = a.class_record(tree_a.inner_slot(inner, k));
+      const auto rb = b.class_record(tree_b.inner_slot(inner, k));
+      EXPECT_TRUE(std::ranges::equal(ra.class_of_site, rb.class_of_site) &&
+                  std::ranges::equal(ra.left, rb.left) && std::ranges::equal(ra.right, rb.right))
+          << what << ": slot " << tree_a.inner_slot(inner, k)->slot_index;
+    }
+  }
+}
+
+/// Unrooted tree over taxon0..taxon11 with two 5-taxon clades and a cherry:
+/// the slot toward the cherry has the two 5-taxon clades as children.
+tree::Tree two_wide_clades(const std::vector<std::string>& names) {
+  const auto clade = [&](int first) {
+    const auto leaf = [&](int t) { return names[static_cast<std::size_t>(t)] + ":0.1"; };
+    return "(((" + leaf(first) + "," + leaf(first + 1) + "):0.1," + leaf(first + 2) + "):0.1,(" +
+           leaf(first + 3) + "," + leaf(first + 4) + "):0.1):0.1";
+  };
+  const std::string text =
+      "(" + clade(0) + "," + clade(5) + ",(" + names[10] + ":0.1," + names[11] + ":0.1):0.1);";
+  return tree::Tree::from_newick(*io::parse_newick(text), names);
+}
+
+TEST(RepeatDedupPaths, DirectAndHashedBuildIdenticalRecords) {
+  // Narrow: duplicated low-diversity columns, every span far below 2^18.
+  // Wide: 1,000 random columns × 4 on two 5-taxon clades, ~640 classes
+  // each, so the slot over both spans ~4·10^5 pairs yet stays compressed.
+  struct Case {
+    const char* name;
+    bool wide;
+  };
+  for (const Case c : {Case{"narrow", false}, Case{"wide", true}}) {
+    Rng rng(c.wide ? 3301 : 3302);
+    const int ntaxa = 12;
+    const auto base = random_alignment(ntaxa, c.wide ? 1000 : 40, rng);
+    const auto patterns = bio::uncompressed_patterns(duplicate_columns(base, c.wide ? 4 : 5));
+    const model::GtrModel model(random_gtr_params(rng));
+    const tree::Tree base_tree =
+        c.wide ? two_wide_clades(base.taxon_names()) : tree::Tree::random(ntaxa, rng);
+
+    // Default split, every build hashed, every build direct.
+    const std::uint64_t spans[] = {LikelihoodEngine::kDirectSpan, 0,
+                                   std::uint64_t{1} << 22};
+    std::vector<tree::Tree> trees(3, base_tree);
+    std::vector<std::unique_ptr<LikelihoodEngine>> engines;
+    for (int e = 0; e < 3; ++e) {
+      engines.push_back(std::make_unique<LikelihoodEngine>(
+          patterns, model, trees[static_cast<std::size_t>(e)], LikelihoodEngine::Config{}));
+      engines.back()->set_repeat_direct_span(spans[e]);
+    }
+    std::vector<double> lnl(3);
+    for (int edge = 0; edge < base_tree.edge_count(); ++edge) {
+      for (std::size_t e = 0; e < 3; ++e) {
+        lnl[e] = engines[e]->log_likelihood(trees[e].edges()[static_cast<std::size_t>(edge)]);
+      }
+      EXPECT_EQ(lnl[1], lnl[0]) << c.name << " edge " << edge;
+      EXPECT_EQ(lnl[2], lnl[0]) << c.name << " edge " << edge;
+    }
+    const auto& automatic = engines[0]->repeat_map_stats();
+    const auto& hashed = engines[1]->repeat_map_stats();
+    const auto& direct = engines[2]->repeat_map_stats();
+    EXPECT_EQ(hashed.builds, automatic.builds) << c.name;
+    EXPECT_EQ(direct.builds, automatic.builds) << c.name;
+    EXPECT_EQ(hashed.direct, 0) << c.name;
+    EXPECT_EQ(direct.hashed, 0) << c.name;
+    EXPECT_GT(automatic.direct, 0) << c.name;
+    // Only the wide case has a span above 2^18, so only it hashes by default.
+    EXPECT_EQ(automatic.hashed > 0, c.wide) << c.name;
+    for (std::size_t e = 0; e < 3; ++e) {
+      EXPECT_EQ(engines[e]->repeat_map_stats().identity_by_subset, 0) << c.name;
+      EXPECT_LT(engines[e]->unique_site_ratio(), 1.0) << c.name;  // nothing went identity
+    }
+    expect_same_records(*engines[0], trees[0], *engines[1], trees[1], c.name);
+    expect_same_records(*engines[0], trees[0], *engines[2], trees[2], c.name);
+  }
+}
+
+/// Bit-compares the CLA of every inner node of two engines over copies of
+/// one tree, and the records of the slots the CLAs point through (both
+/// engines last evaluated at the same edge, so every node points at it).
+void expect_same_traversal(LikelihoodEngine& a, tree::Tree& tree_a, LikelihoodEngine& b,
+                           tree::Tree& tree_b, tree::Slot* root_a, const std::string& what) {
+  for (int inner = 0; inner < tree_a.inner_count(); ++inner) {
+    const std::int64_t blocks = a.cla_store().blocks(inner);
+    ASSERT_EQ(b.cla_store().blocks(inner), blocks) << what << ": node " << inner;
+    auto& sa = a.cla_store_for_testing();
+    auto& sb = b.cla_store_for_testing();
+    EXPECT_TRUE(std::equal(sa.values(inner), sa.values(inner) + blocks * kSiteBlock,
+                           sb.values(inner)))
+        << what << ": node " << inner;
+    EXPECT_TRUE(std::equal(sa.scales(inner), sa.scales(inner) + blocks, sb.scales(inner)))
+        << what << ": node " << inner;
+  }
+  const auto visit = [&](const auto& self, const tree::Slot* slot) -> void {
+    if (slot->is_tip()) return;
+    const auto ra = a.class_record(slot);
+    const auto rb = b.class_record(tree_b.slot(slot->slot_index));
+    EXPECT_TRUE(std::ranges::equal(ra.class_of_site, rb.class_of_site) &&
+                std::ranges::equal(ra.left, rb.left) && std::ranges::equal(ra.right, rb.right))
+        << what << ": slot " << slot->slot_index;
+    self(self, slot->child1());
+    self(self, slot->child2());
+  };
+  visit(visit, root_a);
+  visit(visit, root_a->back);
+}
+
+TEST(RepeatIdentityBySubset, SupersetSlotsSkipHashingWithIdenticalClas) {
+  // 300 random columns: a subtree of 5 or more taxa is above the identity
+  // cutoff, smaller ones compress.  SPR cycles regroup taxa under slots
+  // whose children are both small (compressed) while their union holds a
+  // leaf set hashing already found identity; those decide by subset.  A
+  // fresh engine on a copy of the tree decides every slot by hashing (one
+  // traversal never meets a superset of a finished slot other than its
+  // ancestors, which are identity by the child rule), so it is the
+  // reference for the CLAs, records and lnL.
+  Rng rng(4411);
+  const int ntaxa = 16;
+  const auto patterns = bio::compress_patterns(random_alignment(ntaxa, 300, rng));
+  const model::GtrModel model(random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(ntaxa, rng);
+  LikelihoodEngine::Config config;
+  config.metrics = obs::MetricsMode::kOn;
+  LikelihoodEngine engine(patterns, model, tree, config);
+
+  obs::Registry& registry = obs::Registry::instance();
+  const auto ids = register_repeat_map_metrics();
+  const std::int64_t builds0 = registry.value(ids.builds);
+  const std::int64_t direct0 = registry.value(ids.direct);
+  const std::int64_t hashed0 = registry.value(ids.hashed);
+  const std::int64_t subset0 = registry.value(ids.identity_by_subset);
+  const std::int64_t observed0 = registry.histogram_snapshot(ids.ns).count;
+
+  int compared = 0;
+  const auto compare_with_fresh = [&](tree::Slot* root, const char* step) {
+    const std::int64_t before = engine.repeat_map_stats().identity_by_subset;
+    const double lnl = engine.log_likelihood(root);
+    if (engine.repeat_map_stats().identity_by_subset == before) return;
+    tree::Tree copy(tree);
+    LikelihoodEngine fresh(patterns, model, copy, LikelihoodEngine::Config{});
+    tree::Slot* copy_root = copy.slot(root->slot_index);
+    EXPECT_EQ(fresh.log_likelihood(copy_root), lnl) << step;
+    EXPECT_EQ(fresh.repeat_map_stats().identity_by_subset, 0) << step;
+    expect_same_traversal(engine, tree, fresh, copy, root, step);
+    ++compared;
+  };
+
+  for (tree::Slot* edge : tree.edges()) compare_with_fresh(edge, "sweep");
+  for (int inner = 0; inner < tree.inner_count(); ++inner) {
+    tree::Slot* p = tree.inner_slot(inner, 0);
+    const auto record = tree::prune(tree, p);
+    const auto candidates = tree::insertion_candidates(record, 3);
+    engine.invalidate_node(record.left->node_id);
+    engine.invalidate_node(record.right->node_id);
+    engine.invalidate_node(p->node_id);
+    for (tree::Slot* e : candidates) {
+      tree::Slot* other = e->back;
+      tree::regraft(tree, record, e);
+      engine.invalidate_node(e->node_id);
+      engine.invalidate_node(other->node_id);
+      engine.invalidate_node(p->node_id);
+      compare_with_fresh(p->next, "regraft");
+      compare_with_fresh(p->next->next, "regraft, other side");
+      tree::ungraft(tree, record);
+      engine.invalidate_node(e->node_id);
+      engine.invalidate_node(other->node_id);
+      engine.invalidate_node(p->node_id);
+    }
+    tree::undo_prune(tree, record);
+    engine.invalidate_node(record.left->node_id);
+    engine.invalidate_node(record.right->node_id);
+    engine.invalidate_node(p->node_id);
+    compare_with_fresh(p->next, "undo");
+  }
+  const auto& stats = engine.repeat_map_stats();
+  EXPECT_GT(compared, 0);
+  EXPECT_GT(stats.identity_by_subset, 0);
+  EXPECT_GT(stats.direct, 0);
+
+  // The registry family counts the same builds.
+  EXPECT_EQ(registry.value(ids.builds) - builds0, stats.builds);
+  EXPECT_EQ(registry.value(ids.direct) - direct0, stats.direct);
+  EXPECT_EQ(registry.value(ids.hashed) - hashed0, stats.hashed);
+  EXPECT_EQ(registry.value(ids.identity_by_subset) - subset0, stats.identity_by_subset);
+  EXPECT_EQ(registry.histogram_snapshot(ids.ns).count - observed0, stats.builds);
+}
 
 TEST(RepeatIdentityCutoff, HighDiversityRunsNearRootSlotsAsIdentity) {
   // Random columns on many taxa are distinct in every large subtree.  The
