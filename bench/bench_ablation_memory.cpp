@@ -5,8 +5,8 @@
 //
 //   recompute  evictions drop the CLA; the engine re-runs newview
 //              (the recompute-only discipline, spill tier off)
-//   tiered     evictions above the rebuild-cost threshold spill to a
-//              checksummed temp file and reload on demand
+//   tiered     every eviction spills to a checksummed temp file and
+//              reloads on demand
 //
 // under byte budgets (cla_budget_bytes, the one budget unit).  Site-repeats
 // buffers hold only their class count of blocks, so a byte budget keeps far
@@ -15,10 +15,9 @@
 // (recomputation) work, evictions, spill traffic, wall time, and the peak
 // bytes of the preorder stack one all-branch gradient after the timed
 // optimization holds (the depth-first descent's partials, outside the cap).
-// The recompute-vs-reload crossover is the store's spill_min_registers
-// policy; the measured curve (EXPERIMENTS.md) puts the default at 0 —
-// always spill — because a drop's real price is the validity cascade it
-// seeds, not the one newview it saves.
+// The tiered mode never drops: the measured curve (EXPERIMENTS.md) showed
+// that a drop's real price is the validity cascade it seeds, not the one
+// newview it saves.
 // The paper notes the 4 M-site dataset already exhausts the Phi's 8 GB —
 // this is the technique that would lift that limit.
 //

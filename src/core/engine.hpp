@@ -17,11 +17,11 @@
 //
 // Orchestration is not this file's: the engine is the DNA fast-path
 // EngineFamily (engine_core.hpp), whose core::EngineCore owns CLA validity,
-// the tiered store, the plan cache and both plan executors, the Evaluator
+// the tiered store, the plan cache and the plan executor, the Evaluator
 // entry points (Newton optimizer, all-branch gradient descent), kernel
 // accounting, cancellation and the SDC heal loop for every engine family.
 // Traversals are *planned*, not recursed — each virtual-root placement
-// compiles into a flat, dependency-leveled PlfOp list, cached per branch
+// compiles into a flat, depth-first PlfOp list, cached per branch
 // under an epoch protocol — and the core calls back into run_newview() once
 // per op.  This class keeps what is DNA-specific: the 4-state Γ kernels and
 // their tables, the chunked SDC checksum loop and the site-repeats class

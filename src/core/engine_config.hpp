@@ -62,32 +62,25 @@ struct EngineConfig {
   /// (TraversalPlanner::build_preorder): smaller subtree first, so at most
   /// ⌈log2 n⌉ + 2 partials are live for n taxa.
   std::int64_t cla_budget_bytes = 0;
-  /// Enables the ClaStore spill tier: evicted CLAs whose subtree is
-  /// expensive to rebuild are written to disk (asynchronously, checksummed)
-  /// and reloaded instead of recomputed.  Off, eviction always drops and
-  /// recomputes — the pre-store behavior.
+  /// Enables the ClaStore spill tier: every evicted CLA is written to disk
+  /// (asynchronously, checksummed) and reloaded instead of recomputed.  A
+  /// drop would not cost one newview: it invalidates the CLA, and under a
+  /// tight budget the rebuilds evict (and drop) further nodes, a storm that
+  /// inflates traversals ~7x (DESIGN.md §14).  Off, eviction always drops
+  /// and recomputes — the pre-store behavior.
   bool cla_spill = false;
-  /// Recompute-vs-spill threshold: evictees whose Sethi–Ullman registers
-  /// number is at or below this are dropped and recomputed even with the
-  /// spill tier on.  Measured default is 0 (always spill): a drop does not
-  /// cost one newview, it invalidates the CLA — and under a tight budget
-  /// the rebuilds of dropped nodes evict (and drop) further nodes, a
-  /// self-sustaining storm that inflates traversals ~7x.  A reload is a
-  /// checksummed memcpy and leaves validity intact, so it wins even for
-  /// cherries (registers == 1); see bench_ablation_memory for the curve.
-  int cla_spill_min_registers = 0;
   /// Spill directory; empty honors $TMPDIR, falling back to /tmp.  The
   /// backing file is unlinked at creation, so it is reclaimed on any exit.
   std::string cla_spill_dir{};
   /// Cooperative cancellation token (DESIGN.md §15).  When set, the engine
-  /// calls cancel->check() at plan-level boundaries — between traversal
-  /// levels (or ops, under a tight budget), between branches in smoothing
-  /// sweeps, and between preorder ops in the gradient descent — and unwinds
-  /// with CancelledError when the owner cancels the job or its deadline
-  /// expires.  The unwind releases every pin the engine holds, so a
-  /// cancelled engine is immediately reusable (or destructible) without
-  /// poisoning shared state.  The token must outlive the engine.  nullptr
-  /// (default) compiles the checks down to one branch per boundary.
+  /// calls cancel->check() at plan-level boundaries — between plan ops at
+  /// every budget, between branches in smoothing sweeps, and between
+  /// preorder ops in the gradient descent — and unwinds with CancelledError
+  /// when the owner cancels the job or its deadline expires.  The unwind
+  /// releases every pin the engine holds, so a cancelled engine is
+  /// immediately reusable (or destructible) without poisoning shared state.
+  /// The token must outlive the engine.  nullptr (default) compiles the
+  /// checks down to one branch per boundary.
   const CancelToken* cancel = nullptr;
   /// Site-repeats mode (LvD algorithm of Bryant/Scornavacca/Swofford;
   /// BEAGLE 4.1's parallel back-ends do the same), on by default: each

@@ -49,7 +49,6 @@ void EngineCore::configure(const EngineConfig& config, std::int64_t length, std:
   store_config.scales = length;
   store_config.spill = config.cla_spill;
   store_config.spill_dir = config.cla_spill_dir;
-  store_config.spill_min_registers = config.cla_spill_min_registers;
   store_config.node_id_base = taxa_;
   store_config.metrics = metrics_ ? obs::MetricsMode::kOn : obs::MetricsMode::kOff;
   store_config.on_drop = [this](int slot) {
@@ -280,77 +279,53 @@ void EngineCore::execute_plan(const TraversalPlan& plan) {
   }
   if (plan.empty()) return;
   obs::ScopedSpan span("plan:execute");
-  if (!store_.full_resident()) {
-    // Tight budget: run in Sethi-Ullman DFS order with pin/unpin discipline
-    // so the live working set stays ~log2(n) buffers.  Feed the plan's read
-    // positions to the store first: eviction then prefers CLAs with no
-    // remaining use in this plan, and otherwise the farthest next use —
-    // the register-allocation heuristic of DESIGN.md §14.
-    store_.begin_plan();
-    const auto& ops = plan.ops();
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      for (tree::Slot* child : {ops[i].slot->child1(), ops[i].slot->child2()}) {
-        if (!child->is_tip()) {
-          store_.plan_next_use(child->node_id - taxa_, static_cast<std::int64_t>(i));
-        }
+  // Sethi–Ullman DFS order with pin/unpin discipline, so the live working
+  // set stays ~log2(n) buffers under any budget.  Feed the plan's read
+  // positions to the store first: eviction then prefers CLAs with no
+  // remaining use in this plan, and otherwise the farthest next use — the
+  // register-allocation heuristic of DESIGN.md §14.
+  store_.begin_plan();
+  const auto& ops = plan.ops();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    for (tree::Slot* child : {ops[i].slot->child1(), ops[i].slot->child2()}) {
+      if (!child->is_tip()) {
+        store_.plan_next_use(child->node_id - taxa_, static_cast<std::int64_t>(i));
       }
-    }
-    for (const PlanRoot& root : plan.roots()) {
-      // Roots are read by the kernel that follows the whole plan.
-      if (!root.slot->is_tip()) {
-        store_.plan_next_use(root.slot->node_id - taxa_, static_cast<std::int64_t>(ops.size()));
-      }
-    }
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      // Per-op cancellation boundary: a tight-budget traversal has no level
-      // structure, so this is its plan-level granularity.
-      check_cancel();
-      store_.plan_cursor(static_cast<std::int64_t>(i));
-      // Read-ahead: stream this op's and the next op's frontier inputs from
-      // the spill tier while kernels run (two-entry ring; extras dropped,
-      // resident slots are no-ops).
-      prefetch_op_inputs(ops[i]);
-      if (i + 1 < ops.size()) prefetch_op_inputs(ops[i + 1]);
-      run_plan_op(ops[i], /*pinning=*/true);
-    }
-  } else {
-    // Full budget: level order.  Nothing can be evicted, so no pinning —
-    // every op's inputs come from an earlier level or the plan's inputs.
-    for (int level = 1; level <= plan.levels(); ++level) {
-      check_cancel();  // plan-level cancellation boundary
-      obs::ScopedSpan level_span("plan:level");
-      const auto level_ops = plan.level_ops(level);
-      plan_cache_.observe_level_width(static_cast<std::int64_t>(level_ops.size()));
-      for (const std::int32_t op : level_ops) {
-        run_plan_op(plan.ops()[static_cast<std::size_t>(op)], /*pinning=*/false);
-      }
-    }
-    // Level order leaves the roots unpinned; pin them like the DFS path does.
-    for (const PlanRoot& root : plan.roots()) {
-      if (root.op >= 0) pin(root.slot->node_id);
     }
   }
-  plan_cache_.count_executed_plan(plan);
+  for (const PlanRoot& root : plan.roots()) {
+    // Roots are read by the kernel that follows the whole plan.
+    if (!root.slot->is_tip()) {
+      store_.plan_next_use(root.slot->node_id - taxa_, static_cast<std::int64_t>(ops.size()));
+    }
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    check_cancel();  // per-op cancellation boundary
+    store_.plan_cursor(static_cast<std::int64_t>(i));
+    // Read-ahead: stream this op's and the next op's frontier inputs from
+    // the spill tier while kernels run (two-entry ring; extras dropped,
+    // resident slots are no-ops).
+    prefetch_op_inputs(ops[i]);
+    if (i + 1 < ops.size()) prefetch_op_inputs(ops[i + 1]);
+    run_plan_op(ops[i]);
+  }
+  plan_cache_.count_executed_plan();
 }
 
-void EngineCore::run_plan_op(const PlfOp& op, bool pinning) {
-  if (pinning) {
-    ready_child(op.slot->child1(), op.left_op >= 0);
-    ready_child(op.slot->child2(), op.right_op >= 0);
-  }
+void EngineCore::run_plan_op(const PlfOp& op) {
+  ready_child(op.slot->child1(), op.left_op >= 0);
+  ready_child(op.slot->child2(), op.right_op >= 0);
   family_.run_newview(op.slot);
   // The op's Sethi–Ullman `registers` number is exactly the cost of
-  // rebuilding this CLA from scratch — the store's recompute-vs-spill
-  // signal at eviction time.
+  // rebuilding this CLA from scratch — the store's victim order when
+  // spilling is off and an eviction drops.
   if (op.registers > 0) store_.set_rebuild_cost(op.slot->node_id - taxa_, op.registers);
   plan_cache_.count_executed_op();
-  if (pinning) {
-    unpin(op.slot->child1()->node_id);
-    unpin(op.slot->child2()->node_id);
-    // The output stays pinned until its consumer (a later op, or the caller
-    // for a root) releases it.
-    pin(op.slot->node_id);
-  }
+  unpin(op.slot->child1()->node_id);
+  unpin(op.slot->child2()->node_id);
+  // The output stays pinned until its consumer (a later op, or the caller
+  // for a root) releases it.
+  pin(op.slot->node_id);
 }
 
 void EngineCore::ready_child(tree::Slot* child, bool computed_in_plan) {
@@ -376,7 +351,7 @@ void EngineCore::ready_child(tree::Slot* child, bool computed_in_plan) {
   TraversalPlan subplan;
   plan_cache_.build_subplan(
       child, [this](const tree::Slot* s) { return slot_valid(s); }, subplan);
-  for (const PlfOp& sub : subplan.ops()) run_plan_op(sub, /*pinning=*/true);
+  for (const PlfOp& sub : subplan.ops()) run_plan_op(sub);
 }
 
 void EngineCore::prefetch_op_inputs(const PlfOp& op) {
@@ -599,8 +574,8 @@ void EngineCore::gradient_all_branches(tree::Slot* root_edge, std::vector<Branch
     // Root-to-tips descent.  Ops are emitted parents-first, so emission
     // order is a valid schedule; it is also the only schedule used — the
     // pass is deliberately serial so the per-edge results are bit-identical
-    // no matter how the postorder CLAs were produced (level order, DFS
-    // order or distributed execution all commit the same buffers).  Its
+    // no matter how the postorder CLAs were produced (a plan, a nested
+    // recompute or distributed execution all commit the same buffers).  Its
     // reload pattern is not the postorder plan the store last saw: a fresh
     // plan window keeps stale next-use hints out of eviction.
     store_.begin_plan();

@@ -12,9 +12,9 @@
 //     invalidates through on_drop), plus the gradient descent's stack of
 //     preorder partials, sized by its plan;
 //   * the PlanCache and its epoch protocol;
-//   * the plan executors: level order on a full budget, Sethi–Ullman DFS
-//     order with next-use hints, prefetch, pins and nested-subplan
-//     recompute under a tight one (Izquierdo-Carrasco, paper §V-A);
+//   * the plan executor: Sethi–Ullman DFS order with next-use hints,
+//     prefetch, pins and nested-subplan recompute, at every CLA budget
+//     (Izquierdo-Carrasco, paper §V-A);
 //   * the Evaluator entry points: evaluation, the derivative protocol, the
 //     Newton–Raphson branch optimizer with its uphill guard, smoothing
 //     sweeps and the linear-time all-branch gradient descent (Gangavarapu
@@ -317,14 +317,13 @@ class EngineCore {
   /// `computed_in_plan` are already valid and pinned.
   void ready_child(tree::Slot* child, bool computed_in_plan);
 
-  /// Runs a prepared plan: pins its pre-valid roots, then executes level
-  /// order on a full budget or DFS order with pin discipline on a tight one.
+  /// Runs a prepared plan: pins its pre-valid roots, then executes its ops
+  /// in DFS order with pin discipline, leaving the roots pinned.
   void execute_plan(const TraversalPlan& plan);
 
-  /// One op through the family's newview.  `pinning` readies the children
-  /// and pins the output until its consumer; off on the full-budget paths,
-  /// where level order guarantees readiness and nothing is evicted.
-  void run_plan_op(const PlfOp& op, bool pinning);
+  /// One op through the family's newview: readies the children, and pins
+  /// the output until its consumer releases it.
+  void run_plan_op(const PlfOp& op);
 
   /// Queues the op's valid frontier inputs into the store's prefetch ring.
   void prefetch_op_inputs(const PlfOp& op);
@@ -480,7 +479,7 @@ class EngineFamily : public Evaluator {
   explicit EngineFamily(tree::Tree& tree) : core_(*this, tree) {}
   ~EngineFamily() override = default;
 
-  // Validity, orientation, the tiered store, plans, executors, the entry
+  // Validity, orientation, the tiered store, plans, the executor, the entry
   // points, kernel accounting, cancellation and the SDC heal loop.
   EngineCore core_;
 

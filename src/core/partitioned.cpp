@@ -152,7 +152,7 @@ PartitionedEvaluator::PartitionedEvaluator(const bio::Alignment& alignment,
     config.begin = 0;
     config.end = -1;
     // A full grant (every inner node at full width) leaves the store
-    // uncapped, so it runs level order.
+    // uncapped, so it never evicts.
     if (!carved.empty()) config.cla_budget_bytes = carved[p];
     engines_.push_back(
         std::make_unique<LikelihoodEngine>(*patterns_[p], initial_model, tree, config));

@@ -5,35 +5,6 @@
 
 namespace miniphi::core {
 
-std::int64_t TraversalPlan::max_level_width() const {
-  std::int64_t widest = 0;
-  for (std::size_t level = 1; level < level_begin_.size(); ++level) {
-    widest = std::max<std::int64_t>(widest, level_begin_[level] - level_begin_[level - 1]);
-  }
-  return widest;
-}
-
-void TraversalPlan::finalize_levels() {
-  int levels = 0;
-  for (const PlfOp& op : ops_) levels = std::max(levels, static_cast<int>(op.level));
-  level_begin_.assign(static_cast<std::size_t>(levels) + 1, 0);
-  for (const PlfOp& op : ops_) ++level_begin_[static_cast<std::size_t>(op.level - 1)];
-  // Exclusive prefix sum, then a stable counting pass keeps each level's ops
-  // in DFS emission order.
-  std::int32_t running = 0;
-  for (auto& count : level_begin_) {
-    const std::int32_t here = count;
-    count = running;
-    running += here;
-  }
-  level_order_.resize(ops_.size());
-  std::vector<std::int32_t> cursor(level_begin_.begin(), level_begin_.end() - 1);
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    auto& slot = cursor[static_cast<std::size_t>(ops_[i].level - 1)];
-    level_order_[static_cast<std::size_t>(slot++)] = static_cast<std::int32_t>(i);
-  }
-}
-
 void TraversalPlanner::emit(tree::Slot* goal, TraversalPlan& out) {
   MINIPHI_ASSERT(!goal->is_tip() && scratch(goal).recompute);
   stack_.clear();
@@ -71,10 +42,6 @@ void TraversalPlanner::emit(tree::Slot* goal, TraversalPlan& out) {
     op.registers = scratch(slot).registers;
     op.left_op = child_op(slot->child1());
     op.right_op = child_op(slot->child2());
-    const auto level_of = [&out](std::int32_t index) -> std::int32_t {
-      return index < 0 ? 0 : out.ops_[static_cast<std::size_t>(index)].level;
-    };
-    op.level = 1 + std::max(level_of(op.left_op), level_of(op.right_op));
     scratch(slot).op = static_cast<std::int32_t>(out.ops_.size());
     out.ops_.push_back(op);
   }
@@ -163,8 +130,6 @@ PlanMetricIds register_plan_metrics() {
   ids.executed_ops = registry.counter("plan.executed_ops");
   ids.executed_plans = registry.counter("plan.executed_plans");
   ids.build_ns = registry.histogram("plan.build_ns");
-  ids.levels = registry.histogram("plan.levels");
-  ids.level_width = registry.histogram("plan.level_width");
   return ids;
 }
 

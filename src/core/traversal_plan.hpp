@@ -1,24 +1,21 @@
 // Flat traversal plans: the intermediate representation between "which CLAs
 // does this virtual root need?" and "run the newview kernel n times".
 //
-// The engines used to answer that question with recursive per-node descent
-// (RAxML's makenewz/newviewIterative pattern), which forces every layer
-// above the kernels — partitioned evaluation, fork-join scheduling,
-// distributed reduction planning — to re-derive ordering information node by
-// node.  BEAGLE 4.1 instead hands its back-ends a flat operation list per
-// traversal; that one change is what enables cross-partition batching,
-// wavefront parallelism and single-shot communication planning.  This file
-// is miniphi's version of that list:
+// Like RAxML-Light and ExaML, miniphi runs a traversal as one serial
+// descriptor: a flat operation list (BEAGLE 4.1's shape) that the engine
+// executes in order, with all parallelism inside the PLF kernels (paper
+// §V-C/§V-D).  Building the list once, instead of recursing per node
+// (RAxML's newviewIterative pattern), lets the engine cache it per virtual
+// root, size its working set in advance and derive a distributed reduction
+// schedule from it.  This file is miniphi's version of that list:
 //
 //  * PlfOp — one pending newview: the inner slot whose CLA must be
-//    (re)computed, its dependency level, and the op indices of any children
-//    that are computed by the same plan (-1 for tips and for CLAs that are
-//    already valid, i.e. plan *inputs*).
-//  * TraversalPlan — the ops in Sethi-Ullman DFS post-order (the order that
-//    keeps the live-buffer working set ~log2(n), required by tight
-//    cla_budget_bytes budgets), plus a by-level grouping (every op of
-//    level L depends only on levels < L, so same-level ops are independent
-//    and may run concurrently), plus the goal slots ("roots").
+//    (re)computed and the op indices of any children that are computed by
+//    the same plan (-1 for tips and for CLAs that are already valid, i.e.
+//    plan *inputs*).
+//  * TraversalPlan — the ops in Sethi-Ullman DFS post-order (children
+//    before parents, and the order that keeps the live-buffer working set
+//    ~log2(n) at every cla_budget_bytes), plus the goal slots ("roots").
 //  * TraversalPlanner — the iterative planner.  Explicit stacks, no
 //    recursion: pathological caterpillar trees from the simulator are deep
 //    enough to overflow the thread stack otherwise.
@@ -64,14 +61,12 @@ enum class PlfOpKind : std::int8_t { kNewview, kPreorder };
 struct PlfOp {
   tree::Slot* slot = nullptr;
   int node_id = -1;
-  std::int32_t level = 0;      ///< 1-based dependency level (0 for preorder ops)
   std::int32_t left_op = -1;   ///< op computing child1's CLA, -1 = plan input
   std::int32_t right_op = -1;  ///< op computing child2's CLA, -1 = plan input
-  std::int32_t partition = 0;  ///< tag used by multi-partition executors
   /// Sethi-Ullman buffer need of the subtree rooted here (>= 1; 0 for
-  /// preorder ops, which have no postorder subtree).  Tight-budget executors
-  /// forward it to memory::ClaStore as the CLA's rebuild cost: it is exactly
-  /// the recompute-vs-spill score of DESIGN.md §14.
+  /// preorder ops, which have no postorder subtree).  The executor forwards
+  /// it to memory::ClaStore as the CLA's rebuild cost, the eviction score
+  /// of DESIGN.md §14.
   std::int32_t registers = 0;
   tree::Slot* sibling = nullptr;  ///< preorder only: parent's half-edge to the sibling
   /// Preorder only: index of the partial buffer this op writes, in
@@ -95,24 +90,6 @@ class TraversalPlan {
   [[nodiscard]] bool empty() const { return ops_.empty(); }
   [[nodiscard]] std::int64_t op_count() const { return static_cast<std::int64_t>(ops_.size()); }
 
-  /// Number of dependency levels (0 for an empty or a preorder plan, which
-  /// runs in emission order).
-  [[nodiscard]] int levels() const {
-    return level_begin_.empty() ? 0 : static_cast<int>(level_begin_.size()) - 1;
-  }
-
-  /// Op indices of one 1-based level, in DFS emission order.  All ops of a
-  /// level are mutually independent.
-  [[nodiscard]] std::span<const std::int32_t> level_ops(int level) const {
-    MINIPHI_ASSERT(level >= 1 && level <= levels());
-    const auto begin = static_cast<std::size_t>(level_begin_[static_cast<std::size_t>(level - 1)]);
-    const auto end = static_cast<std::size_t>(level_begin_[static_cast<std::size_t>(level)]);
-    return std::span<const std::int32_t>(level_order_).subspan(begin, end - begin);
-  }
-
-  /// Widest level (0 for an empty plan) — the plan's available parallelism.
-  [[nodiscard]] std::int64_t max_level_width() const;
-
   /// Preorder plans: partial buffers live at once at the plan's peak, the
   /// size of the stack its ops' `buffer` indices address (0 otherwise).
   [[nodiscard]] int buffers() const { return buffers_; }
@@ -121,21 +98,13 @@ class TraversalPlan {
     buffers_ = 0;
     ops_.clear();
     roots_.clear();
-    level_order_.clear();
-    level_begin_.clear();
   }
 
  private:
   friend class TraversalPlanner;
 
-  /// Builds the by-level index from the ops' level fields (called once by
-  /// the planner after emission).
-  void finalize_levels();
-
   std::vector<PlfOp> ops_;  ///< Sethi-Ullman DFS post-order
   std::vector<PlanRoot> roots_;
-  std::vector<std::int32_t> level_order_;  ///< op indices grouped by level
-  std::vector<std::int32_t> level_begin_;  ///< [levels + 1] offsets into level_order_
   int buffers_ = 0;
 };
 
@@ -165,7 +134,6 @@ class TraversalPlanner {
       }
       out.roots_.push_back(root);
     }
-    out.finalize_levels();
   }
 
  private:
@@ -241,14 +209,14 @@ class TraversalPlanner {
   /// op).  A partial left waiting is always the larger sibling's, so at
   /// most ⌈log2 n⌉ + 2 buffers are live for n taxa; buffers() records the
   /// plan's peak.  Parents precede children, so emission order is the
-  /// schedule (the plan has no levels).  Requires every postorder CLA to be
+  /// schedule.  Requires every postorder CLA to be
   /// valid toward `root_edge` (run validate_edge first); needs no planner
   /// state, hence static.
   static void build_preorder(tree::Slot* root_edge, TraversalPlan& out);
 
  private:
   /// Pass 2: emits the goal's recompute set in Sethi-Ullman DFS post-order,
-  /// assigning levels and child-op links as it goes.
+  /// assigning child-op links as it goes.
   void emit(tree::Slot* goal, TraversalPlan& out);
 
   std::vector<SlotScratch> scratch_;  ///< indexed by slot_index
@@ -273,9 +241,7 @@ struct PlanMetricIds {
   obs::MetricId reuses = 0;
   obs::MetricId executed_ops = 0;
   obs::MetricId executed_plans = 0;
-  obs::MetricId build_ns = 0;     ///< histogram: per-build planning latency
-  obs::MetricId levels = 0;       ///< histogram: levels per executed plan
-  obs::MetricId level_width = 0;  ///< histogram: ops per executed level
+  obs::MetricId build_ns = 0;  ///< histogram: per-build planning latency
 };
 
 /// Interns the plan metric family (idempotent; engines share the counters,
@@ -283,9 +249,8 @@ struct PlanMetricIds {
 [[nodiscard]] PlanMetricIds register_plan_metrics();
 
 /// Per-branch plan cache plus the plan.* counters and metrics.  Every
-/// engine family owns one through its EngineCore, whose executors run the
-/// plans it hands out (level order on a full CLA budget, DFS order with the
-/// pin/evict discipline on a tight one).
+/// engine family owns one through its EngineCore, whose executor runs the
+/// plans it hands out in DFS order with the pin/evict discipline.
 ///
 /// Epoch protocol: every CLA state change (newview, invalidation, eviction,
 /// model or rate change) must call note_cla_state_changed().  A cached plan
@@ -384,8 +349,8 @@ class PlanCache {
     return entry.plan;
   }
 
-  /// Builds an uncached plan toward one goal (a tight-budget executor
-  /// recomputing a dropped input) with the same planner scratch.
+  /// Builds an uncached plan toward one goal (the executor recomputing a
+  /// dropped input) with the same planner scratch.
   template <typename ValidFn>
   void build_subplan(tree::Slot* goal, ValidFn&& valid, TraversalPlan& out) {
     tree::Slot* const goals[1] = {goal};
@@ -404,17 +369,9 @@ class PlanCache {
     if (metrics_) obs::Registry::instance().add(ids_.executed_ops, 1);
   }
 
-  void count_executed_plan(const TraversalPlan& plan) {
+  void count_executed_plan() {
     ++counters_.executed_plans;
-    if (metrics_) {
-      obs::Registry& registry = obs::Registry::instance();
-      registry.add(ids_.executed_plans, 1);
-      registry.observe(ids_.levels, plan.levels());
-    }
-  }
-
-  void observe_level_width(std::int64_t width) {
-    if (metrics_) obs::Registry::instance().observe(ids_.level_width, width);
+    if (metrics_) obs::Registry::instance().add(ids_.executed_plans, 1);
   }
 
  private:

@@ -41,7 +41,6 @@ DistributedEvaluator::DistributedEvaluator(mpi::Communicator& comm,
     obs::Registry& registry = obs::Registry::instance();
     plan_posted_id_ = registry.counter("dist.plan.posted");
     plan_local_ops_id_ = registry.histogram("dist.plan.local_ops");
-    plan_levels_id_ = registry.histogram("dist.plan.levels");
     reshard_duration_id_ = registry.histogram("elastic.reshard.duration_us");
     rebalance_moves_id_ = registry.counter("elastic.rebalance.moves");
     sdc_ids_ = core::sdc::register_metrics();
@@ -127,7 +126,6 @@ void DistributedEvaluator::derive_comm_plan(tree::Slot* edge, int posts) {
   // record the schedule once (the shards differ only in site range, not in
   // tree structure, so their plans are structurally identical).
   last_comm_plan_.newview_ops = 0;
-  last_comm_plan_.levels = 0;
   last_comm_plan_.posts = posts;
   bool first = true;
   for (const auto& engine : engines_) {
@@ -136,7 +134,6 @@ void DistributedEvaluator::derive_comm_plan(tree::Slot* edge, int posts) {
     const core::TraversalPlan* plan = engine->plan_traversal(edge);
     if (first) {
       last_comm_plan_.newview_ops = plan != nullptr ? plan->op_count() : 0;
-      last_comm_plan_.levels = plan != nullptr ? plan->levels() : 0;
       first = false;
     }
   }
@@ -144,7 +141,6 @@ void DistributedEvaluator::derive_comm_plan(tree::Slot* edge, int posts) {
     obs::Registry& registry = obs::Registry::instance();
     registry.add(plan_posted_id_, 1);
     registry.observe(plan_local_ops_id_, last_comm_plan_.newview_ops);
-    registry.observe(plan_levels_id_, last_comm_plan_.levels);
   }
 }
 

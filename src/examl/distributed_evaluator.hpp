@@ -20,11 +20,11 @@
 //
 // The communication schedule is *derived from the traversal plan*: before
 // any kernel runs, the rank fetches its engines' flat core::TraversalPlan
-// for the virtual root and records how many newview ops and dependency
-// levels of purely local compute precede the reduction.  Since every
-// replica plans the identical traversal, the derived schedule is globally
-// consistent without exchanging it — a full traversal posts exactly one
-// collective (the lnL allreduce), never one per node.
+// for the virtual root and records how many newview ops of purely local
+// compute precede the reduction.  Since every replica plans the identical
+// traversal, the derived schedule is globally consistent without exchanging
+// it — a full traversal posts exactly one collective (the lnL allreduce),
+// never one per node.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,6 @@ namespace miniphi::examl {
 /// engine's traversal plan before any kernel runs.
 struct CommPlan {
   std::int64_t newview_ops = 0;  ///< local plan ops the traversal executes first
-  int levels = 0;                ///< dependency levels of those ops
   /// Collectives the schedule posts: one per stream epoch of a likelihood
   /// traversal (stream_group_count(), 1 under the default policy), 0 for
   /// prepare_derivatives (the Newton derivatives() calls that follow each
@@ -210,7 +209,6 @@ class DistributedEvaluator final : public core::Evaluator {
   bool metrics_ = false;
   obs::MetricId plan_posted_id_ = 0;       ///< counter: comm plans posted
   obs::MetricId plan_local_ops_id_ = 0;    ///< histogram: local ops per comm plan
-  obs::MetricId plan_levels_id_ = 0;       ///< histogram: levels per comm plan
   obs::MetricId reshard_duration_id_ = 0;  ///< histogram: µs to rebuild post-shrink
   obs::MetricId rebalance_moves_id_ = 0;   ///< counter: shard migrations
 

@@ -836,8 +836,10 @@ void ClaStore::evict(int victim) {
   MINIPHI_ASSERT(s.live && s.pins == 0);
   ++counters_.evictions;
   bump(ids_.evictions, 1);
-  const bool keep = config_.spill && s.rebuild_cost > config_.spill_min_registers;
-  if (keep && !s.on_disk) {
+  if (!config_.spill) {
+    // Spilling is off: drop the CLA and let the owner invalidate it.
+    if (config_.on_drop) config_.on_drop(victim);
+  } else if (!s.on_disk) {
     SpillFile& file = spill_file();
     file.write_async(victim, values(victim), scales(victim), s.blocks);
     s.on_disk = true;
@@ -845,14 +847,6 @@ void ClaStore::evict(int victim) {
     counters_.spill_bytes += file.payload_for(s.blocks);
     bump(ids_.spills, 1);
     bump(ids_.spill_bytes, file.payload_for(s.blocks));
-  } else if (!keep) {
-    // Recompute is cheaper than disk (or spilling is off): drop the CLA and
-    // let the owner invalidate it.
-    if (s.on_disk) {
-      spill_file().invalidate(victim);
-      s.on_disk = false;
-    }
-    if (config_.on_drop) config_.on_drop(victim);
   }
   // else: a clean copy is already on disk from an earlier spill — the
   // eviction costs nothing.  The buffer stays, without contents, for the

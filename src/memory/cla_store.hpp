@@ -27,10 +27,10 @@
 //    whose next use is farthest in the plan goes, exactly the
 //    register-allocation heuristic the planner's `registers` numbering was
 //    built for.  Victims are taken until the new buffer fits the cap.
-//  * Spill tier: evicted CLAs whose subtree is expensive to rebuild
-//    (registers > spill_min_registers) are written to an anonymous temp file
-//    asynchronously — the caller only pays a memcpy into one of two staging
-//    buffers; checksumming and pwrite happen on a background thread,
+//  * Spill tier: with spilling on, every evicted CLA is written to an
+//    anonymous temp file (a drop would start a recompute storm, DESIGN.md
+//    §14) asynchronously — the caller only pays a memcpy into one of two
+//    staging buffers; checksumming and pwrite happen on a background thread,
 //    overlapped with kernel execution.  A record covers only the blocks the
 //    slot holds and names its block count (format version 2).  Reloads
 //    verify the count and the stored checksum and surface mismatches as
@@ -79,12 +79,6 @@ struct ClaStoreConfig {
   bool spill = false;
   /// Spill directory; empty honors $TMPDIR and falls back to /tmp.
   std::string spill_dir;
-  /// Evictees whose Sethi–Ullman rebuild cost is at or below this are
-  /// dropped (recomputing them is cheaper than disk); above it they spill.
-  /// 0 (the measured default): never drop — a drop invalidates the CLA and
-  /// under tight budgets the rebuild cascade costs far more than a memcpy
-  /// reload (EngineConfig::cla_spill_min_registers documents the curve).
-  int spill_min_registers = 0;
   /// Added to the slot index to name the owning tree node in
   /// CorruptionDetected (engines use taxon_count so slot 0 = first inner).
   int node_id_base = 0;
@@ -183,7 +177,8 @@ class ClaStore {
   void reset_pins();
 
   /// Sethi–Ullman `registers` number of the subtree that rebuilds this CLA;
-  /// drives the recompute-vs-spill decision at eviction time.
+  /// with spilling off, eviction drops the cheapest of the CLAs the plan no
+  /// longer needs first.
   void set_rebuild_cost(int slot, int registers);
 
   /// Plan-aware eviction hints: begin_plan() opens a plan window,

@@ -214,29 +214,35 @@ TEST(CatEngine, RejectsBadCategories) {
 }
 
 TEST(CatEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
-  // EngineConfig::cancel holds for every family: at the minimum working set
-  // with spill on, a token tripped mid-traversal unwinds log_likelihood with
-  // CancelledError, every pin is dropped on the way out, and the engine's
+  // EngineConfig::cancel holds for every family and every budget: at the
+  // minimum working set with spill on and at the full budget, a token
+  // tripped mid-traversal unwinds log_likelihood with CancelledError, every
+  // pin the plan executor took is dropped on the way out, and the engine's
   // next (uncancelled) call matches a fresh engine bit for bit.
   auto instance = make_instance(12, 140, 4, 43);
-  CancelToken token;
-  token.arm_trip_after(3);
   const int inner = instance.tree->inner_count();
   CatEngine fresh(instance.patterns, instance.model, *instance.tree, 4);
-  CatEngine::Config config;
-  config.cla_budget_bytes = min_cla_buffers(inner) * (fresh.cla_bytes_granted() / inner);
-  config.cla_spill = true;
-  config.cancel = &token;
-  CatEngine engine(instance.patterns, instance.model, *instance.tree, 4, config);
   tree::Slot* edge = instance.tree->tip(0);
-  EXPECT_THROW((void)engine.log_likelihood(edge), CancelledError);
-  const memory::ClaStore& store = engine.cla_store();
-  for (int slot = 0; slot < store.slot_count(); ++slot) {
-    EXPECT_EQ(store.pin_count(slot), 0) << "slot " << slot;
-  }
+  for (const bool floor : {true, false}) {
+    SCOPED_TRACE(floor ? "floor budget" : "full budget");
+    CancelToken token;
+    token.arm_trip_after(3);
+    CatEngine::Config config;
+    if (floor) {
+      config.cla_budget_bytes = min_cla_buffers(inner) * (fresh.cla_bytes_granted() / inner);
+      config.cla_spill = true;
+    }
+    config.cancel = &token;
+    CatEngine engine(instance.patterns, instance.model, *instance.tree, 4, config);
+    EXPECT_THROW((void)engine.log_likelihood(edge), CancelledError);
+    const memory::ClaStore& store = engine.cla_store();
+    for (int slot = 0; slot < store.slot_count(); ++slot) {
+      EXPECT_EQ(store.pin_count(slot), 0) << "slot " << slot;
+    }
 
-  token.reset();
-  EXPECT_EQ(engine.log_likelihood(edge), fresh.log_likelihood(edge));
+    token.reset();
+    EXPECT_EQ(engine.log_likelihood(edge), fresh.log_likelihood(edge));
+  }
 }
 
 TEST(CatEngine, SiteRateOptimizationFitsHeterogeneousData) {

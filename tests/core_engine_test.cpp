@@ -14,6 +14,7 @@
 #include "src/core/make_evaluator.hpp"
 #include "src/model/general.hpp"
 #include "src/tree/moves.hpp"
+#include "src/util/cancellation.hpp"
 #include "src/util/error.hpp"
 #include "tests/testutil.hpp"
 
@@ -488,6 +489,41 @@ TEST(EngineBudget, RejectsBudgetBelowMinimum) {
   EXPECT_THROW(LikelihoodEngine(patterns, model, tree, config), Error);
   config.cla_budget_bytes += buffer_bytes;
   EXPECT_NO_THROW(LikelihoodEngine(patterns, model, tree, config));
+}
+
+TEST(LikelihoodEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
+  // The dense family's twin of the CAT and general cancellation tests: at
+  // the minimum working set with spill on and at the full budget, a token
+  // tripped mid-traversal unwinds log_likelihood with CancelledError, every
+  // pin the plan executor took is dropped on the way out, and the engine's
+  // next (uncancelled) call matches a fresh engine bit for bit.
+  Rng rng(45);
+  const auto alignment = random_alignment(12, 140, rng);
+  const auto patterns = bio::compress_patterns(alignment);
+  const model::GtrModel model(random_gtr_params(rng));
+  tree::Tree tree = tree::Tree::random(12, rng);
+  const int inner = tree.inner_count();
+  LikelihoodEngine fresh(patterns, model, tree);
+  for (const bool floor : {true, false}) {
+    SCOPED_TRACE(floor ? "floor budget" : "full budget");
+    CancelToken token;
+    token.arm_trip_after(3);
+    LikelihoodEngine::Config config;
+    if (floor) {
+      config.cla_budget_bytes = min_cla_buffers(inner) * (fresh.cla_bytes_granted() / inner);
+      config.cla_spill = true;
+    }
+    config.cancel = &token;
+    LikelihoodEngine engine(patterns, model, tree, config);
+    EXPECT_THROW((void)engine.log_likelihood(tree.tip(0)), CancelledError);
+    const memory::ClaStore& store = engine.cla_store();
+    for (int slot = 0; slot < store.slot_count(); ++slot) {
+      EXPECT_EQ(store.pin_count(slot), 0) << "slot " << slot;
+    }
+
+    token.reset();
+    EXPECT_EQ(engine.log_likelihood(tree.tip(0)), fresh.log_likelihood(tree.tip(0)));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Isas, EngineInvariants,

@@ -538,31 +538,38 @@ TEST(GeneralEngine, RejectsGeometryErrors) {
 }
 
 TEST(GeneralEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
-  // EngineConfig::cancel holds for every family: at the minimum working set
-  // with spill on, a token tripped mid-traversal unwinds log_likelihood with
-  // CancelledError, every pin is dropped on the way out, and the engine's
+  // EngineConfig::cancel holds for every family and every budget: at the
+  // minimum working set with spill on and at the full budget, a token
+  // tripped mid-traversal unwinds log_likelihood with CancelledError, every
+  // pin the plan executor took is dropped on the way out, and the engine's
   // next (uncancelled) call matches a fresh engine bit for bit.
   Rng rng(44);
   const auto patterns = random_protein_patterns(12, 60, rng);
   const auto model = random_general_model(20, rng);
   tree::Tree tree = tree::Tree::random(12, rng);
-  CancelToken token;
-  token.arm_trip_after(3);
   const int inner = tree.inner_count();
   GeneralEngine fresh(patterns, model, tree, bio::aa_code_masks());
-  GeneralEngine::Config config;
-  config.cla_budget_bytes = core::min_cla_buffers(inner) * (fresh.cla_bytes_granted() / inner);
-  config.cla_spill = true;
-  config.cancel = &token;
-  GeneralEngine engine(patterns, model, tree, bio::aa_code_masks(), config);
-  EXPECT_THROW((void)engine.log_likelihood(tree.tip(0)), CancelledError);
-  const memory::ClaStore& store = engine.cla_store();
-  for (int slot = 0; slot < store.slot_count(); ++slot) {
-    EXPECT_EQ(store.pin_count(slot), 0) << "slot " << slot;
-  }
+  for (const bool floor : {true, false}) {
+    SCOPED_TRACE(floor ? "floor budget" : "full budget");
+    CancelToken token;
+    token.arm_trip_after(3);
+    GeneralEngine::Config config;
+    if (floor) {
+      config.cla_budget_bytes =
+          core::min_cla_buffers(inner) * (fresh.cla_bytes_granted() / inner);
+      config.cla_spill = true;
+    }
+    config.cancel = &token;
+    GeneralEngine engine(patterns, model, tree, bio::aa_code_masks(), config);
+    EXPECT_THROW((void)engine.log_likelihood(tree.tip(0)), CancelledError);
+    const memory::ClaStore& store = engine.cla_store();
+    for (int slot = 0; slot < store.slot_count(); ++slot) {
+      EXPECT_EQ(store.pin_count(slot), 0) << "slot " << slot;
+    }
 
-  token.reset();
-  EXPECT_EQ(engine.log_likelihood(tree.tip(0)), fresh.log_likelihood(tree.tip(0)));
+    token.reset();
+    EXPECT_EQ(engine.log_likelihood(tree.tip(0)), fresh.log_likelihood(tree.tip(0)));
+  }
 }
 
 TEST(GeneralSimulator, ProteinCompositionMatchesFrequencies) {

@@ -64,7 +64,6 @@ ClaStoreConfig small_config(int slots, int buffers, bool spill) {
   config.values = kValues;
   config.scales = kScales;
   config.spill = spill;
-  config.spill_min_registers = 0;
   return config;
 }
 

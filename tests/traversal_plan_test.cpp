@@ -11,6 +11,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/bio/aa.hpp"
@@ -28,39 +29,58 @@ namespace {
 using testutil::random_alignment;
 using testutil::random_gtr_params;
 
-/// Structural invariants every plan must satisfy: ops are in post-order
-/// (children before parents), an op's level is 1 + the deepest child level,
-/// and the by-level index is a permutation of the ops grouped by level.
+/// Structural invariants every plan must satisfy, as properties of a
+/// depth-first post-order: every op appears once, each op's in-plan child
+/// links point at a smaller index (children before parents) and at the op
+/// for that child's slot, and each op is the last of its subtree's ops,
+/// which sit contiguously just before it — so each root's op finishes its
+/// whole subtree.
 void check_plan_invariants(const TraversalPlan& plan) {
   const auto ops = plan.ops();
+  std::set<int> slots;
+  std::vector<std::int64_t> size(ops.size());   // ops in the subtree rooted at op i
+  std::vector<std::int64_t> first(ops.size());  // smallest op index in that subtree
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const PlfOp& op = ops[i];
     ASSERT_NE(op.slot, nullptr);
     EXPECT_FALSE(op.slot->is_tip());
     EXPECT_EQ(op.node_id, op.slot->node_id);
-    std::int32_t child_level = 0;
-    for (const std::int32_t child : {op.left_op, op.right_op}) {
+    EXPECT_TRUE(slots.insert(op.slot->slot_index).second) << "slot planned twice, op " << i;
+    size[i] = 1;
+    first[i] = static_cast<std::int64_t>(i);
+    const std::pair<std::int32_t, const tree::Slot*> children[2] = {
+        {op.left_op, op.slot->child1()}, {op.right_op, op.slot->child2()}};
+    for (const auto& [child, child_slot] : children) {
       if (child < 0) continue;
-      ASSERT_LT(child, static_cast<std::int32_t>(i));
-      child_level = std::max(child_level, ops[static_cast<std::size_t>(child)].level);
+      ASSERT_LT(child, static_cast<std::int32_t>(i)) << "children before parents";
+      const auto c = static_cast<std::size_t>(child);
+      EXPECT_EQ(ops[c].slot, child_slot) << "op " << i;
+      size[i] += size[c];
+      first[i] = std::min(first[i], first[c]);
     }
-    EXPECT_EQ(op.level, child_level + 1);
+    EXPECT_EQ(first[i], static_cast<std::int64_t>(i) - size[i] + 1)
+        << "op " << i << " is not the last op of a contiguous subtree";
   }
+  for (const PlanRoot& root : plan.roots()) {
+    if (root.op < 0) continue;
+    ASSERT_LT(root.op, plan.op_count());
+    EXPECT_EQ(ops[static_cast<std::size_t>(root.op)].slot, root.slot);
+  }
+}
 
-  std::vector<int> seen(ops.size(), 0);
-  std::int64_t listed = 0;
-  std::int64_t widest = 0;
-  for (int level = 1; level <= plan.levels(); ++level) {
-    const auto level_ops = plan.level_ops(level);
-    widest = std::max(widest, static_cast<std::int64_t>(level_ops.size()));
-    for (const std::int32_t op : level_ops) {
-      EXPECT_EQ(ops[static_cast<std::size_t>(op)].level, level);
-      EXPECT_EQ(seen[static_cast<std::size_t>(op)]++, 0);
-      ++listed;
-    }
+/// A pure dependency chain: each op after the first has exactly one
+/// in-plan child, the op just before it.
+void expect_chain(const TraversalPlan& plan) {
+  const auto ops = plan.ops();
+  ASSERT_FALSE(ops.empty());
+  EXPECT_EQ(ops[0].left_op, -1);
+  EXPECT_EQ(ops[0].right_op, -1);
+  for (std::size_t i = 1; i < ops.size(); ++i) {
+    const std::int32_t prev = static_cast<std::int32_t>(i) - 1;
+    EXPECT_TRUE((ops[i].left_op == prev && ops[i].right_op == -1) ||
+                (ops[i].left_op == -1 && ops[i].right_op == prev))
+        << "op " << i;
   }
-  EXPECT_EQ(listed, plan.op_count());
-  EXPECT_EQ(widest, plan.max_level_width());
 }
 
 /// Full-traversal plan toward (tip0, tip0->back) with nothing cached.
@@ -107,8 +127,6 @@ TEST(TraversalPlanner, AllValidSubtreesYieldEmptyPlanWithRoots) {
   planner.build(std::span<tree::Slot* const>(goals),
                 [](const tree::Slot*) { return true; }, plan);
   EXPECT_TRUE(plan.empty());
-  EXPECT_EQ(plan.levels(), 0);
-  EXPECT_EQ(plan.max_level_width(), 0);
   ASSERT_EQ(plan.roots().size(), 2u);
   EXPECT_EQ(plan.roots()[0].op, -1);
   EXPECT_EQ(plan.roots()[1].op, -1);
@@ -138,14 +156,7 @@ TEST(TraversalPlanner, SingleInvalidSlotPlansTheAncestorChain) {
   ASSERT_GT(plan.op_count(), 1);
   EXPECT_EQ(plan.ops()[0].slot, stale);
   EXPECT_EQ(plan.roots()[0].op, plan.op_count() - 1);
-  EXPECT_EQ(plan.levels(), static_cast<int>(plan.op_count()));
-  EXPECT_EQ(plan.max_level_width(), 1);
-  for (std::size_t i = 1; i < plan.ops().size(); ++i) {
-    const PlfOp& op = plan.ops()[i];
-    const std::int32_t prev = static_cast<std::int32_t>(i) - 1;
-    EXPECT_TRUE((op.left_op == prev && op.right_op == -1) ||
-                (op.left_op == -1 && op.right_op == prev));
-  }
+  expect_chain(plan);
 }
 
 /// Maximally unbalanced tree: tips 0 and 1 on the first inner node, then a
@@ -166,13 +177,12 @@ tree::Tree caterpillar(int ntaxa) {
 
 TEST(TraversalPlanner, TenThousandTaxonCaterpillarPlansWithoutRecursion) {
   // Regression for the explicit-stack planner: a 10k-taxon caterpillar is
-  // ~10k dependency levels deep, far past what per-node recursion survives.
+  // a ~10k-op dependency chain, far deeper than per-node recursion survives.
   const int ntaxa = 10000;
   tree::Tree tree = caterpillar(ntaxa);
   const TraversalPlan plan = full_plan(tree);
   EXPECT_EQ(plan.op_count(), ntaxa - 2);
-  EXPECT_EQ(plan.levels(), ntaxa - 2);  // a pure dependency chain
-  EXPECT_EQ(plan.max_level_width(), 1);
+  expect_chain(plan);
   check_plan_invariants(plan);
 }
 
