@@ -1,31 +1,23 @@
 // Ablation (paper Section V-A): the CLA-recomputation memory-saving
-// technique of Izquierdo-Carrasco et al., extended with the tiered
-// memory::ClaStore (DESIGN.md §14).  Real host measurements: ML searches
-// with shrinking CLA budgets, in two modes per budget —
+// technique of Izquierdo-Carrasco et al., through memory::ClaStore
+// (DESIGN.md §14).  Real host measurements: ML searches with shrinking CLA
+// byte budgets (cla_budget_bytes, the one budget unit).  Every eviction
+// drops the CLA and the engine re-runs newview when it is next read.
 //
-//   recompute  evictions drop the CLA; the engine re-runs newview
-//              (the recompute-only discipline, spill tier off)
-//   tiered     every eviction spills to a checksummed temp file and
-//              reloads on demand
-//
-// under byte budgets (cla_budget_bytes, the one budget unit).  Site-repeats
-// buffers hold only their class count of blocks, so a byte budget keeps far
-// more CLAs resident than the same bytes of full-width buffers.  Each row
-// reports the budget, the bytes held at the end, extra newview
-// (recomputation) work, evictions, spill traffic, wall time, and the peak
-// bytes of the preorder stack one all-branch gradient after the timed
-// optimization holds (the depth-first descent's partials, outside the cap).
-// The tiered mode never drops: the measured curve (EXPERIMENTS.md) showed
-// that a drop's real price is the validity cascade it seeds, not the one
-// newview it saves.
+// Site-repeats buffers hold only their class count of blocks, so a byte
+// budget keeps far more CLAs resident than the same bytes of full-width
+// buffers.  Each row reports the budget, the bytes held at the end, extra
+// newview (recomputation) work, evictions, wall time, and the peak bytes of
+// the preorder stack one all-branch gradient after the timed optimization
+// holds (the depth-first descent's partials, outside the cap).
 // The paper notes the 4 M-site dataset already exhausts the Phi's 8 GB —
 // this is the technique that would lift that limit.
 //
 // MINIPHI_BENCH_REQUIRE_MEMORY=1 (CI) gates two acceptance criteria: lnL at
-// every budget×mode is bit-identical to the full-budget run, and the median
-// tiered gate-budget run — half the bytes a quarter-budget run holds, which
-// still evicts and spills — finishes within 2x the median full-budget run
-// (medians of kGateRuns interleaved runs each).
+// every budget is bit-identical to the full-budget run, and the gate-budget
+// run — half the bytes a quarter-budget run holds, which still evicts —
+// finishes within 2x the full-budget run, both as medians of kGateRuns
+// interleaved runs.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -48,7 +40,7 @@ int main() {
     const char* env = std::getenv("MINIPHI_BENCH_REQUIRE_MEMORY");
     return env != nullptr && env[0] == '1';
   }();
-  std::printf("Ablation — tiered CLA store (memory vs time), real measurements\n");
+  std::printf("Ablation — CLA recomputation (memory vs time), real measurements\n");
   std::printf("workload: full branch-length optimization, %d taxa x %lld sites\n\n", ntaxa,
               static_cast<long long>(sites));
 
@@ -65,40 +57,31 @@ int main() {
   const std::int64_t quarter_bytes = base_tree.inner_count() * full_width_bytes / 4;
 
   struct Row {
-    std::string mode;
     std::string budget;
     double budget_mb = 0.0;
     double held_mb = 0.0;
     std::int64_t calls = 0;
     std::int64_t evictions = 0;
-    std::int64_t spills = 0;
-    std::int64_t spill_bytes = 0;
-    std::int64_t reloads = 0;
     double stack_mb = 0.0;
     double seconds = 0.0;
+    double iqr = 0.0;  ///< wall-time IQR of the median rows; 0 for single runs
     double lnl = 0.0;
   };
-  const auto run = [&](const std::string& label, std::int64_t bytes, bool spill) {
+  const auto run = [&](const std::string& label, std::int64_t bytes) {
     tree::Tree tree(base_tree);
     core::LikelihoodEngine::Config config;
     config.cla_budget_bytes = bytes;
-    config.cla_spill = spill;
     core::LikelihoodEngine engine(patterns, model, tree, config);
     Timer timer;
     Row row;
     row.lnl = engine.optimize_all_branches(tree.tip(0), 3);
     row.seconds = timer.seconds();
-    row.mode = bytes == 0 ? "full" : (spill ? "tiered" : "recompute");
     row.budget = label;
     row.calls = engine.stats(core::Kernel::kNewview).calls;
     const memory::ClaStore& store = engine.cla_store();
     row.budget_mb = static_cast<double>(store.budget_bytes()) / 1e6;
     row.held_mb = static_cast<double>(store.held_bytes()) / 1e6;
-    const auto& counters = store.counters();
-    row.evictions = counters.evictions;
-    row.spills = counters.spills;
-    row.spill_bytes = counters.spill_bytes;
-    row.reloads = counters.reloads;
+    row.evictions = store.counters().evictions;
     // One untimed gradient fills the preorder stack to its plan's peak.
     std::vector<core::BranchGradient> gradient;
     (void)engine.gradient_all_branches(tree.tip(0), gradient);
@@ -111,81 +94,78 @@ int main() {
   // so a quarter of the full-width bytes (or of the bytes an uncapped run
   // holds, its buffers grown to their widest orientation) may never evict;
   // half of the capped working set must, so the gate keeps measuring the
-  // tiering.
-  const Row quarter_tiered = run("1/4 bytes", quarter_bytes, true);
+  // recomputation.
+  const Row quarter = run("1/4 bytes", quarter_bytes);
   const std::int64_t gate_bytes =
-      std::max(floor_bytes, static_cast<std::int64_t>(quarter_tiered.held_mb * 1e6) / 2);
+      std::max(floor_bytes, static_cast<std::int64_t>(quarter.held_mb * 1e6) / 2);
 
   // The gate pair runs first, interleaved, so both medians see the same
   // machine state; the other rows are single runs.
   Row full;
-  Row gate_tiered;
+  Row gate;
+  std::vector<double> iqrs;
   const std::vector<double> medians = bench::median_seconds(
-      kGateRuns, {[&] {
-                    full = run("all", 0, false);
-                    return full.seconds;
-                  },
-                  [&] {
-                    gate_tiered = run("gate", gate_bytes, true);
-                    return gate_tiered.seconds;
-                  }});
+      kGateRuns,
+      {[&] {
+         full = run("all", 0);
+         return full.seconds;
+       },
+       [&] {
+         gate = run("gate", gate_bytes);
+         return gate.seconds;
+       }},
+      &iqrs);
   full.seconds = medians[0];
-  gate_tiered.seconds = medians[1];
+  full.iqr = iqrs[0];
+  gate.seconds = medians[1];
+  gate.iqr = iqrs[1];
 
-  std::vector<Row> rows{full};
-  rows.push_back(run("1/4 bytes", quarter_bytes, false));
-  rows.push_back(quarter_tiered);
-  rows.push_back(run("gate", gate_bytes, false));
-  rows.push_back(gate_tiered);
-  rows.push_back(run("8 x full", 8 * full_width_bytes, false));
-  rows.push_back(run("8 x full", 8 * full_width_bytes, true));
+  const std::vector<Row> rows{full, quarter, gate, run("8 x full", 8 * full_width_bytes)};
 
   bool lnl_identical = true;
-  std::printf("%10s %10s %9s %8s  %14s %9s %9s %9s %9s %8s %8s  %14s\n", "mode", "budget",
-              "budget MB", "held MB", "newview calls", "evictions", "spills", "spill MB",
-              "reloads", "stack MB", "wall[s]", "lnL");
+  std::printf("%10s %9s %8s  %14s %9s %8s %8s %8s  %14s\n", "budget", "budget MB", "held MB",
+              "newview calls", "evictions", "stack MB", "wall[s]", "IQR[s]", "lnL");
   for (const Row& row : rows) {
     if (row.lnl != full.lnl) lnl_identical = false;
-    std::printf("%10s %10s %9.1f %8.1f  %8lld (%.2fx) %9lld %9lld %9.1f %9lld %8.1f %8.2f  %14.2f\n",
-                row.mode.c_str(), row.budget.c_str(), row.budget_mb, row.held_mb,
-                static_cast<long long>(row.calls),
+    std::printf("%10s %9.1f %8.1f  %8lld (%.2fx) %9lld %8.1f %8.2f %8.2f  %14.2f\n",
+                row.budget.c_str(), row.budget_mb, row.held_mb, static_cast<long long>(row.calls),
                 static_cast<double>(row.calls) / static_cast<double>(full.calls),
-                static_cast<long long>(row.evictions), static_cast<long long>(row.spills),
-                static_cast<double>(row.spill_bytes) / 1e6, static_cast<long long>(row.reloads),
-                row.stack_mb, row.seconds, row.lnl);
+                static_cast<long long>(row.evictions), row.stack_mb, row.seconds, row.iqr,
+                row.lnl);
   }
-  std::printf("\nwall[s] of the full row and the tiered gate row (%.1f MB): median of %d "
-              "runs.\n",
+  const double amplification =
+      static_cast<double>(gate.calls) / static_cast<double>(full.calls);
+  std::printf("\nwall[s] of the full row and the gate row (%.1f MB): median of %d interleaved\n"
+              "runs, with their IQR; the other rows are single runs.\n",
               static_cast<double>(gate_bytes) / 1e6, kGateRuns);
-  std::printf("lnL is identical across budgets and modes (identical math; only the\n");
-  std::printf("eviction response differs).  recompute re-derives evicted CLAs from\n");
-  std::printf("their subtrees, and each drop invalidates state that later rebuilds\n");
-  std::printf("re-evict — a cascade that inflates traversals at tight budgets.\n");
-  std::printf("tiered reloads evicted CLAs from the checksummed spill file at memcpy\n");
-  std::printf("cost, keeping the newview count at the full-budget floor.  A byte\n");
-  std::printf("budget counts the class-sized buffers site repeats actually hold, so\n");
-  std::printf("a quarter of the full-width bytes may not evict at all.  stack MB is\n");
-  std::printf("the gradient's depth-first preorder stack, the same at every budget.\n");
+  std::printf("gate-budget newview amplification: %.2fx the full budget's newviews.\n",
+              amplification);
+  std::printf("lnL is identical across budgets (identical math; only the work differs).\n");
+  std::printf("An eviction drops the CLA and the engine re-derives it from its subtree,\n");
+  std::printf("paying only the subtree's distinct site-repeat classes.  A byte budget\n");
+  std::printf("counts the class-sized buffers site repeats actually hold, so a quarter\n");
+  std::printf("of the full-width bytes may not evict at all.  stack MB is the gradient's\n");
+  std::printf("depth-first preorder stack, the same at every budget.\n");
 
   if (require) {
     if (!lnl_identical) {
       std::printf("\nFAIL: lnL diverged from the full-budget run\n");
       return 1;
     }
-    if (gate_tiered.evictions == 0 || gate_tiered.spills == 0) {
-      std::printf("\nFAIL: the gate budget (%.1f MB) never evicted or spilled\n",
+    if (gate.evictions == 0) {
+      std::printf("\nFAIL: the gate budget (%.1f MB) never evicted\n",
                   static_cast<double>(gate_bytes) / 1e6);
       return 1;
     }
-    if (gate_tiered.seconds > 2.0 * full.seconds) {
-      std::printf("\nFAIL: median tiered gate-budget wall time %.2fs exceeds 2x the median "
-                  "full budget %.2fs\n",
-                  gate_tiered.seconds, full.seconds);
+    if (gate.seconds > 2.0 * full.seconds) {
+      std::printf("\nFAIL: median gate-budget wall time %.2fs exceeds 2x the median full "
+                  "budget %.2fs\n",
+                  gate.seconds, full.seconds);
       return 1;
     }
-    std::printf("\nPASS: bit-identical lnL; median tiered gate-budget run %.2fs (%lld "
-                "evictions) <= 2x median full %.2fs\n",
-                gate_tiered.seconds, static_cast<long long>(gate_tiered.evictions),
+    std::printf("\nPASS: bit-identical lnL; median gate-budget run %.2fs (%lld evictions, "
+                "%.2fx newviews) <= 2x median full %.2fs\n",
+                gate.seconds, static_cast<long long>(gate.evictions), amplification,
                 full.seconds);
   }
   return 0;

@@ -92,10 +92,10 @@ typedef struct miniphi_resource_request {
   /* CLA memory budget in bytes (since 1.1).  0 = unlimited: every inner
    * node keeps a resident buffer.  Positive values cap the resident CLA
    * pool; the library carves the budget across partitions, evicted CLAs
-   * are recomputed or spilled to checksummed temp files, and results stay
-   * bit-identical to the unlimited run.  If the budget cannot fit the
-   * minimum working set (5 full-width CLA buffers per partition, or one
-   * per inner node on trees with fewer than 5; core::min_cla_buffers),
+   * are dropped and recomputed, and results stay bit-identical to the
+   * unlimited run.  If the budget cannot fit the minimum working set
+   * (5 full-width CLA buffers per partition, or one per inner node on
+   * trees with fewer than 5; core::min_cla_buffers),
    * miniphi_create_instance fails with MINIPHI_ERROR_INSUFFICIENT_MEMORY. */
   int64_t cla_budget_bytes;
 } miniphi_resource_request;

@@ -59,10 +59,10 @@ cmake -B "${build}" -S "${root}" \
 # each failure, and multi-stream instances drive a worker pool from C —
 # leaks, double frees, and races across the extern "C" seam are what
 # ASan/TSan are for.
-# memory_test rides along: the tiered ClaStore hands buffers between the
-# caller and the async spill worker (staging swaps, the prefetch ring, the
-# recycled spare) — buffer lifetime bugs and missed happens-before edges
-# on that thread boundary are exactly ASan/TSan territory.
+# memory_test rides along: a capped ClaStore carves buffers from one arena,
+# resizes them on almost every eviction, hands them between slots and
+# compacts the arena around pinned buffers — a buffer read after it moved
+# or was handed on is exactly ASan territory.
 # service_test rides along: the multi-tenant service crosses client,
 # executor and pool threads per job (admission under one mutex, budget
 # waits, CancelledError unwinding through worker-pool regions, chaos kills
@@ -75,9 +75,9 @@ cmake -B "${build}" -S "${root}" \
 # short tails (including the AVX-512 CAT kernels' one-site paths) —
 # out-of-bounds tail reads and writes are ASan's to find.
 # traversal_plan_test, cat_test, general_test and core_engine_test ride
-# along: they drive the shared EngineCore executor's pin, evict and reload
-# paths (nested-subplan recompute, cancellation unwinds) for every engine
-# family, where a stale pin or a read of an evicted buffer hides from plain
+# along: they drive the shared EngineCore executor's pin and evict paths
+# (drops, nested-subplan recompute, cancellation unwinds) for every engine
+# family, where a stale pin or a read of a dropped buffer hides from plain
 # tests.
 # search_test and bootstrap_test ride along: with site repeats on by default
 # they drive whole SPR searches through the per-slot class maps (memo

@@ -439,10 +439,8 @@ miniphi_error miniphi_create_instance(const miniphi_alignment* alignment,
     config.isa = widest;
     config.sdc_checks = req.sdc_checks != 0;
     // Memory negotiation (since 1.1): a byte budget caps the resident CLA
-    // pool; the spill tier keeps evicted CLAs on disk so tight budgets pay
-    // reloads instead of full recomputes.
+    // pool; tight budgets drop evicted CLAs and recompute them.
     config.cla_budget_bytes = req.cla_budget_bytes;
-    config.cla_spill = req.cla_budget_bytes > 0;
 
     if (partitions == 1) {
       instance->patterns = std::make_unique<miniphi::bio::PatternSet>(
@@ -459,7 +457,7 @@ miniphi_error miniphi_create_instance(const miniphi_alignment* alignment,
       const auto patterns = miniphi::core::partition_pattern_counts(alignment_payload->alignment,
                                                                     instance->partitions);
       // Budget-aware stream packing: under a carved budget, tight partitions
-      // are modeled slower (they recompute or reload evicted CLAs), so LPT
+      // are modeled slower (they recompute evicted CLAs), so LPT
       // spreads them across streams.
       std::vector<double> budget_fraction;
       if (req.cla_budget_bytes > 0) {

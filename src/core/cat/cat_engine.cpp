@@ -191,10 +191,9 @@ CatChildInput CatEngine::make_child_input(tree::Slot* child, std::span<double> p
 }
 
 void CatEngine::run_newview(tree::Slot* slot) {
-  // Write acquisition: the store may evict an unpinned victim, spilling it
-  // or (via the on_drop callback) invalidating it — either way cached plans
-  // that counted the victim as a resident input stay correct, because a
-  // spilled CLA is still logically valid and a dropped one bumps the epoch.
+  // Write acquisition: the store may evict an unpinned victim, dropping it
+  // and (via the on_drop callback) invalidating it; the drop bumps the
+  // epoch, so cached plans that counted the victim as an input replan.
   core_.acquire(slot->node_id, length_);
   CatNewviewCtx ctx;
   ctx.parent_cla = core_.values(slot->node_id);

@@ -171,7 +171,7 @@ void LikelihoodEngine::set_model(const model::GtrModel& model) {
   wtable_ = build_wtable(model_);
   // Repeat classes are a pure function of topology and tip states, so
   // α/GTR optimization recomputes only the unique classes.
-  core_.invalidate_all();  // spilled copies are stale too
+  core_.invalidate_all();
 }
 
 void LikelihoodEngine::set_alpha(double alpha) {

@@ -17,7 +17,7 @@
 //
 // Orchestration is not this file's: the engine is the DNA fast-path
 // EngineFamily (engine_core.hpp), whose core::EngineCore owns CLA validity,
-// the tiered store, the plan cache and the plan executor, the Evaluator
+// the CLA store, the plan cache and the plan executor, the Evaluator
 // entry points (Newton optimizer, all-branch gradient descent), kernel
 // accounting, cancellation and the SDC heal loop for every engine family.
 // Traversals are *planned*, not recursed — each virtual-root placement

@@ -46,9 +46,9 @@ struct EngineConfig {
   KernelTrace* trace = nullptr;
   /// CLA memory budget in bytes (0 = unlimited), the one budget unit.
   /// Smaller budgets trade running time for memory by evicting CLAs
-  /// through the tiered memory::ClaStore — the recompute technique of
-  /// Izquierdo-Carrasco et al. (Section V-A) plus an optional checksummed
-  /// spill tier (DESIGN.md §14).  The store caps the bytes of the postorder
+  /// through memory::ClaStore — the recompute technique of
+  /// Izquierdo-Carrasco et al. (Section V-A): an evicted CLA is dropped and
+  /// rebuilt when next read (DESIGN.md §14).  The store caps the bytes of the postorder
   /// buffers it holds, and buffers are sized by what newview writes: a
   /// site-repeats slot holds its class count of blocks, so a byte budget
   /// keeps more CLAs resident than the same bytes of full-width buffers
@@ -62,15 +62,12 @@ struct EngineConfig {
   /// (TraversalPlanner::build_preorder): smaller subtree first, so at most
   /// ⌈log2 n⌉ + 2 partials are live for n taxa.
   std::int64_t cla_budget_bytes = 0;
-  /// Enables the ClaStore spill tier: every evicted CLA is written to disk
-  /// (asynchronously, checksummed) and reloaded instead of recomputed.  A
-  /// drop would not cost one newview: it invalidates the CLA, and under a
-  /// tight budget the rebuilds evict (and drop) further nodes, a storm that
-  /// inflates traversals ~7x (DESIGN.md §14).  Off, eviction always drops
-  /// and recomputes — the pre-store behavior.
+  /// Accepted and ignored: every eviction drops the CLA and recomputes it
+  /// (DESIGN.md §14); on the quarter-budget search that costs 1.21x the
+  /// newviews of a full budget (EXPERIMENTS.md "One eviction discipline").
+  /// Kept so existing callers compile; no engine reads it.
   bool cla_spill = false;
-  /// Spill directory; empty honors $TMPDIR, falling back to /tmp.  The
-  /// backing file is unlinked at creation, so it is reclaimed on any exit.
+  /// Accepted and ignored, like cla_spill.
   std::string cla_spill_dir{};
   /// Cooperative cancellation token (DESIGN.md §15).  When set, the engine
   /// calls cancel->check() at plan-level boundaries — between plan ops at
@@ -109,8 +106,8 @@ struct EngineConfig {
 /// The smallest CLA budget, in full-width buffers, over a tree with
 /// `inner_count` inner nodes: the one floor of the engines' budget check,
 /// the partitioned carve and so the C API's "minimum working set" refusal.
-/// Five: the smallest at which every family smooths branches, with and
-/// without spill (EXPERIMENTS.md "One budget unit").
+/// Five: the smallest at which every family smooths branches when every
+/// eviction drops and recomputes (EXPERIMENTS.md "One budget unit").
 [[nodiscard]] constexpr int min_cla_buffers(int inner_count) {
   return inner_count < 5 ? inner_count : 5;
 }

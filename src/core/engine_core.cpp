@@ -39,17 +39,13 @@ void EngineCore::configure(const EngineConfig& config, std::int64_t length, std:
   }
   clas_.resize(static_cast<std::size_t>(inner_count));
 
-  // Tiered CLA storage (DESIGN.md §14): the store owns the resident
-  // buffers, the pin table, the monotonic LRU epoch, and the
-  // recompute-vs-spill policy.  When an eviction drops a CLA (no spill), the
-  // callback marks the node invalid so the next traversal recomputes it —
-  // the eviction side of the Izquierdo-Carrasco trade-off.
+  // CLA storage (DESIGN.md §14): the store owns the buffers, the pin
+  // table, the monotonic LRU epoch and the victim order.  An eviction drops
+  // the CLA; the callback marks the node invalid so the next traversal
+  // recomputes it — the eviction side of the Izquierdo-Carrasco trade-off.
   store_config.slots = inner_count;
   store_config.values = length * block;
   store_config.scales = length;
-  store_config.spill = config.cla_spill;
-  store_config.spill_dir = config.cla_spill_dir;
-  store_config.node_id_base = taxa_;
   store_config.metrics = metrics_ ? obs::MetricsMode::kOn : obs::MetricsMode::kOff;
   store_config.on_drop = [this](int slot) {
     clas_[static_cast<std::size_t>(slot)].valid = false;
@@ -107,8 +103,8 @@ void EngineCore::account_scaling_events(std::int64_t fresh) {
 void EngineCore::invalidate_node(int node_id) {
   if (node_id < taxa_) return;  // tips have no CLA
   clas_[inner(node_id)].valid = false;
-  // Free the resident buffer and any spill record eagerly: eviction must
-  // never waste a disk write on a CLA that is already dead.
+  // Give the buffer up eagerly: the next acquire reuses it before it
+  // evicts a live CLA.
   store_.drop(node_id - taxa_);
   note_cla_state_changed();
   sum_prepared_ = false;
@@ -116,7 +112,7 @@ void EngineCore::invalidate_node(int node_id) {
 
 void EngineCore::invalidate_all() {
   for (auto& node : clas_) node.valid = false;
-  store_.drop_all();  // spilled copies are stale too
+  store_.drop_all();
   note_cla_state_changed();
   sum_prepared_ = false;
 }
@@ -140,20 +136,15 @@ void EngineCore::commit_cla(tree::Slot* slot, std::int64_t blocks, const sdc::Cl
   sum_prepared_ = false;
 }
 
-void EngineCore::ensure_resident_cla(int node_id) {
-  ClaState& node = clas_[inner(node_id)];
-  MINIPHI_ASSERT(node.valid);
-  if (store_.ensure_resident(node_id - taxa_) == memory::Residency::kReloaded) {
-    // The reload verified the spill checksum, but spilled state re-earns
-    // trust exactly like resident state: restart the lazy trust pass.
-    node.verified_pass = 0;
-  }
+void EngineCore::touch_cla(int node_id) {
+  // A valid CLA is resident: an eviction drops and invalidates it.
+  MINIPHI_ASSERT(clas_[inner(node_id)].valid && store_.resident(node_id - taxa_));
+  store_.touch(node_id - taxa_);
 }
 
 void EngineCore::resident_input(const tree::Slot* slot, bool verify) {
   MINIPHI_ASSERT(slot_valid(slot));
-  // Residency before verification: the lazy trust pass reads the buffer.
-  ensure_resident_cla(slot->node_id);
+  touch_cla(slot->node_id);
   if (verify) verify_cla(slot);
 }
 
@@ -256,10 +247,9 @@ void EngineCore::validate_edge(tree::Slot* edge) {
   PlanCache::Entry& entry = plan_cache_.entry_for(edge);
   if (plan_cache_.satisfied(entry)) {
     // Nothing has invalidated, evicted or recomputed a CLA since this plan
-    // last ran: the whole traversal is a no-op.  Ready the roots so the
+    // last ran: the whole traversal is a no-op.  Pin the roots so the
     // caller's kernels can rely on them staying resident, exactly as after
-    // a real execution: a satisfied plan's roots may live in the spill tier,
-    // and one root's reload may evict the other.
+    // a real execution.
     plan_cache_.count_cache_hit();
     for (const PlanRoot& root : entry.plan.roots()) ready_child(root.slot, false);
     return;
@@ -302,11 +292,6 @@ void EngineCore::execute_plan(const TraversalPlan& plan) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     check_cancel();  // per-op cancellation boundary
     store_.plan_cursor(static_cast<std::int64_t>(i));
-    // Read-ahead: stream this op's and the next op's frontier inputs from
-    // the spill tier while kernels run (two-entry ring; extras dropped,
-    // resident slots are no-ops).
-    prefetch_op_inputs(ops[i]);
-    if (i + 1 < ops.size()) prefetch_op_inputs(ops[i + 1]);
     run_plan_op(ops[i]);
   }
   plan_cache_.count_executed_plan();
@@ -317,8 +302,8 @@ void EngineCore::run_plan_op(const PlfOp& op) {
   ready_child(op.slot->child2(), op.right_op >= 0);
   family_.run_newview(op.slot);
   // The op's Sethi–Ullman `registers` number is exactly the cost of
-  // rebuilding this CLA from scratch — the store's victim order when
-  // spilling is off and an eviction drops.
+  // rebuilding this CLA from scratch — the store's victim order among CLAs
+  // the plan no longer needs.
   if (op.registers > 0) store_.set_rebuild_cost(op.slot->node_id - taxa_, op.registers);
   plan_cache_.count_executed_op();
   unpin(op.slot->child1()->node_id);
@@ -338,29 +323,18 @@ void EngineCore::ready_child(tree::Slot* child, bool computed_in_plan) {
   }
   if (slot_valid(child)) {
     pin(child->node_id);
-    // Pin first so the reload's own eviction cannot pick this slot.
-    ensure_resident_cla(child->node_id);
+    touch_cla(child->node_id);
     return;
   }
   // A plan input was evicted-and-dropped between planning and consumption
   // (possible under tight budgets when a sibling subtree recycled its
   // buffer).  Recompute it with a nested sub-plan; the child comes back
-  // pinned.  With the spill tier on this path is rare: eviction keeps
-  // expensive subtrees on disk and the branch above reloads them instead.
+  // pinned.
   store_.note_recompute();
   TraversalPlan subplan;
   plan_cache_.build_subplan(
       child, [this](const tree::Slot* s) { return slot_valid(s); }, subplan);
   for (const PlfOp& sub : subplan.ops()) run_plan_op(sub);
-}
-
-void EngineCore::prefetch_op_inputs(const PlfOp& op) {
-  if (op.left_op < 0 && !op.slot->child1()->is_tip() && slot_valid(op.slot->child1())) {
-    store_.prefetch(op.slot->child1()->node_id - taxa_);
-  }
-  if (op.right_op < 0 && !op.slot->child2()->is_tip() && slot_valid(op.slot->child2())) {
-    store_.prefetch(op.slot->child2()->node_id - taxa_);
-  }
 }
 
 const TraversalPlan* EngineCore::plan_traversal(tree::Slot* edge) {
@@ -389,7 +363,7 @@ PreorderInputs EngineCore::begin_preorder_op(const TraversalPlan& plan, const Pl
     in.opposite = root_slot->back;
     in.left_length = root_slot->length;
   }
-  // Ready (pin + reload or rebuild) every postorder input *before* the
+  // Ready (pin, or rebuild if dropped) every postorder input *before* the
   // family builds any kernel context: under a tight budget ready_child may
   // recompute a dropped CLA through run_newview, which rebuilds through the
   // very table workspaces those contexts point into.  Every slab reads all
@@ -576,8 +550,8 @@ void EngineCore::gradient_all_branches(tree::Slot* root_edge, std::vector<Branch
     // pass is deliberately serial so the per-edge results are bit-identical
     // no matter how the postorder CLAs were produced (a plan, a nested
     // recompute or distributed execution all commit the same buffers).  Its
-    // reload pattern is not the postorder plan the store last saw: a fresh
-    // plan window keeps stale next-use hints out of eviction.
+    // reads are not the postorder plan the store last saw: a fresh plan
+    // window keeps stale next-use hints out of eviction.
     store_.begin_plan();
     TraversalPlanner::build_preorder(root_edge, preorder_plan_);
     // The plan's buffer indices address a stack of full-width partials,

@@ -8,12 +8,12 @@
 // kernels):
 //
 //   * per-node CLA state — validity, orientation and the SDC trust pass;
-//   * the CLA byte budget and the tiered memory::ClaStore (eviction
-//     invalidates through on_drop), plus the gradient descent's stack of
+//   * the CLA byte budget and the memory::ClaStore (an eviction drops the
+//     CLA and invalidates it through on_drop), plus the gradient descent's stack of
 //     preorder partials, sized by its plan;
 //   * the PlanCache and its epoch protocol;
-//   * the plan executor: Sethi–Ullman DFS order with next-use hints,
-//     prefetch, pins and nested-subplan recompute, at every CLA budget
+//   * the plan executor: Sethi–Ullman DFS order with next-use hints, pins
+//     and nested-subplan recompute, at every CLA budget
 //     (Izquierdo-Carrasco, paper §V-A);
 //   * the Evaluator entry points: evaluation, the derivative protocol, the
 //     Newton–Raphson branch optimizer with its uphill guard, smoothing
@@ -177,7 +177,7 @@ class EngineCore {
 
   /// Write acquisition of `node_id`'s buffer with room for `blocks` site
   /// blocks (a site-repeats slot asks for its class count): may evict
-  /// unpinned victims, spilling them or (via on_drop) invalidating them.
+  /// unpinned victims, dropping them and (via on_drop) invalidating them.
   void acquire(int node_id, std::int64_t blocks) { store_.acquire(node_id - taxa_, blocks); }
 
   /// Withdraws a node's validity while its buffer is overwritten in place,
@@ -189,8 +189,8 @@ class EngineCore {
   /// stores `sum` (or, without one, the family checksum of the buffer).
   void commit_cla(tree::Slot* slot, std::int64_t blocks, const sdc::ClaChecksum* sum = nullptr);
 
-  /// Makes a valid CLA resident (reloading it from the spill tier) and,
-  /// with `verify`, re-verifies it before a kernel consumes it.
+  /// Touches a valid (hence resident) CLA and, with `verify`, re-verifies
+  /// it before a kernel consumes it.
   void resident_input(const tree::Slot* slot, bool verify = true);
 
   // --- SDC defense -------------------------------------------------------
@@ -309,11 +309,11 @@ class EngineCore {
   /// the consuming root kernel.
   void validate_edge(tree::Slot* edge);
 
-  /// Reloads an evicted valid CLA; a reload restarts its trust pass.
-  void ensure_resident_cla(int node_id);
+  /// Stamps a valid CLA's LRU touch; a valid CLA is always resident.
+  void touch_cla(int node_id);
 
-  /// Readies a plan input: pins it and makes it resident, recomputing it
-  /// through a nested subplan when it was dropped since planning.  Inputs
+  /// Readies a plan input: pins and touches it, recomputing it through a
+  /// nested subplan when it was dropped since planning.  Inputs
   /// `computed_in_plan` are already valid and pinned.
   void ready_child(tree::Slot* child, bool computed_in_plan);
 
@@ -324,9 +324,6 @@ class EngineCore {
   /// One op through the family's newview: readies the children, and pins
   /// the output until its consumer releases it.
   void run_plan_op(const PlfOp& op);
-
-  /// Queues the op's valid frontier inputs into the store's prefetch ring.
-  void prefetch_op_inputs(const PlfOp& op);
 
   /// Checksums a CLA and compares it with the recorded one; a mismatch
   /// reports a fault on `fault_node` (-1 = unlocalized) with `what`.
@@ -342,7 +339,7 @@ class EngineCore {
   // --- Preorder descent (all-branch gradient) -----------------------------
 
   /// Opens one preorder op: names its partial's and the parent's stack
-  /// buffers, and pins and readies (reload or rebuild) its postorder inputs
+  /// buffers, and pins and readies (rebuilding if dropped) its postorder inputs
   /// — sibling, opposite endpoint for a seed op, and the node's own CLA,
   /// which is verified up front.
   PreorderInputs begin_preorder_op(const TraversalPlan& plan, const PlfOp& op);
@@ -416,7 +413,7 @@ class EngineFamily : public Evaluator {
   /// Works on every CLA budget: preorder partials live on a stack of
   /// full-width buffers sized by the depth-first plan (at most
   /// ⌈log2 n⌉ + 2, outside the cap), and postorder inputs the descent finds
-  /// evicted are reloaded or rebuilt in place.
+  /// evicted are rebuilt in place.
   bool gradient_all_branches(tree::Slot* root_edge, std::vector<BranchGradient>& out) override {
     core_.gradient_all_branches(root_edge, out);
     return true;
@@ -432,8 +429,8 @@ class EngineFamily : public Evaluator {
   [[nodiscard]] const KernelStat& stats(Kernel k) const { return core_.stats().kernel(k); }
   void reset_stats() override { core_.reset_stats(); }
 
-  /// The postorder CLA store (eviction/spill/reload counters and the spill
-  /// test hooks live there).
+  /// The postorder CLA store (its eviction and recompute counters live
+  /// there).
   [[nodiscard]] const memory::ClaStore& cla_store() const { return core_.store(); }
   [[nodiscard]] memory::ClaStore& cla_store_for_testing() { return core_.store(); }
   [[nodiscard]] std::int64_t cla_bytes_granted() const override {
@@ -479,7 +476,7 @@ class EngineFamily : public Evaluator {
   explicit EngineFamily(tree::Tree& tree) : core_(*this, tree) {}
   ~EngineFamily() override = default;
 
-  // Validity, orientation, the tiered store, plans, the executor, the entry
+  // Validity, orientation, the CLA store, plans, the executor, the entry
   // points, kernel accounting, cancellation and the SDC heal loop.
   EngineCore core_;
 

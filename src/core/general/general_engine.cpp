@@ -95,10 +95,9 @@ GChildInput GeneralEngine::make_child_input(tree::Slot* child, std::span<double>
 
 void GeneralEngine::run_newview(tree::Slot* slot) {
   MINIPHI_ASSERT(!slot->is_tip());
-  // Write acquisition: the store may evict an unpinned victim, spilling it
-  // or (via the on_drop callback) invalidating it — either way cached plans
-  // that counted the victim as a resident input stay correct, because a
-  // spilled CLA is still logically valid and a dropped one bumps the epoch.
+  // Write acquisition: the store may evict an unpinned victim, dropping it
+  // and (via the on_drop callback) invalidating it; the drop bumps the
+  // epoch, so cached plans that counted the victim as an input replan.
   core_.acquire(slot->node_id, length_);
 
   GNewviewCtx ctx;

@@ -10,11 +10,11 @@
 // the engines convert into a targeted invalidation + re-execution of just the
 // affected subtree through the traversal-plan machinery.
 //
-// The checksum is deliberately not cryptographic: it must detect any
-// single-bit flip (and overwhelmingly likely any burst) at a cost far below
-// the kernel that produced the buffer.  Four independent xor-rotate
-// accumulators give the compiler a 4-way dependency chain (~1 cycle/word
-// sustained); combining them with distinct rotations guarantees a single
+// The checksum (ClaChecksum, sdc_checksum.hpp) is deliberately not
+// cryptographic: it must detect any single-bit flip (and overwhelmingly
+// likely any burst) at a cost far below the kernel that produced the
+// buffer.  Independent xor-rotate lanes keep the fold one rotate and one
+// xor per word; combining them with distinct rotations guarantees a single
 // flipped input word always changes the final value.
 #pragma once
 
@@ -46,31 +46,6 @@ class CorruptionDetected : public Error {
 /// recomputes after a detection before escalating the CorruptionDetected to
 /// the caller (whose ladder ends at checkpoint restore, driver.cpp).
 inline constexpr int kHealRetryBudget = 3;
-
-// detail::rotl comes from sdc_checksum.hpp, which also defines the
-// lane-structured ClaChecksum every engine family folds its CLAs with.  The
-// word-stream checksum below guards the spill tier's records.
-
-/// Word-wise checksum over raw 64-bit patterns.  Seeded accumulators keep a
-/// buffer of zeros from hashing to zero; the tail (buffers are multiples of
-/// 8 bytes on every engine path, but the scale array may leave a 4-byte
-/// remainder) is folded in as a final partial word.
-inline std::uint64_t checksum_words(const std::uint64_t* words, std::size_t count,
-                                    std::uint64_t seed = 0x9e3779b97f4a7c15ULL) {
-  std::uint64_t h0 = seed;
-  std::uint64_t h1 = detail::rotl(seed, 17);
-  std::uint64_t h2 = detail::rotl(seed, 31);
-  std::uint64_t h3 = detail::rotl(seed, 47);
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    h0 = detail::rotl(h0, 9) ^ words[i + 0];
-    h1 = detail::rotl(h1, 9) ^ words[i + 1];
-    h2 = detail::rotl(h2, 9) ^ words[i + 2];
-    h3 = detail::rotl(h3, 9) ^ words[i + 3];
-  }
-  for (; i < count; ++i) h0 = detail::rotl(h0, 9) ^ words[i];
-  return h0 ^ detail::rotl(h1, 1) ^ detail::rotl(h2, 2) ^ detail::rotl(h3, 3);
-}
 
 /// Monotonic detection/heal counters, kept per engine so tests can assert on
 /// them without the metrics registry (the registry mirrors them as `sdc.*`).

@@ -1,8 +1,7 @@
 // Lane-structured CLA checksum of every engine family (the dense 16
 // doubles/site blocks, and any block width through the `block` overload).
 //
-// The whole-buffer word checksum (sdc.hpp, which guards spill records) walks
-// words in a 4-way rotate-xor chain — fine for a cold
+// A whole-buffer word checksum walks words in a 4-way rotate-xor chain — fine for a cold
 // standalone sweep, but far too slow to sit next to the AVX-512 PLF kernels:
 // on the branch-optimization workload the separate DRAM sweeps cost tens of
 // percent.  This variant restructures the same rotate-xor chains so the state

@@ -204,20 +204,13 @@ std::string render_kernel_report(const std::vector<MetricSnapshot>& snapshot) {
   }
 
   if (!mem.empty()) {
-    // The tiered CLA store (DESIGN.md §14): evictions split into spills
-    // (written to the checksummed spill tier) and drops the engines later
-    // recomputed; reloads/prefetch_hit measure the read-back path.
+    // The CLA store (DESIGN.md §14): evictions drop CLAs, and recomputes
+    // count the dropped plan inputs rebuilt through a nested subplan.
     out += "--- memory tier ---\n";
     std::sort(mem.begin(), mem.end(),
               [](const MetricSnapshot* a, const MetricSnapshot* b) { return a->name < b->name; });
     for (const MetricSnapshot* metric : mem) {
-      if (metric->name == "mem.spill_bytes") {
-        append_line(out, "%-40s %s", metric->name.c_str(),
-                    human_bytes(metric->value).c_str());
-      } else {
-        append_line(out, "%-40s %lld", metric->name.c_str(),
-                    static_cast<long long>(metric->value));
-      }
+      append_line(out, "%-40s %lld", metric->name.c_str(), static_cast<long long>(metric->value));
     }
   }
 

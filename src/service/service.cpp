@@ -302,7 +302,7 @@ std::int64_t EvaluationService::reserve_budget(Job& job, bool& degraded) {
       grant = want;
     } else if (available >= floor) {
       // Memory pressure: run with what is left instead of rejecting.  The
-      // tiered store keeps lnL bit-identical across budgets (DESIGN.md
+      // CLA store keeps lnL bit-identical across budgets (DESIGN.md
       // §14), so degradation costs wall time, never correctness.
       grant = available;
       degraded = true;
@@ -377,8 +377,8 @@ void EvaluationService::run_job(parallel::WorkerPool& pool, const std::shared_pt
       break;
     } catch (const core::sdc::CorruptionDetected& fault) {
       // An escalation escaped the engine's own heal ladder.  Containment:
-      // throw the poisoned evaluator away (CLA stores, spill files and
-      // pins die with it) and rebuild from the pristine inputs — the
+      // throw the poisoned evaluator away (its CLA store and pins die
+      // with it) and rebuild from the pristine inputs — the
       // fault stays inside this job either way.
       result.rebuilds = attempt + 1;
       if (attempt < config_.corruption_retry_budget) continue;
@@ -410,8 +410,6 @@ void EvaluationService::run_job_attempt(parallel::WorkerPool& pool, Job& job,
   config.cancel = &job.token;
   config.sdc_checks = options.sdc_checks;
   config.cla_budget_bytes = grant > 0 ? grant : 0;
-  config.cla_spill = options.cla_spill && grant > 0;
-  config.cla_spill_dir = options.cla_spill_dir;
 
   // Declared first: a partitioned evaluator dispatches its streams through
   // it until the evaluator is gone.

@@ -8,15 +8,15 @@
 //
 //  * Deadlines + cooperative cancellation: every job carries a CancelToken
 //    (deadline armed at submit, so queue wait counts); engines check it at
-//    plan-level boundaries and a cancelled job unwinds with its pins,
-//    budget grant and spill files released, returning a structured status
+//    plan-level boundaries and a cancelled job unwinds with its pins and
+//    budget grant released, returning a structured status
 //    instead of poisoning shared state.
 //  * Admission control + load shedding: a bounded global queue with
 //    round-robin per-tenant FIFOs; an overloaded submit returns
 //    kOverloadedJobId (retryable — see retry.hpp) instead of blocking.
 //  * Graceful degradation: when the global CLA budget cannot cover a job's
 //    request, the job is granted what remains (down to a floor) and runs
-//    with a tighter tiered-store budget — bit-identical lnL, slower —
+//    with a tighter CLA-store budget — bit-identical lnL, slower —
 //    instead of being rejected.
 //  * Containment: sdc::CorruptionDetected escalations escaping an engine's
 //    heal ladder are contained to the owning job — the evaluator is
@@ -125,8 +125,6 @@ struct JobOptions {
   int partitions = 1;
   int smoothing_passes = 1;  ///< kBranchSmooth only
   bool sdc_checks = false;
-  bool cla_spill = false;  ///< budgeted jobs may spill instead of recompute
-  std::string cla_spill_dir{};
 };
 
 struct JobRequest {

@@ -215,7 +215,7 @@ TEST(CatEngine, RejectsBadCategories) {
 
 TEST(CatEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
   // EngineConfig::cancel holds for every family and every budget: at the
-  // minimum working set with spill on and at the full budget, a token
+  // minimum working set and at the full budget, a token
   // tripped mid-traversal unwinds log_likelihood with CancelledError, every
   // pin the plan executor took is dropped on the way out, and the engine's
   // next (uncancelled) call matches a fresh engine bit for bit.
@@ -230,7 +230,6 @@ TEST(CatEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
     CatEngine::Config config;
     if (floor) {
       config.cla_budget_bytes = min_cla_buffers(inner) * (fresh.cla_bytes_granted() / inner);
-      config.cla_spill = true;
     }
     config.cancel = &token;
     CatEngine engine(instance.patterns, instance.model, *instance.tree, 4, config);

@@ -493,7 +493,7 @@ TEST(EngineBudget, RejectsBudgetBelowMinimum) {
 
 TEST(LikelihoodEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
   // The dense family's twin of the CAT and general cancellation tests: at
-  // the minimum working set with spill on and at the full budget, a token
+  // the minimum working set and at the full budget, a token
   // tripped mid-traversal unwinds log_likelihood with CancelledError, every
   // pin the plan executor took is dropped on the way out, and the engine's
   // next (uncancelled) call matches a fresh engine bit for bit.
@@ -511,7 +511,6 @@ TEST(LikelihoodEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
     LikelihoodEngine::Config config;
     if (floor) {
       config.cla_budget_bytes = min_cla_buffers(inner) * (fresh.cla_bytes_granted() / inner);
-      config.cla_spill = true;
     }
     config.cancel = &token;
     LikelihoodEngine engine(patterns, model, tree, config);
@@ -606,7 +605,6 @@ TEST(StoreModes, DenseEngineIsBitIdentical) {
       config.site_repeats = variant.repeats;
       config.sdc_checks = variant.sdc;
       config.cla_budget_bytes = variant.budget * buffer_bytes;
-      config.cla_spill = variant.budget > 0;
       return std::make_unique<LikelihoodEngine>(data.patterns, data.model, tree, config);
     };
     expect_store_modes_identical(data.tree, make, std::string("dense ") + variant.name);

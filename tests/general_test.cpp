@@ -539,7 +539,7 @@ TEST(GeneralEngine, RejectsGeometryErrors) {
 
 TEST(GeneralEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
   // EngineConfig::cancel holds for every family and every budget: at the
-  // minimum working set with spill on and at the full budget, a token
+  // minimum working set and at the full budget, a token
   // tripped mid-traversal unwinds log_likelihood with CancelledError, every
   // pin the plan executor took is dropped on the way out, and the engine's
   // next (uncancelled) call matches a fresh engine bit for bit.
@@ -557,7 +557,6 @@ TEST(GeneralEngine, CancellationReleasesPinsAndLeavesTheEngineReusable) {
     if (floor) {
       config.cla_budget_bytes =
           core::min_cla_buffers(inner) * (fresh.cla_bytes_granted() / inner);
-      config.cla_spill = true;
     }
     config.cancel = &token;
     GeneralEngine engine(patterns, model, tree, bio::aa_code_masks(), config);

@@ -195,9 +195,9 @@ TEST_P(AllBranchGradient, TinyBranchesAndDeepScaling) {
 
 // A tight CLA budget used to decline the descent (every postorder CLA is
 // consumed after one up-front validation).  The preorder partials live on
-// the descent's own stack and evicted postorder inputs are reloaded or
-// rebuilt in place, so the sweep *succeeds* on a tight budget and matches the full-budget gradient exactly
-// (recompute reruns identical kernels; spill reloads are byte-exact).
+// the descent's own stack and evicted postorder inputs are rebuilt in
+// place, so the sweep *succeeds* on a tight budget and matches the
+// full-budget gradient exactly (a recompute reruns identical kernels).
 TEST(AllBranchGradientBudget, TightBudgetMatchesFullBudget) {
   Rng rng(31);
   const auto alignment = random_alignment(16, 100, rng);
@@ -233,8 +233,8 @@ TEST(AllBranchGradientBudget, TightBudgetMatchesFullBudget) {
   EXPECT_GT(engine.cla_store().counters().evictions, 0);
 }
 
-// FD validation at the *minimum* postorder budget with the spill tier on:
-// the strongest end of the satellite — gradients no longer decline, and they
+// FD validation at the *minimum* postorder budget, where every eviction
+// drops a CLA and its rebuild reruns the kernels: the strongest end of the satellite — gradients no longer decline, and they
 // are still first derivatives of the actual log-likelihood.
 TEST(AllBranchGradientBudget, MinimumBudgetFirstDerivativeMatchesFD) {
   Rng rng(977);
@@ -252,7 +252,6 @@ TEST(AllBranchGradientBudget, MinimumBudgetFirstDerivativeMatchesFD) {
   config.cla_budget_bytes =  // the floor
       min_cla_buffers(tree.inner_count()) *
       full_width_cla_bytes(static_cast<std::int64_t>(patterns.pattern_count()), kSiteBlock);
-  config.cla_spill = true;
   LikelihoodEngine engine(patterns, model, tree, config);
   tree::Slot* root = tree.tip(0);
 
@@ -279,8 +278,7 @@ TEST(AllBranchGradientBudget, MinimumBudgetFirstDerivativeMatchesFD) {
     EXPECT_NEAR(g.first, fd, std::abs(fd) * 1e-6 + 1e-6)
         << "edge node " << g.edge->node_id << " z=" << z;
   }
-  EXPECT_GT(engine.cla_store().counters().spills, 0);
-  EXPECT_GT(engine.cla_store().counters().reloads, 0);
+  EXPECT_GT(engine.cla_store().counters().evictions, 0);
 }
 
 // Satellite regression: the lnL returned by optimize_all_branches must be
@@ -384,14 +382,15 @@ INSTANTIATE_TEST_SUITE_P(Cases, AllBranchGradient, ::testing::ValuesIn(gradient_
 // with derivativeCore's sums carried across them, so pattern counts one
 // below, at, one above and two slabs past the slab width must still give
 // the per-branch protocol's derivatives and central differences, on every
-// family, on the full budget and on the minimum one with spill, with and
-// without SDC checks (which fold the partials slab by slab).
+// family, on the full budget and on the floor one (cases named
+// "_minspill", from when the spill tier ran there; every eviction now
+// drops and recomputes), with and without SDC checks (which fold the partials slab by slab).
 enum class SlabFamily { kDense, kRepeats, kCat, kGeneral };
 
 struct SlabCase {
   SlabFamily family = SlabFamily::kDense;
   int patterns = 0;
-  bool minimum_budget = false;  ///< the floor budget with the spill tier on
+  bool minimum_budget = false;  ///< the floor budget
   bool sdc = false;
 };
 
@@ -458,7 +457,6 @@ class SlabBoundaryGradient : public ::testing::TestWithParam<SlabCase> {
     config.site_repeats = c.family == SlabFamily::kRepeats;
     config.sdc_checks = c.sdc;
     config.cla_budget_bytes = budget_bytes;
-    config.cla_spill = budget_bytes > 0;
     switch (c.family) {
       case SlabFamily::kDense:
       case SlabFamily::kRepeats:

@@ -1,15 +1,13 @@
-// Tests for the tiered CLA store (DESIGN.md §14): ClaStore unit behavior
-// (spill/reload byte-exactness, checksummed-reload corruption detection,
-// plan-aware eviction order, the monotonic LRU epoch), the tight-budget
-// bit-identity matrix across all three engine families, every entry point
-// at the budget floor, the engine-level budget contract (postorder cap and
-// preorder stack bound), the engine-level heal of a corrupted spill record,
-// per-partition budget carving, and budget-aware stream packing.
+// Tests for the CLA store (DESIGN.md §14): ClaStore unit behavior (the
+// plan-aware and rebuild-cost eviction order, the monotonic LRU epoch,
+// class-sized buffers under a byte cap), the tight-budget bit-identity
+// matrix across all three engine families, every entry point at the budget
+// floor, the engine-level budget contract (postorder cap and preorder stack
+// bound), per-partition budget carving, and budget-aware stream packing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -21,23 +19,19 @@
 #include "src/core/partition_spec.hpp"
 #include "src/core/partitioned.hpp"
 #include "src/core/kernels.hpp"
-#include "src/core/sdc.hpp"
 #include "src/memory/cla_store.hpp"
 #include "src/model/general.hpp"
 #include "src/platform/cost_model.hpp"
 #include "src/simd/dispatch.hpp"
 #include "src/simulate/simulate.hpp"
-#include "src/util/cancellation.hpp"
 #include "src/util/error.hpp"
 #include "tests/testutil.hpp"
 
 namespace miniphi {
 namespace {
 
-using core::sdc::CorruptionDetected;
 using memory::ClaStore;
 using memory::ClaStoreConfig;
-using memory::Residency;
 
 std::vector<simd::Isa> supported_isas() {
   std::vector<simd::Isa> isas;
@@ -57,136 +51,18 @@ constexpr std::int64_t kBlockBytes = kBlockDoubles * static_cast<std::int64_t>(s
 constexpr std::int64_t kFullBytes = kScales * kBlockBytes;
 
 /// A store whose byte cap holds `buffers` full-width buffers (0 = no cap).
-ClaStoreConfig small_config(int slots, int buffers, bool spill) {
+ClaStoreConfig small_config(int slots, int buffers) {
   ClaStoreConfig config;
   config.slots = slots;
   config.budget_bytes = buffers * kFullBytes;
   config.values = kValues;
   config.scales = kScales;
-  config.spill = spill;
   return config;
-}
-
-void fill_slot(ClaStore& store, int slot, double seed) {
-  double* values = store.values(slot);
-  for (std::int64_t i = 0; i < kValues; ++i) values[i] = seed + static_cast<double>(i);
-  std::int32_t* scales = store.scales(slot);
-  for (std::int64_t i = 0; i < kScales; ++i) {
-    scales[i] = static_cast<std::int32_t>(seed) + static_cast<std::int32_t>(i);
-  }
-}
-
-void expect_slot_bytes(ClaStore& store, int slot, double seed) {
-  const double* values = store.values(slot);
-  for (std::int64_t i = 0; i < kValues; ++i) {
-    ASSERT_EQ(values[i], seed + static_cast<double>(i)) << "value " << i;
-  }
-  const std::int32_t* scales = store.scales(slot);
-  for (std::int64_t i = 0; i < kScales; ++i) {
-    ASSERT_EQ(scales[i], static_cast<std::int32_t>(seed) + static_cast<std::int32_t>(i))
-        << "scale " << i;
-  }
-}
-
-/// Acquires slots 0 and 1 with known contents, then forces both out to the
-/// spill tier by acquiring 2 and 3.
-void spill_first_two(ClaStore& store) {
-  store.acquire(0);
-  fill_slot(store, 0, 1000.0);
-  store.set_rebuild_cost(0, 5);
-  store.acquire(1);
-  fill_slot(store, 1, 2000.0);
-  store.set_rebuild_cost(1, 5);
-  store.acquire(2);
-  store.acquire(3);
-  ASSERT_FALSE(store.resident(0));
-  ASSERT_FALSE(store.resident(1));
-  ASSERT_TRUE(store.spilled(0));
-  ASSERT_TRUE(store.spilled(1));
-}
-
-TEST(ClaStore, SpillReloadRoundTripIsByteExact) {
-  ClaStore store;
-  store.configure(small_config(4, 2, /*spill=*/true));
-  spill_first_two(store);
-  EXPECT_EQ(store.counters().evictions, 2);
-  EXPECT_EQ(store.counters().spills, 2);
-  EXPECT_TRUE(store.has_data(0));
-
-  EXPECT_EQ(store.ensure_resident(0), Residency::kReloaded);
-  expect_slot_bytes(store, 0, 1000.0);
-  EXPECT_EQ(store.counters().reloads, 1);
-
-  EXPECT_EQ(store.ensure_resident(1), Residency::kReloaded);
-  expect_slot_bytes(store, 1, 2000.0);
-  EXPECT_EQ(store.counters().reloads, 2);
-  EXPECT_GT(store.counters().spill_bytes, 0);
-
-  // Already resident: a second ensure is a no-op.
-  EXPECT_EQ(store.ensure_resident(1), Residency::kResident);
-  EXPECT_EQ(store.counters().reloads, 2);
-}
-
-TEST(ClaStore, PrefetchedReloadIsByteExactAndCounted) {
-  ClaStore store;
-  store.configure(small_config(4, 2, /*spill=*/true));
-  spill_first_two(store);
-  // prefetch() is best-effort: it drops the request while the slot's spill
-  // write is still staged.  Reloading slot 1 first blocks until its write
-  // lands, and the single FIFO spill worker wrote slot 0 before slot 1, so
-  // the prefetch below is deterministically accepted.
-  EXPECT_EQ(store.ensure_resident(1), Residency::kReloaded);
-  expect_slot_bytes(store, 1, 2000.0);
-  store.prefetch(0);
-  EXPECT_EQ(store.ensure_resident(0), Residency::kReloaded);
-  expect_slot_bytes(store, 0, 1000.0);
-  EXPECT_EQ(store.counters().prefetch_hits, 1);
-}
-
-TEST(ClaStore, CorruptedSpillRecordThrowsAndSurrendersData) {
-  ClaStore store;
-  store.configure(small_config(4, 2, /*spill=*/true));
-  spill_first_two(store);
-  ASSERT_TRUE(store.corrupt_spill_for_testing(0));
-  EXPECT_THROW((void)store.ensure_resident(0), CorruptionDetected);
-  // The record is unusable: the slot no longer claims data, so the owner's
-  // heal path recomputes instead of rereading garbage.
-  EXPECT_FALSE(store.has_data(0));
-  // The sibling record is untouched.
-  EXPECT_EQ(store.ensure_resident(1), Residency::kReloaded);
-  expect_slot_bytes(store, 1, 2000.0);
-}
-
-TEST(ClaStore, TruncatedSpillRecordThrowsShortRead) {
-  ClaStore store;
-  store.configure(small_config(4, 2, /*spill=*/true));
-  spill_first_two(store);
-  // Truncating slot 1 (the higher file offset) leaves slot 0's record whole.
-  ASSERT_TRUE(store.truncate_spill_for_testing(1));
-  EXPECT_THROW((void)store.ensure_resident(1), CorruptionDetected);
-  EXPECT_FALSE(store.has_data(1));
-  EXPECT_EQ(store.ensure_resident(0), Residency::kReloaded);
-  expect_slot_bytes(store, 0, 1000.0);
-}
-
-TEST(ClaStore, CorruptionNamesTheOwningNode) {
-  ClaStore store;
-  auto config = small_config(4, 2, /*spill=*/true);
-  config.node_id_base = 10;
-  store.configure(std::move(config));
-  spill_first_two(store);
-  ASSERT_TRUE(store.corrupt_spill_for_testing(1));
-  try {
-    (void)store.ensure_resident(1);
-    FAIL() << "corrupted reload did not throw";
-  } catch (const CorruptionDetected& fault) {
-    EXPECT_EQ(fault.node_id(), 11);  // slot 1 + node_id_base
-  }
 }
 
 TEST(ClaStore, EvictionPrefersSlotsWithNoRemainingPlanUse) {
   std::vector<int> drops;
-  auto config = small_config(3, 2, /*spill=*/false);
+  auto config = small_config(3, 2);
   config.on_drop = [&](int slot) { drops.push_back(slot); };
   ClaStore store;
   store.configure(std::move(config));
@@ -205,7 +81,7 @@ TEST(ClaStore, EvictionPrefersSlotsWithNoRemainingPlanUse) {
 
 TEST(ClaStore, EvictionTakesFarthestNextUseWhenAllAreNeeded) {
   std::vector<int> drops;
-  auto config = small_config(3, 2, /*spill=*/false);
+  auto config = small_config(3, 2);
   config.on_drop = [&](int slot) { drops.push_back(slot); };
   ClaStore store;
   store.configure(std::move(config));
@@ -222,9 +98,55 @@ TEST(ClaStore, EvictionTakesFarthestNextUseWhenAllAreNeeded) {
   EXPECT_EQ(drops, std::vector<int>{1});
 }
 
+TEST(ClaStore, EvictionDropsTheCheapestRebuildFirst) {
+  std::vector<int> drops;
+  auto config = small_config(4, 3);
+  config.on_drop = [&](int slot) { drops.push_back(slot); };
+  ClaStore store;
+  store.configure(std::move(config));
+  store.acquire(0);
+  store.set_rebuild_cost(0, 5);
+  store.acquire(1);
+  store.set_rebuild_cost(1, 2);
+  store.acquire(2);
+  store.set_rebuild_cost(2, 7);
+  store.touch(1);  // slot 1 is the most recently used, slot 0 the least
+
+  // No slot has a use left in the plan: the cheapest rebuild goes, not the
+  // least recently used.
+  store.begin_plan();
+  store.acquire(3);
+  EXPECT_EQ(drops, std::vector<int>{1});
+  EXPECT_FALSE(store.resident(1));
+
+  // Slot 3 is now the cheapest, but the plan still reads it: any victim
+  // with no remaining use goes first, here the cheaper of slots 0 and 2.
+  store.set_rebuild_cost(3, 1);
+  store.begin_plan();
+  store.plan_next_use(3, 4);
+  store.plan_cursor(0);
+  store.acquire(1);
+  EXPECT_EQ(drops, (std::vector<int>{1, 0}));
+  EXPECT_TRUE(store.resident(3));
+  EXPECT_TRUE(store.resident(2));
+
+  // drop() forgets the cost: slot 3, rewritten without a new cost, counts
+  // as expensive, so slot 1 (cost 3) goes before it.
+  store.set_rebuild_cost(1, 3);
+  store.drop(3);
+  store.acquire(3);
+  store.begin_plan();
+  store.acquire(0);
+  EXPECT_EQ(drops, (std::vector<int>{1, 0, 1}));
+  EXPECT_TRUE(store.resident(3));
+
+  // on_drop fires once per eviction, and never for an owner's drop().
+  EXPECT_EQ(store.counters().evictions, static_cast<std::int64_t>(drops.size()));
+}
+
 TEST(ClaStore, TouchEpochIsMonotonicAcrossDrops) {
   ClaStore store;
-  store.configure(small_config(3, 3, /*spill=*/false));
+  store.configure(small_config(3, 3));
   store.acquire(0);
   const std::uint64_t first = store.touch_epoch();
   store.touch(0);
@@ -240,7 +162,7 @@ TEST(ClaStore, TouchEpochIsMonotonicAcrossDrops) {
 
 TEST(ClaStore, ResidentBytesReportsThePool) {
   ClaStore store;
-  store.configure(small_config(4, 2, /*spill=*/false));
+  store.configure(small_config(4, 2));
   // The granted side is the cap: two full-width buffers.  Nothing is held
   // before the first write.
   EXPECT_EQ(store.budget_bytes(), 2 * kFullBytes);
@@ -249,7 +171,7 @@ TEST(ClaStore, ResidentBytesReportsThePool) {
 
 TEST(ClaStore, ThrowsWhenEveryBufferIsPinned) {
   ClaStore store;
-  store.configure(small_config(3, 2, /*spill=*/false));
+  store.configure(small_config(3, 2));
   store.acquire(0);
   store.pin(0);
   store.acquire(1);
@@ -260,11 +182,10 @@ TEST(ClaStore, ThrowsWhenEveryBufferIsPinned) {
 // --- Class-sized buffers ------------------------------------------------------
 //
 // Buffers are allocated on write and sized by the caller's block count; a
-// byte cap bounds the capacity held, and spill records carry only the
-// blocks a slot holds.
+// byte cap bounds the capacity held.
 
-ClaStoreConfig byte_config(int slots, std::int64_t budget_bytes, bool spill) {
-  ClaStoreConfig config = small_config(slots, /*buffers=*/0, spill);
+ClaStoreConfig byte_config(int slots, std::int64_t budget_bytes) {
+  ClaStoreConfig config = small_config(slots, /*buffers=*/0);
   config.budget_bytes = budget_bytes;
   return config;
 }
@@ -293,24 +214,9 @@ void expect_blocks(ClaStore& store, int slot, std::int64_t blocks, double seed) 
   }
 }
 
-/// Writes class-sized slots 0 (3 blocks) and 1 (5 blocks), then forces both
-/// out to the spill tier through a two-buffer byte cap.
-void spill_class_sized(ClaStore& store) {
-  store.acquire(0, 3);
-  fill_blocks(store, 0, 3, 1000.0);
-  store.acquire(1, 5);
-  fill_blocks(store, 1, 5, 2000.0);
-  store.acquire(2);
-  store.acquire(3);
-  ASSERT_TRUE(store.spilled(0));
-  ASSERT_TRUE(store.spilled(1));
-  ASSERT_FALSE(store.resident(0));
-  ASSERT_FALSE(store.resident(1));
-}
-
 TEST(ClaStore, AllocatesNothingUntilTheFirstWrite) {
   ClaStore store;
-  store.configure(small_config(4, 0, /*spill=*/false));
+  store.configure(small_config(4, 0));
   EXPECT_EQ(store.held_bytes(), 0);
   EXPECT_TRUE(store.full_resident());
   store.acquire(2, 3);
@@ -325,7 +231,7 @@ TEST(ClaStore, AllocatesNothingUntilTheFirstWrite) {
 
 TEST(ClaStore, DroppedBufferIsReusedWithoutAnEviction) {
   ClaStore store;
-  store.configure(small_config(3, 1, /*spill=*/false));
+  store.configure(small_config(3, 1));
   store.acquire(0);
   store.drop(0);
   // The one buffer the cap allows changes hands: nothing live was
@@ -333,62 +239,12 @@ TEST(ClaStore, DroppedBufferIsReusedWithoutAnEviction) {
   store.acquire(1);
   EXPECT_EQ(store.counters().evictions, 0);
   EXPECT_EQ(store.held_bytes(), kFullBytes);
-  EXPECT_FALSE(store.has_data(0));
-}
-
-TEST(ClaStore, ClassSizedRecordsRoundTripByteForByte) {
-  ClaStore store;
-  store.configure(small_config(4, 2, /*spill=*/true));
-  spill_class_sized(store);
-  // Each payload covers only the slot's blocks, padded to 8 bytes.
-  const auto payload = [](std::int64_t blocks) { return (blocks * kBlockBytes + 7) / 8 * 8; };
-  EXPECT_EQ(store.counters().spill_bytes, payload(3) + payload(5));
-  EXPECT_LT(store.counters().spill_bytes, 2 * payload(kScales));
-  EXPECT_EQ(store.blocks(0), 3);
-  EXPECT_EQ(store.blocks(1), 5);
-
-  EXPECT_EQ(store.ensure_resident(0), Residency::kReloaded);
-  expect_blocks(store, 0, 3, 1000.0);
-  EXPECT_EQ(store.ensure_resident(1), Residency::kReloaded);
-  expect_blocks(store, 1, 5, 2000.0);
-}
-
-TEST(ClaStore, SpillRecordBlockCountMismatchIsCorruption) {
-  ClaStore store;
-  store.configure(small_config(4, 2, /*spill=*/true));
-  spill_class_sized(store);
-  ASSERT_TRUE(store.rewrite_spill_header_for_testing(0, memory::kSpillFormatVersion, 4));
-  try {
-    (void)store.ensure_resident(0);
-    FAIL() << "block-count mismatch was not rejected";
-  } catch (const CorruptionDetected& fault) {
-    EXPECT_NE(std::string(fault.what()).find("block count"), std::string::npos) << fault.what();
-  }
-  EXPECT_FALSE(store.has_data(0));
-  // The sibling record is untouched.
-  EXPECT_EQ(store.ensure_resident(1), Residency::kReloaded);
-  expect_blocks(store, 1, 5, 2000.0);
-}
-
-TEST(ClaStore, VersionOneSpillRecordIsRejected) {
-  ClaStore store;
-  store.configure(small_config(4, 2, /*spill=*/true));
-  spill_class_sized(store);
-  ASSERT_TRUE(store.rewrite_spill_header_for_testing(1, /*version=*/1, 5));
-  try {
-    (void)store.ensure_resident(1);
-    FAIL() << "version-1 record was not rejected";
-  } catch (const CorruptionDetected& fault) {
-    EXPECT_NE(std::string(fault.what()).find("version"), std::string::npos) << fault.what();
-  }
-  EXPECT_FALSE(store.has_data(1));
-  EXPECT_EQ(store.ensure_resident(0), Residency::kReloaded);
-  expect_blocks(store, 0, 3, 1000.0);
+  EXPECT_FALSE(store.resident(0));
 }
 
 TEST(ClaStore, PinnedBytesOverflowingTheCapThrowTheWorkingSetError) {
   ClaStore store;
-  store.configure(byte_config(4, 3 * kFullBytes, /*spill=*/false));
+  store.configure(byte_config(4, 3 * kFullBytes));
   EXPECT_FALSE(store.full_resident());
   EXPECT_EQ(store.budget_bytes(), 3 * kFullBytes);
   store.acquire(0);
@@ -406,24 +262,26 @@ TEST(ClaStore, PinnedBytesOverflowingTheCapThrowTheWorkingSetError) {
   }
   // The failed write changed nothing.
   EXPECT_EQ(store.held_bytes(), held);
-  EXPECT_FALSE(store.has_data(3));
+  EXPECT_FALSE(store.resident(3));
   EXPECT_EQ(store.counters().evictions, 0);
   // Half a buffer still fits next to the pins.
   store.acquire(3, kScales / 2);
   EXPECT_LE(store.held_bytes(), store.budget_bytes());
 }
 
-/// A seeded random walk over acquire (mixed sizes), reload, prefetch, pin,
-/// unpin and drop under a byte cap: held capacity never exceeds the cap,
-/// every slot that still claims data reads back exactly what was last
-/// written, and a pinned buffer never moves.
-void run_mixed_size_walk(bool spill, std::uint64_t seed) {
+/// A seeded random walk over acquire (mixed sizes), touch, pin, unpin and
+/// drop under a byte cap: held capacity never exceeds the cap, a slot is
+/// resident exactly until it is dropped or evicted, every resident slot
+/// reads back exactly what was last written, and a pinned buffer never
+/// moves.
+void run_mixed_size_walk(std::uint64_t seed) {
   // Wider buffers than the other unit tests, so sizes vary enough to
   // fragment the cap's arena and force compactions around the pins.
   constexpr int kSlots = 10;
   constexpr std::int64_t kWalkBlocks = 64;
   std::vector<int> dropped_by_store;
-  ClaStoreConfig config = small_config(kSlots, /*buffers=*/0, spill);
+  std::int64_t store_drops = 0;
+  ClaStoreConfig config = small_config(kSlots, /*buffers=*/0);
   config.values = kWalkBlocks * kBlockDoubles;
   config.scales = kWalkBlocks;
   config.budget_bytes = 7 * kWalkBlocks * kBlockBytes / 2;
@@ -449,11 +307,7 @@ void run_mixed_size_walk(bool spill, std::uint64_t seed) {
       fill_blocks(store, slot, blocks, value_seed);
       model[static_cast<std::size_t>(slot)] = {blocks, value_seed};
     } else if (action < 6) {
-      if (model[static_cast<std::size_t>(slot)].blocks > 0) {
-        (void)store.ensure_resident(slot);
-        const Written& w = model[static_cast<std::size_t>(slot)];
-        expect_blocks(store, slot, w.blocks, w.seed);
-      }
+      if (store.resident(slot)) store.touch(slot);
     } else if (action < 7) {
       // At most two pins: the cap (3.5 full-width buffers) always leaves
       // room for one more full-width write.
@@ -466,19 +320,19 @@ void run_mixed_size_walk(bool spill, std::uint64_t seed) {
         store.unpin(pinned.back().first);
         pinned.pop_back();
       }
-    } else if (rng.uniform() < 0.5) {
-      store.prefetch(slot);  // a no-op unless the slot is spilled
     } else if (store.pin_count(slot) == 0) {
       store.drop(slot);
       model[static_cast<std::size_t>(slot)] = {};
     }
+    store_drops += static_cast<std::int64_t>(dropped_by_store.size());
     for (const int gone : dropped_by_store) model[static_cast<std::size_t>(gone)] = {};
     dropped_by_store.clear();
     ASSERT_LE(store.held_bytes(), store.budget_bytes()) << "step " << step;
     ASSERT_GE(store.held_bytes(), 0) << "step " << step;
     for (int s = 0; s < kSlots; ++s) {
-      ASSERT_EQ(store.has_data(s), model[static_cast<std::size_t>(s)].blocks > 0)
-          << "step " << step << " slot " << s;
+      const Written& w = model[static_cast<std::size_t>(s)];
+      ASSERT_EQ(store.resident(s), w.blocks > 0) << "step " << step << " slot " << s;
+      if (w.blocks > 0) expect_blocks(store, s, w.blocks, w.seed);
     }
     // Compaction moves buffers, but never a pinned one.
     for (const auto& [s, address] : pinned) {
@@ -486,24 +340,20 @@ void run_mixed_size_walk(bool spill, std::uint64_t seed) {
     }
   }
   EXPECT_GT(store.counters().evictions, 0) << "the walk never pressed the cap";
-  if (spill) {
-    EXPECT_GT(store.counters().reloads, 0);
-    EXPECT_GT(store.counters().prefetch_hits, 0);
-  }
+  EXPECT_EQ(store_drops, store.counters().evictions);
 }
 
 TEST(ClaStore, MixedSizeWalkKeepsHeldBytesUnderTheCap) {
-  run_mixed_size_walk(/*spill=*/false, 401);
-  run_mixed_size_walk(/*spill=*/true, 402);
+  run_mixed_size_walk(401);
+  run_mixed_size_walk(402);
 }
 
 // --- Tight-budget bit-identity matrices ------------------------------------
 //
 // For every engine family: lnL and the full branch-length optimization must
 // be bit-identical between the full CLA budget and tight byte budgets of
-// {min, min+2} full-width buffers, in both eviction modes (recompute-only
-// and the spill tier), with the store's counters proving the tight path
-// actually ran.
+// {min, min+2} full-width buffers, with the store's eviction counter
+// proving the tight path actually ran.
 
 constexpr std::int64_t kDenseBytesPerPattern = core::full_width_cla_bytes(1, core::kSiteBlock);
 
@@ -513,31 +363,24 @@ struct RunResult {
 };
 
 /// Bytes of one full-width CLA buffer of the engines `make_engine` builds
-/// (`make_engine(tree, budget_bytes, spill)`): a full-budget engine's grant
+/// (`make_engine(tree, budget_bytes)`): a full-budget engine's grant
 /// is one such buffer per inner node.
 template <typename MakeEngine>
 std::int64_t buffer_bytes_of(const tree::Tree& base_tree, const MakeEngine& make_engine) {
   tree::Tree tree(base_tree);
-  return make_engine(tree, 0, false)->cla_bytes_granted() / base_tree.inner_count();
+  return make_engine(tree, 0)->cla_bytes_granted() / base_tree.inner_count();
 }
 
 template <typename MakeEngine>
 RunResult run_matrix_case(const tree::Tree& base_tree, const MakeEngine& make_engine,
-                          std::int64_t budget_bytes, bool spill) {
+                          std::int64_t budget_bytes) {
   tree::Tree tree(base_tree);
-  auto engine = make_engine(tree, budget_bytes, spill);
+  auto engine = make_engine(tree, budget_bytes);
   RunResult result;
   result.initial = engine->log_likelihood(tree.tip(0));
   result.optimized = engine->optimize_all_branches(tree.tip(0), 2);
   if (budget_bytes > 0) {
-    const auto& counters = engine->cla_store().counters();
-    EXPECT_GT(counters.evictions, 0) << "tight budget never evicted";
-    if (spill) {
-      EXPECT_GT(counters.spills, 0) << "spill tier never wrote";
-      EXPECT_GT(counters.reloads, 0) << "spill tier never reloaded";
-    } else {
-      EXPECT_GT(counters.recomputes + counters.evictions, 0);
-    }
+    EXPECT_GT(engine->cla_store().counters().evictions, 0) << "tight budget never evicted";
   }
   return result;
 }
@@ -553,7 +396,7 @@ int minimum_feasible_budget(const tree::Tree& base_tree, const MakeEngine& make_
        budget < base_tree.inner_count(); ++budget) {
     try {
       tree::Tree tree(base_tree);
-      auto engine = make_engine(tree, budget * buffer_bytes, /*spill=*/false);
+      auto engine = make_engine(tree, budget * buffer_bytes);
       (void)engine->log_likelihood(tree.tip(0));
       (void)engine->optimize_all_branches(tree.tip(0), 2);
       return budget;
@@ -567,18 +410,14 @@ int minimum_feasible_budget(const tree::Tree& base_tree, const MakeEngine& make_
 template <typename MakeEngine>
 void expect_budget_bit_identity(const tree::Tree& base_tree, const MakeEngine& make_engine,
                                 const std::string& context) {
-  const RunResult full = run_matrix_case(base_tree, make_engine, 0, false);
+  const RunResult full = run_matrix_case(base_tree, make_engine, 0);
   const std::int64_t buffer_bytes = buffer_bytes_of(base_tree, make_engine);
   const int minimum = minimum_feasible_budget(base_tree, make_engine, buffer_bytes);
   ASSERT_LT(minimum + 2, base_tree.inner_count()) << context << ": tree too small";
   for (const int budget : {minimum, minimum + 2}) {
-    for (const bool spill : {false, true}) {
-      const RunResult tight = run_matrix_case(base_tree, make_engine, budget * buffer_bytes, spill);
-      EXPECT_EQ(tight.initial, full.initial)
-          << context << ": budget " << budget << " spill " << spill;
-      EXPECT_EQ(tight.optimized, full.optimized)
-          << context << ": budget " << budget << " spill " << spill;
-    }
+    const RunResult tight = run_matrix_case(base_tree, make_engine, budget * buffer_bytes);
+    EXPECT_EQ(tight.initial, full.initial) << context << ": budget " << budget;
+    EXPECT_EQ(tight.optimized, full.optimized) << context << ": budget " << budget;
   }
 }
 
@@ -590,12 +429,11 @@ TEST(TightBudget, DenseBitIdenticalAcrossIsasAndRepeats) {
   const tree::Tree base_tree = tree::Tree::random(12, rng);
   for (const auto isa : supported_isas()) {
     for (const bool repeats : {false, true}) {
-      const auto make_engine = [&](tree::Tree& tree, std::int64_t bytes, bool spill) {
+      const auto make_engine = [&](tree::Tree& tree, std::int64_t bytes) {
         core::LikelihoodEngine::Config config;
         config.isa = isa;
         config.site_repeats = repeats;
         config.cla_budget_bytes = bytes;
-        config.cla_spill = spill;
         return std::make_unique<core::LikelihoodEngine>(patterns, model, tree, config);
       };
       expect_budget_bit_identity(base_tree, make_engine,
@@ -623,13 +461,12 @@ TEST(TightBudget, DenseRepeatsByteBudgetsBitIdenticalAndEvictLess) {
       double optimized = 0.0;
       std::int64_t evictions = 0;
     };
-    const auto run = [&](std::int64_t bytes, bool spill, bool repeats) {
+    const auto run = [&](std::int64_t bytes, bool repeats) {
       tree::Tree tree(base_tree);
       core::LikelihoodEngine::Config config;
       config.isa = isa;
       config.site_repeats = repeats;
       config.cla_budget_bytes = bytes;
-      config.cla_spill = spill;
       core::LikelihoodEngine engine(patterns, model, tree, config);
       Run result;
       result.initial = engine.log_likelihood(tree.tip(0));
@@ -642,7 +479,7 @@ TEST(TightBudget, DenseRepeatsByteBudgetsBitIdenticalAndEvictLess) {
       return result;
     };
     const std::string context = "dense repeats " + simd::to_string(isa);
-    const Run full = run(0, false, /*repeats=*/true);
+    const Run full = run(0, /*repeats=*/true);
 
     // The smallest byte budget this shape runs with, probed upward from the
     // construction floor.
@@ -650,7 +487,7 @@ TEST(TightBudget, DenseRepeatsByteBudgetsBitIdenticalAndEvictLess) {
     for (;; minimum += full_width) {
       ASSERT_LT(minimum, full_bytes) << context << ": no tight byte budget fits";
       try {
-        (void)run(minimum, false, /*repeats=*/true);
+        (void)run(minimum, /*repeats=*/true);
         break;
       } catch (const Error&) {
         // working set does not fit; try one more full-width buffer
@@ -659,18 +496,15 @@ TEST(TightBudget, DenseRepeatsByteBudgetsBitIdenticalAndEvictLess) {
     const std::int64_t quarter = full_bytes / 4;
     ASSERT_LT(minimum, quarter) << context;
     for (const std::int64_t bytes : {minimum, quarter}) {
-      for (const bool spill : {false, true}) {
-        const Run tight = run(bytes, spill, /*repeats=*/true);
-        EXPECT_EQ(tight.initial, full.initial) << context << ": bytes " << bytes << " spill " << spill;
-        EXPECT_EQ(tight.optimized, full.optimized)
-            << context << ": bytes " << bytes << " spill " << spill;
-        if (bytes == minimum) {
-          EXPECT_GT(tight.evictions, 0) << context << ": minimum byte budget never evicted";
-        } else {
-          const Run per_site = run(quarter, spill, /*repeats=*/false);
-          EXPECT_GT(per_site.evictions, 0) << context;
-          EXPECT_LT(tight.evictions, per_site.evictions) << context << ": spill " << spill;
-        }
+      const Run tight = run(bytes, /*repeats=*/true);
+      EXPECT_EQ(tight.initial, full.initial) << context << ": bytes " << bytes;
+      EXPECT_EQ(tight.optimized, full.optimized) << context << ": bytes " << bytes;
+      if (bytes == minimum) {
+        EXPECT_GT(tight.evictions, 0) << context << ": minimum byte budget never evicted";
+      } else {
+        const Run per_site = run(quarter, /*repeats=*/false);
+        EXPECT_GT(per_site.evictions, 0) << context;
+        EXPECT_LT(tight.evictions, per_site.evictions) << context;
       }
     }
   }
@@ -690,11 +524,10 @@ TEST(TightBudget, CatBitIdenticalAcrossIsas) {
     a = static_cast<std::uint8_t>(rng.below(static_cast<std::uint64_t>(categories)));
   }
   for (const auto isa : supported_isas()) {
-    const auto make_engine = [&](tree::Tree& tree, std::int64_t bytes, bool spill) {
+    const auto make_engine = [&](tree::Tree& tree, std::int64_t bytes) {
       core::CatEngine::Config config;
       config.isa = isa;
       config.cla_budget_bytes = bytes;
-      config.cla_spill = spill;
       auto engine =
           std::make_unique<core::CatEngine>(patterns, model, tree, categories, config);
       engine->set_categories(rates, assignment);
@@ -716,11 +549,10 @@ TEST(TightBudget, GeneralBitIdenticalAcrossIsas) {
   std::vector<double> freqs{0.3, 0.25, 0.25, 0.2};
   const model::GeneralModel model(4, std::move(exchangeabilities), std::move(freqs), 0.9);
   for (const auto isa : supported_isas()) {
-    const auto make_engine = [&](tree::Tree& tree, std::int64_t bytes, bool spill) {
+    const auto make_engine = [&](tree::Tree& tree, std::int64_t bytes) {
       core::GeneralEngine::Config config;
       config.isa = isa;
       config.cla_budget_bytes = bytes;
-      config.cla_spill = spill;
       return std::make_unique<core::GeneralEngine>(patterns, model, tree,
                                                    bio::dna_code_masks(), config);
     };
@@ -753,8 +585,7 @@ TEST(TightBudget, MinimumWorkingSetIsEnforced) {
 // The floor (core::min_cla_buffers full-width buffers) is honest: every
 // entry point — evaluation, the per-branch Newton sweep, which validates
 // edges between inner nodes, and the all-branch gradient — runs there on
-// every family, with the spill tier on and off, and matches the full
-// budget bit for bit.
+// every family and matches the full budget bit for bit.
 
 enum class Family { kDense, kRepeats, kCat, kGeneral };
 constexpr const char* kFamilyNames[] = {"dense", "repeats", "cat", "general"};
@@ -764,12 +595,11 @@ struct FamilyData {
   bio::PatternSet patterns;
   model::GtrParams params;
 
-  std::unique_ptr<core::Evaluator> make(Family family, tree::Tree& tree, std::int64_t bytes,
-                                        bool spill) const {
+  std::unique_ptr<core::Evaluator> make(Family family, tree::Tree& tree,
+                                        std::int64_t bytes) const {
     core::EngineConfig config;
     config.site_repeats = family == Family::kRepeats;
     config.cla_budget_bytes = bytes;
-    config.cla_spill = spill;
     switch (family) {
       case Family::kDense:
       case Family::kRepeats:
@@ -793,7 +623,7 @@ struct FamilyData {
   /// Bytes of one full-width buffer of `family`'s engines over `tree`.
   std::int64_t buffer_bytes(Family family, const tree::Tree& base_tree) const {
     tree::Tree tree(base_tree);
-    return make(family, tree, 0, false)->cla_bytes_granted() / base_tree.inner_count();
+    return make(family, tree, 0)->cla_bytes_granted() / base_tree.inner_count();
   }
 };
 
@@ -829,24 +659,21 @@ TEST(TightBudget, FloorRunsEveryEntryPointOnEveryFamily) {
     const int floor = core::min_cla_buffers(base_tree.inner_count());
     for (const Family family : {Family::kDense, Family::kRepeats, Family::kCat, Family::kGeneral}) {
       tree::Tree full_tree(base_tree);
-      const EntryPoints full = run_entry_points(*data.make(family, full_tree, 0, false), full_tree);
+      const EntryPoints full = run_entry_points(*data.make(family, full_tree, 0), full_tree);
       const std::int64_t floor_bytes = floor * data.buffer_bytes(family, base_tree);
-      for (const bool spill : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << "seed " << seed << " "
-                                          << kFamilyNames[static_cast<int>(family)] << " spill "
-                                          << spill);
-        tree::Tree tree(base_tree);
-        auto engine = data.make(family, tree, floor_bytes, spill);
-        EXPECT_EQ(engine->cla_bytes_granted(), floor_bytes);
-        EntryPoints tight;
-        ASSERT_NO_THROW(tight = run_entry_points(*engine, tree));
-        EXPECT_EQ(tight.lnl, full.lnl);
-        EXPECT_EQ(tight.optimized, full.optimized);
-        ASSERT_EQ(tight.gradient.size(), full.gradient.size());
-        for (std::size_t i = 0; i < full.gradient.size(); ++i) {
-          EXPECT_EQ(tight.gradient[i].first, full.gradient[i].first) << "edge " << i;
-          EXPECT_EQ(tight.gradient[i].second, full.gradient[i].second) << "edge " << i;
-        }
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " "
+                                        << kFamilyNames[static_cast<int>(family)]);
+      tree::Tree tree(base_tree);
+      auto engine = data.make(family, tree, floor_bytes);
+      EXPECT_EQ(engine->cla_bytes_granted(), floor_bytes);
+      EntryPoints tight;
+      ASSERT_NO_THROW(tight = run_entry_points(*engine, tree));
+      EXPECT_EQ(tight.lnl, full.lnl);
+      EXPECT_EQ(tight.optimized, full.optimized);
+      ASSERT_EQ(tight.gradient.size(), full.gradient.size());
+      for (std::size_t i = 0; i < full.gradient.size(); ++i) {
+        EXPECT_EQ(tight.gradient[i].first, full.gradient[i].first) << "edge " << i;
+        EXPECT_EQ(tight.gradient[i].second, full.gradient[i].second) << "edge " << i;
       }
     }
   }
@@ -855,8 +682,8 @@ TEST(TightBudget, FloorRunsEveryEntryPointOnEveryFamily) {
 // --- Engine-level budget contract --------------------------------------------
 //
 // The engine version of ClaStore.MixedSizeWalkKeepsHeldBytesUnderTheCap: a
-// smoothing run driven by all-branch gradients, on every family, with the
-// spill tier on and off, at byte budgets of the floor, the floor plus two
+// smoothing run driven by all-branch gradients, on every family, at byte
+// budgets of the floor, the floor plus two
 // full-width buffers and a quarter of the full budget.  After every engine
 // call the postorder store holds no more than its cap and the preorder
 // stack no more than the planner's ⌈log2 n⌉ + 2 full-width buffers; every
@@ -889,7 +716,7 @@ TEST(EngineBudget, GradientSmoothingKeepsHeldBytesUnderTheCap) {
     tree::Tree reference_tree(base_tree);
     std::vector<std::vector<core::BranchGradient>> reference;
     {
-      auto engine = data.make(family, reference_tree, 0, false);
+      auto engine = data.make(family, reference_tree, 0);
       for (int step = 0; step < 3; ++step) {
         ASSERT_TRUE(engine->gradient_all_branches(reference_tree.tip(0), reference.emplace_back()));
         apply_gradient_step(*engine, reference.back());
@@ -898,105 +725,38 @@ TEST(EngineBudget, GradientSmoothingKeepsHeldBytesUnderTheCap) {
     }
     for (const std::int64_t bytes :
          {floor * buffer_bytes, (floor + 2) * buffer_bytes, inner * buffer_bytes / 4}) {
-      for (const bool spill : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << kFamilyNames[static_cast<int>(family)] << " budget "
-                                          << bytes << " spill " << spill);
-        tree::Tree tree(base_tree);
-        auto engine = data.make(family, tree, bytes, spill);
-        const core::EngineFamily& budgeted = family_of(*engine);
-        const auto expect_within_budget = [&](const char* call) {
-          EXPECT_LE(budgeted.cla_store().held_bytes(), bytes) << call;
-          EXPECT_LE(budgeted.preorder_stack_bytes(), stack_bound * buffer_bytes) << call;
-        };
-        for (int step = 0; step < 3; ++step) {
-          std::vector<core::BranchGradient> gradient;
-          ASSERT_TRUE(engine->gradient_all_branches(tree.tip(0), gradient));
-          expect_within_budget("gradient_all_branches");
-          const auto& want = reference[static_cast<std::size_t>(step)];
-          ASSERT_EQ(gradient.size(), want.size());
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(gradient[i].edge->slot_index, want[i].edge->slot_index) << "edge " << i;
-            EXPECT_EQ(gradient[i].first, want[i].first) << "step " << step << " edge " << i;
-            EXPECT_EQ(gradient[i].second, want[i].second) << "step " << step << " edge " << i;
-          }
-          apply_gradient_step(*engine, gradient);
-          (void)engine->log_likelihood(tree.tip(0));
-          expect_within_budget("log_likelihood");
-          (void)engine->optimize_branch(tree.edges()[static_cast<std::size_t>(5 * step)], 4);
-          expect_within_budget("optimize_branch");
+      SCOPED_TRACE(::testing::Message() << kFamilyNames[static_cast<int>(family)] << " budget "
+                                        << bytes);
+      tree::Tree tree(base_tree);
+      auto engine = data.make(family, tree, bytes);
+      const core::EngineFamily& budgeted = family_of(*engine);
+      const auto expect_within_budget = [&](const char* call) {
+        EXPECT_LE(budgeted.cla_store().held_bytes(), bytes) << call;
+        EXPECT_LE(budgeted.preorder_stack_bytes(), stack_bound * buffer_bytes) << call;
+      };
+      for (int step = 0; step < 3; ++step) {
+        std::vector<core::BranchGradient> gradient;
+        ASSERT_TRUE(engine->gradient_all_branches(tree.tip(0), gradient));
+        expect_within_budget("gradient_all_branches");
+        const auto& want = reference[static_cast<std::size_t>(step)];
+        ASSERT_EQ(gradient.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(gradient[i].edge->slot_index, want[i].edge->slot_index) << "edge " << i;
+          EXPECT_EQ(gradient[i].first, want[i].first) << "step " << step << " edge " << i;
+          EXPECT_EQ(gradient[i].second, want[i].second) << "step " << step << " edge " << i;
         }
-        EXPECT_GT(budgeted.preorder_stack_bytes(), 0);
-        if (family != Family::kRepeats) {
-          EXPECT_GT(budgeted.cla_store().counters().evictions, 0) << "the budget never evicted";
-        }
+        apply_gradient_step(*engine, gradient);
+        (void)engine->log_likelihood(tree.tip(0));
+        expect_within_budget("log_likelihood");
+        (void)engine->optimize_branch(tree.edges()[static_cast<std::size_t>(5 * step)], 4);
+        expect_within_budget("optimize_branch");
+      }
+      EXPECT_GT(budgeted.preorder_stack_bytes(), 0);
+      if (family != Family::kRepeats) {
+        EXPECT_GT(budgeted.cla_store().counters().evictions, 0) << "the budget never evicted";
       }
     }
   }
-}
-
-// --- Engine-level heal of a corrupted spill record --------------------------
-
-TEST(SpillHeal, DenseReloadCorruptionDetectsAndHeals) {
-  Rng rng(35);
-  const auto alignment = testutil::random_alignment(10, 120, rng, 0.05);
-  const auto patterns = bio::compress_patterns(alignment);
-  const model::GtrModel model(testutil::random_gtr_params(rng));
-  tree::Tree tree = tree::Tree::random(10, rng);
-  core::LikelihoodEngine::Config config;
-  config.sdc_checks = true;
-  config.site_repeats = false;
-  config.cla_budget_bytes = core::min_cla_buffers(tree.inner_count()) *
-                            static_cast<std::int64_t>(patterns.pattern_count()) *
-                            kDenseBytesPerPattern;
-  config.cla_spill = true;
-  core::LikelihoodEngine engine(patterns, model, tree, config);
-  (void)engine.log_likelihood(tree.tip(0));
-
-  // Pick one spilled slot that is NOT resident (a slot with a clean resident
-  // copy satisfies ensure_resident from the pool without touching disk) and
-  // corrupt its record.
-  auto& store = engine.cla_store_for_testing();
-  int corrupted_slot = -1;
-  for (int slot = 0; slot < store.slot_count(); ++slot) {
-    if (store.spilled(slot) && !store.resident(slot)) {
-      corrupted_slot = slot;
-      break;
-    }
-  }
-  ASSERT_GE(corrupted_slot, 0) << "tight-budget traversal spilled nothing";
-  ASSERT_TRUE(store.corrupt_spill_for_testing(corrupted_slot));
-
-  // Re-root the evaluation on the corrupted node's root-facing edge: its
-  // valid (but evicted) CLA becomes a plan root input, so the checksummed
-  // reload is forced to run — an invalidation-driven recompute would just
-  // discard the bad record unread.  full_traversal lists each inner node's
-  // slot oriented toward tip 0, exactly the orientation the first
-  // traversal committed.
-  tree::Slot* corrupted_edge = nullptr;
-  for (tree::Slot* slot : tree.full_traversal(tree.tip(0)->back)) {
-    if (slot->node_id == tree.taxon_count() + corrupted_slot) corrupted_edge = slot;
-  }
-  ASSERT_NE(corrupted_edge, nullptr);
-
-  // Bit-exact reference for that root edge from an uncorrupted full-budget
-  // engine (likelihoods at different root edges need not be bit-identical,
-  // so the tip-0 value is not the right baseline).
-  tree::Tree reference_tree(tree);
-  core::LikelihoodEngine reference(patterns, model, reference_tree,
-                                   core::LikelihoodEngine::Config{});
-  const double expected =
-      reference.log_likelihood(reference_tree.slot(corrupted_edge->slot_index));
-
-  const core::sdc::Counters before = engine.sdc_counters();
-  const double healed = engine.log_likelihood(corrupted_edge);
-  const core::sdc::Counters after = engine.sdc_counters();
-  // The corrupt reload surfaces from the store (not the engine's lazy trust
-  // pass, which is what counts `hits`) and lands in the heal ladder.
-  EXPECT_EQ(after.heals, before.heals + 1);
-  EXPECT_EQ(after.escalations, before.escalations);
-  // The heal recomputes the corrupted CLA from its (clean) subtree, so the
-  // final value is bit-identical to the never-corrupted one.
-  EXPECT_EQ(healed, expected);
 }
 
 // --- Per-partition budget carving -------------------------------------------
@@ -1075,7 +835,6 @@ TEST(PartitionedBudget, GlobalBudgetCarvesAndStaysBitIdentical) {
   tree::Tree tight_tree(base_tree);
   core::EngineConfig config;
   config.cla_budget_bytes = floors + largest;  // floors plus one spare buffer
-  config.cla_spill = true;
   core::PartitionedEvaluator tight(alignment, specs, model, tight_tree, config);
   for (int p = 0; p < tight.partition_count(); ++p) {
     const std::int64_t buffer_bytes =
@@ -1133,59 +892,6 @@ TEST(StreamPacking, BudgetFractionSizeMismatchThrows) {
   EXPECT_THROW(
       (void)platform::plan_partition_streams(sizes, 2, simd::Isa::kScalar, fractions),
       Error);
-}
-
-// --- Spill-tier resource hygiene under cancellation --------------------------
-
-/// Open descriptors in this process.  The spill backing file is unlinked at
-/// creation, so a leaked fd is the ONLY observable trace of a leaked spill
-/// tier — /proc/self/fd is the leak detector.
-std::size_t open_fd_count() {
-  std::size_t count = 0;
-  for ([[maybe_unused]] const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/fd")) {
-    ++count;
-  }
-  return count;
-}
-
-TEST(SpillLifecycle, CancelledJobsLeakNoSpillFileDescriptors) {
-  Rng rng(38);
-  const auto alignment = testutil::random_alignment(10, 120, rng, 0.05);
-  const auto patterns = bio::compress_patterns(alignment);
-  const model::GtrModel model(testutil::random_gtr_params(rng));
-  const tree::Tree base_tree = tree::Tree::random(10, rng);
-
-  const auto spill_run = [&](const CancelToken* token) {
-    tree::Tree tree(base_tree);
-    core::LikelihoodEngine::Config config;
-    config.site_repeats = false;
-    config.cla_budget_bytes =  // minimum working set: every traversal spills
-        core::min_cla_buffers(tree.inner_count()) *
-        static_cast<std::int64_t>(patterns.pattern_count()) * kDenseBytesPerPattern;
-    config.cla_spill = true;
-    config.cancel = token;
-    core::LikelihoodEngine engine(patterns, model, tree, config);
-    (void)engine.log_likelihood(tree.tip(0));
-  };
-
-  // Warm-up absorbs lazily-opened descriptors (locale, /proc itself, …) so
-  // the baseline measures steady state, not first-use initialisation.
-  spill_run(nullptr);
-  const std::size_t baseline = open_fd_count();
-
-  // Each cancelled run opens its own spill backing file and must close it
-  // while unwinding through CancelledError mid-traversal.
-  for (int round = 0; round < 5; ++round) {
-    CancelToken token;
-    token.arm_trip_after(5);
-    EXPECT_THROW(spill_run(&token), CancelledError) << "round " << round;
-    EXPECT_EQ(open_fd_count(), baseline) << "round " << round;
-  }
-
-  // And a clean run after the cancelled ones still completes and stays flat.
-  spill_run(nullptr);
-  EXPECT_EQ(open_fd_count(), baseline);
 }
 
 }  // namespace

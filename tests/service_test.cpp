@@ -519,7 +519,6 @@ TEST_F(ServiceTest, ChaosSoakSurvivesKillsExpiriesAndCorruption) {
       if (j % 4 == 1) {
         request.options.cla_budget_bytes =
             static_cast<std::int64_t>(base_tree_.inner_count()) * buffer;
-        if (j == 5) request.options.cla_spill = true;
       }
       if (j % 4 == 2) request.options.deadline = 30s;  // generous: only chaos expires it
       requests[t].push_back(std::move(request));
@@ -560,7 +559,7 @@ TEST_F(ServiceTest, ChaosSoakSurvivesKillsExpiriesAndCorruption) {
         case JobStatus::kOk:
           ++ok;
           // Bit-identity against the solo baseline — including jobs that
-          // ran degraded, healed injected corruption, or spilled.
+          // ran degraded, healed injected corruption, or evicted CLAs.
           if (request.options.kind == JobKind::kEvaluate) {
             EXPECT_EQ(result.log_likelihood,
                       request.options.partitions > 1 ? lnl_eval_part : lnl_eval)

@@ -320,7 +320,9 @@ double dense_reference(const bio::PatternSet& patterns, const model::GtrModel& m
 
 struct ReuseCase {
   const char* name;
-  bool tight_budget;  ///< minimum feasible budget with the spill tier
+  /// The minimum feasible budget (case "min_budget_spill", named when the
+  /// spill tier ran there; every eviction now drops and recomputes).
+  bool tight_budget;
   bool sdc_checks;
 };
 
@@ -337,7 +339,6 @@ class RepeatMapReuse : public ::testing::TestWithParam<ReuseCase> {
     EXPECT_TRUE(config.site_repeats);  // the default under test
     config.sdc_checks = GetParam().sdc_checks;
     if (GetParam().tight_budget) {
-      config.cla_spill = true;
       // The smallest budget, in full-width buffers, that still runs a
       // smoothing pass.
       const std::int64_t buffer_bytes = core::full_width_cla_bytes(

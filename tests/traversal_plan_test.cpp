@@ -481,8 +481,7 @@ TEST(PlanCache, PlanAndStoreCountsMatchAcrossEngineFamilies) {
   // family — only the kernels do.  The same DNA tree and call sequence must
   // therefore produce identical plan counters and CLA-store traffic on the
   // dense, CAT and general engines, at the full budget and at the minimum
-  // working set (spill off, so every eviction drops and nested subplans
-  // recompute).
+  // working set (every eviction drops and nested subplans recompute).
   Rng rng(57);
   const auto alignment = random_alignment(12, 90, rng);
   const auto patterns = bio::compress_patterns(alignment);
